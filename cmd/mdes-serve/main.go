@@ -113,9 +113,7 @@ func run(args []string, logw io.Writer) error {
 	maxSessions := fs.Int("max-sessions", 4096, "resident session cap; LRU beyond it (0 = unlimited)")
 	maxInflight := fs.Int("max-inflight", 0, "concurrent tick requests before 429 (0 = 2x GOMAXPROCS)")
 	scoreWorkers := fs.Int("score-workers", 0, "pairwise scoring pool size (0 = GOMAXPROCS)")
-	scorePrecision := fs.String("score-precision", "", "scoring precision: f64 (reference), f32, or int8 (batched reduced-precision inference); empty keeps each model's saved precision")
-	scoreBatch := fs.Int("score-batch", 0, "max scoring jobs fused per batched GEMM call at reduced precision (0 = 64, 1 = no batching)")
-	scoreLinger := fs.Duration("score-linger", 0, "how long a short batch may wait for more same-model jobs (0 = fuse only already-queued work)")
+	scorePrecision := fs.String("score-precision", "", "scoring precision: f64 (reference), f32, or int8 (reduced-precision inference); empty keeps each model's saved precision")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	scoreDeadline := fs.Duration("score-deadline", 0, "answer ticks degraded (last valid score + degraded=true) when a window cannot be scored within this budget (0 = strict)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
@@ -161,8 +159,6 @@ func run(args []string, logw io.Writer) error {
 		MaxSessions:   *maxSessions,
 		MaxInflight:   *maxInflight,
 		ScoreWorkers:  *scoreWorkers,
-		ScoreBatchMax: *scoreBatch,
-		ScoreLinger:   *scoreLinger,
 		RetryAfter:    *retryAfter,
 		ScoreDeadline: *scoreDeadline,
 		Peers:         splitPeers(*peers),

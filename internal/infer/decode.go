@@ -1,31 +1,12 @@
 package infer
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"mdes/internal/bleu"
 	"mdes/internal/mat"
 	"mdes/internal/nmt"
 	"mdes/internal/nn"
 )
-
-// transCacheCap mirrors the float64 model's cache bound: when full, the whole
-// map is dropped (cheap, and repeat-heavy event languages re-warm instantly).
-const transCacheCap = 4096
-
-// transKey packs a token sequence into a map key (same varint scheme as the
-// training model's cache). It allocates — the cache path trades allocations
-// for skipped decodes; the alloc-free guarantee covers cache-off scoring.
-func transKey(toks []int) string {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := make([]byte, 0, 2*len(toks))
-	for _, t := range toks {
-		n := binary.PutVarint(tmp[:], int64(t))
-		buf = append(buf, tmp[:n]...)
-	}
-	return string(buf)
-}
 
 // ScoreBatch scores n sentences against this pair model: out[i] is the
 // smoothed sentence BLEU of the greedy translation of srcs[i] against
@@ -103,7 +84,7 @@ func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 		lo = hi
 	}
 	for i := range out {
-		out[i] = m.scoreOne(w, refs[i], hyps[i])
+		out[i] = w.scorer.Score(refs[i], hyps[i])
 	}
 }
 
@@ -112,40 +93,21 @@ func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 // decode. Cached hypotheses are cache-owned; decoded ones live in the
 // workspace until reset. Either way they are read-only for the caller.
 func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
-	miss := group
-	m.transMu.Lock()
-	cacheOn := !m.transOff
-	if cacheOn {
-		miss = w.intsBuf(len(group))[:0]
-		for _, i := range group {
-			if hyp, ok := m.trans[transKey(srcs[i])]; ok {
-				hyps[i] = hyp
-			} else {
-				miss = append(miss, i)
-			}
+	miss := w.intsBuf(len(group))[:0]
+	for _, i := range group {
+		if hyp, ok := m.cache.Lookup(srcs[i]); ok {
+			hyps[i] = hyp
+		} else {
+			miss = append(miss, i)
 		}
 	}
-	m.transMu.Unlock()
 	if len(miss) == 0 {
 		return
 	}
 	m.decodeGroup(w, srcs, miss, hyps)
-	if !cacheOn {
-		return
+	for _, i := range miss {
+		m.cache.Store(srcs[i], hyps[i])
 	}
-	m.transMu.Lock()
-	if !m.transOff {
-		for _, i := range miss {
-			if len(m.trans) >= transCacheCap {
-				m.trans = nil
-			}
-			if m.trans == nil {
-				m.trans = make(map[string][]int, transCacheCap/4)
-			}
-			m.trans[transKey(srcs[i])] = append([]int(nil), hyps[i]...)
-		}
-	}
-	m.transMu.Unlock()
 }
 
 // decodeGroup greedily decodes a batch of equal-length sources in lockstep:
@@ -330,30 +292,4 @@ func (m *Model) stepStack(w *ws, x *mat.Matrix32, cells []cell, g *mat.Matrix32)
 		}
 		in = hl
 	}
-}
-
-// scoreOne computes smoothed sentence BLEU of hyp against ref, masking
-// unknown reference tokens with per-position sentinels exactly like
-// nmt.ScoreSentence (an unknown observed state must never count as
-// correctly predicted).
-//
-//mdes:noalloc
-func (m *Model) scoreOne(w *ws, ref, hyp []int) float64 {
-	if len(ref) == 0 || len(hyp) == 0 {
-		return 0
-	}
-	masked := ref
-	copied := false
-	for i, t := range ref {
-		if t == nmt.UnkID {
-			if !copied {
-				mr := w.intsBuf(len(ref))
-				copy(mr, ref)
-				masked = mr
-				copied = true
-			}
-			masked[i] = -(i + 1)
-		}
-	}
-	return w.scorer.SentenceIDs(masked, hyp, bleu.MaxOrder, bleu.SmoothAddOne)
 }

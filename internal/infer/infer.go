@@ -9,8 +9,8 @@
 //
 //   - Batched == single, bit for bit. Every kernel is row-independent, so a
 //     sentence scored in a batch of 64 gets exactly the score it gets alone
-//     (TestScoreBatchMatchesSingle). Cross-tenant batching in the serving
-//     pool is therefore invisible to scores.
+//     (TestScoreBatchMatchesSingle): offline Detect's chunked ScoreBatch and
+//     a stream's per-job ScoreSentence agree.
 //   - Reduced precision preserves the BLEU ranking. f32/int8 scores differ
 //     from float64 in low-order digits; flagged-day parity on the golden
 //     quick-plant trajectory is asserted by internal/experiments.
@@ -112,12 +112,9 @@ type Model struct {
 
 	wsPool sync.Pool
 
-	// Greedy decoding is deterministic and discrete event languages repeat
-	// sentences constantly, so translations are memoised exactly like the
-	// float64 model's cache (same key scheme, same full-drop eviction).
-	transMu  sync.Mutex
-	trans    map[string][]int
-	transOff bool
+	// cache memoises greedy decodes per source sentence, exactly like the
+	// float64 model's.
+	cache nmt.TransCache
 }
 
 // FromState freezes a trained model snapshot into an inference model at the
@@ -308,12 +305,7 @@ func (m *Model) MemoryBytes() int {
 
 // SetTranslationCaching toggles the per-model translation cache (on by
 // default). Turning it off also drops cached translations.
-func (m *Model) SetTranslationCaching(on bool) {
-	m.transMu.Lock()
-	m.transOff = !on
-	m.trans = nil
-	m.transMu.Unlock()
-}
+func (m *Model) SetTranslationCaching(on bool) { m.cache.SetCaching(on) }
 
 func (m *Model) getWS() *ws {
 	if v := m.wsPool.Get(); v != nil {

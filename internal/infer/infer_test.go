@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mdes/internal/nmt"
@@ -153,6 +154,44 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 
 // TestStateRoundTrip pins that persisting and reloading a quantized model
 // preserves scoring bit for bit, through JSON like the on-disk model file.
+// TestTranslationCacheLifecycle is internal/nmt's test of the same name run
+// against the frozen engines: the one nmt.TransCache implementation must see
+// a miss, a hit, the full drop at its 4096-entry cap and the off switch
+// through infer's batched translate path too.
+func TestTranslationCacheLifecycle(t *testing.T) {
+	for _, prec := range []Precision{F32, Int8} {
+		m, err := FromState(testState(t, nn.AttentionGeneral, 11), prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := []int{4, 5, 6}
+		first := m.Translate(probe)
+		if n := m.cache.Len(); n != 1 {
+			t.Fatalf("%v: a miss must store its translation: %d entries", prec, n)
+		}
+		if again := m.Translate(probe); !slices.Equal(again, first) || m.cache.Len() != 1 {
+			t.Fatalf("%v: a hit must return the stored translation and add nothing: %v vs %v, %d entries", prec, again, first, m.cache.Len())
+		}
+		// Length-5 sources never collide with the length-3 probe or each other.
+		distinct := func(i int) []int { return []int{i % 8, i / 8 % 8, i / 64 % 8, i / 512 % 8, i / 4096 % 8} }
+		i := 0
+		for ; m.cache.Len() < 4096; i++ {
+			m.Translate(distinct(i))
+		}
+		m.Translate(distinct(i))
+		if n := m.cache.Len(); n != 1 {
+			t.Fatalf("%v: a miss on a full cache must drop the whole map first: %d entries", prec, n)
+		}
+		m.SetTranslationCaching(false)
+		if n := m.cache.Len(); n != 0 {
+			t.Fatalf("%v: switching the cache off must drop its entries: %d left", prec, n)
+		}
+		if off := m.Translate(probe); !slices.Equal(off, first) || m.cache.Len() != 0 {
+			t.Fatalf("%v: with the cache off Translate must decode the same and store nothing: %v vs %v, %d entries", prec, off, first, m.cache.Len())
+		}
+	}
+}
+
 func TestStateRoundTrip(t *testing.T) {
 	for _, prec := range []Precision{F32, Int8} {
 		orig, err := FromState(testState(t, nn.AttentionGeneral, 3), prec)

@@ -1,8 +1,8 @@
 package infer
 
 import (
-	"mdes/internal/bleu"
 	"mdes/internal/mat"
+	"mdes/internal/nmt"
 )
 
 // ws is the per-call scratch arena of the inference engine — the float32
@@ -45,10 +45,10 @@ type ws struct {
 	src1, ref1 [1][]int
 	out1       [1]float64
 
-	scorer *bleu.Scorer
+	scorer *nmt.SentenceScorer
 }
 
-func newWS() *ws { return &ws{scorer: bleu.NewScorer()} }
+func newWS() *ws { return &ws{scorer: nmt.NewSentenceScorer()} }
 
 const minSlab = 4096
 

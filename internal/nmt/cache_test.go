@@ -81,20 +81,46 @@ func TestTranslateReturnsFreshCopies(t *testing.T) {
 func TestTranslationCacheInvalidatedByTraining(t *testing.T) {
 	m, src, tgt := cacheTestModel(t)
 	m.Translate(src[16])
-	m.transMu.Lock()
-	warm := len(m.trans)
-	m.transMu.Unlock()
-	if warm == 0 {
+	if m.cache.Len() == 0 {
 		t.Fatal("expected a cache entry after Translate")
 	}
 	if _, err := m.Train(src[:8], tgt[:8]); err != nil {
 		t.Fatal(err)
 	}
-	m.transMu.Lock()
-	after := len(m.trans)
-	m.transMu.Unlock()
-	if after != 0 {
+	if after := m.cache.Len(); after != 0 {
 		t.Fatalf("cache not invalidated by training: %d entries", after)
+	}
+}
+
+// TestTranslationCacheLifecycle walks the float64 engine's cache through a
+// miss, a hit, the full drop at the cap and the off switch. internal/infer
+// runs the same walk against the frozen f32 and int8 engines.
+func TestTranslationCacheLifecycle(t *testing.T) {
+	m, _, _ := cacheTestModel(t)
+	probe := []int{4, 5, 6}
+	first := m.Translate(probe)
+	if n := m.cache.Len(); n != 1 {
+		t.Fatalf("a miss must store its translation: %d entries", n)
+	}
+	if again := m.Translate(probe); !eqInts(again, first) || m.cache.Len() != 1 {
+		t.Fatalf("a hit must return the stored translation and add nothing: %v vs %v, %d entries", again, first, m.cache.Len())
+	}
+	// Length-5 sources never collide with the length-3 probe or each other.
+	distinct := func(i int) []int { return []int{i % 8, i / 8 % 8, i / 64 % 8, i / 512 % 8, i / 4096 % 8} }
+	i := 0
+	for ; m.cache.Len() < transCacheCap; i++ {
+		m.Translate(distinct(i))
+	}
+	m.Translate(distinct(i))
+	if n := m.cache.Len(); n != 1 {
+		t.Fatalf("a miss on a full cache must drop the whole map first: %d entries", n)
+	}
+	m.SetTranslationCaching(false)
+	if n := m.cache.Len(); n != 0 {
+		t.Fatalf("switching the cache off must drop its entries: %d left", n)
+	}
+	if off := m.Translate(probe); !eqInts(off, first) || m.cache.Len() != 0 {
+		t.Fatalf("with the cache off Translate must decode the same and store nothing: %v vs %v, %d entries", off, first, m.cache.Len())
 	}
 }
 

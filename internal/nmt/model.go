@@ -11,7 +11,6 @@ package nmt
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -105,18 +104,10 @@ type Model struct {
 	// decode inner loops reuse memory instead of allocating per timestep.
 	wsPool sync.Pool
 
-	// Greedy decoding is deterministic, and discrete event languages repeat
-	// the same sentences constantly, so Translate memoises its output per
-	// source sentence. The cache is invalidated whenever weights change.
-	transMu  sync.Mutex
-	trans    map[string][]int
-	transOff bool
+	// cache memoises Translate per source sentence; it is dropped whenever
+	// weights change.
+	cache TransCache
 }
-
-// transCacheCap bounds the translation cache; when full, the whole map is
-// dropped (deterministic, and a full drop is simpler than eviction for the
-// tiny, highly repetitive languages the framework builds).
-const transCacheCap = 4096
 
 func (m *Model) getWS() *nn.Workspace {
 	if v := m.wsPool.Get(); v != nil {
@@ -133,31 +124,7 @@ func (m *Model) putWS(ws *nn.Workspace) {
 // SetTranslationCaching toggles the per-model translation cache (on by
 // default). Turning it off also drops any cached translations; exposed mainly
 // so tests can compare cached and uncached scoring.
-func (m *Model) SetTranslationCaching(on bool) {
-	m.transMu.Lock()
-	m.transOff = !on
-	m.trans = nil
-	m.transMu.Unlock()
-}
-
-// invalidateTranslations drops all cached translations; called whenever the
-// model's weights change.
-func (m *Model) invalidateTranslations() {
-	m.transMu.Lock()
-	m.trans = nil
-	m.transMu.Unlock()
-}
-
-// transKey packs a token sequence into a map key.
-func transKey(toks []int) string {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := make([]byte, 0, 2*len(toks))
-	for _, t := range toks {
-		n := binary.PutVarint(tmp[:], int64(t))
-		buf = append(buf, tmp[:n]...)
-	}
-	return string(buf)
-}
+func (m *Model) SetTranslationCaching(on bool) { m.cache.SetCaching(on) }
 
 // NewModel builds a model with freshly initialised weights drawn from seed.
 func NewModel(cfg Config, seed int64) (*Model, error) {
@@ -419,7 +386,7 @@ func (m *Model) TrainContext(ctx context.Context, src, tgt [][]int) (TrainResult
 		m.params.ClipGrad(m.cfg.ClipNorm)
 		m.opt.Step(&m.params)
 		// Weights just changed; any memoised greedy decode is stale.
-		m.invalidateTranslations()
+		m.cache.Drop()
 		res.Steps++
 		res.FinalLoss = lossSum / float64(tokens)
 	}
@@ -437,34 +404,11 @@ func (m *Model) Translate(src []int) []int {
 	if len(src) == 0 {
 		return nil
 	}
-	var key string
-	m.transMu.Lock()
-	cacheOn := !m.transOff
-	if cacheOn {
-		key = transKey(src)
-		if hyp, ok := m.trans[key]; ok {
-			out := append([]int(nil), hyp...)
-			m.transMu.Unlock()
-			return out
-		}
+	if hyp, ok := m.cache.Lookup(src); ok {
+		return append([]int(nil), hyp...)
 	}
-	m.transMu.Unlock()
-
 	out := m.translate(src)
-
-	if cacheOn {
-		m.transMu.Lock()
-		if !m.transOff {
-			if len(m.trans) >= transCacheCap {
-				m.trans = nil
-			}
-			if m.trans == nil {
-				m.trans = make(map[string][]int)
-			}
-			m.trans[key] = append([]int(nil), out...)
-		}
-		m.transMu.Unlock()
-	}
+	m.cache.Store(src, out)
 	return out
 }
 

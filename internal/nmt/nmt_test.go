@@ -268,6 +268,54 @@ func TestScoreSentenceUsesSmoothing(t *testing.T) {
 	}
 }
 
+// TestSentenceScorerMatchesAllocatingReference pins the scoring tail both
+// engines share to what nmt.ScoreSentence computed before the tails were
+// merged: copy-on-write masking of <unk> reference tokens, then the
+// allocating string-keyed bleu.SentenceIDs. One scorer is reused across all
+// cases, so stale scratch would show too.
+func TestSentenceScorerMatchesAllocatingReference(t *testing.T) {
+	oldMask := func(ref []int) []int {
+		masked := append([]int(nil), ref...)
+		for i, tok := range ref {
+			if tok == UnkID {
+				masked[i] = -(i + 1)
+			}
+		}
+		return masked
+	}
+	rng := rand.New(rand.NewSource(77))
+	randSeq := func() []int {
+		s := make([]int, rng.Intn(12)) // includes empty sequences
+		for i := range s {
+			s[i] = rng.Intn(8) // ids 0..7: <unk> shows up in about an eighth of positions
+		}
+		return s
+	}
+	sc := NewSentenceScorer()
+	sawUnk := false
+	for n := 0; n < 2000; n++ {
+		ref, hyp := randSeq(), randSeq()
+		if n%3 == 0 && len(ref) > 0 {
+			hyp = append([]int(nil), ref...) // near-perfect hypotheses reach the high orders
+		}
+		for _, tok := range ref {
+			sawUnk = sawUnk || tok == UnkID
+		}
+		refBefore := append([]int(nil), ref...)
+		want := bleu.SentenceIDs(oldMask(ref), hyp, bleu.MaxOrder, bleu.SmoothAddOne)
+		got := sc.Score(ref, hyp)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d: ref %v hyp %v: shared tail %.17g, reference %.17g", n, ref, hyp, got, want)
+		}
+		if !eqInts(ref, refBefore) {
+			t.Fatalf("case %d: Score modified the caller's reference: %v -> %v", n, refBefore, ref)
+		}
+	}
+	if !sawUnk {
+		t.Fatal("no reference held <unk>: the masking was not exercised")
+	}
+}
+
 func TestTrainPairsOrderAndDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	mkPair := func(name string) PairData {

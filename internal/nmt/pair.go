@@ -84,7 +84,7 @@ func ScoreCorpus(ctx context.Context, m *Model, src, refs [][]int) (float64, err
 		hyps[i] = m.Translate(s)
 	}
 	for i, r := range refs {
-		maskedRefs[i] = maskRefUnknowns(r)
+		maskedRefs[i] = maskRefUnknowns(nil, r)
 	}
 	return bleu.CorpusIDs(maskedRefs, hyps, bleu.MaxOrder), nil
 }
@@ -92,27 +92,51 @@ func ScoreCorpus(ctx context.Context, m *Model, src, refs [][]int) (float64, err
 // ScoreSentence translates one source sentence and returns smoothed sentence
 // BLEU against its reference — the f(i,j) of Algorithm 2.
 func ScoreSentence(m *Model, src, ref []int) float64 {
-	return bleu.SentenceIDs(maskRefUnknowns(ref), m.Translate(src), bleu.MaxOrder, bleu.SmoothAddOne)
+	hyp := m.Translate(src)
+	sc := sentenceScorers.Get().(*SentenceScorer)
+	score := sc.Score(ref, hyp)
+	sentenceScorers.Put(sc)
+	return score
 }
 
-// maskRefUnknowns replaces <unk> reference tokens with per-position
-// sentinels that can never match a hypothesis token. An unknown observed
-// state must not count as correctly predicted — otherwise a test window full
-// of never-seen events (the strongest possible anomaly) would score a
-// perfect translation against a model that also emits <unk>.
-func maskRefUnknowns(ref []int) []int {
-	masked := ref
-	copied := false
-	for i, tok := range ref {
+var sentenceScorers = sync.Pool{New: func() any { return NewSentenceScorer() }}
+
+// SentenceScorer is the scoring tail both engines share: mask the <unk>
+// tokens of the observed reference, then smoothed sentence BLEU of a greedy
+// translation against it. The float64 model above and the frozen infer.Model
+// differ only in how they decode the hypothesis. It reuses its scratch, so
+// steady-state scoring allocates nothing; not safe for concurrent use.
+type SentenceScorer struct {
+	bleu   *bleu.Scorer
+	masked []int
+}
+
+// NewSentenceScorer returns a scorer with warm scratch.
+func NewSentenceScorer() *SentenceScorer { return &SentenceScorer{bleu: bleu.NewScorer()} }
+
+// Score returns the smoothed sentence BLEU of hyp against ref.
+//
+//mdes:noalloc
+func (s *SentenceScorer) Score(ref, hyp []int) float64 {
+	s.masked = maskRefUnknowns(s.masked, ref)
+	return s.bleu.SentenceIDs(s.masked, hyp, bleu.MaxOrder, bleu.SmoothAddOne)
+}
+
+// maskRefUnknowns copies ref into dst's storage with its <unk> tokens
+// replaced by per-position sentinels that can never match a hypothesis token.
+// An unknown observed state must not count as correctly predicted — otherwise
+// a test window full of never-seen events (the strongest possible anomaly)
+// would score a perfect translation against a model that also emits <unk>.
+//
+//mdes:noalloc
+func maskRefUnknowns(dst, ref []int) []int {
+	dst = append(dst[:0], ref...)
+	for i, tok := range dst {
 		if tok == UnkID {
-			if !copied {
-				masked = append([]int(nil), ref...)
-				copied = true
-			}
-			masked[i] = -(i + 1)
+			dst[i] = -(i + 1)
 		}
 	}
-	return masked
+	return dst
 }
 
 // PairsOptions customises a TrainPairsOpts run.

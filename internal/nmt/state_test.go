@@ -40,7 +40,7 @@ func TestStateRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a := m.Translate(src[i])
 		b := m2.Translate(src[i])
-		if !equalInts(a, b) {
+		if !eqInts(a, b) {
 			t.Fatalf("loaded model decodes differently: %v vs %v", a, b)
 		}
 	}

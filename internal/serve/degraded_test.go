@@ -24,7 +24,7 @@ import (
 func TestScoreWithinDeadlineMiss(t *testing.T) {
 	var met metrics
 	met.scoreLatency = newHistogram(scoreBuckets)
-	p := newScorePool(0, 0, 0, &met)
+	p := newScorePool(0, &met)
 	defer p.close()
 
 	jobs := make([]mdes.ScoreJob, 3)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mdes"
-	"mdes/internal/infer"
 )
 
 // ErrScoreDeadline reports that a sentence window could not be scored within
@@ -20,32 +19,16 @@ var ErrScoreDeadline = errors.New("serve: scoring deadline exceeded")
 // ScoreJob per valid relationship; all sessions share the same bounded worker
 // set, so concurrency is governed globally rather than per tenant.
 //
-// When the served models are published at a reduced precision (f32/int8),
-// jobs carry a frozen inference model and the pool batches them: a dispatcher
-// goroutine groups queued jobs by pair model — across tenants, which all
-// share the same *infer.Model for a given registry model — and hands workers
-// whole batches that score through one ScoreBatch GEMM call instead of many
-// matrix-vector passes. Batched and per-job scores are bit-identical (every
-// inference kernel is row-independent), so grouping is invisible to tenants.
-// Float64 jobs have no batch model and run one-per-worker exactly as before.
+// There is one path at every precision: a job goes onto the work channel and
+// a worker calls its Run. Jobs are not grouped by pair model — an emit holds K
+// jobs for K different models, so same-model batches measured 1.0 jobs each
+// (bench/README.md, "jobs/batch").
 type scorePool struct {
-	dispatch chan scoreTask  // submissions, consumed by the dispatcher
-	jobs     chan scoreBatch // ready work, consumed by workers
-	quit     chan struct{}   // unblocks a dispatcher stuck on a dead worker set
-	wg       sync.WaitGroup  // workers
-	dwg      sync.WaitGroup  // dispatcher
-	met      *metrics
+	tasks chan scoreTask
+	wg    sync.WaitGroup // workers
+	met   *metrics
 
-	workers  int
-	batchMax int           // max jobs fused into one ScoreBatch call
-	linger   time.Duration // how long a short batch may wait for company
-
-	// taskbuf recycles the []scoreTask batches travel in; pack recycles the
-	// per-batch sentence/score packing arrays; dscratch recycles the
-	// deadline path's job copies and shadow rows. All three keep the
-	// steady-state scoring path allocation-free.
-	taskbuf  sync.Pool
-	pack     sync.Pool
+	// dscratch recycles the deadline path's job copies and shadow rows.
 	dscratch sync.Pool
 }
 
@@ -57,22 +40,6 @@ type scoreTask struct {
 	done *sync.WaitGroup
 }
 
-// scoreBatch is one unit of worker work: either a single float64 job
-// (tasks nil) or a group of same-model reduced-precision jobs scored with
-// one ScoreBatch call.
-type scoreBatch struct {
-	inf    *infer.Model
-	single scoreTask
-	tasks  *[]scoreTask
-}
-
-// packScratch is a worker's batch-packing workspace: sentence views in, one
-// score column out.
-type packScratch struct {
-	src, tgt [][]int
-	out      []float64
-}
-
 // deadlineScratch is the scoreWithin working set: a private copy of the jobs
 // and a shadow row, reused across deadline calls instead of allocated per
 // emit. It is only returned to the pool after every worker touching it has
@@ -82,229 +49,30 @@ type deadlineScratch struct {
 	shadow []float64
 }
 
-func newScorePool(workers, batchMax int, linger time.Duration, met *metrics) *scorePool {
-	if batchMax <= 0 {
-		batchMax = 64
-	}
+func newScorePool(workers int, met *metrics) *scorePool {
 	p := &scorePool{
-		// Buffer a few batches' worth of jobs so sessions rarely block while
-		// handing work out; admission control bounds total exposure.
-		dispatch: make(chan scoreTask, workers*4),
-		jobs:     make(chan scoreBatch, workers*2),
-		quit:     make(chan struct{}),
-		met:      met,
-		workers:  workers,
-		batchMax: batchMax,
-		linger:   linger,
-	}
-	p.taskbuf.New = func() any { s := make([]scoreTask, 0, batchMax); return &s }
-	p.pack.New = func() any {
-		return &packScratch{
-			src: make([][]int, batchMax),
-			tgt: make([][]int, batchMax),
-			out: make([]float64, batchMax),
-		}
+		// Buffer a few jobs per worker so sessions rarely block while handing
+		// work out; admission control bounds total exposure.
+		tasks: make(chan scoreTask, workers*4),
+		met:   met,
 	}
 	p.dscratch.New = func() any { return new(deadlineScratch) }
-	p.dwg.Add(1)
-	go p.dispatcher()
+	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
 		go p.worker()
 	}
 	return p
 }
 
-// dispatcher is the batching scheduler. Jobs without a batch model forward
-// straight to the workers. Jobs with one accumulate per model until the batch
-// is full, the linger window expires, or — with no linger configured — the
-// submission channel runs dry, whichever comes first. A full system degrades
-// gracefully: the dispatcher blocks handing a batch to the workers, new
-// submissions queue in the dispatch buffer, and sessions feel backpressure
-// exactly as with the unbatched pool.
-func (p *scorePool) dispatcher() {
-	defer p.dwg.Done()
-	defer close(p.jobs)
-	pending := make(map[*infer.Model]*[]scoreTask)
-	npending := 0
-	timer := time.NewTimer(time.Hour)
-	// The linger dance below re-arms and drains the timer inline, but the
-	// dispatcher can return with it armed (quit while a linger window is
-	// open); without this defer that exit path leaks an armed timer.
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerOn := false
-	clearTimer := func() {
-		if timerOn && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timerOn = false
-	}
-
-	// forward blocks until workers accept the batch; quit covers the
-	// degenerate zero-worker pool, where nothing ever would. It reports
-	// whether the batch was handed off.
-	forward := func(b scoreBatch) bool {
-		select {
-		case p.jobs <- b:
-			return true
-		case <-p.quit:
-			return false
-		}
-	}
-	settle := func(b scoreBatch) {
-		if b.tasks == nil {
-			b.single.done.Done()
-			return
-		}
-		for _, t := range *b.tasks {
-			t.done.Done()
-		}
-	}
-	flush := func(inf *infer.Model) bool {
-		buf := pending[inf]
-		delete(pending, inf)
-		npending -= len(*buf)
-		b := scoreBatch{inf: inf, tasks: buf}
-		if !forward(b) {
-			settle(b)
-			return false
-		}
-		return true
-	}
-	flushAll := func() bool {
-		for inf := range pending {
-			if !flush(inf) {
-				for m := range pending {
-					settle(scoreBatch{tasks: pending[m]})
-					delete(pending, m)
-				}
-				npending = 0
-				return false
-			}
-		}
-		clearTimer()
-		return true
-	}
-	enqueue := func(t scoreTask) {
-		inf := t.job.BatchModel()
-		if inf == nil || p.batchMax <= 1 {
-			b := scoreBatch{single: t}
-			if !forward(b) {
-				settle(b)
-			}
-			return
-		}
-		buf, ok := pending[inf]
-		if !ok {
-			buf = p.taskbuf.Get().(*[]scoreTask)
-			pending[inf] = buf
-		}
-		*buf = append(*buf, t)
-		npending++
-		if len(*buf) >= p.batchMax {
-			flush(inf)
-			if npending == 0 {
-				clearTimer()
-			}
-		}
-	}
-
-	for {
-		if npending == 0 {
-			t, ok := <-p.dispatch
-			if !ok {
-				return
-			}
-			enqueue(t)
-			continue
-		}
-		if p.linger <= 0 {
-			// Greedy batching: fuse whatever is already queued, flush the
-			// moment the channel runs dry. Zero added latency; batches form
-			// naturally whenever sessions outnumber workers.
-			select {
-			case t, ok := <-p.dispatch:
-				if !ok {
-					flushAll()
-					return
-				}
-				enqueue(t)
-			default:
-				flushAll()
-			}
-			continue
-		}
-		if !timerOn {
-			timer.Reset(p.linger)
-			timerOn = true
-		}
-		select {
-		case t, ok := <-p.dispatch:
-			if !ok {
-				flushAll()
-				return
-			}
-			enqueue(t)
-		case <-timer.C:
-			timerOn = false
-			flushAll()
-		}
-	}
-}
-
-// worker scores batches (and lone float64 jobs) until the pool closes.
+// worker scores one job at a time until the pool closes.
 func (p *scorePool) worker() {
 	defer p.wg.Done()
-	for b := range p.jobs {
-		if b.tasks == nil {
-			start := time.Now()
-			b.single.row[b.single.job.Index()] = b.single.job.Run()
-			p.met.scoreLatency.observe(time.Since(start))
-			b.single.done.Done()
-			continue
-		}
-		p.runBatch(b)
-	}
-}
-
-// runBatch packs a same-model group into one ScoreBatch call and scatters the
-// scores back to each task's row. The observed latency is amortized per job,
-// so the histogram stays comparable across batch sizes.
-func (p *scorePool) runBatch(b scoreBatch) {
-	tasks := *b.tasks
-	n := len(tasks)
-	ps := p.pack.Get().(*packScratch)
-	if cap(ps.out) < n {
-		ps.src = make([][]int, n)
-		ps.tgt = make([][]int, n)
-		ps.out = make([]float64, n)
-	}
-	src, tgt, out := ps.src[:n], ps.tgt[:n], ps.out[:n]
-	for i, t := range tasks {
-		src[i], tgt[i] = t.job.Sentences()
-	}
-	start := time.Now()
-	b.inf.ScoreBatch(src, tgt, out)
-	per := time.Since(start) / time.Duration(n)
-	for i, t := range tasks {
-		t.row[t.job.Index()] = out[i]
-		p.met.scoreLatency.observe(per)
+	for t := range p.tasks {
+		start := time.Now()
+		t.row[t.job.Index()] = t.job.Run()
+		p.met.scoreLatency.observe(time.Since(start))
 		t.done.Done()
 	}
-	for i := range src {
-		src[i], tgt[i] = nil, nil // drop token-slice references while pooled
-	}
-	p.pack.Put(ps)
-	p.met.scoreBatches.Add(1)
-	p.met.scoreBatchJobs.Add(int64(n))
-	*b.tasks = tasks[:0]
-	p.taskbuf.Put(b.tasks)
 }
 
 // score is installed as each stream's scorer (Stream.SetScorer): it submits
@@ -315,7 +83,7 @@ func (p *scorePool) score(jobs []mdes.ScoreJob, row []float64) error {
 	var done sync.WaitGroup
 	done.Add(len(jobs))
 	for i := range jobs {
-		p.dispatch <- scoreTask{job: &jobs[i], row: row, done: &done}
+		p.tasks <- scoreTask{job: &jobs[i], row: row, done: &done}
 	}
 	done.Wait()
 	return nil
@@ -341,7 +109,7 @@ func (p *scorePool) scoreWithin(jobs []mdes.ScoreJob, row []float64, d time.Dura
 	done.Add(len(sc.jobs))
 	for i := range sc.jobs {
 		select {
-		case p.dispatch <- scoreTask{job: &sc.jobs[i], row: shadow, done: &done}:
+		case p.tasks <- scoreTask{job: &sc.jobs[i], row: shadow, done: &done}:
 		case <-timer.C:
 			// Unsubmitted tasks will never run; settle their barrier entries
 			// so the reclaim goroutine below terminates.
@@ -370,18 +138,12 @@ func (p *scorePool) scoreWithin(jobs []mdes.ScoreJob, row []float64, d time.Dura
 	}
 }
 
-// depth reports how many submitted jobs the dispatcher has not yet picked up.
-func (p *scorePool) depth() int { return len(p.dispatch) }
+// depth reports how many submitted jobs no worker has picked up yet.
+func (p *scorePool) depth() int { return len(p.tasks) }
 
-// close stops the dispatcher and workers after the queue drains. Callers must
-// guarantee no further score calls.
+// close stops the workers after the queue drains. Callers must guarantee no
+// further score calls.
 func (p *scorePool) close() {
-	if p.workers == 0 {
-		// Degenerate test-only configuration: nothing drains the job
-		// channel, so release the dispatcher before closing submissions.
-		close(p.quit)
-	}
-	close(p.dispatch)
-	p.dwg.Wait()
+	close(p.tasks)
 	p.wg.Wait()
 }

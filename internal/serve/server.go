@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -42,15 +43,6 @@ type Options struct {
 	// ScoreWorkers sizes the shared pairwise-scoring pool. 0 selects
 	// GOMAXPROCS.
 	ScoreWorkers int
-	// ScoreBatchMax caps how many same-model reduced-precision scoring jobs
-	// the pool fuses into one batched GEMM call (jobs group by pair model
-	// across tenants). 0 selects 64; 1 disables batching. Float64 jobs are
-	// never batched.
-	ScoreBatchMax int
-	// ScoreLinger lets a short batch wait this long for more same-model jobs
-	// before scoring. 0 (the default) is greedy: batches fuse only from work
-	// already queued, adding no latency.
-	ScoreLinger time.Duration
 	// RetryAfter is the hint returned with 429 responses. 0 selects 1s.
 	RetryAfter time.Duration
 	// ScoreDeadline enables degraded-mode serving: a completed sentence
@@ -163,6 +155,16 @@ func New(opts Options) (*Server, error) {
 	if opts.FS == nil {
 		opts.FS = faultfs.OS
 	}
+	// Nothing below creates the state directories; a missing one would only
+	// surface later, as every snapshot or replicated copy failing to persist.
+	for _, dir := range []string{opts.SnapshotDir, opts.StandbyDir} {
+		if dir == "" {
+			continue
+		}
+		if _, err := opts.FS.ReadDir(dir); errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("serve: state directory must exist before New: %w", err)
+		}
+	}
 
 	s := &Server{
 		opts:        opts,
@@ -175,7 +177,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.met.scoreLatency = newHistogram(scoreBuckets)
 	s.met.replLag = newHistogram(replLagBuckets)
-	s.pool = newScorePool(opts.ScoreWorkers, opts.ScoreBatchMax, opts.ScoreLinger, &s.met)
+	s.pool = newScorePool(opts.ScoreWorkers, &s.met)
 	if d := opts.ScoreDeadline; d > 0 {
 		s.scorer = func(jobs []mdes.ScoreJob, row []float64) error {
 			return s.pool.scoreWithin(jobs, row, d)

@@ -3,14 +3,17 @@ package serve
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -400,6 +403,30 @@ func TestModelSelectionErrors(t *testing.T) {
 	_, err = conflicted.PushTicks(ctx, "t2", []map[string]string{{"a": "ON", "b": "ON", "c": "OFF"}})
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("model conflict: %v", err)
+	}
+}
+
+// TestNewRejectsMissingStateDir: New creates neither state directory, and a
+// missing one used to surface only at run time, as every snapshot (or every
+// replicated copy) silently failing to persist. An embedded server must hear
+// about it at construction.
+func TestNewRejectsMissingStateDir(t *testing.T) {
+	models := map[string]*mdes.Model{"default": testModel(t)}
+	missing := filepath.Join(t.TempDir(), "never-created")
+	peers := []string{"http://a.invalid", "http://b.invalid"}
+	for name, opts := range map[string]Options{
+		"SnapshotDir": {SnapshotDir: missing},
+		"StandbyDir":  {SnapshotDir: t.TempDir(), StandbyDir: missing, Peers: peers, Advertise: peers[0]},
+	} {
+		opts.Models = models
+		srv, err := New(opts)
+		if err == nil {
+			srv.Shutdown(context.Background())
+			t.Fatalf("missing %s: New succeeded", name)
+		}
+		if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), missing) {
+			t.Fatalf("missing %s: error %q does not name the absent directory", name, err)
+		}
 	}
 }
 
