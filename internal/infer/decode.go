@@ -48,55 +48,74 @@ func (m *Model) Translate(src []int) []int {
 	w.src1[0] = src
 	w.hyps = resizeOuterInts(w.hyps, 1)
 	group := w.intsBuf(1)
-	m.translateGroup(w, w.src1[:], group, w.hyps)
+	m.translateGroup(w, w.src1[:], group, w.hyps, w.intsBuf(1))
 	return append([]int(nil), w.hyps[0]...)
 }
 
-// scoreBatch is ScoreBatch on a caller-held workspace.
+// CachedScore returns the memoised f(i,j) of src against the observed target
+// sentence ref, if a scoring call has stored one. It allocates nothing.
+func (m *Model) CachedScore(src, ref []int) (float64, bool) { return m.cache.Score(src, ref) }
+
+// scoreBatch is ScoreBatch on a caller-held workspace. Sentence pairs the
+// score memo already holds are answered from it; the rest are translated and
+// scored, and memoised when their source's translation was already cached
+// (the second sighting on — see nmt.TransCache.StoreScore).
 //
 //mdes:noalloc
 func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 	n := len(srcs)
-	// Group sentences by source length: each equal-length run decodes as one
+	idx := w.intsBuf(n)[:0]
+	for i := range srcs {
+		if score, ok := m.cache.Score(srcs[i], refs[i]); ok {
+			out[i] = score
+		} else {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return
+	}
+	// Group the misses by source length: each equal-length run decodes as one
 	// rectangular GEMM batch. Insertion sort on indices is stable (original
 	// order within a run), alloc-free, and cheap at serving batch sizes.
-	idx := w.intsBuf(n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(idx); i++ {
 		for j := i; j > 0 && len(srcs[idx[j-1]]) > len(srcs[idx[j]]); j-- {
 			idx[j-1], idx[j] = idx[j], idx[j-1]
 		}
 	}
 	w.hyps = resizeOuterInts(w.hyps, n)
 	hyps := w.hyps
-	for lo := 0; lo < n; {
+	cached := w.intsBuf(n)
+	for lo := 0; lo < len(idx); {
 		hi := lo + 1
 		l := len(srcs[idx[lo]])
-		for hi < n && len(srcs[idx[hi]]) == l {
+		for hi < len(idx) && len(srcs[idx[hi]]) == l {
 			hi++
 		}
 		if l > 0 {
 			// Empty sources translate to nothing; their hyps stay nil.
-			m.translateGroup(w, srcs, idx[lo:hi], hyps)
+			m.translateGroup(w, srcs, idx[lo:hi], hyps, cached)
 		}
 		lo = hi
 	}
-	for i := range out {
+	for _, i := range idx {
 		out[i] = w.scorer.Score(refs[i], hyps[i])
+		if cached[i] != 0 {
+			m.cache.StoreScore(srcs[i], refs[i], out[i])
+		}
 	}
 }
 
 // translateGroup fills hyps[i] for every i in group (all sources the same
 // nonzero length), consulting the translation cache around one batched
-// decode. Cached hypotheses are cache-owned; decoded ones live in the
-// workspace until reset. Either way they are read-only for the caller.
-func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
+// decode, and sets cached[i] where the cache answered. Cached hypotheses are
+// cache-owned; decoded ones live in the workspace until reset. Either way
+// they are read-only for the caller.
+func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int, cached []int) {
 	miss := w.intsBuf(len(group))[:0]
 	for _, i := range group {
 		if hyp, ok := m.cache.Lookup(srcs[i]); ok {
-			hyps[i] = hyp
+			hyps[i], cached[i] = hyp, 1
 		} else {
 			miss = append(miss, i)
 		}

@@ -112,8 +112,8 @@ type Model struct {
 
 	wsPool sync.Pool
 
-	// cache memoises greedy decodes per source sentence, exactly like the
-	// float64 model's.
+	// cache memoises greedy decodes per source sentence and scores per
+	// sentence pair, exactly like the float64 model's.
 	cache nmt.TransCache
 }
 
@@ -303,8 +303,8 @@ func (m *Model) MemoryBytes() int {
 	return total
 }
 
-// SetTranslationCaching toggles the per-model translation cache (on by
-// default). Turning it off also drops cached translations.
+// SetTranslationCaching toggles the per-model translation cache and score
+// memo (on by default). Turning it off also drops everything cached.
 func (m *Model) SetTranslationCaching(on bool) { m.cache.SetCaching(on) }
 
 func (m *Model) getWS() *ws {

@@ -157,7 +157,8 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 // TestTranslationCacheLifecycle is internal/nmt's test of the same name run
 // against the frozen engines: the one nmt.TransCache implementation must see
 // a miss, a hit, the full drop at its 4096-entry cap and the off switch
-// through infer's batched translate path too.
+// through infer's batched translate path too, and the score memo beside it
+// its admission rule, its cap and the same drops through scoreBatch.
 func TestTranslationCacheLifecycle(t *testing.T) {
 	for _, prec := range []Precision{F32, Int8} {
 		m, err := FromState(testState(t, nn.AttentionGeneral, 11), prec)
@@ -182,13 +183,98 @@ func TestTranslationCacheLifecycle(t *testing.T) {
 		if n := m.cache.Len(); n != 1 {
 			t.Fatalf("%v: a miss on a full cache must drop the whole map first: %d entries", prec, n)
 		}
+
+		// The memo's admission rule: first sighting not stored, second
+		// stored, third a hit.
+		m.cache.Drop()
+		ref := []int{3, 4, 5}
+		want := m.ScoreSentence(probe, ref)
+		if _, hit := m.CachedScore(probe, ref); hit || m.cache.ScoreLen() != 0 {
+			t.Fatalf("%v: a first sighting must not be memoised: hit %v, %d scores", prec, hit, m.cache.ScoreLen())
+		}
+		if got := m.ScoreSentence(probe, ref); math.Float64bits(got) != math.Float64bits(want) || m.cache.ScoreLen() != 1 {
+			t.Fatalf("%v: a second sighting must score the same and be memoised: %v vs %v, %d scores", prec, got, want, m.cache.ScoreLen())
+		}
+		if got, hit := m.CachedScore(probe, ref); !hit || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: a third sighting must hit the memo with the same score: hit %v, %v vs %v", prec, hit, got, want)
+		}
+		// A batch mixes memo hits, cached translations and decodes, and
+		// answers each as it would alone.
+		srcs := [][]int{probe, {7, 8}, probe, {}}
+		refs := [][]int{ref, {3}, {3, 4, 6}, {5}}
+		out := make([]float64, len(srcs))
+		m.ScoreBatch(srcs, refs, out)
+		if math.Float64bits(out[0]) != math.Float64bits(want) || m.cache.ScoreLen() != 2 {
+			t.Fatalf("%v: batch: memo hit %v vs %v; %d scores memoised, want 2 (the hit and the cached-translation pair)", prec, out[0], want, m.cache.ScoreLen())
+		}
 		m.SetTranslationCaching(false)
-		if n := m.cache.Len(); n != 0 {
-			t.Fatalf("%v: switching the cache off must drop its entries: %d left", prec, n)
+		for i := range srcs {
+			if got := m.ScoreSentence(srcs[i], refs[i]); math.Float64bits(got) != math.Float64bits(out[i]) {
+				t.Fatalf("%v: batch sentence %d: %v with the memo, %v computed", prec, i, out[i], got)
+			}
+		}
+		m.SetTranslationCaching(true)
+
+		// Drop and the memo's own cap empty it. (The frozen engine never
+		// trains; internal/nmt covers the training step.)
+		m.ScoreSentence(probe, ref)
+		m.ScoreSentence(probe, ref)
+		m.cache.Drop()
+		if n := m.cache.ScoreLen(); n != 0 {
+			t.Fatalf("%v: Drop must empty the memo: %d scores left", prec, n)
+		}
+		m.Translate(probe)
+		for i := 0; m.cache.ScoreLen() < 4096; i++ {
+			m.ScoreSentence(probe, distinct(i))
+		}
+		m.ScoreSentence(probe, []int{7})
+		if n := m.cache.ScoreLen(); n != 1 {
+			t.Fatalf("%v: a store into a full memo must drop the whole map first: %d scores", prec, n)
+		}
+
+		m.SetTranslationCaching(false)
+		if n, ns := m.cache.Len(), m.cache.ScoreLen(); n != 0 || ns != 0 {
+			t.Fatalf("%v: switching the cache off must drop its entries: %d translations, %d scores left", prec, n, ns)
 		}
 		if off := m.Translate(probe); !slices.Equal(off, first) || m.cache.Len() != 0 {
 			t.Fatalf("%v: with the cache off Translate must decode the same and store nothing: %v vs %v, %d entries", prec, off, first, m.cache.Len())
 		}
+		m.ScoreSentence(probe, ref)
+		m.ScoreSentence(probe, ref)
+		if n := m.cache.ScoreLen(); n != 0 {
+			t.Fatalf("%v: with the cache off nothing may be memoised: %d scores", prec, n)
+		}
+	}
+}
+
+// TestWarmProbesDoNotAllocate pins the serving hit paths of the frozen
+// engines at zero allocations: the memo probe Stream.emit answers a replayed
+// pair with, and the lookup of a cached translation behind a memo miss (the
+// hypothesis is read in place; the memo store that follows allocates its
+// entry, so the translate step is pinned on its own). Both run on a held
+// workspace: what sync.Pool recycles is TestScoreBatchSteadyStateAllocs's
+// business.
+func TestWarmProbesDoNotAllocate(t *testing.T) {
+	for _, prec := range []Precision{F32, Int8} {
+		m, err := FromState(testState(t, nn.AttentionGeneral, 11), prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, ref := []int{4, 5, 6, 7}, []int{3, 4, 5}
+		m.ScoreSentence(src, ref)
+		m.ScoreSentence(src, ref) // second sighting: memoised
+		hit := false
+		if allocs := testing.AllocsPerRun(100, func() { _, hit = m.CachedScore(src, ref) }); allocs != 0 || !hit {
+			t.Errorf("%v: CachedScore allocates %v/op (hit %v), want 0 and a hit", prec, allocs, hit)
+		}
+		w := m.getWS()
+		w.src1[0] = src
+		w.hyps = resizeOuterInts(w.hyps, 1)
+		group, cached := []int{0}, []int{0}
+		if allocs := testing.AllocsPerRun(100, func() { m.translateGroup(w, w.src1[:], group, w.hyps, cached) }); allocs != 0 || cached[0] == 0 {
+			t.Errorf("%v: translateGroup on a cached source allocates %v/op (cached %v), want 0 and a cache hit", prec, allocs, cached[0])
+		}
+		m.putWS(w)
 	}
 }
 

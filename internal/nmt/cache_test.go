@@ -93,10 +93,11 @@ func TestTranslationCacheInvalidatedByTraining(t *testing.T) {
 }
 
 // TestTranslationCacheLifecycle walks the float64 engine's cache through a
-// miss, a hit, the full drop at the cap and the off switch. internal/infer
-// runs the same walk against the frozen f32 and int8 engines.
+// miss, a hit, the full drop at the cap and the off switch, and the score
+// memo beside it through its admission rule and the same lifecycle.
+// internal/infer runs the same walk against the frozen f32 and int8 engines.
 func TestTranslationCacheLifecycle(t *testing.T) {
-	m, _, _ := cacheTestModel(t)
+	m, src, tgt := cacheTestModel(t)
 	probe := []int{4, 5, 6}
 	first := m.Translate(probe)
 	if n := m.cache.Len(); n != 1 {
@@ -115,13 +116,96 @@ func TestTranslationCacheLifecycle(t *testing.T) {
 	if n := m.cache.Len(); n != 1 {
 		t.Fatalf("a miss on a full cache must drop the whole map first: %d entries", n)
 	}
+
+	// The score memo's admission rule: the translation cache is its
+	// doorkeeper, so a sentence's first sighting stores no score, its second
+	// does, and its third is a hit.
+	m.cache.Drop()
+	ref := []int{3, 4, 5}
+	want := ScoreSentence(m, probe, ref)
+	if _, hit := m.CachedScore(probe, ref); hit || m.cache.ScoreLen() != 0 {
+		t.Fatalf("a first sighting must not be memoised: hit %v, %d scores", hit, m.cache.ScoreLen())
+	}
+	if got := ScoreSentence(m, probe, ref); math.Float64bits(got) != math.Float64bits(want) || m.cache.ScoreLen() != 1 {
+		t.Fatalf("a second sighting must score the same and be memoised: %v vs %v, %d scores", got, want, m.cache.ScoreLen())
+	}
+	if got, hit := m.CachedScore(probe, ref); !hit || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("a third sighting must hit the memo with the same score: hit %v, %v vs %v", hit, got, want)
+	}
+	// The memo keys on the pair, not the source alone.
+	if _, hit := m.CachedScore(probe, []int{3, 4, 6}); hit {
+		t.Fatal("another reference for the same source must miss")
+	}
+	// Everything that empties the translation cache empties the memo: Drop,
+	// a training step, the off switch — and the memo's own cap.
+	refill := func() {
+		t.Helper()
+		ScoreSentence(m, probe, ref)
+		ScoreSentence(m, probe, ref)
+		if m.cache.ScoreLen() != 1 {
+			t.Fatalf("refill: %d scores memoised, want 1", m.cache.ScoreLen())
+		}
+	}
+	m.cache.Drop()
+	if n := m.cache.ScoreLen(); n != 0 {
+		t.Fatalf("Drop must empty the memo: %d scores left", n)
+	}
+	refill()
+	if _, err := m.Train(src[:8], tgt[:8]); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.cache.ScoreLen(); n != 0 {
+		t.Fatalf("a training step must empty the memo: %d scores left", n)
+	}
+	refill()
+	for i := 0; m.cache.ScoreLen() < transCacheCap; i++ {
+		ScoreSentence(m, probe, distinct(i))
+	}
+	ScoreSentence(m, probe, []int{7})
+	if n := m.cache.ScoreLen(); n != 1 {
+		t.Fatalf("a store into a full memo must drop the whole map first: %d scores", n)
+	}
+
+	first = m.Translate(probe)
 	m.SetTranslationCaching(false)
-	if n := m.cache.Len(); n != 0 {
-		t.Fatalf("switching the cache off must drop its entries: %d left", n)
+	if n, ns := m.cache.Len(), m.cache.ScoreLen(); n != 0 || ns != 0 {
+		t.Fatalf("switching the cache off must drop its entries: %d translations, %d scores left", n, ns)
 	}
 	if off := m.Translate(probe); !eqInts(off, first) || m.cache.Len() != 0 {
 		t.Fatalf("with the cache off Translate must decode the same and store nothing: %v vs %v, %d entries", off, first, m.cache.Len())
 	}
+	ScoreSentence(m, probe, ref)
+	ScoreSentence(m, probe, ref)
+	if n := m.cache.ScoreLen(); n != 0 {
+		t.Fatalf("with the cache off nothing may be memoised: %d scores", n)
+	}
+}
+
+// TestCacheProbesDoNotAllocate pins the hit path's cost: translation and
+// score probes build their keys on the stack, and a scoring call whose
+// translation is cached reads the cache-owned hypothesis instead of copying
+// it.
+func TestCacheProbesDoNotAllocate(t *testing.T) {
+	m, src, tgt := cacheTestModel(t)
+	s, ref := src[16], tgt[16]
+	ScoreSentence(m, s, ref)
+	ScoreSentence(m, s, ref) // second sighting: memoised
+	var sink float64
+	for name, fn := range map[string]func(){
+		"translation hit":  func() { m.cache.Lookup(s) },
+		"translation miss": func() { m.cache.Lookup(ref) },
+		"memo hit":         func() { sink, _ = m.CachedScore(s, ref) },
+		"memo miss":        func() { sink, _ = m.CachedScore(ref, s) },
+		// The memo answers a repeated pair; the translation-cache hit behind a
+		// memo miss is the shared-hypothesis path.
+		"ScoreSentence, memo hit":    func() { sink = ScoreSentence(m, s, ref) },
+		"translateShared, cache hit": func() { m.translateShared(s) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %v/op, want 0", name, allocs)
+		}
+	}
+	_ = sink
 }
 
 // TestConcurrentTranslate exercises the sync.Pool workspaces and the
@@ -151,19 +235,30 @@ func TestConcurrentTranslate(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTransKeyInjective: distinct token sequences must map to distinct cache
-// keys, including length-vs-value ambiguities.
+// TestTransKeyInjective: distinct token sequences must map to distinct
+// translation keys, and distinct (src, ref) pairs to distinct memo keys,
+// including length-vs-value and split-position ambiguities.
 func TestTransKeyInjective(t *testing.T) {
 	seqs := [][]int{
-		{}, {0}, {1}, {0, 0}, {1, 2}, {12}, {1, 2, 3}, {12, 3}, {128}, {1, 28},
+		{}, {0}, {1}, {0, 0}, {1, 2}, {12}, {1, 2, 3}, {12, 3}, {128}, {1, 28}, {-1}, {64}, {63, 0},
 	}
 	seen := map[string][]int{}
 	for _, s := range seqs {
-		k := transKey(s)
+		k := string(appendTokens(nil, s))
 		if prev, ok := seen[k]; ok {
-			t.Fatalf("transKey collision: %v and %v both map to %q", prev, s, k)
+			t.Fatalf("translation key collision: %v and %v both map to %q", prev, s, k)
 		}
 		seen[k] = s
+	}
+	pairs := map[string][2][]int{}
+	for _, a := range seqs {
+		for _, b := range seqs {
+			k := string(appendScoreKey(nil, a, b))
+			if prev, ok := pairs[k]; ok {
+				t.Fatalf("memo key collision: %v and %v both map to %q", prev, [2][]int{a, b}, k)
+			}
+			pairs[k] = [2][]int{a, b}
+		}
 	}
 }
 

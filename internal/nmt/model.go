@@ -100,30 +100,30 @@ type Model struct {
 	opt    *nn.Adam
 	rng    *rand.Rand
 
-	// wsPool hands out per-goroutine scratch workspaces so the train and
-	// decode inner loops reuse memory instead of allocating per timestep.
-	wsPool sync.Pool
-
-	// cache memoises Translate per source sentence; it is dropped whenever
-	// weights change.
+	// cache memoises Translate per source sentence and ScoreSentence per
+	// sentence pair; it is dropped whenever weights change.
 	cache TransCache
 }
 
-func (m *Model) getWS() *nn.Workspace {
-	if v := m.wsPool.Get(); v != nil {
-		return v.(*nn.Workspace)
-	}
-	return nn.NewWorkspace()
-}
+// workspaces hands out per-goroutine scratch arenas so the train and decode
+// inner loops reuse memory instead of allocating per timestep. One pool
+// serves every model — a Workspace sizes itself to whatever shape uses it —
+// so the arenas kept warm number the goroutines training or decoding, not
+// the pair models loaded: a model whose windows are all answered from its
+// caches decodes nothing, and a pool of its own would sit on its arenas
+// until the collector's second cycle found them idle.
+var workspaces = sync.Pool{New: func() any { return nn.NewWorkspace() }}
 
-func (m *Model) putWS(ws *nn.Workspace) {
+func getWS() *nn.Workspace { return workspaces.Get().(*nn.Workspace) }
+
+func putWS(ws *nn.Workspace) {
 	ws.Reset()
-	m.wsPool.Put(ws)
+	workspaces.Put(ws)
 }
 
-// SetTranslationCaching toggles the per-model translation cache (on by
-// default). Turning it off also drops any cached translations; exposed mainly
-// so tests can compare cached and uncached scoring.
+// SetTranslationCaching toggles the per-model translation cache and score
+// memo (on by default). Turning it off also drops everything cached; exposed
+// mainly so tests can compare cached and uncached scoring.
 func (m *Model) SetTranslationCaching(on bool) { m.cache.SetCaching(on) }
 
 // NewModel builds a model with freshly initialised weights drawn from seed.
@@ -250,8 +250,8 @@ func (m *Model) TrainExampleContext(ctx context.Context, src, tgt []int) (loss f
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	ws := m.getWS()
-	defer m.putWS(ws)
+	ws := getWS()
+	defer putWS(ws)
 	enc := m.encode(src, true, ws)
 
 	// Teacher forcing: input  = <s>, t1 … tn
@@ -385,7 +385,7 @@ func (m *Model) TrainContext(ctx context.Context, src, tgt [][]int) (TrainResult
 		}
 		m.params.ClipGrad(m.cfg.ClipNorm)
 		m.opt.Step(&m.params)
-		// Weights just changed; any memoised greedy decode is stale.
+		// Weights just changed; any memoised greedy decode or score is stale.
 		m.cache.Drop()
 		res.Steps++
 		res.FinalLoss = lossSum / float64(tokens)
@@ -401,21 +401,37 @@ func (m *Model) TrainContext(ctx context.Context, src, tgt [][]int) (TrainResult
 // detection cheap on the highly repetitive languages the framework builds.
 // The returned slice is always a fresh copy the caller may modify.
 func (m *Model) Translate(src []int) []int {
+	hyp, cached := m.translateShared(src)
+	if cached {
+		return append([]int(nil), hyp...)
+	}
+	return hyp
+}
+
+// translateShared is Translate for the scoring paths, which only read the
+// hypothesis: a cache hit returns the cache-owned slice itself (cached=true),
+// never to be modified; a miss returns the fresh decode.
+func (m *Model) translateShared(src []int) (hyp []int, cached bool) {
 	if len(src) == 0 {
-		return nil
+		return nil, false
 	}
 	if hyp, ok := m.cache.Lookup(src); ok {
-		return append([]int(nil), hyp...)
+		return hyp, true
 	}
 	out := m.translate(src)
 	m.cache.Store(src, out)
-	return out
+	return out, false
 }
+
+// CachedScore returns the memoised f(i,j) of src against the observed target
+// sentence ref, if ScoreSentence has stored one since the weights last
+// changed. It allocates nothing.
+func (m *Model) CachedScore(src, ref []int) (float64, bool) { return m.cache.Score(src, ref) }
 
 // translate is the uncached greedy decode.
 func (m *Model) translate(src []int) []int {
-	ws := m.getWS()
-	defer m.putWS(ws)
+	ws := getWS()
+	defer putWS(ws)
 	enc := m.encode(src, false, ws)
 	st := enc.final.CloneWS(ws)
 	tok := BosID
@@ -461,8 +477,8 @@ func (m *Model) Perplexity(src, tgt [][]int) (float64, error) {
 
 // scoreExample computes the teacher-forced cross-entropy without gradients.
 func (m *Model) scoreExample(src, tgt []int) (float64, int) {
-	ws := m.getWS()
-	defer m.putWS(ws)
+	ws := getWS()
+	defer putWS(ws)
 	enc := m.encode(src, false, ws)
 	st := enc.final.CloneWS(ws)
 	n := len(tgt) + 1

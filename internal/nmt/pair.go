@@ -81,7 +81,7 @@ func ScoreCorpus(ctx context.Context, m *Model, src, refs [][]int) (float64, err
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		hyps[i] = m.Translate(s)
+		hyps[i], _ = m.translateShared(s)
 	}
 	for i, r := range refs {
 		maskedRefs[i] = maskRefUnknowns(nil, r)
@@ -90,12 +90,21 @@ func ScoreCorpus(ctx context.Context, m *Model, src, refs [][]int) (float64, err
 }
 
 // ScoreSentence translates one source sentence and returns smoothed sentence
-// BLEU against its reference — the f(i,j) of Algorithm 2.
+// BLEU against its reference — the f(i,j) of Algorithm 2. A (src, ref) pair
+// already scored since the weights last changed is answered from the model's
+// score memo; a computed score is memoised when the source's translation was
+// already cached, i.e. from the sentence's second sighting on.
 func ScoreSentence(m *Model, src, ref []int) float64 {
-	hyp := m.Translate(src)
+	if score, ok := m.cache.Score(src, ref); ok {
+		return score
+	}
+	hyp, cached := m.translateShared(src)
 	sc := sentenceScorers.Get().(*SentenceScorer)
 	score := sc.Score(ref, hyp)
 	sentenceScorers.Put(sc)
+	if cached {
+		m.cache.StoreScore(src, ref, score)
+	}
 	return score
 }
 

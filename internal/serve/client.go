@@ -401,23 +401,28 @@ func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[strin
 func (c *Client) decodePoints(r io.Reader) ([]WirePoint, error) {
 	var points []WirePoint
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxTickLine)
+	sc.Buffer(make([]byte, 0, 4096), maxTickLine)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
+		// One decode serves both shapes a line can take: a point, or the
+		// error trailer (wireError's one field).
+		var line struct {
+			WirePoint
+			wireError
+		}
+		err := json.Unmarshal(raw, &line)
 		// An error trailer ends the stream: everything before it was
 		// processed; the erroring tick and the rest of the batch were not.
-		var trailer wireError
-		if err := json.Unmarshal(line, &trailer); err == nil && trailer.Error != "" {
-			return points, errors.New(trailer.Error)
+		if line.Error != "" {
+			return points, errors.New(line.Error)
 		}
-		var p WirePoint
-		if err := json.Unmarshal(line, &p); err != nil {
+		if err != nil {
 			return points, fmt.Errorf("serve: decode point: %w", err)
 		}
-		points = append(points, p)
+		points = append(points, line.WirePoint)
 	}
 	return points, sc.Err()
 }

@@ -363,11 +363,16 @@ func TestClusterPendingGate(t *testing.T) {
 // score) migrates, and the receiver must keep repeating the SAME score with
 // the degraded flag set — LastScore and Degraded travel in the snapshot.
 // Once scoring heals, the stream continues bit-identical to an unmigrated
-// healthy reference.
+// healthy reference. The replicas serve an uncached clone: the injected
+// failure sits in the scorer, which a memo-answered window never reaches.
 func TestClusterDegradedStateSurvivesHandoff(t *testing.T) {
 	m := testModel(t)
 	var degrade atomic.Bool
-	tc := newTestCluster(t, 2, func(i int, o *Options) { o.ScoreDeadline = time.Hour })
+	uncached := uncachedCopy(t)
+	tc := newTestCluster(t, 2, func(i int, o *Options) {
+		o.ScoreDeadline = time.Hour
+		o.Models = map[string]*mdes.Model{"default": uncached}
+	})
 	for _, srv := range tc.srvs {
 		real := srv.scorer
 		srv.scorer = func(jobs []mdes.ScoreJob, row []float64) error {

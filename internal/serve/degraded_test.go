@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -43,13 +44,18 @@ func TestScoreWithinDeadlineMiss(t *testing.T) {
 // valid score + degraded flag) instead of stalling the NDJSON stream, the
 // emission cadence stays aligned with a healthy stream, the degraded
 // counters show up on /metrics, and once scoring heals the stream continues
-// with bit-identical scores — including across a snapshot restart.
+// with bit-identical scores — including across a snapshot restart. The
+// failure sits in the scorer, which only a window with a score-memo miss
+// reaches, so the server gets an uncached clone: every window misses.
 func TestDegradedModeServing(t *testing.T) {
 	m := testModel(t)
 	dir := t.TempDir()
 	ds := coupledDataset(rand.New(rand.NewSource(909)), 120)
 
-	srv, hs, client := newTestServer(t, Options{SnapshotDir: dir, ScoreDeadline: time.Hour})
+	srv, hs, client := newTestServer(t, Options{
+		Models:      map[string]*mdes.Model{"default": uncachedCopy(t)},
+		SnapshotDir: dir, ScoreDeadline: time.Hour,
+	})
 	var degrade atomic.Bool
 	real := srv.scorer
 	srv.scorer = func(jobs []mdes.ScoreJob, row []float64) error {
@@ -86,14 +92,9 @@ func TestDegradedModeServing(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body := scrape(t, hs.URL)
 	for _, want := range []string{"mdes_serve_degraded_ticks_total", "mdes_serve_score_deadline_misses_total"} {
-		if !hasPositiveMetric(string(body), want) {
+		if !hasPositiveMetric(body, want) {
 			t.Fatalf("metric %s not positive after degraded ticks:\n%s", want, body)
 		}
 	}
@@ -120,6 +121,105 @@ func TestDegradedModeServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHealedTail(t, rest, want, len(sick)+len(healed), "after restart")
+}
+
+// uncachedCopy clones the shared test model with its translation caches and
+// score memos off, so every window's relationships reach the scorer — where
+// the degraded-mode tests inject their failure.
+func uncachedCopy(t testing.TB) *mdes.Model {
+	m := quantizedCopy(t, mdes.PrecisionF64)
+	m.SetTranslationCaching(false)
+	return m
+}
+
+// TestMemoAnsweredWindowCannotMissDeadline pins the other half of the
+// degraded contract: the deadline bounds the pool, and a window answered
+// wholly from the score memo never goes there. A tenant replays one period
+// until every window is memoised; then scoring goes down, and the replay
+// still answers with real scores while novel traffic degrades as before.
+func TestMemoAnsweredWindowCannotMissDeadline(t *testing.T) {
+	period := ticksOf(coupledDataset(rand.New(rand.NewSource(5)), 60), 0, 60) // 12 strides
+	novel := ticksOf(coupledDataset(rand.New(rand.NewSource(6)), 60), 0, 60)
+
+	srv, hs, client := newTestServer(t, Options{
+		Models:        map[string]*mdes.Model{"default": quantizedCopy(t, mdes.PrecisionF64)},
+		ScoreDeadline: time.Hour,
+	})
+	var degrade atomic.Bool
+	real := srv.scorer
+	srv.scorer = func(jobs []mdes.ScoreJob, row []float64) error {
+		if degrade.Load() {
+			return ErrScoreDeadline
+		}
+		return real(jobs, row)
+	}
+
+	// A window is memoised at its second sighting, and the window that wraps
+	// from one lap into the next is first seen on lap 2: four healthy laps
+	// leave every window of the fifth a hit.
+	var warm []WirePoint
+	for lap := 0; lap < 4; lap++ {
+		var err error
+		if warm, err = client.PushTicks(context.Background(), "plant", period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	degrade.Store(true)
+	replay, err := client.PushTicks(context.Background(), "plant", period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay) != len(warm) || len(replay) == 0 {
+		t.Fatalf("replayed lap emitted %d points, the lap before it %d", len(replay), len(warm))
+	}
+	for i, p := range replay {
+		if p.Degraded || math.Float64bits(p.Score) != math.Float64bits(warm[i].Score) || p.Valid != warm[i].Valid {
+			t.Fatalf("memoised window %d answered %+v with scoring down, want the healthy %+v", i, p, warm[i])
+		}
+	}
+	body := scrape(t, hs.URL)
+	if hasPositiveMetric(body, "mdes_serve_degraded_ticks_total") || !hasPositiveMetric(body, "mdes_serve_score_memo_hits_total") {
+		t.Fatalf("want memo hits and no degraded tick after a memoised lap with scoring down:\n%s", body)
+	}
+	// The legacy batch counters count every relationship score, pool-run or
+	// memo-answered: pool calls + memo hits.
+	want := srv.met.scoreLatency.n.Load() + srv.met.scoreMemoHits.Load()
+	for _, name := range []string{"mdes_serve_score_batches_total", "mdes_serve_score_batch_jobs_total"} {
+		if line := fmt.Sprintf("%s %d\n", name, want); !strings.Contains(body, line) {
+			t.Fatalf("missing %q in:\n%s", line, body)
+		}
+	}
+
+	// Windows the model has not scored before still need the pool, and
+	// degrade exactly as they did without a memo.
+	fresh, err := client.PushTicks(context.Background(), "plant", novel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := 0
+	for _, p := range fresh {
+		if p.Degraded {
+			degraded++
+		}
+	}
+	if degraded == 0 {
+		t.Fatalf("novel windows with scoring down: none of %d points degraded", len(fresh))
+	}
+}
+
+// scrape fetches /metrics.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // checkHealedTail compares post-degradation points against the healthy
@@ -169,13 +269,7 @@ func TestMissingPairModelDegraded(t *testing.T) {
 			t.Fatalf("point %d not degraded: %+v", i, p)
 		}
 	}
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !hasPositiveMetric(string(body), "mdes_serve_missing_model_ticks_total") {
+	if body := scrape(t, hs.URL); !hasPositiveMetric(body, "mdes_serve_missing_model_ticks_total") {
 		t.Fatalf("mdes_serve_missing_model_ticks_total not positive:\n%s", body)
 	}
 }

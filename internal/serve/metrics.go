@@ -45,6 +45,10 @@ type metrics struct {
 	replShipsHome   atomic.Int64 // adopted/standby state shipped back to a revived owner
 	replStoreErrors atomic.Int64 // standby store reads/writes that failed
 
+	// scoreMemoHits counts relationship scores answered from a pair model's
+	// score memo — no pool job, no latency observation.
+	scoreMemoHits atomic.Int64
+
 	scoreLatency histogram
 	replLag      histogram
 }
@@ -134,11 +138,14 @@ func (m *metrics) write(w io.Writer, sessionsLive, inflight, queueDepth int) {
 	counter(w, "mdes_serve_degraded_ticks_total", "Ticks answered with the last valid score and degraded=true.", m.degradedTicks.Load())
 	counter(w, "mdes_serve_score_deadline_misses_total", "Sentence windows that missed the scoring deadline.", m.deadlineMisses.Load())
 	counter(w, "mdes_serve_missing_model_ticks_total", "Sentence windows degraded because a pair model was missing.", m.missingModelTicks.Load())
-	// A pool worker call scores exactly one job, so the two names the bench
-	// ledger scrapes for jobs/batch are the same count.
-	scored := m.scoreLatency.n.Load()
-	counter(w, "mdes_serve_score_batches_total", "Scoring calls made by pool workers; each scores one job.", scored)
-	counter(w, "mdes_serve_score_batch_jobs_total", "Scoring jobs run by pool workers; equal to mdes_serve_score_batches_total.", scored)
+	// The two names the bench ledger scrapes for jobs/batch are one count:
+	// every relationship score a window needed, whether a pool worker ran it
+	// (one job per call) or the score memo answered it.
+	memoHits := m.scoreMemoHits.Load()
+	scored := m.scoreLatency.n.Load() + memoHits
+	counter(w, "mdes_serve_score_batches_total", "Relationship scores produced: pool worker calls (one job each) plus score-memo hits.", scored)
+	counter(w, "mdes_serve_score_batch_jobs_total", "Relationship scores produced; equal to mdes_serve_score_batches_total.", scored)
+	counter(w, "mdes_serve_score_memo_hits_total", "Relationship scores answered from the score memo without a pool job; hit rate = hits / (hits + mdes_serve_score_latency_seconds_count).", memoHits)
 	gauge(w, "mdes_serve_sessions_live", "Sessions currently resident in memory.", float64(sessionsLive))
 	gauge(w, "mdes_serve_inflight_requests", "Tick requests currently admitted.", float64(inflight))
 	gauge(w, "mdes_serve_score_queue_depth", "Pairwise scoring jobs waiting for a pool worker.", float64(queueDepth))

@@ -68,12 +68,13 @@ func TestMetricsWriteIncludesEveryFamily(t *testing.T) {
 // the bench workloads, so the buckets below 500 µs must tell them apart. (With
 // 500 µs as the first bound every call landed in it and the quantiles were
 // bucket arithmetic.) It also pins the two counters bench/ scrapes for
-// jobs/batch to the one count behind them.
+// jobs/batch to the one count behind them: pool calls plus score-memo hits.
 func TestScoreLatencyResolvesMicroseconds(t *testing.T) {
 	var m metrics
 	m.scoreLatency = newHistogram(scoreBuckets)
 	m.scoreLatency.observe(10 * time.Microsecond)
 	m.scoreLatency.observe(30 * time.Microsecond)
+	m.scoreMemoHits.Add(5)
 
 	var sb strings.Builder
 	m.write(&sb, 0, 0, 0)
@@ -82,8 +83,9 @@ func TestScoreLatencyResolvesMicroseconds(t *testing.T) {
 	for _, want := range []string{
 		`mdes_serve_score_latency_seconds_bucket{le="2.5e-05"} 1`, // the 10 µs call alone
 		`mdes_serve_score_latency_seconds_bucket{le="5e-05"} 2`,   // joined by the 30 µs call
-		"mdes_serve_score_batches_total 2",
-		"mdes_serve_score_batch_jobs_total 2",
+		"mdes_serve_score_batches_total 7",
+		"mdes_serve_score_batch_jobs_total 7",
+		"mdes_serve_score_memo_hits_total 5",
 		"mdes_serve_score_latency_seconds_count 2",
 	} {
 		if !strings.Contains(out, want) {

@@ -76,9 +76,10 @@ func (p *scorePool) worker() {
 }
 
 // score is installed as each stream's scorer (Stream.SetScorer): it submits
-// every job and waits for the batch. Workers never block on anything other
-// than the job channel, so submission always drains — sessions hold their own
-// mutex while in here, but no pool worker ever takes a session mutex.
+// every job — the window's score-memo misses — and waits for the batch.
+// Workers never block on anything other than the job channel, so submission
+// always drains — sessions hold their own mutex while in here, but no pool
+// worker ever takes a session mutex.
 func (p *scorePool) score(jobs []mdes.ScoreJob, row []float64) error {
 	var done sync.WaitGroup
 	done.Add(len(jobs))
@@ -91,10 +92,13 @@ func (p *scorePool) score(jobs []mdes.ScoreJob, row []float64) error {
 
 // scoreWithin is score with a deadline: if the batch is not fully scored
 // within d it returns ErrScoreDeadline and the caller's scratch is left
-// untouched. The jobs and row the stream hands a scorer are reused on the
-// next emit, so the deadline path works on pooled copies: abandoned workers
-// finish into the shadow row and their results are discarded, never racing
-// the stream's next window. The scratch only returns to the pool once every
+// untouched. A window answered wholly from the score memo never gets here
+// (the stream calls no scorer for it), so it cannot miss the deadline. The
+// jobs and row the stream hands a scorer are reused on the next emit, so the
+// deadline path works on pooled copies: abandoned workers finish into the
+// shadow row and their results are discarded (their scores still reach the
+// pair models' memos — they are correct, just late), never racing the
+// stream's next window. The scratch only returns to the pool once every
 // abandoned worker is done with it.
 func (p *scorePool) scoreWithin(jobs []mdes.ScoreJob, row []float64, d time.Duration) error {
 	timer := time.NewTimer(d)
@@ -129,7 +133,12 @@ func (p *scorePool) scoreWithin(jobs []mdes.ScoreJob, row []float64, d time.Dura
 	go func() { done.Wait(); close(finished) }()
 	select {
 	case <-finished:
-		copy(row, shadow)
+		// Only the jobs' columns: the rest of row holds the window's memo
+		// hits, which the shadow row never saw.
+		for i := range sc.jobs {
+			k := sc.jobs[i].Index()
+			row[k] = shadow[k]
+		}
 		p.dscratch.Put(sc)
 		return nil
 	case <-timer.C:

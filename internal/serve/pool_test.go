@@ -14,7 +14,9 @@ import (
 )
 
 // quantizedCopy clones the shared test model (which other tests use at
-// float64) and publishes it at precision p.
+// float64) and publishes it at precision p. The clone is cold: its
+// translation caches and score memos are empty, whatever the shared model's
+// have seen.
 func quantizedCopy(t testing.TB, prec mdes.Precision) *mdes.Model {
 	var buf bytes.Buffer
 	if err := testModel(t).Save(&buf); err != nil {
@@ -33,7 +35,10 @@ func quantizedCopy(t testing.TB, prec mdes.Precision) *mdes.Model {
 // TestScorePoolMatchesSoloStream is the pool's one load-bearing property:
 // sharing it is invisible. Four concurrent tenant streams scoring through one
 // pool get, at every precision, bit-identical points to a solo stream scoring
-// in line — same jobs, same Run, only the goroutine differs.
+// in line — same jobs, same Run, only the goroutine differs. The pooled
+// streams run on their own cold clone, so their windows are not all answered
+// by a memo the reference run warmed: every relationship score is either a
+// pool job or a memo hit, and both kinds must occur.
 func TestScorePoolMatchesSoloStream(t *testing.T) {
 	ds := coupledDataset(rand.New(rand.NewSource(321)), 200)
 	readings := ticksOf(ds, 0, ds.Ticks())
@@ -53,8 +58,7 @@ func TestScorePoolMatchesSoloStream(t *testing.T) {
 
 	for _, prec := range []mdes.Precision{mdes.PrecisionF64, mdes.PrecisionF32, mdes.PrecisionInt8} {
 		t.Run(prec.String(), func(t *testing.T) {
-			model := quantizedCopy(t, prec)
-			ref, err := run(model.NewStream()) // in-line scorer, no pool
+			ref, err := run(quantizedCopy(t, prec).NewStream()) // in-line scorer, no pool
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,12 +72,15 @@ func TestScorePoolMatchesSoloStream(t *testing.T) {
 			defer p.close()
 
 			const tenants = 4
+			model := quantizedCopy(t, prec)
 			points := make([][]mdes.Point, tenants)
 			errs := make([]error, tenants)
+			streams := make([]*mdes.Stream, tenants)
 			var wg sync.WaitGroup
 			for i := 0; i < tenants; i++ {
 				stream := model.NewStream()
 				stream.SetScorer(p.score)
+				streams[i] = stream
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
@@ -96,8 +103,15 @@ func TestScorePoolMatchesSoloStream(t *testing.T) {
 					}
 				}
 			}
-			if met.scoreLatency.n.Load() == 0 {
-				t.Fatal("no scoring call went through the pool")
+			pooled, memo := met.scoreLatency.n.Load(), int64(0)
+			for _, stream := range streams {
+				memo += int64(stream.MemoHits())
+			}
+			if want := int64(tenants * len(ref) * model.Detector().NumValid()); pooled+memo != want {
+				t.Fatalf("%d pool jobs + %d memo hits, want %d relationship scores", pooled, memo, want)
+			}
+			if pooled == 0 || memo == 0 {
+				t.Fatalf("%d pool jobs, %d memo hits: both paths must be exercised", pooled, memo)
 			}
 		})
 	}
@@ -136,7 +150,8 @@ func TestScorePoolGoroutines(t *testing.T) {
 
 // BenchmarkScorePoolThroughput measures end-to-end stream scoring through the
 // shared pool at each serving precision: ticks in, points out, the scoring
-// fan-out live. The headline metric is ns/point — one fully scored sentence
+// fan-out live (caching off, so every relationship of every window is a pool
+// job that decodes). The headline metric is ns/point — one fully scored sentence
 // window across every relationship.
 func BenchmarkScorePoolThroughput(b *testing.B) {
 	ds := coupledDataset(rand.New(rand.NewSource(99)), 4000)
@@ -145,6 +160,7 @@ func BenchmarkScorePoolThroughput(b *testing.B) {
 	for _, prec := range []mdes.Precision{mdes.PrecisionF64, mdes.PrecisionF32, mdes.PrecisionInt8} {
 		b.Run(prec.String(), func(b *testing.B) {
 			model := quantizedCopy(b, prec)
+			model.SetTranslationCaching(false)
 			var met metrics
 			met.scoreLatency = newHistogram(scoreBuckets)
 			p := newScorePool(2, &met)

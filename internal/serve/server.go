@@ -457,6 +457,10 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	defer s.release(sess)
+	// Runs before release, so the stream's count is read under the session
+	// lock: one atomic add per request, not per relationship.
+	memoHits := sess.stream.MemoHits()
+	defer func() { s.met.scoreMemoHits.Add(int64(sess.stream.MemoHits() - memoHits)) }()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)

@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"strings"
 
 	"mdes"
 )
@@ -66,24 +67,103 @@ type wireError struct {
 }
 
 // tickScanner wraps an NDJSON tick stream in a line scanner whose buffer
-// admits one maximum-size tick line.
+// starts at a typical request's size and grows on demand to admit one
+// maximum-size tick line.
 func tickScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxTickLine)
+	sc.Buffer(make([]byte, 0, 4096), maxTickLine)
 	return sc
 }
 
 // decodeTick parses one NDJSON line into a tick. Blank lines separate
 // nothing and are skipped; any other line must be a flat JSON object mapping
-// sensor names to event strings.
+// sensor names to event strings. The returned strings own their bytes — the
+// stream's windows and snapshots retain them long after line's buffer is
+// reused.
 func decodeTick(line []byte) (tick map[string]string, skip bool, err error) {
 	if len(line) == 0 {
 		return nil, true, nil
+	}
+	if tick, ok := decodePlainTick(line); ok {
+		return tick, false, nil
 	}
 	if err := json.Unmarshal(line, &tick); err != nil {
 		return nil, false, err
 	}
 	return tick, false, nil
+}
+
+// decodePlainTick is the reflection-free decoder for the wire shape the
+// server documents: one flat object of string → string whose strings are
+// plain — printable ASCII with no escapes. It reports ok=false for anything
+// else (escapes, control or non-ASCII bytes, non-string values, nesting,
+// trailing bytes, malformed input), which decodeTick then hands to
+// encoding/json, so what is accepted, what is rejected and every decoded
+// byte are exactly encoding/json's (FuzzWireDecode holds the two together).
+// The line is copied once; keys and values are slices of that copy.
+func decodePlainTick(line []byte) (map[string]string, bool) {
+	s := string(line)
+	i := skipSpace(s, 0)
+	if i == len(s) || s[i] != '{' {
+		return nil, false
+	}
+	// Four quotes per pair sizes the map without a second parse.
+	tick := make(map[string]string, strings.Count(s, `"`)/4)
+	if i = skipSpace(s, i+1); i < len(s) && s[i] == '}' {
+		return tick, skipSpace(s, i+1) == len(s)
+	}
+	for {
+		key, next, ok := plainString(s, i)
+		if !ok {
+			return nil, false
+		}
+		if i = skipSpace(s, next); i == len(s) || s[i] != ':' {
+			return nil, false
+		}
+		val, next, ok := plainString(s, skipSpace(s, i+1))
+		if !ok {
+			return nil, false
+		}
+		tick[key] = val // a duplicate key keeps its last value, as in encoding/json
+		if i = skipSpace(s, next); i == len(s) {
+			return nil, false
+		}
+		switch s[i] {
+		case ',':
+			i = skipSpace(s, i+1)
+		case '}':
+			return tick, skipSpace(s, i+1) == len(s)
+		default:
+			return nil, false
+		}
+	}
+}
+
+// plainString reads the JSON string literal opening at s[i], provided it
+// needs no unescaping and no UTF-8 validation; next is the index past its
+// closing quote.
+func plainString(s string, i int) (str string, next int, ok bool) {
+	if i >= len(s) || s[i] != '"' {
+		return "", 0, false
+	}
+	for j := i + 1; j < len(s); j++ {
+		switch c := s[j]; {
+		case c == '"':
+			return s[i+1 : j], j + 1, true
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			return "", 0, false
+		}
+	}
+	return "", 0, false
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(s string, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r' || s[i] == '\n') {
+		i++
+	}
+	return i
 }
 
 // SessionInfo describes one live or queried session.

@@ -73,6 +73,21 @@ func (m *Model) PairModelBytes() int64 {
 	return total
 }
 
+// SetTranslationCaching toggles every pair model's translation cache and
+// score memo — float64 and, if Quantize has run, frozen (caching is on by
+// default, and back on for the weights a later Quantize freezes). Turning it
+// off drops everything cached and makes every scoring call decode and score
+// from scratch: the reference that memoised scoring is compared with, bit for
+// bit. Not safe to call concurrently with Quantize.
+func (m *Model) SetTranslationCaching(on bool) {
+	for _, pm := range m.pairs {
+		pm.SetTranslationCaching(on)
+	}
+	for _, im := range m.infPairs {
+		im.SetTranslationCaching(on)
+	}
+}
+
 // inferFor returns the frozen inference model for a pair, or nil when scoring
 // runs at float64.
 func (m *Model) inferFor(key [2]string) *infer.Model { return m.infPairs[key] }

@@ -30,8 +30,9 @@ type Stream struct {
 	names []string            // modelled sensors in sorted order
 	win   map[string][]string // rolling window of the last `span` ticks
 
-	ticks   int // total ticks consumed
-	emitted int // points emitted so far
+	ticks    int // total ticks consumed
+	emitted  int // points emitted so far
+	memoHits int // relationship scores answered from the score memo
 
 	// Per-push scratch, reused across pushes so the steady state allocates
 	// nothing beyond the detection outputs that escape to the caller.
@@ -119,11 +120,25 @@ func (j *ScoreJob) Run() float64 {
 	return nmt.ScoreSentence(j.model, j.src, j.tgt)
 }
 
+// cached probes the score memo of the model Run would score with. It
+// allocates nothing.
+func (j *ScoreJob) cached() (float64, bool) {
+	if j.inf != nil {
+		return j.inf.CachedScore(j.src, j.tgt)
+	}
+	return j.model.CachedScore(j.src, j.tgt)
+}
+
 // SetScorer replaces the stream's serial relationship scorer. The function
 // must fill row[j.Index()] = j.Run() (or an equivalent score) for every job
 // before returning; it may fan jobs out across goroutines. The jobs and row
 // slices are scratch owned by the stream — valid only for the duration of the
 // call, never to be retained. A nil fn restores serial scoring.
+//
+// The jobs are the window's score-memo misses only: relationships whose
+// (source, target) sentence pair the model has scored before are already
+// filled into row when fn runs — so fn must write nothing but its jobs'
+// columns — and a window with no misses does not call fn at all.
 //
 // This is the hook internal/serve uses to share one bounded scoring pool
 // across many tenant streams.
@@ -196,21 +211,32 @@ func (s *Stream) emit() (*Point, error) {
 		s.sent[name] = ids
 	}
 
+	// Probe each relationship's score memo first: f(i,j) is a pure function of
+	// (pair weights, source sentence, observed target sentence), so a window
+	// this model has scored before is answered in place and only the misses
+	// become jobs. An emit with no misses never reaches the scorer.
 	jobs := s.jobs[:0]
 	for k, rel := range s.rels {
-		m := s.model.pairs[[2]string{rel.Src, rel.Tgt}]
+		key := [2]string{rel.Src, rel.Tgt}
+		m := s.model.pairs[key]
 		if m == nil {
 			//mdes:allow(noalloc) cold error path: a missing pair model is a corrupt-model condition
 			return nil, fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt)
 		}
-		jobs = append(jobs, ScoreJob{
-			k: k, model: m, inf: s.model.inferFor([2]string{rel.Src, rel.Tgt}),
+		job := ScoreJob{
+			k: k, model: m, inf: s.model.inferFor(key),
 			src: s.sent[rel.Src], tgt: s.sent[rel.Tgt],
 			srcName: rel.Src, tgtName: rel.Tgt,
-		})
+		}
+		if score, hit := job.cached(); hit {
+			s.row[k] = score
+			s.memoHits++
+			continue
+		}
+		jobs = append(jobs, job)
 	}
 	s.jobs = jobs
-	if s.scorer != nil {
+	if len(jobs) > 0 && s.scorer != nil {
 		if err := s.scorer(jobs, s.row); err != nil {
 			//mdes:allow(noalloc) cold error path: scorer failure aborts the point
 			return nil, fmt.Errorf("mdes: stream scorer: %w", err)
@@ -255,6 +281,10 @@ func (s *Stream) Ticks() int { return s.ticks }
 
 // Emitted returns how many detection points have been produced.
 func (s *Stream) Emitted() int { return s.emitted }
+
+// MemoHits returns how many relationship scores this stream has answered
+// from its model's score memo instead of handing them to the scorer.
+func (s *Stream) MemoHits() int { return s.memoHits }
 
 // StreamSnapshot is the JSON-serialisable durable state of a Stream: the
 // rolling event windows plus the tick/emission counters. Restoring it with

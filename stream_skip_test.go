@@ -21,6 +21,10 @@ func TestSkipEmitKeepsRestoreInvariant(t *testing.T) {
 	// Reference: the same ticks through a healthy stream.
 	ref := pushAll(t, model.NewStream(), ds, 0, ds.Ticks())
 
+	// The outage sits in the scorer, which only a window with a score-memo
+	// miss reaches — and the reference run has just memoised these windows.
+	// With caching off every window misses, so every outage emission fails.
+	model.SetTranslationCaching(false)
 	stream := model.NewStream()
 	down := errors.New("scoring backend down")
 	failing := func(jobs []ScoreJob, row []float64) error { return down }
