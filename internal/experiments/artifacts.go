@@ -99,8 +99,8 @@ func FullScale() Scale {
 		// 1000 training steps is the paper's own setting (§III-A2) and,
 		// empirically, what the 10-char-word / 20-word-sentence scale needs
 		// to converge (dev BLEU ~72 at 1000 steps on a coupled pair, ~20 at
-		// 200). At ~50 s/pair on one core a 16-sensor sweep takes hours;
-		// spread it across cores with Workers.
+		// 200). At ~11 s/pair on one core (DESIGN §9) a 16-sensor sweep
+		// takes most of an hour; spread it across cores with Workers.
 		PlantNMT: mdes.NMTConfig{
 			Embed: 32, Hidden: 32, Layers: 2,
 			Dropout: 0.2, LearningRate: 2e-3, ClipNorm: 5,

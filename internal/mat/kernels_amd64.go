@@ -1,12 +1,25 @@
 package mat
 
-// Assembly kernel declarations (kernels_amd64.s). Each processes the largest
-// vector-aligned prefix; callers finish the tail with portable Go. The int8
-// kernel is integer arithmetic throughout, so it returns bit-identical sums
-// to the portable loop; the float32 FMA kernel rounds differently than
-// scalar code (fused multiply-add, 8-lane accumulation) — scoring is
-// deterministic per platform, and all correctness gates are relative
-// (batch==single, parity vs float64), never golden float32 bits.
+// Assembly kernel declarations (kernels_amd64.s), two families behind one
+// gate (simdOn).
+//
+// The float32/int8 family serves frozen-model scoring (internal/infer). Each
+// kernel processes the largest vector-aligned prefix; callers finish the tail
+// with portable Go. The int8 kernels are integer arithmetic throughout, so
+// they return bit-identical sums to the portable loop; the float32 kernels
+// use FMA and 8-lane accumulation and round differently than scalar code —
+// scoring is deterministic per platform, and all correctness gates are
+// relative (batch==single, parity vs float64), never golden float32 bits.
+//
+// The float64 family (the *F64AVX kernels at the end) serves training and
+// exact scoring. It is FMA-free — separate multiply and add, two roundings,
+// like scalar MULSD+ADDSD — with lanes across output elements only, so each
+// element's chain of adds is the portable loop's, in the same order:
+// SetSIMD(true) and SetSIMD(false) give the same bits on amd64 built at the
+// default GOAMD64=v1. That is the whole contract. At GOAMD64=v3 and on arm64
+// the compiler itself fuses the portable loops, so results were never
+// bit-identical across architectures or GOAMD64 levels; and which payload a
+// NaN carries is unspecified (that a value is NaN is not).
 
 // axpy4AVX computes di[j] += a[0]·b0[j] + a[1]·b1[j] + a[2]·b2[j] + a[3]·b3[j]
 // for j in [0, n&^7), where b row i starts at b+i·stride floats.
@@ -54,3 +67,29 @@ func vsigmoidAVX(x *float32, n int)
 //
 //go:noescape
 func vtanhAVX(x *float32, n int)
+
+// mulVecF64AVX computes dst[i] = Σ_j w[i][j]·x[j] (dst[i] += … when add) for
+// the rows i in [0, rows&^3) of the row-major rows×cols matrix at w, every
+// column included; the caller computes the last rows%4 rows.
+//
+//go:noescape
+func mulVecF64AVX(dst, w, x *float64, rows, cols int, add bool)
+
+// mulVecTAddF64AVX computes dst[j] += Σ_i w[i][j]·x[i] for the columns j in
+// [0, cols&^3), skipping rows whose x[i] is ±0; the caller computes the last
+// cols%4 columns. rows must be positive.
+//
+//go:noescape
+func mulVecTAddF64AVX(dst, w, x *float64, rows, cols int)
+
+// addOuterF64AVX computes w[i][j] += a[i]·b[j] for the columns j in
+// [0, cols&^3), skipping rows whose a[i] is ±0; the caller computes the last
+// cols%4 columns. rows must be positive.
+//
+//go:noescape
+func addOuterF64AVX(w, a, b *float64, rows, cols int)
+
+// axpyF64AVX computes dst[j] += alpha·x[j] for j in [0, n&^3).
+//
+//go:noescape
+func axpyF64AVX(dst, x *float64, n int, alpha float64)

@@ -472,3 +472,438 @@ d4done:
 	MOVL AX, 12(R12)
 	VZEROUPPER
 	RET
+
+// Float64 kernels for the training engine (mat.go). Every output element
+// sees exactly the portable loop's chain of `s = s + w·x` in the same order:
+// products and sums are separate VMULPD/VADDPD (two roundings, like scalar
+// MULSD+ADDSD) — a fused multiply-add rounds once and would change weights —
+// and lanes run across output elements, never along a reduction.
+
+// One 4-row × 4-column block of mulVecF64AVX: load four rows at base,
+// transpose so each register holds one column across the four rows, then
+// acc += col_j · x[j] for j = 0..3 in order. Y12-Y15 hold x[j..j+3]
+// broadcast; CX is the row stride in bytes, R9 three strides.
+#define MV_BLOCK(base, acc) \
+	VMOVUPD (base), Y4 \
+	VMOVUPD (base)(CX*1), Y5 \
+	VMOVUPD (base)(CX*2), Y6 \
+	VMOVUPD (base)(R9*1), Y7 \
+	VUNPCKLPD Y5, Y4, Y8 \
+	VUNPCKHPD Y5, Y4, Y9 \
+	VUNPCKLPD Y7, Y6, Y10 \
+	VUNPCKHPD Y7, Y6, Y11 \
+	VPERM2F128 $0x20, Y10, Y8, Y4 \
+	VPERM2F128 $0x20, Y11, Y9, Y5 \
+	VPERM2F128 $0x31, Y10, Y8, Y6 \
+	VPERM2F128 $0x31, Y11, Y9, Y7 \
+	VMULPD Y12, Y4, Y4 \
+	VADDPD Y4, acc, acc \
+	VMULPD Y13, Y5, Y5 \
+	VADDPD Y5, acc, acc \
+	VMULPD Y14, Y6, Y6 \
+	VADDPD Y6, acc, acc \
+	VMULPD Y15, Y7, Y7 \
+	VADDPD Y7, acc, acc
+
+// One leftover column (cols not a multiple of 4) of the same four rows:
+// gather the column element by element, acc += col · x[j] (Y12).
+#define MV_COL(base, acc) \
+	VMOVSD (base), X4 \
+	VMOVHPD (base)(CX*1), X4, X4 \
+	VMOVSD (base)(CX*2), X5 \
+	VMOVHPD (base)(R9*1), X5, X5 \
+	VINSERTF128 $1, X5, Y4, Y4 \
+	VMULPD Y12, Y4, Y4 \
+	VADDPD Y4, acc, acc
+
+// func mulVecF64AVX(dst, w, x *float64, rows, cols int, add bool)
+//
+// dst[i] = Σ_j w[i][j]·x[j] (dst[i] += … when add) for i in [0, rows&^3),
+// each sum started at +0 and taken in increasing j. Sixteen rows (four
+// independent accumulators) advance together so the add latency of one
+// row block hides behind the other three; a last 4-row block runs alone.
+TEXT ·mulVecF64AVX(SB), NOSPLIT, $0-41
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ rows+24(FP), BX
+	MOVQ cols+32(FP), CX
+	MOVBLZX add+40(FP), R12
+	SHLQ $3, CX                   // row stride in bytes
+	LEAQ (CX)(CX*2), R9           // three rows
+	SUBQ SI, R8                   // x[j] sits at (SI)(R8*1) while SI walks row 0
+
+mv16:
+	CMPQ BX, $16
+	JLT  mv4
+	LEAQ (SI)(CX*4), R10          // rows 4-7
+	LEAQ (R10)(CX*4), AX          // rows 8-11
+	LEAQ (AX)(CX*4), DX           // rows 12-15
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ cols+32(FP), R13
+	SUBQ $4, R13
+	JLT  mv16rest
+
+mv16cols:
+	VBROADCASTSD (SI)(R8*1), Y12
+	VBROADCASTSD 8(SI)(R8*1), Y13
+	VBROADCASTSD 16(SI)(R8*1), Y14
+	VBROADCASTSD 24(SI)(R8*1), Y15
+	MV_BLOCK(SI, Y0)
+	MV_BLOCK(R10, Y1)
+	MV_BLOCK(AX, Y2)
+	MV_BLOCK(DX, Y3)
+	ADDQ $32, SI
+	ADDQ $32, R10
+	ADDQ $32, AX
+	ADDQ $32, DX
+	SUBQ $4, R13
+	JGE  mv16cols
+
+mv16rest:
+	ADDQ $4, R13                  // 0-3 columns left
+	JEQ  mv16out
+
+mv16col:
+	VBROADCASTSD (SI)(R8*1), Y12
+	MV_COL(SI, Y0)
+	MV_COL(R10, Y1)
+	MV_COL(AX, Y2)
+	MV_COL(DX, Y3)
+	ADDQ $8, SI
+	ADDQ $8, R10
+	ADDQ $8, AX
+	ADDQ $8, DX
+	DECQ R13
+	JNE  mv16col
+
+mv16out:
+	TESTQ R12, R12
+	JEQ  mv16put
+	VADDPD (DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
+	VADDPD 64(DI), Y2, Y2
+	VADDPD 96(DI), Y3, Y3
+
+mv16put:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	LEAQ (DX)(R9*1), SI           // DX ended one row past row 12: +3 = row 16
+	MOVQ CX, R10
+	SHLQ $4, R10
+	SUBQ R10, R8                  // keep (SI)(R8*1) == &x[0]
+	SUBQ $16, BX
+	JMP  mv16
+
+mv4:
+	CMPQ BX, $4
+	JLT  mvdone
+	VXORPD Y0, Y0, Y0
+	MOVQ cols+32(FP), R13
+	SUBQ $4, R13
+	JLT  mv4rest
+
+mv4cols:
+	VBROADCASTSD (SI)(R8*1), Y12
+	VBROADCASTSD 8(SI)(R8*1), Y13
+	VBROADCASTSD 16(SI)(R8*1), Y14
+	VBROADCASTSD 24(SI)(R8*1), Y15
+	MV_BLOCK(SI, Y0)
+	ADDQ $32, SI
+	SUBQ $4, R13
+	JGE  mv4cols
+
+mv4rest:
+	ADDQ $4, R13
+	JEQ  mv4out
+
+mv4col:
+	VBROADCASTSD (SI)(R8*1), Y12
+	MV_COL(SI, Y0)
+	ADDQ $8, SI
+	DECQ R13
+	JNE  mv4col
+
+mv4out:
+	TESTQ R12, R12
+	JEQ  mv4put
+	VADDPD (DI), Y0, Y0
+
+mv4put:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ R9, SI                   // SI ended one row past row 0: +3 = row 4
+	MOVQ CX, R10
+	SHLQ $2, R10
+	SUBQ R10, R8
+	SUBQ $4, BX
+	JMP  mv4
+
+mvdone:
+	VZEROUPPER
+	RET
+
+// One row's update of a strip of mulVecTAddF64AVX: acc_k += w[i][4k..4k+3]·x[i]
+// for four accumulators, AX at the strip's first column of row i, Y15 = x[i].
+#define VT_ROW4(off, a0, a1, a2, a3) \
+	VMULPD off+0(AX), Y15, Y8 \
+	VMULPD off+32(AX), Y15, Y9 \
+	VMULPD off+64(AX), Y15, Y10 \
+	VMULPD off+96(AX), Y15, Y11 \
+	VADDPD Y8, a0, a0 \
+	VADDPD Y9, a1, a1 \
+	VADDPD Y10, a2, a2 \
+	VADDPD Y11, a3, a3
+
+// func mulVecTAddF64AVX(dst, w, x *float64, rows, cols int)
+//
+// dst[j] += Σ_i w[i][j]·x[i] for j in [0, cols&^3), in increasing i, a row
+// whose x[i] is ±0 skipped outright (never multiplied: Inf·0 and a flipped
+// −0 must not appear). Lanes are output columns; a strip of 32 (then 16,
+// then 4) columns of dst stays in registers across all rows.
+TEXT ·mulVecTAddF64AVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ rows+24(FP), BX
+	MOVQ cols+32(FP), DX
+	MOVQ DX, CX
+	SHLQ $3, CX                   // row stride in bytes
+	ANDQ $-4, DX                  // columns left to do here
+
+vt32:
+	CMPQ DX, $32
+	JLT  vt16
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	MOVQ SI, AX
+	XORQ R9, R9
+
+vt32row:
+	MOVQ (R8)(R9*8), R10
+	SHLQ $1, R10                  // drop the sign: ZF iff x[i] is ±0
+	JEQ  vt32next
+	VBROADCASTSD (R8)(R9*8), Y15
+	VT_ROW4(0, Y0, Y1, Y2, Y3)
+	VT_ROW4(128, Y4, Y5, Y6, Y7)
+
+vt32next:
+	ADDQ CX, AX
+	INCQ R9
+	CMPQ R9, BX
+	JLT  vt32row
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, SI
+	SUBQ $32, DX
+	JMP  vt32
+
+vt16:
+	CMPQ DX, $16
+	JLT  vt4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ SI, AX
+	XORQ R9, R9
+
+vt16row:
+	MOVQ (R8)(R9*8), R10
+	SHLQ $1, R10
+	JEQ  vt16next
+	VBROADCASTSD (R8)(R9*8), Y15
+	VT_ROW4(0, Y0, Y1, Y2, Y3)
+
+vt16next:
+	ADDQ CX, AX
+	INCQ R9
+	CMPQ R9, BX
+	JLT  vt16row
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, DX
+	JMP  vt16
+
+vt4:
+	CMPQ DX, $4
+	JLT  vtdone
+	VMOVUPD (DI), Y0
+	MOVQ SI, AX
+	XORQ R9, R9
+
+vt4row:
+	MOVQ (R8)(R9*8), R10
+	SHLQ $1, R10
+	JEQ  vt4next
+	VBROADCASTSD (R8)(R9*8), Y15
+	VMULPD (AX), Y15, Y8
+	VADDPD Y8, Y0, Y0
+
+vt4next:
+	ADDQ CX, AX
+	INCQ R9
+	CMPQ R9, BX
+	JLT  vt4row
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, DX
+	JMP  vt4
+
+vtdone:
+	VZEROUPPER
+	RET
+
+// func addOuterF64AVX(w, a, b *float64, rows, cols int)
+//
+// w[i][j] += a[i]·b[j] for j in [0, cols&^3), rows with a[i] == ±0 skipped.
+// Like mulVecTAddF64AVX it walks strips of 16 (then 4) columns down all the
+// rows, so a strip of b stays in registers and a row costs only its own
+// loads and stores.
+TEXT ·addOuterF64AVX(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), SI
+	MOVQ rows+24(FP), BX
+	MOVQ cols+32(FP), DX
+	MOVQ DX, CX
+	SHLQ $3, CX                   // row stride in bytes
+	ANDQ $-4, DX                  // columns left to do here
+
+ao16:
+	CMPQ DX, $16
+	JLT  ao4
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	VMOVUPD 64(SI), Y10
+	VMOVUPD 96(SI), Y11
+	MOVQ DI, AX
+	XORQ R9, R9
+
+ao16row:
+	MOVQ (R8)(R9*8), R10
+	SHLQ $1, R10                  // drop the sign: ZF iff a[i] is ±0
+	JEQ  ao16next
+	VBROADCASTSD (R8)(R9*8), Y15
+	VMULPD Y8, Y15, Y0
+	VMULPD Y9, Y15, Y1
+	VMULPD Y10, Y15, Y2
+	VMULPD Y11, Y15, Y3
+	VADDPD (AX), Y0, Y0
+	VADDPD 32(AX), Y1, Y1
+	VADDPD 64(AX), Y2, Y2
+	VADDPD 96(AX), Y3, Y3
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+
+ao16next:
+	ADDQ CX, AX
+	INCQ R9
+	CMPQ R9, BX
+	JLT  ao16row
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, DX
+	JMP  ao16
+
+ao4:
+	CMPQ DX, $4
+	JLT  aodone
+	VMOVUPD (SI), Y8
+	MOVQ DI, AX
+	XORQ R9, R9
+
+ao4row:
+	MOVQ (R8)(R9*8), R10
+	SHLQ $1, R10
+	JEQ  ao4next
+	VBROADCASTSD (R8)(R9*8), Y15
+	VMULPD Y8, Y15, Y0
+	VADDPD (AX), Y0, Y0
+	VMOVUPD Y0, (AX)
+
+ao4next:
+	ADDQ CX, AX
+	INCQ R9
+	CMPQ R9, BX
+	JLT  ao4row
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, DX
+	JMP  ao4
+
+aodone:
+	VZEROUPPER
+	RET
+
+// func axpyF64AVX(dst, x *float64, n int, alpha float64)
+//
+// dst[j] += alpha·x[j] for j in [0, n&^3). No zero skip: Axpy has none.
+TEXT ·axpyF64AVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), DX
+	VBROADCASTSD alpha+24(FP), Y15
+	ANDQ $-4, DX
+	SHLQ $3, DX                   // vector span in bytes
+	MOVQ DX, R11
+	ANDQ $-128, R11               // 16-element unrolled span
+	XORQ AX, AX
+	CMPQ AX, R11
+	JGE  ax4
+
+ax16:
+	VMULPD (SI)(AX*1), Y15, Y0
+	VMULPD 32(SI)(AX*1), Y15, Y1
+	VMULPD 64(SI)(AX*1), Y15, Y2
+	VMULPD 96(SI)(AX*1), Y15, Y3
+	VADDPD (DI)(AX*1), Y0, Y0
+	VADDPD 32(DI)(AX*1), Y1, Y1
+	VADDPD 64(DI)(AX*1), Y2, Y2
+	VADDPD 96(DI)(AX*1), Y3, Y3
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	VMOVUPD Y2, 64(DI)(AX*1)
+	VMOVUPD Y3, 96(DI)(AX*1)
+	ADDQ $128, AX
+	CMPQ AX, R11
+	JLT  ax16
+
+ax4:
+	CMPQ AX, DX
+	JGE  axdone
+	VMULPD (SI)(AX*1), Y15, Y0
+	VADDPD (DI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	JMP  ax4
+
+axdone:
+	VZEROUPPER
+	RET

@@ -43,3 +43,19 @@ func vsigmoidAVX(x *float32, n int) {
 func vtanhAVX(x *float32, n int) {
 	panic("mat: vtanhAVX without assembly support")
 }
+
+func mulVecF64AVX(dst, w, x *float64, rows, cols int, add bool) {
+	panic("mat: mulVecF64AVX without assembly support")
+}
+
+func mulVecTAddF64AVX(dst, w, x *float64, rows, cols int) {
+	panic("mat: mulVecTAddF64AVX without assembly support")
+}
+
+func addOuterF64AVX(w, a, b *float64, rows, cols int) {
+	panic("mat: addOuterF64AVX without assembly support")
+}
+
+func axpyF64AVX(dst, x *float64, n int, alpha float64) {
+	panic("mat: axpyF64AVX without assembly support")
+}

@@ -99,23 +99,57 @@ func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 }
 
-// The mat-vec kernels below are row-blocked: they walk four output rows per
-// pass over the input vector, which amortises loads of x and roughly halves
-// the loop overhead of the naive scalar loops. Accumulation *within* each
-// output element stays strictly sequential (each dst element sees the exact
-// same chain of adds as the naive loop), so results are bit-identical to the
-// unblocked kernels — including the sign of zeros and NaN/Inf propagation.
-// mat_test.go pins this equivalence exactly.
+// The mat-vec kernels below each compute an output element as one strictly
+// sequential chain of `s += w·x` — the chain of the naive scalar loop, so
+// results are bit-identical to it, including the sign of zeros and NaN/Inf
+// propagation. Two implementations share the work and keep that chain: the
+// AVX kernels (kernels_amd64.go, when simdOn) take the output elements in
+// whole vectors of four, lanes across elements, and the portable loops below
+// take the rest — all of them without SIMD. The portable loops are
+// row-blocked (four rows per pass over the vector), which amortises loads and
+// loop overhead without touching any element's order of adds.
+// blocked_test.go pins both against the naive loops bit for bit.
+
+// checkVec panics unless the two vectors handed to a kernel of m have lengths
+// n1 and n2. Like checkVec32 it is deliberately unannotated: the cold panic
+// path allocates its message, which must stay out of the noalloc-checked
+// kernel bodies.
+func checkVec(op string, m *Matrix, n1, n2, got1, got2 int) {
+	if got1 != n1 || got2 != n2 {
+		panic(fmt.Sprintf("mat: %s shape mismatch: %dx%d matrix takes vectors of %d and %d, got %d and %d",
+			op, m.Rows, m.Cols, n1, n2, got1, got2))
+	}
+}
 
 // MulVec computes dst = m · x where x has length m.Cols and dst length m.Rows.
 // dst must not alias x.
+//
+//mdes:noalloc
 func (m *Matrix) MulVec(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVec shape mismatch %dx%d · %d -> %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
+	checkVec("MulVec", m, m.Cols, m.Rows, len(x), len(dst))
+	m.mulVec(dst, x, false)
+}
+
+// MulVecAdd computes dst += m · x.
+//
+//mdes:noalloc
+func (m *Matrix) MulVecAdd(dst, x []float64) {
+	checkVec("MulVecAdd", m, m.Cols, m.Rows, len(x), len(dst))
+	m.mulVec(dst, x, true)
+}
+
+// mulVec is the kernel behind MulVec (add false) and MulVecAdd: every row's
+// sum starts at +0, runs over j in increasing order and is then stored or
+// added to dst. The AVX kernel takes the rows in blocks of four.
+//
+//mdes:noalloc
+func (m *Matrix) mulVec(dst, x []float64, add bool) {
 	n := m.Cols
 	i := 0
+	if simdOn && m.Rows >= 4 && n > 0 {
+		mulVecF64AVX(&dst[0], &m.Data[0], &x[0], m.Rows, n, add)
+		i = m.Rows &^ 3
+	}
 	for ; i+4 <= m.Rows; i += 4 {
 		r0 := m.Data[(i+0)*n : (i+0)*n+n]
 		r1 := m.Data[(i+1)*n : (i+1)*n+n]
@@ -127,6 +161,12 @@ func (m *Matrix) MulVec(dst, x []float64) {
 			s1 += r1[j] * xj
 			s2 += r2[j] * xj
 			s3 += r3[j] * xj
+		}
+		if add {
+			s0 += dst[i+0]
+			s1 += dst[i+1]
+			s2 += dst[i+2]
+			s3 += dst[i+3]
 		}
 		dst[i+0] = s0
 		dst[i+1] = s1
@@ -139,51 +179,18 @@ func (m *Matrix) MulVec(dst, x []float64) {
 		for j, w := range row {
 			sum += w * x[j]
 		}
+		if add {
+			sum += dst[i]
+		}
 		dst[i] = sum
 	}
 }
 
-// MulVecAdd computes dst += m · x.
-func (m *Matrix) MulVecAdd(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVecAdd shape mismatch %dx%d · %d -> %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	n := m.Cols
-	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		r0 := m.Data[(i+0)*n : (i+0)*n+n]
-		r1 := m.Data[(i+1)*n : (i+1)*n+n]
-		r2 := m.Data[(i+2)*n : (i+2)*n+n]
-		r3 := m.Data[(i+3)*n : (i+3)*n+n]
-		var s0, s1, s2, s3 float64
-		for j, xj := range x {
-			s0 += r0[j] * xj
-			s1 += r1[j] * xj
-			s2 += r2[j] * xj
-			s3 += r3[j] * xj
-		}
-		dst[i+0] += s0
-		dst[i+1] += s1
-		dst[i+2] += s2
-		dst[i+3] += s3
-	}
-	for ; i < m.Rows; i++ {
-		row := m.Data[i*n : i*n+n]
-		var sum float64
-		for j, w := range row {
-			sum += w * x[j]
-		}
-		dst[i] += sum
-	}
-}
-
 // MulVecT computes dst = mᵀ · x where x has length m.Rows and dst m.Cols.
+//
+//mdes:noalloc
 func (m *Matrix) MulVecT(dst, x []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVecT shape mismatch %dx%dᵀ · %d -> %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
+	checkVec("MulVecT", m, m.Rows, m.Cols, len(x), len(dst))
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -191,21 +198,33 @@ func (m *Matrix) MulVecT(dst, x []float64) {
 }
 
 // MulVecTAdd computes dst += mᵀ · x.
+//
+//mdes:noalloc
 func (m *Matrix) MulVecTAdd(dst, x []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVecTAdd shape mismatch %dx%dᵀ · %d -> %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
+	checkVec("MulVecTAdd", m, m.Rows, m.Cols, len(x), len(dst))
 	m.mulVecTAdd(dst, x)
 }
 
-// mulVecTAdd is the shared blocked kernel behind MulVecT/MulVecTAdd. Rows
-// whose x entry is exactly zero contribute nothing and are skipped — the same
-// short-circuit the naive loop takes, kept so blocked and naive results agree
-// bit for bit (adding w·0 could flip a −0 or turn an Inf weight into NaN).
-// Blocks containing a zero fall back to the per-row loop.
+// mulVecTAdd is the shared kernel behind MulVecT/MulVecTAdd: dst[j] gathers
+// w[i][j]·x[i] in increasing i. Rows whose x entry is exactly zero contribute
+// nothing and are skipped — the same short-circuit the naive loop takes, kept
+// so all forms agree bit for bit (adding w·0 could flip a −0 or turn an Inf
+// weight into NaN). The AVX kernel takes the columns in vectors of four; in
+// the portable loop a block of rows containing a zero falls back to the
+// per-row loop.
+//
+//mdes:noalloc
 func (m *Matrix) mulVecTAdd(dst, x []float64) {
 	n := m.Cols
+	j0 := 0
+	if simdOn && n >= 4 && m.Rows > 0 {
+		mulVecTAddF64AVX(&dst[0], &m.Data[0], &x[0], m.Rows, n)
+		j0 = n &^ 3
+		if j0 == n {
+			return
+		}
+	}
+	d := dst[j0:n]
 	i := 0
 	for ; i+4 <= m.Rows; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
@@ -215,24 +234,24 @@ func (m *Matrix) mulVecTAdd(dst, x []float64) {
 				if xk == 0 {
 					continue
 				}
-				row := m.Data[k*n : k*n+n]
+				row := m.Data[k*n+j0 : k*n+n]
 				for j, w := range row {
-					dst[j] += w * xk
+					d[j] += w * xk
 				}
 			}
 			continue
 		}
-		r0 := m.Data[(i+0)*n : (i+0)*n+n]
-		r1 := m.Data[(i+1)*n : (i+1)*n+n]
-		r2 := m.Data[(i+2)*n : (i+2)*n+n]
-		r3 := m.Data[(i+3)*n : (i+3)*n+n]
-		for j := range dst[:n] {
-			s := dst[j]
+		r0 := m.Data[(i+0)*n+j0 : (i+0)*n+n]
+		r1 := m.Data[(i+1)*n+j0 : (i+1)*n+n]
+		r2 := m.Data[(i+2)*n+j0 : (i+2)*n+n]
+		r3 := m.Data[(i+3)*n+j0 : (i+3)*n+n]
+		for j := range d {
+			s := d[j]
 			s += r0[j] * x0
 			s += r1[j] * x1
 			s += r2[j] * x2
 			s += r3[j] * x3
-			dst[j] = s
+			d[j] = s
 		}
 	}
 	for ; i < m.Rows; i++ {
@@ -240,23 +259,31 @@ func (m *Matrix) mulVecTAdd(dst, x []float64) {
 		if xi == 0 {
 			continue
 		}
-		row := m.Data[i*n : i*n+n]
+		row := m.Data[i*n+j0 : i*n+n]
 		for j, w := range row {
-			dst[j] += w * xi
+			d[j] += w * xi
 		}
 	}
 }
 
 // AddOuter accumulates the outer product dst += a ⊗ b, where dst is
-// len(a)×len(b). Like the mat-vec kernels it is row-blocked (four destination
-// rows share one pass over b) with zero entries of a skipped exactly as the
-// naive loop would, so results are bit-identical.
+// len(a)×len(b), with zero entries of a skipped exactly as the naive loop
+// would. The AVX kernel takes the columns in vectors of four; the portable
+// loop is row-blocked (four destination rows share one pass over b).
+//
+//mdes:noalloc
 func (m *Matrix) AddOuter(a, b []float64) {
-	if len(a) != m.Rows || len(b) != m.Cols {
-		panic(fmt.Sprintf("mat: AddOuter shape mismatch %dx%d += %d⊗%d",
-			m.Rows, m.Cols, len(a), len(b)))
-	}
+	checkVec("AddOuter", m, m.Rows, m.Cols, len(a), len(b))
 	n := m.Cols
+	j0 := 0
+	if simdOn && n >= 4 && m.Rows > 0 {
+		addOuterF64AVX(&m.Data[0], &a[0], &b[0], m.Rows, n)
+		j0 = n &^ 3
+		if j0 == n {
+			return
+		}
+	}
+	b = b[j0:]
 	i := 0
 	for ; i+4 <= m.Rows; i += 4 {
 		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
@@ -266,17 +293,17 @@ func (m *Matrix) AddOuter(a, b []float64) {
 				if ak == 0 {
 					continue
 				}
-				row := m.Data[k*n : k*n+n]
+				row := m.Data[k*n+j0 : k*n+n]
 				for j, bj := range b {
 					row[j] += ak * bj
 				}
 			}
 			continue
 		}
-		r0 := m.Data[(i+0)*n : (i+0)*n+n]
-		r1 := m.Data[(i+1)*n : (i+1)*n+n]
-		r2 := m.Data[(i+2)*n : (i+2)*n+n]
-		r3 := m.Data[(i+3)*n : (i+3)*n+n]
+		r0 := m.Data[(i+0)*n+j0 : (i+0)*n+n]
+		r1 := m.Data[(i+1)*n+j0 : (i+1)*n+n]
+		r2 := m.Data[(i+2)*n+j0 : (i+2)*n+n]
+		r3 := m.Data[(i+3)*n+j0 : (i+3)*n+n]
 		for j, bj := range b {
 			r0[j] += a0 * bj
 			r1[j] += a1 * bj
@@ -289,20 +316,28 @@ func (m *Matrix) AddOuter(a, b []float64) {
 		if ai == 0 {
 			continue
 		}
-		row := m.Data[i*n : i*n+n]
+		row := m.Data[i*n+j0 : i*n+n]
 		for j, bj := range b {
 			row[j] += ai * bj
 		}
 	}
 }
 
+// axpyMinSIMD is the length from which Axpy's AVX kernel beats its call.
+const axpyMinSIMD = 8
+
 // Axpy computes dst += alpha * x for equal-length slices.
+//
+//mdes:noalloc
 func Axpy(alpha float64, x, dst []float64) {
-	if len(x) != len(dst) {
-		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(x), len(dst)))
+	checkLen32("Axpy", len(x), len(dst))
+	i := 0
+	if simdOn && len(x) >= axpyMinSIMD {
+		axpyF64AVX(&dst[0], &x[0], len(x), alpha)
+		i = len(x) &^ 3
 	}
-	for i, v := range x {
-		dst[i] += alpha * v
+	for ; i < len(x); i++ {
+		dst[i] += alpha * x[i]
 	}
 }
 

@@ -61,9 +61,18 @@ func (m *Matrix32) Zero() {
 	}
 }
 
-// checkVec32 panics on a mat-vec shape mismatch. Like checkGEMM it is
-// deliberately unannotated: the cold panic path allocates its message, which
-// must stay out of the noalloc-checked kernel bodies.
+// checkGEMM panics on shape mismatches shared by the GEMM kernels. Like the
+// other check helpers it is deliberately unannotated: the cold panic path
+// allocates its message, which must stay out of the noalloc-checked kernel
+// bodies.
+func checkGEMM(op string, dr, dc, ar, ac, br, bc int) {
+	if ac != br || dr != ar || dc != bc {
+		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d · %dx%d -> %dx%d",
+			op, ar, ac, br, bc, dr, dc))
+	}
+}
+
+// checkVec32 panics on a mat-vec shape mismatch (unannotated, see checkGEMM).
 func checkVec32(op string, rows, cols, nx, ndst int) {
 	if nx != cols || ndst != rows {
 		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d · %d -> %d", op, rows, cols, nx, ndst))
@@ -173,8 +182,11 @@ func (m *Matrix32) MulMatAdd(dst, b *Matrix32) {
 	}
 }
 
-// mulMatRow32 accumulates di += ai · b, four b-rows per pass (see the
-// float64 mulMatRow for the ordering argument). On amd64 with AVX2+FMA the
+// mulMatRow32 accumulates di += ai · b for one output row, four b-rows per
+// pass, in the row-major ikj ("axpy") form that streams rows of b against a
+// handful of scalars from a. The portable update of di[j] takes its four
+// terms one after the other, so each di[j] accumulates over k in exactly the
+// naive order. On amd64 with AVX2+FMA the
 // vector-aligned span runs through the fused kernels in kernels_amd64.s;
 // fused rounding differs from the scalar path in low-order bits, so float32
 // results are deterministic per platform rather than across platforms (every

@@ -173,3 +173,9 @@ func TestSigTanhGates32MatchesFloat64(t *testing.T) {
 		}
 	}
 }
+
+func TestMulMatShapePanics(t *testing.T) {
+	a, b := NewMatrix32(2, 3), NewMatrix32(4, 2)
+	assertPanics(t, func() { a.MulMat(NewMatrix32(2, 2), b) })
+	assertPanics(t, func() { a.MulMatAdd(NewMatrix32(2, 2), b) })
+}

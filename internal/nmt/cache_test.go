@@ -262,6 +262,33 @@ func TestTransKeyInjective(t *testing.T) {
 	}
 }
 
+// TestTrainAndTranslateAllocations pins the workspace property end to end:
+// once a workspace is warm, an uncached greedy decode allocates only the
+// hypothesis it returns and a training example allocates nothing of its own —
+// every per-position slice and cache comes out of the workspace. (The second
+// allocation allowed is a sync.Pool refill after a collection.)
+func TestTrainAndTranslateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops workspaces under the race detector")
+	}
+	m, src, tgt := cacheTestModel(t)
+	m.translate(src[0]) // warm a pooled workspace at this shape
+	if allocs := testing.AllocsPerRun(50, func() { m.translate(src[0]) }); allocs > 2 {
+		t.Errorf("translate allocates %v times per sentence on a warm workspace, want <= 2", allocs)
+	}
+	if _, _, err := m.TrainExample(src[0], tgt[0]); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := m.TrainExample(src[0], tgt[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("TrainExample allocates %v times per example on a warm workspace, want <= 2", allocs)
+	}
+}
+
 // BenchmarkTrainPair measures one full pair: model init, training, and dev
 // scoring — the unit of work Algorithm 1 fans out per sensor pair.
 func BenchmarkTrainPair(b *testing.B) {
@@ -285,6 +312,49 @@ func BenchmarkTrainPair(b *testing.B) {
 			b.Fatal(res.Err)
 		}
 	}
+}
+
+// benchPair is one sensor pair in the language bench/ builds: 13-token
+// sentences over 16 words (vocabulary 19 with the reserved tokens), 48
+// training and 16 development sentences.
+func benchPair() PairData {
+	src, tgt := copyCorpus(rand.New(rand.NewSource(5)), 64, 13, 16)
+	return PairData{
+		Src: "s1", Tgt: "s2",
+		TrainSrc: src[:48], TrainTgt: tgt[:48],
+		DevSrc: src[48:], DevTgt: tgt[48:],
+		SrcVocab: 19, TgtVocab: 19,
+	}
+}
+
+func benchTrainPair(b *testing.B, cfg Config) {
+	data := benchPair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := TrainPair(cfg, data, 7); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+}
+
+// BenchmarkTrainPairBenchShape is one pair at the model shape every bench/
+// workload trains: the unit behind BENCHMARK.json's train_pairs_per_s.
+func BenchmarkTrainPairBenchShape(b *testing.B) {
+	benchTrainPair(b, Config{
+		Embed: 16, Hidden: 16, Layers: 1,
+		LearningRate: 5e-3, ClipNorm: 5,
+		TrainSteps: 60, BatchSize: 8, MaxDecodeLen: 15,
+	})
+}
+
+// BenchmarkTrainPairPaperShape is 20 of the paper's 1000 optimiser steps at
+// its model shape (§III-A2: 2 layers, 64 units, dropout 0.2, batch 16) — the
+// constant DESIGN §9 scales to a full 128-sensor sweep.
+func BenchmarkTrainPairPaperShape(b *testing.B) {
+	cfg := PaperConfig()
+	cfg.TrainSteps = 20
+	benchTrainPair(b, cfg)
 }
 
 // BenchmarkScoreCorpusCached measures repeated dev scoring of one model, the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"mdes/internal/mat"
 )
 
 // weightChecksum hashes every parameter tensor's exact float64 bit patterns
@@ -78,5 +80,48 @@ func TestTrainPairBitwiseDeterminism(t *testing.T) {
 	}
 	if weightChecksum(t, a.Model) == weightChecksum(t, c.Model) {
 		t.Error("different seeds produced identical weight checksums; checksum is not sensitive to weights")
+	}
+}
+
+// TestTrainPairSIMDInvariant is the float64 AVX kernels' contract at the
+// level that matters: a pair trained and scored with them has the same BLEU
+// bits and the same weights, bit for bit, as one trained with the portable
+// loops. Two layers with dropout exercise the masked inter-layer inputs
+// (exact zeros: the kernels' skip paths), and Embed 10 leaves a column
+// remainder beside the vectors of four.
+func TestTrainPairSIMDInvariant(t *testing.T) {
+	prev := mat.SetSIMD(true)
+	defer mat.SetSIMD(prev)
+	if !mat.SIMDEnabled() {
+		t.Skip("no AVX kernels on this machine")
+	}
+	src, tgt := goldenCorpus()
+	data := PairData{
+		Src: "s1", Tgt: "s2",
+		TrainSrc: src[:16], TrainTgt: tgt[:16],
+		DevSrc: src[16:], DevTgt: tgt[16:],
+		SrcVocab: 8, TgtVocab: 8,
+	}
+	for _, cfg := range []Config{
+		{Embed: 10, Hidden: 12, Layers: 2, Dropout: 0.2},
+		{Embed: 16, Hidden: 16, Layers: 2, Dropout: 0.2},
+	} {
+		cfg.LearningRate, cfg.ClipNorm = 5e-3, 5
+		cfg.TrainSteps, cfg.BatchSize, cfg.MaxDecodeLen = 30, 8, 12
+
+		mat.SetSIMD(true)
+		simd := TrainPair(cfg, data, 7)
+		mat.SetSIMD(false)
+		portable := TrainPair(cfg, data, 7)
+		if simd.Err != nil || portable.Err != nil {
+			t.Fatalf("training failed: %v / %v", simd.Err, portable.Err)
+		}
+		if a, b := math.Float64bits(simd.BLEU), math.Float64bits(portable.BLEU); a != b {
+			t.Errorf("hidden %d: BLEU differs, AVX %v (0x%016x) vs portable %v (0x%016x)",
+				cfg.Hidden, simd.BLEU, a, portable.BLEU, b)
+		}
+		if a, b := weightChecksum(t, simd.Model), weightChecksum(t, portable.Model); a != b {
+			t.Errorf("hidden %d: weight checksums differ, AVX 0x%016x vs portable 0x%016x", cfg.Hidden, a, b)
+		}
 	}
 }

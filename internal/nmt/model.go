@@ -177,40 +177,29 @@ func LoadModel(st State) (*Model, error) {
 	return m, nil
 }
 
-// encodeResult caches the encoder pass for backprop or decoding.
+// encodeResult caches the encoder pass for backprop or decoding. Its slices
+// live in the workspace the pass ran in.
 type encodeResult struct {
-	states []*nn.StackState // state after each step; len == len(src)
-	caches []*nn.StackStep
-	top    [][]float64 // top-layer hidden per source position
+	caches []*nn.StackStep // per source position, for BPTT
+	top    [][]float64     // top-layer hidden per source position
+	proj   [][]float64     // attention's decode-invariant projection of top
 	final  *nn.StackState
 }
 
-func (m *Model) encode(src []int, train bool, ws *nn.Workspace) *encodeResult {
-	res := &encodeResult{
-		states: make([]*nn.StackState, 0, len(src)),
-		caches: make([]*nn.StackStep, 0, len(src)),
-		top:    make([][]float64, 0, len(src)),
-	}
-	// Gather the (clamped) source embedding rows once per encoder pass; the
-	// per-step loop then touches only the recurrent math.
-	embs := make([][]float64, len(src))
-	for i, tok := range src {
-		embs[i] = m.srcEmb.Lookup(m.clampSrc(tok))
-	}
+func (m *Model) encode(src []int, train bool, ws *nn.Workspace) encodeResult {
+	res := encodeResult{caches: ws.StackSteps(len(src)), top: ws.Vecs(len(src))}
 	st := m.enc.ZeroStateWS(ws)
 	var rng *rand.Rand
 	if train {
 		rng = m.rng
 	}
 	top := m.enc.Layers() - 1
-	for _, emb := range embs {
-		next, cache := m.enc.StepWS(ws, st, emb, rng)
-		st = next
-		res.states = append(res.states, st)
-		res.caches = append(res.caches, cache)
-		res.top = append(res.top, st.H[top])
+	for i, tok := range src {
+		st, res.caches[i] = m.enc.StepWS(ws, st, m.srcEmb.Lookup(m.clampSrc(tok)), rng)
+		res.top[i] = st.H[top]
 	}
 	res.final = st
+	res.proj = m.attn.ProjectEnc(ws, res.top)
 	return res
 }
 
@@ -268,16 +257,14 @@ func (m *Model) TrainExampleContext(ctx context.Context, src, tgt []int) (loss f
 	targets[n-1] = EosID
 
 	st := enc.final.CloneWS(ws)
-	decCaches := make([]*nn.StackStep, n)
-	attnSteps := make([]*nn.AttnStep, n)
-	probs := make([][]float64, n)
+	decCaches := ws.StackSteps(n)
+	attnSteps := ws.AttnSteps(n)
+	probs := ws.Vecs(n)
 	logits := ws.Vec(m.cfg.TgtVocab)
 	decTop := m.dec.Layers() - 1
 	for t, tok := range inputs {
-		var cache *nn.StackStep
-		st, cache = m.dec.StepWS(ws, st, m.tgtEmb.Lookup(tok), m.rng)
-		decCaches[t] = cache
-		attnSteps[t] = m.attn.ForwardWS(ws, enc.top, st.H[decTop])
+		st, decCaches[t] = m.dec.StepWS(ws, st, m.tgtEmb.Lookup(tok), m.rng)
+		attnSteps[t] = m.attn.ForwardWS(ws, enc.top, enc.proj, st.H[decTop])
 		m.out.Forward(logits, attnSteps[t].HTilde)
 		p := ws.Vec(m.cfg.TgtVocab)
 		mat.Softmax(p, logits)
@@ -290,7 +277,7 @@ func (m *Model) TrainExampleContext(ctx context.Context, src, tgt []int) (loss f
 	}
 
 	// Backward pass, walking the decoder in reverse time order.
-	dEnc := make([][]float64, len(src))
+	dEnc := ws.Vecs(len(src))
 	for i := range dEnc {
 		dEnc[i] = ws.Vec(m.cfg.Hidden)
 	}
@@ -318,14 +305,9 @@ func (m *Model) TrainExampleContext(ctx context.Context, src, tgt []int) (loss f
 		copy(encCarry.DH[l], carry.DH[l])
 		copy(encCarry.DC[l], carry.DC[l])
 	}
-	zeroTop := ws.Vec(m.cfg.Hidden)
 	for t := len(src) - 1; t >= 0; t-- {
-		dTop := zeroTop
-		if len(dEnc[t]) > 0 {
-			dTop = dEnc[t]
-		}
 		dx := ws.Vec(m.cfg.Embed)
-		m.enc.StepBackwardWS(ws, enc.caches[t], dTop, encCarry, dx)
+		m.enc.StepBackwardWS(ws, enc.caches[t], dEnc[t], encCarry, dx)
 		m.srcEmb.Backward(m.clampSrc(src[t]), dx)
 	}
 	return loss, n, nil
@@ -440,7 +422,7 @@ func (m *Model) translate(src []int) []int {
 	decTop := m.dec.Layers() - 1
 	for t := 0; t < m.cfg.MaxDecodeLen; t++ {
 		st, _ = m.dec.StepWS(ws, st, m.tgtEmb.Lookup(tok), nil)
-		attn := m.attn.ForwardWS(ws, enc.top, st.H[decTop])
+		attn := m.attn.ForwardWS(ws, enc.top, enc.proj, st.H[decTop])
 		m.out.Forward(logits, attn.HTilde)
 		// Never emit BOS; treat it as masked out.
 		logits[BosID] = math.Inf(-1)
@@ -497,7 +479,7 @@ func (m *Model) scoreExample(src, tgt []int) (float64, int) {
 	decTop := m.dec.Layers() - 1
 	for t, tok := range inputs {
 		st, _ = m.dec.StepWS(ws, st, m.tgtEmb.Lookup(tok), nil)
-		attn := m.attn.ForwardWS(ws, enc.top, st.H[decTop])
+		attn := m.attn.ForwardWS(ws, enc.top, enc.proj, st.H[decTop])
 		m.out.Forward(logits, attn.HTilde)
 		mat.Softmax(p, logits)
 		loss += -math.Log(math.Max(p[targets[t]], 1e-12))

@@ -79,7 +79,7 @@ func NewLuongAttentionKind(p *Params, name string, hidden int, kind AttentionKin
 type AttnStep struct {
 	Enc     [][]float64 // encoder top-layer states (referenced)
 	H       []float64   // decoder hidden input (referenced)
-	WaEnc   [][]float64 // general: Wa·h̄_s per source position
+	WaEnc   [][]float64 // general: Wa·h̄_s per source position (referenced)
 	Pair    [][]float64 // concat: [h; h̄_s] per source position
 	TanhPre [][]float64 // concat: tanh(Wa·[h; h̄_s]) per source position
 	Weights []float64   // softmax attention weights
@@ -88,17 +88,37 @@ type AttnStep struct {
 	HTilde  []float64
 }
 
-// Forward computes the attentional hidden state h̃ for decoder hidden h over
-// the encoder states enc (each of length Hidden). enc must be non-empty.
-func (a *LuongAttention) Forward(enc [][]float64, h []float64) *AttnStep {
-	return a.ForwardWS(nil, enc, h)
+// ProjectEnc returns the part of the attention scores that depends on the
+// encoder alone: for the general kind Wa·h̄_s per source position, which no
+// decoder step changes. Compute it once per encoded sentence and hand it to
+// every ForwardWS over that sentence; the steps share the slices. The dot and
+// concat kinds have nothing decode-invariant to hoist and return nil.
+func (a *LuongAttention) ProjectEnc(ws *Workspace, enc [][]float64) [][]float64 {
+	if a.Kind != AttentionGeneral {
+		return nil
+	}
+	waEnc := wsSlices(ws, len(enc))
+	for s, es := range enc {
+		waEnc[s] = wsVec(ws, a.Hidden)
+		a.Wa.W.MulVec(waEnc[s], es)
+	}
+	return waEnc
 }
 
-// ForwardWS is Forward with the weights/context/score buffers drawn from ws
-// (nil ws allocates). The returned cache is valid until ws.Reset.
+// Forward computes the attentional hidden state h̃ for decoder hidden h over
+// the encoder states enc (each of length Hidden). enc must be non-empty. It
+// projects enc afresh; callers attending over one sentence repeatedly use
+// ProjectEnc and ForwardWS.
+func (a *LuongAttention) Forward(enc [][]float64, h []float64) *AttnStep {
+	return a.ForwardWS(nil, enc, a.ProjectEnc(nil, enc), h)
+}
+
+// ForwardWS is Forward over an already projected sentence — waEnc must be
+// ProjectEnc of this enc — with the weights/context/score buffers drawn from
+// ws (nil ws allocates). The returned cache is valid until ws.Reset.
 //
 //mdes:noalloc
-func (a *LuongAttention) ForwardWS(ws *Workspace, enc [][]float64, h []float64) *AttnStep {
+func (a *LuongAttention) ForwardWS(ws *Workspace, enc, waEnc [][]float64, h []float64) *AttnStep {
 	checkLen("attention h", len(h), a.Hidden)
 	n := len(enc)
 	var st *AttnStep
@@ -120,8 +140,8 @@ func (a *LuongAttention) ForwardWS(ws *Workspace, enc [][]float64, h []float64) 
 			scores[s] = mat.Dot(h, es)
 		}
 	case AttentionConcat:
-		st.Pair = wsSlices(ws, st.Pair, n)
-		st.TanhPre = wsSlices(ws, st.TanhPre, n)
+		st.Pair = wsSlices(ws, n)
+		st.TanhPre = wsSlices(ws, n)
 		for s, es := range enc {
 			pair := wsVec(ws, 2*a.Hidden)
 			copy(pair[:a.Hidden], h)
@@ -134,11 +154,9 @@ func (a *LuongAttention) ForwardWS(ws *Workspace, enc [][]float64, h []float64) 
 			scores[s] = mat.Dot(a.Va.W.Data, pre)
 		}
 	default: // AttentionGeneral
-		st.WaEnc = wsSlices(ws, st.WaEnc, n)
-		for s, es := range enc {
-			we := wsVec(ws, a.Hidden)
-			a.Wa.W.MulVec(we, es)
-			st.WaEnc[s] = we
+		checkLen("attention waEnc", len(waEnc), n)
+		st.WaEnc = waEnc
+		for s, we := range waEnc {
 			scores[s] = mat.Dot(h, we)
 		}
 	}
@@ -153,13 +171,13 @@ func (a *LuongAttention) ForwardWS(ws *Workspace, enc [][]float64, h []float64) 
 	return st
 }
 
-// wsSlices resizes an AttnStep's cached outer slice to length n with nil
-// elements, allocating only when ws is nil or the capacity is too small.
-func wsSlices(ws *Workspace, prev [][]float64, n int) [][]float64 {
+// wsSlices returns a length-n slice of nil vectors from ws, or from the heap
+// when ws is nil.
+func wsSlices(ws *Workspace, n int) [][]float64 {
 	if ws == nil {
 		return make([][]float64, n)
 	}
-	return resizeSlices(prev, n)
+	return ws.Vecs(n)
 }
 
 // Backward backpropagates dL/dh̃. It accumulates parameter gradients, adds
@@ -241,8 +259,9 @@ func (a *LuongAttention) BackwardWS(ws *Workspace, st *AttnStep, dHTilde []float
 				continue
 			}
 			mat.Axpy(g, st.WaEnc[s], dh)
-			a.Wa.Grad.AddOuter(scaled(buf, g, st.H), es)
-			a.Wa.W.MulVecTAdd(dEnc[s], scaled(buf, g, st.H))
+			gh := scaled(buf, g, st.H)
+			a.Wa.Grad.AddOuter(gh, es)
+			a.Wa.W.MulVecTAdd(dEnc[s], gh)
 		}
 	}
 }

@@ -81,12 +81,13 @@ func BenchmarkAttentionForward(b *testing.B) {
 		enc[i] = randVec(rng, 32)
 	}
 	h := randVec(rng, 32)
+	waEnc := attn.ProjectEnc(nil, enc) // once per sentence, not per decoder step
 	ws := NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset()
-		st := attn.ForwardWS(ws, enc, h)
+		st := attn.ForwardWS(ws, enc, waEnc, h)
 		if len(st.Weights) != 20 {
 			b.Fatal("bad weights")
 		}

@@ -2,9 +2,12 @@ package nn
 
 // Workspace is a per-model scratch arena for the train/translate hot path.
 // Forward caches, gate buffers, and backward scratch for one example are
-// bump-allocated out of a reusable slab and the per-step cache structs come
-// from free lists, so stepping an LSTM allocates nothing once the workspace
-// has warmed up (see the AllocsPerRun tests in workspace_test.go).
+// bump-allocated out of a reusable slab, the per-step cache structs come
+// from free lists and the per-position slices that index them (one entry per
+// source token or decoder step) from small typed arenas, so stepping an LSTM
+// — and training or decoding a whole example — allocates nothing once the
+// workspace has warmed up (see the AllocsPerRun tests in workspace_test.go
+// and internal/nmt).
 //
 // Lifetime contract: every slice or struct handed out by a Workspace is valid
 // only until the next Reset. Callers reset once per unit of work whose caches
@@ -21,8 +24,10 @@ type Workspace struct {
 	spill      [][]float64
 	spillElems int
 
-	ints   []int
-	intOff int
+	ints       arena[int]
+	vecs       arena[[]float64]
+	stackSteps arena[*StackStep]
+	attnSteps  arena[*AttnStep]
 
 	steps  []*LSTMStep
 	stepN  int
@@ -50,7 +55,10 @@ func (w *Workspace) Reset() {
 		w.spillElems = 0
 	}
 	w.off = 0
-	w.intOff = 0
+	w.ints.off = 0
+	w.vecs.off = 0
+	w.stackSteps.off = 0
+	w.attnSteps.off = 0
 	w.stepN = 0
 	w.stackN = 0
 	w.stateN = 0
@@ -89,28 +97,42 @@ func (w *Workspace) growFloat(n int) {
 	w.off = 0
 }
 
-// Ints returns a zeroed length-n int slice valid until the next Reset.
-func (w *Workspace) Ints(n int) []int {
-	if w.intOff+n > len(w.ints) {
-		size := 2 * len(w.ints)
-		if size < minSlab/4 {
-			size = minSlab / 4
-		}
-		if size < n {
-			size = n
-		}
-		// Old int slabs are simply dropped; Ints is used for one sentence's
-		// token buffers, so a single growth step reaches steady state.
-		w.ints = make([]int, size)
-		w.intOff = 0
+// arena bump-allocates slices of T that stay valid until the workspace's
+// next Reset. A full slab is simply dropped for one twice the size — what it
+// handed out stays alive through its users — so an arena reaches the size of
+// the largest example after a few of them and then allocates nothing.
+type arena[T any] struct {
+	buf []T
+	off int
+}
+
+const minArena = 64
+
+// take returns a zeroed length-n slice.
+func (a *arena[T]) take(n int) []T {
+	if a.off+n > len(a.buf) {
+		a.buf = make([]T, max(2*len(a.buf), minArena, n))
+		a.off = 0
 	}
-	v := w.ints[w.intOff : w.intOff+n : w.intOff+n]
-	w.intOff += n
-	for i := range v {
-		v[i] = 0
-	}
+	v := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	clear(v)
 	return v
 }
+
+// Ints returns a zeroed length-n int slice valid until the next Reset.
+func (w *Workspace) Ints(n int) []int { return w.ints.take(n) }
+
+// Vecs returns a length-n slice of nil vectors valid until the next Reset —
+// the index of one vector per source position or decoder step.
+func (w *Workspace) Vecs(n int) [][]float64 { return w.vecs.take(n) }
+
+// StackSteps returns a length-n slice of nil step caches valid until the next
+// Reset, for the caller to fill with what StepWS returns.
+func (w *Workspace) StackSteps(n int) []*StackStep { return w.stackSteps.take(n) }
+
+// AttnSteps is StackSteps for attention caches.
+func (w *Workspace) AttnSteps(n int) []*AttnStep { return w.attnSteps.take(n) }
 
 // lstmStep returns a cleared LSTMStep from the free list.
 func (w *Workspace) lstmStep() *LSTMStep {
@@ -149,15 +171,14 @@ func (w *Workspace) stackState(l int) *StackState {
 	return st
 }
 
-// attnStep returns an AttnStep from the free list. The struct is NOT cleared:
-// ForwardWS reassigns every field it reads, and keeping the Pair/TanhPre/
-// WaEnc outer slices lets their backing arrays be reused across timesteps.
+// attnStep returns a cleared AttnStep from the free list.
 func (w *Workspace) attnStep() *AttnStep {
 	if w.attnN == len(w.attns) {
 		w.attns = append(w.attns, new(AttnStep))
 	}
 	st := w.attns[w.attnN]
 	w.attnN++
+	*st = AttnStep{}
 	return st
 }
 

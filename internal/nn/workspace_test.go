@@ -44,6 +44,34 @@ func TestWorkspaceIntsZeroed(t *testing.T) {
 	}
 }
 
+// TestWorkspaceVecsSurviveGrowth fills the per-position arena past its first
+// slab: what was handed out before the growth must keep its contents (the
+// training loop holds those slices until the example ends), and after Reset
+// the same demand is met with nil entries and no allocation.
+func TestWorkspaceVecsSurviveGrowth(t *testing.T) {
+	ws := NewWorkspace()
+	marker := []float64{1}
+	first := ws.Vecs(minArena - 1)
+	first[0] = marker
+	second := ws.Vecs(minArena) // does not fit beside first: the arena grows
+	second[0] = marker
+	if &first[0][0] != &marker[0] || len(first) != minArena-1 || cap(second) != minArena {
+		t.Fatal("growth disturbed a slice handed out earlier")
+	}
+	ws.Reset()
+	allocs := testing.AllocsPerRun(10, func() {
+		a, b := ws.Vecs(minArena-1), ws.Vecs(minArena)
+		if a[0] != nil || b[0] != nil {
+			t.Fatal("Vecs after Reset returned stale entries")
+		}
+		a[0], b[0] = marker, marker
+		ws.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm arena still allocates: %v allocs/run", allocs)
+	}
+}
+
 // TestWorkspaceResetCoalesces drives the arena past its slab size so it
 // spills, then checks Reset folds the spill into one slab large enough that a
 // repeat of the same allocation pattern allocates nothing.

@@ -1,7 +1,7 @@
 // Package pairmine screens candidate sensor pairs before pairwise NMT
 // training. Algorithm 1 trains one seq2seq model per ordered pair — N·(N−1)
-// models, ~50 s each at paper scale — which caps the framework at tens of
-// sensors. Screening ranks every ordered pair by a cheap association score
+// models, 11–72 s each at paper scale (DESIGN §9) — which caps the framework
+// at tens of sensors. Screening ranks every ordered pair by a cheap association score
 // computed from co-occurring event-word patterns over the training split, so
 // the expensive NMT sweep runs only on the most promising few percent.
 //
