@@ -18,7 +18,6 @@ import (
 	"mdes/internal/graph"
 	"mdes/internal/lang"
 	"mdes/internal/nmt"
-	"mdes/internal/nn"
 	"mdes/internal/seqio"
 )
 
@@ -194,36 +193,6 @@ func BenchmarkNMTTranslate(b *testing.B) {
 		if out := m.Translate(src[i%len(src)]); len(out) == 0 {
 			b.Fatal("empty translation")
 		}
-	}
-}
-
-// BenchmarkAttentionVariants compares one training step under each Luong
-// scoring function — the attention ablation's cost axis.
-func BenchmarkAttentionVariants(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	src, tgt := benchCorpus(rng, 32, 8, 6)
-	for _, kind := range []nn.AttentionKind{nn.AttentionDot, nn.AttentionGeneral, nn.AttentionConcat} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			cfg := nmt.Config{
-				SrcVocab: 9, TgtVocab: 9,
-				Embed: 16, Hidden: 16, Layers: 1,
-				LearningRate: 5e-3, ClipNorm: 5,
-				TrainSteps: 10, BatchSize: 8, MaxDecodeLen: 12,
-				Attention: kind,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := nmt.NewModel(cfg, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.Train(src, tgt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mdes/internal/nmt"
-	"mdes/internal/nn"
 )
 
 // benchState builds a serving-scale model (default config dimensions) whose
@@ -18,7 +17,6 @@ func benchState(tb testing.TB) nmt.State {
 		Embed: 64, Hidden: 64, Layers: 2, Dropout: 0,
 		LearningRate: 1e-3, ClipNorm: 5,
 		TrainSteps: 1, BatchSize: 1, MaxDecodeLen: 24,
-		Attention: nn.AttentionGeneral,
 	}
 	m, err := nmt.NewModel(cfg, 17)
 	if err != nil {
@@ -90,7 +88,8 @@ func benchScoreBatch(b *testing.B, prec Precision) {
 
 // BenchmarkScoreBatch measures batched GEMM scoring at each inference
 // precision; compare ns/sentence against BenchmarkScoreSentenceF64 for the
-// headline speedup (cmd/benchjson publishes both in BENCH_score.json).
+// headline speedup (CI's score-bench job publishes both as its
+// BENCH_score.json artifact).
 func BenchmarkScoreBatch(b *testing.B) {
 	b.Run("f32", func(b *testing.B) { benchScoreBatch(b, F32) })
 	b.Run("int8", func(b *testing.B) { benchScoreBatch(b, Int8) })

@@ -5,7 +5,6 @@ import (
 
 	"mdes/internal/mat"
 	"mdes/internal/nmt"
-	"mdes/internal/nn"
 )
 
 // ScoreBatch scores n sentences against this pair model: out[i] is the
@@ -159,18 +158,10 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 		}
 	}
 
-	// General attention scores h·(Wa·ē_s); Wa·ē_s is decode-invariant, so
-	// project the whole encoding once.
-	var waEnc *mat.Matrix32
-	if m.kind == nn.AttentionGeneral {
-		waEnc = w.matrix(bN*sN, h)
-		m.mulInto(w, waEnc, encTop, &m.wa, false)
-	}
-	var pair, pre *mat.Matrix32
-	if m.kind == nn.AttentionConcat {
-		pair = w.matrix(bN*sN, 2*h)
-		pre = w.matrix(bN*sN, h)
-	}
+	// Attention scores h·(Wa·ē_s); Wa·ē_s is decode-invariant, so project the
+	// whole encoding once.
+	waEnc := w.matrix(bN*sN, h)
+	m.mulInto(w, waEnc, encTop, &m.wa, false)
 
 	// The decoder starts from the encoder's final state and the encoder never
 	// steps again, so w.hs/w.cs carry over in place.
@@ -198,39 +189,11 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 		hTop := w.hs[layers-1]
 
 		// Attention scores against every source position.
-		switch m.kind {
-		case nn.AttentionDot:
-			for b := 0; b < bN; b++ {
-				hb := hTop.Row(b)
-				sc := scores.Row(b)
-				for s := 0; s < sN; s++ {
-					sc[s] = mat.Dot32(hb, encTop.Row(b*sN+s))
-				}
-			}
-		case nn.AttentionConcat:
-			for b := 0; b < bN; b++ {
-				hb := hTop.Row(b)
-				for s := 0; s < sN; s++ {
-					pr := pair.Row(b*sN + s)
-					copy(pr[:h], hb)
-					copy(pr[h:], encTop.Row(b*sN+s))
-				}
-			}
-			m.mulInto(w, pre, pair, &m.wa, false)
-			mat.Tanh32(pre.Data)
-			for b := 0; b < bN; b++ {
-				sc := scores.Row(b)
-				for s := 0; s < sN; s++ {
-					sc[s] = mat.Dot32(m.va, pre.Row(b*sN+s))
-				}
-			}
-		default: // nn.AttentionGeneral
-			for b := 0; b < bN; b++ {
-				hb := hTop.Row(b)
-				sc := scores.Row(b)
-				for s := 0; s < sN; s++ {
-					sc[s] = mat.Dot32(hb, waEnc.Row(b*sN+s))
-				}
+		for b := 0; b < bN; b++ {
+			hb := hTop.Row(b)
+			sc := scores.Row(b)
+			for s := 0; s < sN; s++ {
+				sc[s] = mat.Dot32(hb, waEnc.Row(b*sN+s))
 			}
 		}
 

@@ -23,7 +23,6 @@ import (
 
 	"mdes/internal/mat"
 	"mdes/internal/nmt"
-	"mdes/internal/nn"
 )
 
 // Precision selects the numeric format of the scoring path. The zero value
@@ -99,13 +98,11 @@ type cell struct {
 type Model struct {
 	cfg  nmt.Config
 	prec Precision
-	kind nn.AttentionKind
 
 	srcEmb, tgtEmb *mat.Matrix32 // vocab×embed, float32 in both precisions
 	enc, dec       []cell
-	wa             weight    // general: h×h; concat: h×2h (unused for dot)
-	va             []float32 // concat scoring vector
-	wc             weight    // h×2h combine projection
+	wa             weight // h×h attention bilinear form
+	wc             weight // h×2h combine projection
 	wcB            []float32
 	outW           weight // V×h output projection
 	outB           []float32
@@ -118,167 +115,109 @@ type Model struct {
 }
 
 // FromState freezes a trained model snapshot into an inference model at the
-// given precision (F32 or Int8).
+// given precision (F32 or Int8), walking the architecture cfg implies. The
+// frozen weights are a pure function of the snapshot, so a model file stores
+// only the float64 weights and the precision to freeze them at.
 func FromState(st nmt.State, prec Precision) (*Model, error) {
 	if prec != F32 && prec != Int8 {
 		return nil, fmt.Errorf("infer: %v is not an inference precision (want f32 or int8)", prec)
 	}
-	return build(st.Config, prec, &f64Source{weights: st.Weights, prec: prec})
-}
-
-// tensorSource hands build one named tensor at a time. The f64 source
-// quantizes training weights; the state source validates persisted tensors.
-type tensorSource interface {
-	// gemm returns the frozen out×in GEMM weight registered under name.
-	gemm(name string, out, in int) (weight, error)
-	// f32Mat returns a rows×cols float32 matrix (embeddings).
-	f32Mat(name string, rows, cols int) (*mat.Matrix32, error)
-	// f32Vec returns a length-n float32 vector (biases, scoring vectors).
-	f32Vec(name string, n int) ([]float32, error)
-	// finish reports tensors the source holds that build never asked for.
-	finish() error
-}
-
-// build assembles a Model by walking the architecture implied by cfg and
-// pulling each tensor from src. FromState and Load share this walk, so the
-// persisted-layout validation can never drift from the quantisation step.
-func build(cfg nmt.Config, prec Precision, src tensorSource) (*Model, error) {
+	cfg := st.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	kind := cfg.Attention
-	if kind == 0 {
-		kind = nn.AttentionGeneral
-	}
-	m := &Model{cfg: cfg, prec: prec, kind: kind}
-	var err error
-	fail := func(e error) bool {
-		if e != nil && err == nil {
-			err = e
-		}
-		return err != nil
-	}
-	get := func(w *weight, name string, out, in int) {
-		v, e := src.gemm(name, out, in)
-		if !fail(e) {
-			*w = v
-		}
-	}
-	m.srcEmb, err = src.f32Mat("src_emb", cfg.SrcVocab, cfg.Embed)
-	if err != nil {
-		return nil, err
-	}
-	if m.tgtEmb, err = src.f32Mat("tgt_emb", cfg.TgtVocab, cfg.Embed); err != nil {
-		return nil, err
-	}
+	f := freezer{weights: st.Weights, prec: prec}
+	m := &Model{cfg: cfg, prec: prec}
+	m.srcEmb = f.f32Mat("src_emb", cfg.SrcVocab, cfg.Embed)
+	m.tgtEmb = f.f32Mat("tgt_emb", cfg.TgtVocab, cfg.Embed)
 	h := cfg.Hidden
 	for _, stack := range []struct {
 		name  string
 		cells *[]cell
 	}{{"enc", &m.enc}, {"dec", &m.dec}} {
 		*stack.cells = make([]cell, cfg.Layers)
-		for l := 0; l < cfg.Layers; l++ {
+		for l := range *stack.cells {
 			in := cfg.Embed
 			if l > 0 {
 				in = h
 			}
-			c := &(*stack.cells)[l]
-			c.in, c.hid = in, h
 			prefix := fmt.Sprintf("%s.l%d", stack.name, l)
-			get(&c.wx, prefix+".Wx", 4*h, in)
-			get(&c.wh, prefix+".Wh", 4*h, h)
-			if err == nil {
-				c.b, err = src.f32Vec(prefix+".b", 4*h)
+			(*stack.cells)[l] = cell{
+				in: in, hid: h,
+				wx: f.gemm(prefix+".Wx", 4*h, in),
+				wh: f.gemm(prefix+".Wh", 4*h, h),
+				b:  f.f32Vec(prefix+".b", 4*h),
 			}
 		}
 	}
-	switch kind {
-	case nn.AttentionGeneral:
-		get(&m.wa, "attn.Wa", h, h)
-	case nn.AttentionConcat:
-		get(&m.wa, "attn.Wa", h, 2*h)
-		if err == nil {
-			m.va, err = src.f32Vec("attn.va", h)
-		}
-	case nn.AttentionDot:
-		// no scoring parameters
-	default:
-		return nil, fmt.Errorf("infer: unknown attention kind %d", kind)
+	m.wa = f.gemm("attn.Wa", h, h)
+	m.wc = f.gemm("attn.Wc.W", h, 2*h)
+	m.wcB = f.f32Vec("attn.Wc.b", h)
+	m.outW = f.gemm("out.W", cfg.TgtVocab, h)
+	m.outB = f.f32Vec("out.b", cfg.TgtVocab)
+	if f.err == nil && f.used != len(f.weights) {
+		f.err = fmt.Errorf("infer: model state has %d weights, architecture uses %d", len(f.weights), f.used)
 	}
-	get(&m.wc, "attn.Wc.W", h, 2*h)
-	if err == nil {
-		m.wcB, err = src.f32Vec("attn.Wc.b", h)
-	}
-	get(&m.outW, "out.W", cfg.TgtVocab, h)
-	if err == nil {
-		m.outB, err = src.f32Vec("out.b", cfg.TgtVocab)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := src.finish(); err != nil {
-		return nil, err
+	if f.err != nil {
+		return nil, f.err
 	}
 	return m, nil
 }
 
-// f64Source freezes float64 training weights into the target precision.
-type f64Source struct {
+// freezer converts named float64 training weights into the target precision.
+// It keeps the first error and returns zero values from then on, so FromState
+// reads as the architecture it walks.
+type freezer struct {
 	weights map[string][]float64
 	prec    Precision
 	used    int
+	err     error
 }
 
-func (s *f64Source) fetch(name string, want int) ([]float64, error) {
-	data, ok := s.weights[name]
-	if !ok {
-		return nil, fmt.Errorf("infer: weight %q missing from model state", name)
+// fetch returns the rows×cols training weight registered under name, or nil
+// after recording why it cannot.
+func (f *freezer) fetch(name string, rows, cols int) *mat.Matrix {
+	if f.err != nil {
+		return nil
 	}
-	if len(data) != want {
-		return nil, fmt.Errorf("infer: weight %q has %d elements, want %d", name, len(data), want)
+	data, ok := f.weights[name]
+	switch {
+	case !ok:
+		f.err = fmt.Errorf("infer: weight %q missing from model state", name)
+	case len(data) != rows*cols:
+		f.err = fmt.Errorf("infer: weight %q has %d elements, want %d", name, len(data), rows*cols)
+	default:
+		f.used++
+		return mat.FromSlice(rows, cols, data)
 	}
-	s.used++
-	return data, nil
+	return nil
 }
 
-func (s *f64Source) gemm(name string, out, in int) (weight, error) {
-	data, err := s.fetch(name, out*in)
-	if err != nil {
-		return weight{}, err
-	}
+// gemm freezes the out×in GEMM weight registered under name.
+func (f *freezer) gemm(name string, out, in int) weight {
 	w := weight{out: out, in: in}
-	src := mat.FromSlice(out, in, data)
-	if s.prec == Int8 {
-		w.q = mat.QuantizeQ8(src)
-	} else {
-		w.t = src.T32()
+	if src := f.fetch(name, out, in); src != nil {
+		if f.prec == Int8 {
+			w.q = mat.QuantizeQ8(src)
+		} else {
+			w.t = src.T32()
+		}
 	}
-	return w, nil
+	return w
 }
 
-func (s *f64Source) f32Mat(name string, rows, cols int) (*mat.Matrix32, error) {
-	data, err := s.fetch(name, rows*cols)
-	if err != nil {
-		return nil, err
+// f32Mat narrows a rows×cols matrix (an embedding table).
+func (f *freezer) f32Mat(name string, rows, cols int) *mat.Matrix32 {
+	if src := f.fetch(name, rows, cols); src != nil {
+		return src.To32()
 	}
-	return mat.FromSlice(rows, cols, data).To32(), nil
+	return nil
 }
 
-func (s *f64Source) f32Vec(name string, n int) ([]float32, error) {
-	data, err := s.fetch(name, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	for i, v := range data {
-		out[i] = float32(v)
-	}
-	return out, nil
-}
-
-func (s *f64Source) finish() error {
-	if s.used != len(s.weights) {
-		return fmt.Errorf("infer: model state has %d weights, architecture uses %d", len(s.weights), s.used)
+// f32Vec narrows a length-n vector (a bias).
+func (f *freezer) f32Vec(name string, n int) []float32 {
+	if src := f.fetch(name, 1, n); src != nil {
+		return src.To32().Data
 	}
 	return nil
 }
@@ -290,10 +229,11 @@ func (m *Model) Precision() Precision { return m.prec }
 func (m *Model) Config() nmt.Config { return m.cfg }
 
 // MemoryBytes reports the resident size of the frozen weights — the number
-// the ~4× model-memory reduction claim in BENCH_score.json is measured on.
+// behind the ~4× model-memory reduction in CI's score-bench artifact
+// (BENCH_score.json).
 func (m *Model) MemoryBytes() int {
 	total := 4 * (len(m.srcEmb.Data) + len(m.tgtEmb.Data))
-	total += 4 * (len(m.va) + len(m.wcB) + len(m.outB))
+	total += 4 * (len(m.wcB) + len(m.outB))
 	for _, cs := range [][]cell{m.enc, m.dec} {
 		for i := range cs {
 			total += cs[i].wx.bytes() + cs[i].wh.bytes() + 4*len(cs[i].b)

@@ -1,30 +1,26 @@
 package infer
 
 import (
-	"encoding/json"
-	"errors"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"mdes/internal/nmt"
-	"mdes/internal/nn"
 )
 
-func testConfig(kind nn.AttentionKind) nmt.Config {
+func testConfig() nmt.Config {
 	return nmt.Config{
 		SrcVocab: 12, TgtVocab: 12,
 		Embed: 8, Hidden: 8, Layers: 2, Dropout: 0.2,
 		LearningRate: 5e-3, ClipNorm: 5,
 		TrainSteps: 10, BatchSize: 8, MaxDecodeLen: 10,
-		Attention: kind,
 	}
 }
 
-func testState(t testing.TB, kind nn.AttentionKind, seed int64) nmt.State {
+func testState(t testing.TB, seed int64) nmt.State {
 	t.Helper()
-	m, err := nmt.NewModel(testConfig(kind), seed)
+	m, err := nmt.NewModel(testConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,35 +46,33 @@ func randSentences(rng *rand.Rand, n, maxLen, vocab int) [][]int {
 // sentence scored inside a batch gets the bit-identical score it gets alone,
 // at both precisions, with the translation cache on and off.
 func TestScoreBatchMatchesSingle(t *testing.T) {
-	for _, kind := range []nn.AttentionKind{nn.AttentionGeneral, nn.AttentionDot, nn.AttentionConcat} {
-		st := testState(t, kind, 11)
-		for _, prec := range []Precision{F32, Int8} {
-			for _, cache := range []bool{false, true} {
-				m, err := FromState(st, prec)
-				if err != nil {
-					t.Fatal(err)
+	st := testState(t, 11)
+	for _, prec := range []Precision{F32, Int8} {
+		for _, cache := range []bool{false, true} {
+			m, err := FromState(st, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetTranslationCaching(cache)
+			rng := rand.New(rand.NewSource(23))
+			srcs := randSentences(rng, 37, 9, 12)
+			refs := randSentences(rng, 37, 9, 12)
+			got := make([]float64, len(srcs))
+			m.ScoreBatch(srcs, refs, got)
+			for i := range srcs {
+				want := m.ScoreSentence(srcs[i], refs[i])
+				if math.Float64bits(want) != math.Float64bits(got[i]) {
+					t.Fatalf("prec=%v cache=%v sentence %d: batch %v single %v",
+						prec, cache, i, got[i], want)
 				}
-				m.SetTranslationCaching(cache)
-				rng := rand.New(rand.NewSource(23))
-				srcs := randSentences(rng, 37, 9, 12)
-				refs := randSentences(rng, 37, 9, 12)
-				got := make([]float64, len(srcs))
-				m.ScoreBatch(srcs, refs, got)
-				for i := range srcs {
-					want := m.ScoreSentence(srcs[i], refs[i])
-					if math.Float64bits(want) != math.Float64bits(got[i]) {
-						t.Fatalf("kind=%v prec=%v cache=%v sentence %d: batch %v single %v",
-							kind, prec, cache, i, got[i], want)
-					}
-				}
-				// Repeated batch (fully cached when cache=true) must agree.
-				again := make([]float64, len(srcs))
-				m.ScoreBatch(srcs, refs, again)
-				for i := range got {
-					if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
-						t.Fatalf("kind=%v prec=%v cache=%v sentence %d: rescore %v first %v",
-							kind, prec, cache, i, again[i], got[i])
-					}
+			}
+			// Repeated batch (fully cached when cache=true) must agree.
+			again := make([]float64, len(srcs))
+			m.ScoreBatch(srcs, refs, again)
+			for i := range got {
+				if math.Float64bits(again[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("prec=%v cache=%v sentence %d: rescore %v first %v",
+						prec, cache, i, again[i], got[i])
 				}
 			}
 		}
@@ -90,35 +84,33 @@ func TestScoreBatchMatchesSingle(t *testing.T) {
 // near-identical sentence scores. Deterministic seeds make the exact
 // assertions stable.
 func TestInferMatchesF64(t *testing.T) {
-	for _, kind := range []nn.AttentionKind{nn.AttentionGeneral, nn.AttentionDot, nn.AttentionConcat} {
-		st := testState(t, kind, 5)
-		ref64, err := nmt.LoadModel(st)
-		if err != nil {
-			t.Fatal(err)
+	st := testState(t, 5)
+	ref64, err := nmt.LoadModel(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FromState(st, F32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	srcs := randSentences(rng, 25, 9, 12)
+	refs := randSentences(rng, 25, 9, 12)
+	for i := range srcs {
+		want := ref64.Translate(srcs[i])
+		got := m.Translate(srcs[i])
+		if len(got) != len(want) {
+			t.Fatalf("sentence %d: f32 hyp %v, f64 hyp %v", i, got, want)
 		}
-		m, err := FromState(st, F32)
-		if err != nil {
-			t.Fatal(err)
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("sentence %d: f32 hyp %v, f64 hyp %v", i, got, want)
+			}
 		}
-		rng := rand.New(rand.NewSource(41))
-		srcs := randSentences(rng, 25, 9, 12)
-		refs := randSentences(rng, 25, 9, 12)
-		for i := range srcs {
-			want := ref64.Translate(srcs[i])
-			got := m.Translate(srcs[i])
-			if len(got) != len(want) {
-				t.Fatalf("kind=%v sentence %d: f32 hyp %v, f64 hyp %v", kind, i, got, want)
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("kind=%v sentence %d: f32 hyp %v, f64 hyp %v", kind, i, got, want)
-				}
-			}
-			s64 := nmt.ScoreSentence(ref64, srcs[i], refs[i])
-			s32 := m.ScoreSentence(srcs[i], refs[i])
-			if math.Abs(s64-s32) > 1e-3 {
-				t.Fatalf("kind=%v sentence %d: f32 score %v, f64 score %v", kind, i, s32, s64)
-			}
+		s64 := nmt.ScoreSentence(ref64, srcs[i], refs[i])
+		s32 := m.ScoreSentence(srcs[i], refs[i])
+		if math.Abs(s64-s32) > 1e-3 {
+			t.Fatalf("sentence %d: f32 score %v, f64 score %v", i, s32, s64)
 		}
 	}
 }
@@ -128,7 +120,7 @@ func TestInferMatchesF64(t *testing.T) {
 // warmed batched scoring allocates nothing.
 func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 	for _, prec := range []Precision{F32, Int8} {
-		m, err := FromState(testState(t, nn.AttentionGeneral, 11), prec)
+		m, err := FromState(testState(t, 11), prec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +144,6 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip pins that persisting and reloading a quantized model
-// preserves scoring bit for bit, through JSON like the on-disk model file.
 // TestTranslationCacheLifecycle is internal/nmt's test of the same name run
 // against the frozen engines: the one nmt.TransCache implementation must see
 // a miss, a hit, the full drop at its 4096-entry cap and the off switch
@@ -161,7 +151,7 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 // its admission rule, its cap and the same drops through scoreBatch.
 func TestTranslationCacheLifecycle(t *testing.T) {
 	for _, prec := range []Precision{F32, Int8} {
-		m, err := FromState(testState(t, nn.AttentionGeneral, 11), prec)
+		m, err := FromState(testState(t, 11), prec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +246,7 @@ func TestTranslationCacheLifecycle(t *testing.T) {
 // business.
 func TestWarmProbesDoNotAllocate(t *testing.T) {
 	for _, prec := range []Precision{F32, Int8} {
-		m, err := FromState(testState(t, nn.AttentionGeneral, 11), prec)
+		m, err := FromState(testState(t, 11), prec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,120 +268,43 @@ func TestWarmProbesDoNotAllocate(t *testing.T) {
 	}
 }
 
-func TestStateRoundTrip(t *testing.T) {
-	for _, prec := range []Precision{F32, Int8} {
-		orig, err := FromState(testState(t, nn.AttentionGeneral, 3), prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(orig.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st State
-		if err := json.Unmarshal(blob, &st); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(st)
-		if err != nil {
-			t.Fatalf("prec=%v: Load: %v", prec, err)
-		}
-		if loaded.Precision() != prec {
-			t.Fatalf("precision %v after round trip, want %v", loaded.Precision(), prec)
-		}
-		if got, want := loaded.MemoryBytes(), orig.MemoryBytes(); got != want {
-			t.Fatalf("MemoryBytes %d after round trip, want %d", got, want)
-		}
-		rng := rand.New(rand.NewSource(13))
-		srcs := randSentences(rng, 20, 9, 12)
-		refs := randSentences(rng, 20, 9, 12)
-		want := make([]float64, len(srcs))
-		got := make([]float64, len(srcs))
-		orig.ScoreBatch(srcs, refs, want)
-		loaded.ScoreBatch(srcs, refs, got)
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("prec=%v sentence %d: loaded %v original %v", prec, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestLoadRejectsCorruptState pins structural validation of persisted
-// inference weights: every class of damage surfaces ErrCorrupt.
-func TestLoadRejectsCorruptState(t *testing.T) {
-	base, err := FromState(testState(t, nn.AttentionGeneral, 3), Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		mut  func(st *State)
-	}{
-		{"bad precision", func(st *State) { st.Precision = "f17" }},
-		{"f64 precision not servable", func(st *State) { st.Precision = "f64" }},
-		{"missing tensor", func(st *State) { st.Tensors = st.Tensors[1:] }},
-		{"duplicate tensor", func(st *State) { st.Tensors = append(st.Tensors, st.Tensors[0]) }},
-		{"unknown tensor", func(st *State) {
-			extra := st.Tensors[0]
-			extra.Name = "dec.l9.Wx"
-			st.Tensors = append(st.Tensors, extra)
-		}},
-		{"truncated codes", func(st *State) {
-			for i := range st.Tensors {
-				if len(st.Tensors[i].Q8) > 0 {
-					st.Tensors[i].Q8 = st.Tensors[i].Q8[:len(st.Tensors[i].Q8)-1]
-					return
-				}
-			}
-		}},
-		{"scales length mismatch", func(st *State) {
-			for i := range st.Tensors {
-				if len(st.Tensors[i].Scales) > 0 {
-					st.Tensors[i].Scales = st.Tensors[i].Scales[:len(st.Tensors[i].Scales)-1]
-					return
-				}
-			}
-		}},
-		{"embedding shape lies", func(st *State) {
-			for i := range st.Tensors {
-				if st.Tensors[i].Name == "src_emb" {
-					st.Tensors[i].Rows++
-					return
-				}
-			}
-		}},
-		{"precision/payload mismatch", func(st *State) { st.Precision = "f32" }},
-		{"invalid config", func(st *State) { st.Config.Hidden = -1 }},
-	}
-	for _, tc := range cases {
-		st := base.State()
-		tc.mut(&st)
-		if _, err := Load(st); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: Load error %v, want ErrCorrupt", tc.name, err)
-		}
-	}
-	// The untouched state must still load.
-	if _, err := Load(base.State()); err != nil {
-		t.Fatalf("pristine state failed to load: %v", err)
-	}
-}
-
 // TestFromStateRejectsF64 pins that F64 is a routing sentinel, not an engine
 // precision.
 func TestFromStateRejectsF64(t *testing.T) {
-	if _, err := FromState(testState(t, nn.AttentionGeneral, 3), F64); err == nil {
+	if _, err := FromState(testState(t, 3), F64); err == nil {
 		t.Fatal("FromState(F64) succeeded, want error")
 	}
-	if _, err := FromState(testState(t, nn.AttentionGeneral, 3), Precision(9)); err == nil {
+	if _, err := FromState(testState(t, 3), Precision(9)); err == nil {
 		t.Fatal("FromState(9) succeeded, want error")
+	}
+}
+
+// TestFromStateRejectsForeignWeights pins that freezing walks exactly the
+// architecture the config implies: a weight map that lacks one of its tensors,
+// holds one at another shape, or carries one it never reads — what a dot- or
+// concat-attention model's state looks like — is refused, not served.
+func TestFromStateRejectsForeignWeights(t *testing.T) {
+	h := testConfig().Hidden
+	cases := map[string]func(w map[string][]float64){
+		"missing (dot attention)": func(w map[string][]float64) { delete(w, "attn.Wa") },
+		"mis-shaped":              func(w map[string][]float64) { w["attn.Wa"] = make([]float64, h*2*h) },
+		"extra (concat's va)":     func(w map[string][]float64) { w["attn.va"] = make([]float64, h) },
+	}
+	for name, mutate := range cases {
+		st := testState(t, 3)
+		mutate(st.Weights)
+		for _, prec := range []Precision{F32, Int8} {
+			if _, err := FromState(st, prec); err == nil {
+				t.Errorf("%s weight at %v: FromState succeeded, want error", name, prec)
+			}
+		}
 	}
 }
 
 // TestMemoryCompression pins the resident-size ordering of the formats and
 // that GEMM weights compress ~4×/~8× vs the float64 training weights.
 func TestMemoryCompression(t *testing.T) {
-	st := testState(t, nn.AttentionGeneral, 3)
+	st := testState(t, 3)
 	var f64Bytes int
 	for _, wts := range st.Weights {
 		f64Bytes += 8 * len(wts)

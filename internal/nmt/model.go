@@ -42,9 +42,6 @@ type Config struct {
 	TrainSteps         int
 	BatchSize          int
 	MaxDecodeLen       int
-	// Attention selects the Luong scoring variant; zero value means
-	// "general", the paper's default.
-	Attention nn.AttentionKind
 }
 
 // PaperConfig returns the exact hyper-parameters from §III-A2 of the paper
@@ -137,11 +134,7 @@ func NewModel(cfg Config, seed int64) (*Model, error) {
 	m.tgtEmb = nn.NewEmbedding(&m.params, "tgt_emb", cfg.TgtVocab, cfg.Embed, rng)
 	m.enc = nn.NewStackedLSTM(&m.params, "enc", cfg.Layers, cfg.Embed, cfg.Hidden, cfg.Dropout, rng)
 	m.dec = nn.NewStackedLSTM(&m.params, "dec", cfg.Layers, cfg.Embed, cfg.Hidden, cfg.Dropout, rng)
-	kind := cfg.Attention
-	if kind == 0 {
-		kind = nn.AttentionGeneral
-	}
-	m.attn = nn.NewLuongAttentionKind(&m.params, "attn", cfg.Hidden, kind, rng)
+	m.attn = nn.NewLuongAttention(&m.params, "attn", cfg.Hidden, rng)
 	m.out = nn.NewLinear(&m.params, "out", cfg.Hidden, cfg.TgtVocab, rng)
 	m.opt = nn.NewAdam(cfg.LearningRate)
 	return m, nil

@@ -1,6 +1,7 @@
 package nmt
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
@@ -66,6 +67,34 @@ func TestLoadModelErrors(t *testing.T) {
 	st.Weights["enc.l0.Wx"] = []float64{1, 2, 3}
 	if _, err := LoadModel(st); err == nil {
 		t.Fatal("mis-shaped weights accepted")
+	}
+	// A state saved by a dot-attention model (no attn.Wa) or a concat one
+	// (attn.Wa of H×2H plus attn.va) must be refused, never served as general
+	// attention. The "Attention" key its config carried is no longer decoded,
+	// so the weights are the only evidence.
+	h := cfg.Hidden
+	variants := map[string]func(w map[string][]float64){
+		"dot": func(w map[string][]float64) { delete(w, "attn.Wa") },
+		"concat": func(w map[string][]float64) {
+			w["attn.Wa"] = make([]float64, h*2*h)
+			w["attn.va"] = make([]float64, h)
+		},
+	}
+	for name, mutate := range variants {
+		st = m.State()
+		mutate(st.Weights)
+		raw, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = bytes.Replace(raw, []byte(`"config":{`), []byte(`"config":{"Attention":2,`), 1)
+		var legacy State
+		if err := json.Unmarshal(raw, &legacy); err != nil {
+			t.Fatalf("%s: a legacy config key must be ignored, not fail the decode: %v", name, err)
+		}
+		if _, err := LoadModel(legacy); err == nil {
+			t.Fatalf("%s-attention state accepted", name)
+		}
 	}
 }
 

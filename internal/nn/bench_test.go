@@ -81,7 +81,7 @@ func BenchmarkAttentionForward(b *testing.B) {
 		enc[i] = randVec(rng, 32)
 	}
 	h := randVec(rng, 32)
-	waEnc := attn.ProjectEnc(nil, enc) // once per sentence, not per decoder step
+	waEnc := attn.ProjectEnc(NewWorkspace(), enc) // once per sentence, not per decoder step; its own arena survives the resets below
 	ws := NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -39,16 +39,9 @@ type LSTMStep struct {
 	C, TanhC, H     []float64
 }
 
-// Step runs one timestep with heap-allocated caches. Hot paths should prefer
-// StepWS, which reuses workspace memory across timesteps.
-func (l *LSTMCell) Step(x, hPrev, cPrev []float64) *LSTMStep {
-	return l.StepWS(nil, x, hPrev, cPrev)
-}
-
-// StepWS runs one timestep, drawing the gate and state buffers from ws (a nil
-// ws falls back to fresh heap slices). hPrev and cPrev must have length
-// Hidden; x length In. The returned cache and its buffers are valid until
-// ws.Reset (inputs are referenced, not copied).
+// StepWS runs one timestep, drawing the gate and state buffers from ws. hPrev
+// and cPrev must have length Hidden; x length In. The returned cache and its
+// buffers are valid until ws.Reset (inputs are referenced, not copied).
 //
 //mdes:noalloc
 func (l *LSTMCell) StepWS(ws *Workspace, x, hPrev, cPrev []float64) *LSTMStep {
@@ -57,19 +50,13 @@ func (l *LSTMCell) StepWS(ws *Workspace, x, hPrev, cPrev []float64) *LSTMStep {
 	checkLen("lstm cPrev", len(cPrev), l.Hidden)
 
 	h := l.Hidden
-	gates := wsVec(ws, 4*h)
+	gates := ws.Vec(4 * h)
 	l.Wx.W.MulVec(gates, x)
 	l.Wh.W.MulVecAdd(gates, hPrev)
 	mat.Axpy(1, l.B.W.Data, gates)
 
-	var st *LSTMStep
-	//mdes:allow(noalloc) nil-workspace fallback: the heap path serves only the WS-less compat API
-	if ws == nil {
-		st = &LSTMStep{}
-	} else {
-		st = ws.lstmStep()
-	}
-	state := wsVec(ws, 3*h)
+	st := ws.lstmStep()
+	state := ws.Vec(3 * h)
 	st.X, st.HPrev, st.CPrev = x, hPrev, cPrev
 	st.I, st.F, st.G, st.O = gates[0:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:4*h]
 	st.C, st.TanhC, st.H = state[0:h], state[h:2*h], state[2*h:3*h]
@@ -82,16 +69,11 @@ func (l *LSTMCell) StepWS(ws *Workspace, x, hPrev, cPrev []float64) *LSTMStep {
 	return st
 }
 
-// StepBackward backpropagates one timestep. dh and dc are dL/dH and dL/dC for
-// this step (dc includes any carry from step t+1). It accumulates parameter
-// gradients and writes dL/dx into dx (accumulated), returning dhPrev and
-// dcPrev to carry to step t-1 (written into the provided buffers).
-func (l *LSTMCell) StepBackward(st *LSTMStep, dh, dc, dx, dhPrev, dcPrev []float64) {
-	l.StepBackwardWS(nil, st, dh, dc, dx, dhPrev, dcPrev)
-}
-
-// StepBackwardWS is StepBackward with its gate-gradient scratch drawn from ws
-// (nil ws allocates).
+// StepBackwardWS backpropagates one timestep, its gate-gradient scratch drawn
+// from ws. dh and dc are dL/dH and dL/dC for this step (dc includes any carry
+// from step t+1). It accumulates parameter gradients and writes dL/dx into dx
+// (accumulated), returning dhPrev and dcPrev to carry to step t-1 (written
+// into the provided buffers).
 //
 //mdes:noalloc
 func (l *LSTMCell) StepBackwardWS(ws *Workspace, st *LSTMStep, dh, dc, dx, dhPrev, dcPrev []float64) {
@@ -102,7 +84,7 @@ func (l *LSTMCell) StepBackwardWS(ws *Workspace, st *LSTMStep, dh, dc, dx, dhPre
 	checkLen("lstm dhPrev", len(dhPrev), h)
 	checkLen("lstm dcPrev", len(dcPrev), h)
 
-	dGates := wsVec(ws, 4*h)
+	dGates := ws.Vec(4 * h)
 	dI, dF, dG, dO := dGates[0:h], dGates[h:2*h], dGates[2*h:3*h], dGates[3*h:4*h]
 	for j := 0; j < h; j++ {
 		dcj := dc[j] + dh[j]*st.O[j]*(1-st.TanhC[j]*st.TanhC[j])
@@ -161,44 +143,24 @@ type StackState struct {
 	H, C [][]float64
 }
 
-// ZeroState returns an all-zero stack state.
-func (s *StackedLSTM) ZeroState() *StackState {
-	return s.ZeroStateWS(nil)
-}
-
-// ZeroStateWS returns an all-zero stack state drawn from ws (nil allocates).
+// ZeroStateWS returns an all-zero stack state drawn from ws.
 func (s *StackedLSTM) ZeroStateWS(ws *Workspace) *StackState {
-	var st *StackState
-	if ws == nil {
-		st = &StackState{H: make([][]float64, len(s.Cells)), C: make([][]float64, len(s.Cells))}
-	} else {
-		st = ws.stackState(len(s.Cells))
-	}
+	st := ws.stackState(len(s.Cells))
 	for i, c := range s.Cells {
-		st.H[i] = wsVec(ws, c.Hidden)
-		st.C[i] = wsVec(ws, c.Hidden)
+		st.H[i] = ws.Vec(c.Hidden)
+		st.C[i] = ws.Vec(c.Hidden)
 	}
 	return st
 }
 
-// Clone deep-copies a stack state.
-func (st *StackState) Clone() *StackState {
-	return st.CloneWS(nil)
-}
-
-// CloneWS deep-copies a stack state into workspace memory (nil allocates).
+// CloneWS deep-copies a stack state into workspace memory.
 func (st *StackState) CloneWS(ws *Workspace) *StackState {
-	var out *StackState
-	if ws == nil {
-		out = &StackState{H: make([][]float64, len(st.H)), C: make([][]float64, len(st.C))}
-	} else {
-		out = ws.stackState(len(st.H))
-	}
+	out := ws.stackState(len(st.H))
 	for i := range st.H {
-		h := wsVec(ws, len(st.H[i]))
+		h := ws.Vec(len(st.H[i]))
 		copy(h, st.H[i])
 		out.H[i] = h
-		c := wsVec(ws, len(st.C[i]))
+		c := ws.Vec(len(st.C[i]))
 		copy(c, st.C[i])
 		out.C[i] = c
 	}
@@ -215,40 +177,21 @@ type StackStep struct {
 	dropped [][]float64
 }
 
-// Step advances every layer one timestep from state st with input x,
-// returning the new state and the cache. When rng is non-nil and Dropout>0,
-// inverted dropout is applied between layers (training mode); a nil rng
-// disables dropout (inference mode).
-func (s *StackedLSTM) Step(st *StackState, x []float64, rng *rand.Rand) (*StackState, *StackStep) {
-	return s.StepWS(nil, st, x, rng)
-}
-
-// StepWS is Step with every per-timestep buffer (gates, states, dropout
-// masks, caches) drawn from ws; a nil ws allocates fresh slices. The RNG
-// consumption is identical either way, so workspace and heap runs produce the
-// same dropout masks and therefore the same training trajectory.
+// StepWS advances every layer one timestep from state st with input x,
+// returning the new state and the cache; every per-timestep buffer (gates,
+// states, dropout masks, caches) is drawn from ws. When rng is non-nil and
+// Dropout>0, inverted dropout is applied between layers (training mode); a
+// nil rng disables dropout (inference mode).
 //
 //mdes:noalloc
 func (s *StackedLSTM) StepWS(ws *Workspace, st *StackState, x []float64, rng *rand.Rand) (*StackState, *StackStep) {
-	var next *StackState
-	var cache *StackStep
-	//mdes:allow(noalloc) nil-workspace fallback: the heap path serves only the WS-less compat API
-	if ws == nil {
-		next = &StackState{H: make([][]float64, len(s.Cells)), C: make([][]float64, len(s.Cells))}
-		cache = &StackStep{
-			Steps:     make([]*LSTMStep, len(s.Cells)),
-			dropMasks: make([][]float64, len(s.Cells)),
-			dropped:   make([][]float64, len(s.Cells)),
-		}
-	} else {
-		next = ws.stackState(len(s.Cells))
-		cache = ws.stackStep(len(s.Cells))
-	}
+	next := ws.stackState(len(s.Cells))
+	cache := ws.stackStep(len(s.Cells))
 	input := x
 	for i, cell := range s.Cells {
 		if i > 0 && s.Dropout > 0 && rng != nil {
-			mask := wsVec(ws, len(input))
-			masked := wsVec(ws, len(input))
+			mask := ws.Vec(len(input))
+			masked := ws.Vec(len(input))
 			keep := 1 - s.Dropout
 			for j := range input {
 				if rng.Float64() < keep {
@@ -274,43 +217,27 @@ type StackGrad struct {
 	DH, DC [][]float64
 }
 
-// ZeroGradState returns an all-zero backward carry.
-func (s *StackedLSTM) ZeroGradState() *StackGrad {
-	return s.ZeroGradStateWS(nil)
-}
-
-// ZeroGradStateWS returns an all-zero backward carry drawn from ws (nil
-// allocates).
+// ZeroGradStateWS returns an all-zero backward carry drawn from ws.
 func (s *StackedLSTM) ZeroGradStateWS(ws *Workspace) *StackGrad {
-	var g *StackGrad
-	if ws == nil {
-		g = &StackGrad{DH: make([][]float64, len(s.Cells)), DC: make([][]float64, len(s.Cells))}
-	} else {
-		g = ws.stackGrad(len(s.Cells))
-	}
+	g := ws.stackGrad(len(s.Cells))
 	for i, c := range s.Cells {
-		g.DH[i] = wsVec(ws, c.Hidden)
-		g.DC[i] = wsVec(ws, c.Hidden)
+		g.DH[i] = ws.Vec(c.Hidden)
+		g.DC[i] = ws.Vec(c.Hidden)
 	}
 	return g
 }
 
-// StepBackward backpropagates one timestep of the stack. dTop is dL/d(top
-// hidden output) at this step; carry holds the recurrent gradients flowing in
-// from step t+1 and is replaced with the gradients to carry to step t-1.
-// dL/dx is accumulated into dx (same length as the stack input).
-func (s *StackedLSTM) StepBackward(cache *StackStep, dTop []float64, carry *StackGrad, dx []float64) {
-	s.StepBackwardWS(nil, cache, dTop, carry, dx)
-}
-
-// StepBackwardWS is StepBackward with all per-step gradient buffers drawn
-// from ws (nil ws allocates). The carry's DH/DC slices are replaced with
-// workspace memory, so the carry is only valid until ws.Reset.
+// StepBackwardWS backpropagates one timestep of the stack, all per-step
+// gradient buffers drawn from ws. dTop is dL/d(top hidden output) at this
+// step; carry holds the recurrent gradients flowing in from step t+1 and is
+// replaced with the gradients to carry to step t-1 — its DH/DC slices become
+// workspace memory, so the carry is only valid until ws.Reset. dL/dx is
+// accumulated into dx (same length as the stack input).
 //
 //mdes:noalloc
 func (s *StackedLSTM) StepBackwardWS(ws *Workspace, cache *StackStep, dTop []float64, carry *StackGrad, dx []float64) {
 	top := len(s.Cells) - 1
-	dh := wsVec(ws, s.Cells[top].Hidden)
+	dh := ws.Vec(s.Cells[top].Hidden)
 	copy(dh, carry.DH[top])
 	mat.Axpy(1, dTop, dh)
 
@@ -318,13 +245,13 @@ func (s *StackedLSTM) StepBackwardWS(ws *Workspace, cache *StackStep, dTop []flo
 	for i := top; i >= 0; i-- {
 		cell := s.Cells[i]
 		if i < top {
-			dh = wsVec(ws, cell.Hidden)
+			dh = ws.Vec(cell.Hidden)
 			copy(dh, carry.DH[i])
 			mat.Axpy(1, dLower, dh)
 		}
-		dhPrev := wsVec(ws, cell.Hidden)
-		dcPrev := wsVec(ws, cell.Hidden)
-		dIn := wsVec(ws, cell.In)
+		dhPrev := ws.Vec(cell.Hidden)
+		dcPrev := ws.Vec(cell.Hidden)
+		dIn := ws.Vec(cell.In)
 		cell.StepBackwardWS(ws, cache.Steps[i], dh, carry.DC[i], dIn, dhPrev, dcPrev)
 		carry.DH[i] = dhPrev
 		carry.DC[i] = dcPrev

@@ -174,6 +174,7 @@ func TestLinearInputGradient(t *testing.T) {
 }
 
 func TestLSTMCellGradCheck(t *testing.T) {
+	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(4))
 	var p Params
 	cell := NewLSTMCell(&p, "lstm", 3, 4, rng)
@@ -185,7 +186,7 @@ func TestLSTMCellGradCheck(t *testing.T) {
 		c := make([]float64, 4)
 		var loss float64
 		for _, x := range xs {
-			st := cell.Step(x, h, c)
+			st := cell.StepWS(ws, x, h, c)
 			h, c = st.H, st.C
 			loss += mat.Dot(probe, st.H)
 		}
@@ -198,7 +199,7 @@ func TestLSTMCellGradCheck(t *testing.T) {
 		steps := make([]*LSTMStep, len(xs))
 		var loss float64
 		for i, x := range xs {
-			st := cell.Step(x, h, c)
+			st := cell.StepWS(ws, x, h, c)
 			steps[i] = st
 			h, c = st.H, st.C
 			loss += mat.Dot(probe, st.H)
@@ -210,7 +211,7 @@ func TestLSTMCellGradCheck(t *testing.T) {
 			dx := make([]float64, 3)
 			dhPrev := make([]float64, 4)
 			dcPrev := make([]float64, 4)
-			cell.StepBackward(steps[i], dh, dc, dx, dhPrev, dcPrev)
+			cell.StepBackwardWS(ws, steps[i], dh, dc, dx, dhPrev, dcPrev)
 			dh, dc = dhPrev, dcPrev
 		}
 		return loss
@@ -219,6 +220,7 @@ func TestLSTMCellGradCheck(t *testing.T) {
 }
 
 func TestStackedLSTMGradCheck(t *testing.T) {
+	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(5))
 	var p Params
 	stack := NewStackedLSTM(&p, "enc", 2, 3, 4, 0, rng)
@@ -226,11 +228,11 @@ func TestStackedLSTMGradCheck(t *testing.T) {
 	probe := randVec(rng, 4)
 
 	forward := func() float64 {
-		st := stack.ZeroState()
+		st := stack.ZeroStateWS(ws)
 		var loss float64
 		for _, x := range xs {
 			var cache *StackStep
-			st, cache = stack.Step(st, x, nil)
+			st, cache = stack.StepWS(ws, st, x, nil)
 			_ = cache
 			loss += mat.Dot(probe, st.H[stack.Layers()-1])
 		}
@@ -238,17 +240,17 @@ func TestStackedLSTMGradCheck(t *testing.T) {
 	}
 	run := func() float64 {
 		p.ZeroGrad()
-		st := stack.ZeroState()
+		st := stack.ZeroStateWS(ws)
 		caches := make([]*StackStep, len(xs))
 		var loss float64
 		for i, x := range xs {
-			st, caches[i] = stack.Step(st, x, nil)
+			st, caches[i] = stack.StepWS(ws, st, x, nil)
 			loss += mat.Dot(probe, st.H[stack.Layers()-1])
 		}
-		carry := stack.ZeroGradState()
+		carry := stack.ZeroGradStateWS(ws)
 		for i := len(xs) - 1; i >= 0; i-- {
 			dx := make([]float64, 3)
-			stack.StepBackward(caches[i], probe, carry, dx)
+			stack.StepBackwardWS(ws, caches[i], probe, carry, dx)
 		}
 		return loss
 	}
@@ -256,6 +258,7 @@ func TestStackedLSTMGradCheck(t *testing.T) {
 }
 
 func TestAttentionGradCheck(t *testing.T) {
+	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(6))
 	var p Params
 	attn := NewLuongAttention(&p, "attn", 3, rng)
@@ -264,15 +267,15 @@ func TestAttentionGradCheck(t *testing.T) {
 	probe := randVec(rng, 3)
 
 	forward := func() float64 {
-		st := attn.Forward(enc, h)
+		st := attend(ws, attn, enc, h)
 		return mat.Dot(probe, st.HTilde)
 	}
 	run := func() float64 {
 		p.ZeroGrad()
-		st := attn.Forward(enc, h)
+		st := attend(ws, attn, enc, h)
 		dh := make([]float64, 3)
 		dEnc := [][]float64{make([]float64, 3), make([]float64, 3), make([]float64, 3)}
-		attn.Backward(st, probe, dh, dEnc)
+		attn.BackwardWS(ws, st, probe, dh, dEnc)
 		return mat.Dot(probe, st.HTilde)
 	}
 	gradCheck(t, &p, run, forward, 1e-4)
@@ -280,6 +283,7 @@ func TestAttentionGradCheck(t *testing.T) {
 
 // Attention input gradients (dh and dEnc) must match finite differences too.
 func TestAttentionInputGradients(t *testing.T) {
+	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(7))
 	var p Params
 	attn := NewLuongAttention(&p, "attn", 3, rng)
@@ -287,13 +291,13 @@ func TestAttentionInputGradients(t *testing.T) {
 	h := randVec(rng, 3)
 	probe := randVec(rng, 3)
 
-	st := attn.Forward(enc, h)
+	st := attend(ws, attn, enc, h)
 	dh := make([]float64, 3)
 	dEnc := [][]float64{make([]float64, 3), make([]float64, 3)}
-	attn.Backward(st, probe, dh, dEnc)
+	attn.BackwardWS(ws, st, probe, dh, dEnc)
 
 	lossAt := func() float64 {
-		return mat.Dot(probe, attn.Forward(enc, h).HTilde)
+		return mat.Dot(probe, attend(ws, attn, enc, h).HTilde)
 	}
 	const eps = 1e-6
 	for i := range h {
@@ -325,11 +329,12 @@ func TestAttentionInputGradients(t *testing.T) {
 }
 
 func TestAttentionWeightsSumToOne(t *testing.T) {
+	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(8))
 	var p Params
 	attn := NewLuongAttention(&p, "attn", 4, rng)
 	enc := [][]float64{randVec(rng, 4), randVec(rng, 4), randVec(rng, 4), randVec(rng, 4)}
-	st := attn.Forward(enc, randVec(rng, 4))
+	st := attend(ws, attn, enc, randVec(rng, 4))
 	var sum float64
 	for _, w := range st.Weights {
 		if w < 0 {
@@ -343,29 +348,31 @@ func TestAttentionWeightsSumToOne(t *testing.T) {
 }
 
 func TestDropoutMaskApplied(t *testing.T) {
+	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(9))
 	var p Params
 	stack := NewStackedLSTM(&p, "s", 2, 3, 4, 0.5, rng)
-	st := stack.ZeroState()
-	_, cacheTrain := stack.Step(st, randVec(rng, 3), rng)
+	st := stack.ZeroStateWS(ws)
+	_, cacheTrain := stack.StepWS(ws, st, randVec(rng, 3), rng)
 	if cacheTrain.dropMasks[1] == nil {
 		t.Fatal("training step with dropout must record a mask for layer 1")
 	}
-	_, cacheInfer := stack.Step(st, randVec(rng, 3), nil)
+	_, cacheInfer := stack.StepWS(ws, st, randVec(rng, 3), nil)
 	if cacheInfer.dropMasks[1] != nil {
 		t.Fatal("inference step must not apply dropout")
 	}
 }
 
 func TestStackStateClone(t *testing.T) {
+	ws := NewWorkspace()
 	var p Params
 	stack := NewStackedLSTM(&p, "s", 2, 2, 3, 0, rand.New(rand.NewSource(1)))
-	st := stack.ZeroState()
+	st := stack.ZeroStateWS(ws)
 	st.H[0][0] = 5
-	c := st.Clone()
+	c := st.CloneWS(ws)
 	c.H[0][0] = 9
 	if st.H[0][0] != 5 {
-		t.Fatal("Clone must be deep")
+		t.Fatal("CloneWS must be deep")
 	}
 }
 
@@ -380,6 +387,11 @@ func TestForgetGateBiasInit(t *testing.T) {
 	if cell.B.W.Data[0] != 0 {
 		t.Fatal("non-forget biases must start at 0")
 	}
+}
+
+// attend is one attention application over a freshly projected enc.
+func attend(ws *Workspace, a *LuongAttention, enc [][]float64, h []float64) *AttnStep {
+	return a.ForwardWS(ws, enc, a.ProjectEnc(ws, enc), h)
 }
 
 func randVec(rng *rand.Rand, n int) []float64 {

@@ -218,12 +218,3 @@ func resizePtrs(s []*LSTMStep, l int) []*LSTMStep {
 	}
 	return s
 }
-
-// wsVec allocates from ws, or from the heap when ws is nil — the fallback
-// that keeps the workspace-free entry points working.
-func wsVec(ws *Workspace, n int) []float64 {
-	if ws == nil {
-		return make([]float64, n)
-	}
-	return ws.Vec(n)
-}

@@ -173,21 +173,6 @@ func TestStackedStepWSAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWorkspaceAndHeapStepsMatch checks the nil-workspace fallback and the
-// arena path compute identical activations.
-func TestWorkspaceAndHeapStepsMatch(t *testing.T) {
-	cell, x, h, c := newBenchCell(t, 12, 16)
-	heap := cell.Step(x, h, c)
-	ws := NewWorkspace()
-	arena := cell.StepWS(ws, x, h, c)
-	for j := range heap.H {
-		if heap.H[j] != arena.H[j] || heap.C[j] != arena.C[j] {
-			t.Fatalf("heap and workspace steps diverge at %d: H %v vs %v, C %v vs %v",
-				j, heap.H[j], arena.H[j], heap.C[j], arena.C[j])
-		}
-	}
-}
-
 // TestNameLayerDoubleDigits is the regression test for the old
 // string(rune('0'+i)) bug, which produced ":" ";" "<" … for layers ≥ 10.
 func TestNameLayerDoubleDigits(t *testing.T) {

@@ -517,9 +517,9 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 			return err
 		}
 		if ok {
-			if err := json.Unmarshal(h.Payload, &snap); err != nil {
+			if snap, err = handoffSnapshot(h); err != nil {
 				s.met.replStoreErrors.Add(1)
-				return fmt.Errorf("serve: decode standby copy for %q: %w", tenant, err)
+				return fmt.Errorf("serve: standby copy for %q: %w", tenant, err)
 			}
 			have, fromStandby = true, true
 		}
@@ -586,6 +586,25 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 	return nil
 }
 
+// handoffSnapshot decodes the session a handoff frame carries and checks it
+// against the envelope — the one reading of a cluster.Handoff every consumer
+// (handoff install, replicate store, standby promotion, standby ship-home)
+// goes through. The envelope's Tenant/Ticks/Model duplicate the payload so
+// more-ticks-wins can be decided without decoding it. They must agree: a
+// disagreement means the sender framed one session's metadata around another
+// session's payload, and acting on either reading could lose ticks silently.
+func handoffSnapshot(h cluster.Handoff) (sessionSnapshot, error) {
+	var snap sessionSnapshot
+	if err := json.Unmarshal(h.Payload, &snap); err != nil {
+		return sessionSnapshot{}, fmt.Errorf("decode handoff payload: %v", err)
+	}
+	if snap.Tenant != h.Tenant || snap.Stream.Ticks != h.Ticks || snap.Model != h.Model {
+		return sessionSnapshot{}, fmt.Errorf("handoff envelope/payload mismatch: envelope says %q at %d ticks on model %q, payload %q at %d ticks on model %q",
+			h.Tenant, h.Ticks, h.Model, snap.Tenant, snap.Stream.Ticks, snap.Model)
+	}
+	return snap, nil
+}
+
 // handleHandoff is POST /v1/cluster/handoff: decode, validate, restore, and
 // install one migrated tenant. The expensive work (CRC check, JSON decode,
 // stream restore) happens before any lock; installation compares tick
@@ -620,25 +639,10 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var snap sessionSnapshot
-	if err := json.Unmarshal(h.Payload, &snap); err != nil {
+	snap, err := handoffSnapshot(h)
+	if err != nil {
 		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, fmt.Sprintf("decode handoff payload: %v", err), http.StatusBadRequest)
-		return
-	}
-	if snap.Tenant != h.Tenant {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, "handoff tenant mismatch", http.StatusBadRequest)
-		return
-	}
-	// The envelope's Ticks/Model duplicate the payload so the idempotency
-	// decision can be made without trusting the (CRC-covered but separately
-	// encoded) snapshot. They must agree: a disagreement means the sender
-	// framed one session's metadata around another session's payload, and
-	// installing either interpretation could lose ticks silently.
-	if h.Ticks != snap.Stream.Ticks || h.Model != snap.Model {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, "handoff envelope/payload mismatch", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	model, ok := s.opts.Models[snap.Model]

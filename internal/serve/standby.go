@@ -163,7 +163,7 @@ func (s *Server) replicateLocked(tenant string, snap sessionSnapshot) {
 // handleReplicate is POST /v1/cluster/replicate: persist one peer's snapshot
 // copy in the standby store. Same framing and Ticks-idempotency as a
 // handoff, but no session is installed and ownership does not move. The
-// frame is stored verbatim after the CRC check.
+// frame is stored verbatim after the CRC and envelope/payload checks.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil || s.opts.StandbyDir == "" {
 		// Terminal on purpose: a peer without a standby store will never
@@ -191,6 +191,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	if h.From == "" {
 		http.Error(w, "replicate without owner", http.StatusBadRequest)
+		return
+	}
+	// Checked before the more-ticks-wins comparison below: an envelope that
+	// overstates its payload's ticks must not displace a fresher held copy.
+	if _, err := handoffSnapshot(h); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if old, ok, err := loadStandby(s.fs, s.opts.StandbyDir, h.From, h.Tenant); err != nil {
@@ -263,8 +269,8 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 	if !ok {
 		return false
 	}
-	var snap sessionSnapshot
-	if err := json.Unmarshal(h.Payload, &snap); err != nil || snap.Tenant != tenant {
+	snap, err := handoffSnapshot(h)
+	if err != nil || snap.Tenant != tenant {
 		s.met.replStoreErrors.Add(1)
 		return false
 	}

@@ -161,16 +161,18 @@ func TestReplicationShipsToSuccessor(t *testing.T) {
 }
 
 // TestHandleReplicateIdempotent: a stale or duplicate ship must not regress
-// the held copy, and a torn frame must be answered retryable (503 + hint),
-// never terminal.
+// the held copy, a torn frame must be answered retryable (503 + hint), never
+// terminal, and a frame whose envelope disagrees with its payload is refused
+// (400) before more-ticks-wins can let it displace a fresher copy.
 func TestHandleReplicateIdempotent(t *testing.T) {
 	tc := standbyCluster(t, 2)
 	target := tc.urls[1]
 	owner := tc.urls[0]
 
-	ship := func(ticks int, mangle func([]byte) []byte) *http.Response {
+	post := func(envelopeTicks, payloadTicks int, mangle func([]byte) []byte) *http.Response {
 		t.Helper()
-		h := cluster.Handoff{Tenant: "idem", Model: "default", Ticks: ticks, From: owner, Payload: []byte(fmt.Sprintf(`{"ticks":%d}`, ticks))}
+		h := cluster.Handoff{Tenant: "idem", Model: "default", Ticks: envelopeTicks, From: owner,
+			Payload: []byte(fmt.Sprintf(`{"tenant":"idem","model":"default","stream":{"ticks":%d}}`, payloadTicks))}
 		frame, err := cluster.EncodeHandoff(h)
 		if err != nil {
 			t.Fatal(err)
@@ -185,6 +187,10 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return resp
+	}
+	ship := func(ticks int, mangle func([]byte) []byte) *http.Response {
+		t.Helper()
+		return post(ticks, ticks, mangle)
 	}
 
 	if resp := ship(10, nil); resp.StatusCode != http.StatusOK {
@@ -212,6 +218,16 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 	}
 	if h, _, _ := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem"); h.Ticks != 20 {
 		t.Fatalf("torn ship mutated the held copy: ticks=%d", h.Ticks)
+	}
+
+	// An envelope claiming 1000 ticks around a 10-tick payload would win
+	// more-ticks-wins and be promoted later with 10 ticks lost: terminal 400
+	// (a retry would carry the same frame), held copy untouched.
+	if resp := post(1000, 10, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("envelope/payload mismatch: %s, want 400", resp.Status)
+	}
+	if h, _, _ := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem"); h.Ticks != 20 {
+		t.Fatalf("mismatched ship displaced the held copy: ticks=%d", h.Ticks)
 	}
 }
 

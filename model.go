@@ -14,7 +14,6 @@ import (
 	"mdes/internal/anomaly"
 	"mdes/internal/community"
 	"mdes/internal/graph"
-	"mdes/internal/infer"
 	"mdes/internal/lang"
 	"mdes/internal/nmt"
 	"mdes/internal/seqio"
@@ -260,12 +259,12 @@ type persistedModel struct {
 	Quant     *persistedQuant          `json:"quant,omitempty"`
 }
 
-// persistedQuant is the frozen reduced-precision inference state of a
-// published model: one infer.State per pair, all at one precision. A saved
-// quantized model restores ready to serve without re-quantizing.
+// persistedQuant records the reduced precision a model was published at. The
+// frozen weights themselves are a deterministic function of the float64 pair
+// weights (infer.FromState), so Load derives them again with Quantize rather
+// than reading a second copy of every pair.
 type persistedQuant struct {
-	Precision string                 `json:"precision"`
-	Pairs     map[string]infer.State `json:"pairs"`
+	Precision string `json:"precision"`
 }
 
 type persistedLang struct {
@@ -314,13 +313,7 @@ func (m *Model) Save(w io.Writer) error {
 		p.Pairs[key[0]+string(pairKeySep)+key[1]] = model.State()
 	}
 	if m.prec != PrecisionF64 {
-		p.Quant = &persistedQuant{
-			Precision: m.prec.String(),
-			Pairs:     make(map[string]infer.State, len(m.infPairs)),
-		}
-		for key, im := range m.infPairs {
-			p.Quant.Pairs[key[0]+string(pairKeySep)+key[1]] = im.State()
-		}
+		p.Quant = &persistedQuant{Precision: m.prec.String()}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(p)
@@ -404,59 +397,15 @@ func Load(r io.Reader) (*Model, error) {
 		m.pairs[[2]string{src, tgt}] = model
 	}
 	if p.Quant != nil {
-		if err := m.loadQuant(p.Quant); err != nil {
+		prec, err := ParsePrecision(p.Quant.Precision)
+		if err != nil || prec == PrecisionF64 {
+			return nil, fmt.Errorf("%w: quant section precision %q", ErrCorruptModel, p.Quant.Precision)
+		}
+		if err := m.Quantize(prec); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
-}
-
-// loadQuant restores a persisted quant section: the frozen inference weights
-// of every pair at one precision. The section must be complete and consistent
-// — every pair model quantized, no extras, each at the section's precision
-// with the architecture of its float64 twin — or scoring precision would
-// silently vary per pair. Violations are corrupt-model errors.
-func (m *Model) loadQuant(q *persistedQuant) error {
-	prec, err := ParsePrecision(q.Precision)
-	if err != nil || prec == PrecisionF64 {
-		return fmt.Errorf("%w: quant section precision %q", ErrCorruptModel, q.Precision)
-	}
-	infs := make(map[[2]string]*infer.Model, len(q.Pairs))
-	for key, st := range q.Pairs {
-		var src, tgt string
-		for i := 0; i < len(key); i++ {
-			if key[i] == pairKeySep {
-				src, tgt = key[:i], key[i+1:]
-				break
-			}
-		}
-		if src == "" || tgt == "" {
-			return fmt.Errorf("%w: quant section: malformed pair key %q", ErrCorruptModel, key)
-		}
-		pm := m.pairs[[2]string{src, tgt}]
-		if pm == nil {
-			return fmt.Errorf("%w: quant section: pair %s->%s has no float64 model", ErrCorruptModel, src, tgt)
-		}
-		if got, errP := infer.ParsePrecision(st.Precision); errP != nil || got != prec {
-			return fmt.Errorf("%w: quant pair %s->%s: precision %q, section says %q",
-				ErrCorruptModel, src, tgt, st.Precision, q.Precision)
-		}
-		if st.Config != pm.Config() {
-			return fmt.Errorf("%w: quant pair %s->%s: configuration differs from its float64 model",
-				ErrCorruptModel, src, tgt)
-		}
-		im, errL := infer.Load(st)
-		if errL != nil {
-			return fmt.Errorf("%w: quant pair %s->%s: %v", ErrCorruptModel, src, tgt, errL)
-		}
-		infs[[2]string{src, tgt}] = im
-	}
-	if len(infs) != len(m.pairs) {
-		return fmt.Errorf("%w: quant section covers %d of %d pairs", ErrCorruptModel, len(infs), len(m.pairs))
-	}
-	m.infPairs = infs
-	m.prec = prec
-	return nil
 }
 
 // RestoreStream rebuilds an online detector from a snapshot taken with

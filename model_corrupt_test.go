@@ -2,8 +2,12 @@ package mdes
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -161,41 +165,24 @@ func TestLoadRejectsMalformedPairKey(t *testing.T) {
 	}
 }
 
-// mutateQuant rewrites the quant section of a quantized model's save file.
-// The mutate callback receives the decoded section (precision + raw pairs)
-// and returns the replacement; returning nil deletes the section.
-func mutateQuant(t *testing.T, m *Model, mutate func(prec string, pairs map[string]json.RawMessage) any) *bytes.Buffer {
+// withQuant replaces the quant section of a quantized model's save file with
+// the given JSON; an empty string deletes the section.
+func withQuant(t *testing.T, m *Model, section string) *bytes.Buffer {
 	t.Helper()
 	return mutateModelJSON(t, m, func(raw map[string]json.RawMessage) {
-		var q struct {
-			Precision string                     `json:"precision"`
-			Pairs     map[string]json.RawMessage `json:"pairs"`
-		}
-		if err := json.Unmarshal(raw["quant"], &q); err != nil {
-			t.Fatal(err)
-		}
-		repl := mutate(q.Precision, q.Pairs)
-		if repl == nil {
+		if section == "" {
 			delete(raw, "quant")
 			return
 		}
-		out, err := json.Marshal(repl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw["quant"] = out
+		raw["quant"] = json.RawMessage(section)
 	})
 }
 
-type quantSection struct {
-	Precision string                     `json:"precision"`
-	Pairs     map[string]json.RawMessage `json:"pairs"`
-}
-
 // TestLoadRejectsCorruptQuantSection covers the published-model failure
-// modes: a quant section that parses as JSON but is internally inconsistent
-// must fail Load with ErrCorruptModel rather than serve at a silently wrong
-// or mixed precision.
+// modes. The quant section records one thing, the precision to freeze the
+// float64 pair weights at, so the only way to corrupt it is a precision the
+// engine cannot serve: Load must fail with ErrCorruptModel rather than fall
+// back to some other precision silently.
 func TestLoadRejectsCorruptQuantSection(t *testing.T) {
 	model := trainTiny(t)
 	if err := model.Quantize(PrecisionInt8); err != nil {
@@ -216,142 +203,44 @@ func TestLoadRejectsCorruptQuantSection(t *testing.T) {
 		t.Fatalf("control precision = %v, want int8", good.ScorePrecision())
 	}
 
-	cases := []struct {
-		name   string
-		mutate func(prec string, pairs map[string]json.RawMessage) any
-	}{
-		{"unknown precision", func(prec string, pairs map[string]json.RawMessage) any {
-			return quantSection{Precision: "f16", Pairs: pairs}
-		}},
-		{"f64 precision", func(prec string, pairs map[string]json.RawMessage) any {
-			return quantSection{Precision: "f64", Pairs: pairs}
-		}},
-		{"missing pair", func(prec string, pairs map[string]json.RawMessage) any {
-			for k := range pairs {
-				delete(pairs, k)
-				break
-			}
-			return quantSection{Precision: prec, Pairs: pairs}
-		}},
-		{"ghost pair", func(prec string, pairs map[string]json.RawMessage) any {
-			var any json.RawMessage
-			for _, st := range pairs {
-				any = st
-				break
-			}
-			pairs["ghost\x1fa"] = any
-			return quantSection{Precision: prec, Pairs: pairs}
-		}},
-		{"malformed pair key", func(prec string, pairs map[string]json.RawMessage) any {
-			var any json.RawMessage
-			for k, st := range pairs {
-				any = st
-				delete(pairs, k)
-				break
-			}
-			pairs["nosep"] = any
-			return quantSection{Precision: prec, Pairs: pairs}
-		}},
-		{"pair precision mismatch", func(prec string, pairs map[string]json.RawMessage) any {
-			for k, st := range pairs {
-				var pair map[string]json.RawMessage
-				if err := json.Unmarshal(st, &pair); err != nil {
-					t.Fatal(err)
-				}
-				pair["precision"] = json.RawMessage(`"f32"`)
-				out, err := json.Marshal(pair)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pairs[k] = out
-				break
-			}
-			return quantSection{Precision: prec, Pairs: pairs}
-		}},
-		{"pair config mismatch", func(prec string, pairs map[string]json.RawMessage) any {
-			for k, st := range pairs {
-				var pair map[string]json.RawMessage
-				if err := json.Unmarshal(st, &pair); err != nil {
-					t.Fatal(err)
-				}
-				var cfg map[string]json.RawMessage
-				if err := json.Unmarshal(pair["config"], &cfg); err != nil {
-					t.Fatal(err)
-				}
-				cfg["Hidden"] = json.RawMessage(`8`)
-				out, err := json.Marshal(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pair["config"] = out
-				if pairs[k], err = json.Marshal(pair); err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-			return quantSection{Precision: prec, Pairs: pairs}
-		}},
-		{"truncated tensor payload", func(prec string, pairs map[string]json.RawMessage) any {
-			for k, st := range pairs {
-				var pair struct {
-					Config    json.RawMessage   `json:"config"`
-					Precision string            `json:"precision"`
-					Tensors   []json.RawMessage `json:"tensors"`
-				}
-				if err := json.Unmarshal(st, &pair); err != nil {
-					t.Fatal(err)
-				}
-				if len(pair.Tensors) == 0 {
-					t.Fatal("quant pair has no tensors")
-				}
-				var tensor map[string]json.RawMessage
-				if err := json.Unmarshal(pair.Tensors[0], &tensor); err != nil {
-					t.Fatal(err)
-				}
-				// Halve the payload, whichever representation it uses.
-				for _, field := range []string{"f32", "q8", "scales"} {
-					raw, ok := tensor[field]
-					if !ok {
-						continue
-					}
-					if field == "q8" {
-						var b64 string
-						if err := json.Unmarshal(raw, &b64); err != nil {
-							t.Fatal(err)
-						}
-						out, err := json.Marshal(b64[:len(b64)/2&^3])
-						if err != nil {
-							t.Fatal(err)
-						}
-						tensor[field] = out
-						continue
-					}
-					var vals []float32
-					if err := json.Unmarshal(raw, &vals); err != nil {
-						t.Fatal(err)
-					}
-					out, err := json.Marshal(vals[:len(vals)/2])
-					if err != nil {
-						t.Fatal(err)
-					}
-					tensor[field] = out
-				}
-				out, err := json.Marshal(tensor)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pair.Tensors[0] = out
-				if pairs[k], err = json.Marshal(pair); err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-			return quantSection{Precision: prec, Pairs: pairs}
-		}},
+	// A file written before the frozen weights stopped being persisted carries
+	// them under quant.pairs. The key is no longer decoded — whatever it holds,
+	// here a ghost pair at another precision — and the file loads through the
+	// same path: at the recorded precision, detecting bit for bit like the
+	// file without it.
+	legacy, err := Load(withQuant(t, model,
+		`{"precision":"int8","pairs":{"ghost\u001fa":{"precision":"f32","tensors":[{"name":"src_emb","rows":1,"cols":1,"f32":[0]}]}}}`))
+	if err != nil {
+		t.Fatalf("file with a legacy quant.pairs object failed to load: %v", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			corrupted := mutateQuant(t, model, tc.mutate)
+	if legacy.ScorePrecision() != PrecisionInt8 {
+		t.Fatalf("legacy file precision = %v, want int8", legacy.ScorePrecision())
+	}
+	ds := coupledDataset(rand.New(rand.NewSource(5)), 200)
+	want, err := good.Detect(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := legacy.Detect(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("legacy file detects %d points, control %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("point %d: legacy file scores %v, control %v", i, got[i].Score, want[i].Score)
+		}
+	}
+
+	for name, prec := range map[string]string{
+		"unknown precision": "f16",
+		"f64 precision":     "f64",
+		"empty precision":   "",
+	} {
+		t.Run(name, func(t *testing.T) {
+			corrupted := withQuant(t, model, fmt.Sprintf(`{"precision":%q}`, prec))
 			if _, err := Load(corrupted); !errors.Is(err, ErrCorruptModel) {
 				t.Fatalf("err = %v, want ErrCorruptModel", err)
 			}
@@ -360,8 +249,7 @@ func TestLoadRejectsCorruptQuantSection(t *testing.T) {
 
 	// Deleting the whole section is not corruption: the float64 weights are
 	// intact, so the model loads and scores at f64.
-	stripped := mutateQuant(t, model, func(string, map[string]json.RawMessage) any { return nil })
-	plain, err := Load(stripped)
+	plain, err := Load(withQuant(t, model, ""))
 	if err != nil {
 		t.Fatalf("quant-stripped model failed to load: %v", err)
 	}

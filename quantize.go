@@ -57,8 +57,8 @@ func (m *Model) ScorePrecision() Precision { return m.prec }
 // PairModelBytes reports the resident weight memory of all pair models at the
 // active scoring precision — the per-tenant cost of keeping this model
 // servable. Float64 counts the training weights; quantized precisions count
-// the frozen inference weights instead (the float64 weights can be released
-// by the caller once published, e.g. by reloading only the quant section).
+// the frozen inference weights instead, although the float64 weights stay
+// resident beside them (Quantize and Save read them).
 func (m *Model) PairModelBytes() int64 {
 	var total int64
 	if m.prec != PrecisionF64 {
