@@ -90,6 +90,13 @@ func referenceBoundaries(model *mdes.Model, ticks []map[string]string) (map[int]
 // the remaining detection points bit-for-bit. The final state of the
 // restarted server must match the crash-free reference exactly.
 func ServeSoak(ctx context.Context, seed int64, iters int) (ServeSoakReport, error) {
+	return ServeSoakWith(ctx, seed, iters, serve.New)
+}
+
+// ServeSoakWith is ServeSoak over servers built by build. Production is
+// serve.New; the serve package's harness self-test passes a build whose
+// snapshot writer is deliberately broken, and the soak must catch it.
+func ServeSoakWith(ctx context.Context, seed int64, iters int, build func(serve.Options) (*serve.Server, error)) (ServeSoakReport, error) {
 	rep := ServeSoakReport{Iterations: iters}
 	if err := fixture(); err != nil {
 		return rep, err
@@ -111,7 +118,7 @@ func ServeSoak(ctx context.Context, seed int64, iters int) (ServeSoakReport, err
 	}
 
 	newServer := func(ifs *faultfs.InjectFS) (*serve.Server, *httptest.Server, error) {
-		srv, err := serve.New(serve.Options{
+		srv, err := build(serve.Options{
 			Models:       map[string]*mdes.Model{"m": model},
 			SnapshotDir:  dir,
 			FS:           ifs,
@@ -258,7 +265,7 @@ func ServeSoak(ctx context.Context, seed int64, iters int) (ServeSoakReport, err
 // the tick count the tenant will resume from (0 = fresh start).
 func restoredTicks(ifs *faultfs.InjectFS, dir, tenant string, bounds map[int]mdes.StreamSnapshot) (int, error) {
 	path := snapshotFile(dir, tenant)
-	data, err := ifs.ReadFile(path)
+	data, err := serve.ReadSnapshotFrame(ifs, path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}
@@ -267,9 +274,10 @@ func restoredTicks(ifs *faultfs.InjectFS, dir, tenant string, bounds map[int]mde
 	}
 	payloads, _, _ := checkpoint.Frames(data)
 	if len(payloads) == 0 {
-		// The install path syncs file content before the rename, so an
-		// installed snapshot must never read torn — if it does, the
-		// tmp+fsync+rename+syncdir chain has a hole.
+		// A replaced file's content is synced before the rename, and an
+		// in-place save only ever tears the slot not holding the newest
+		// record, so an installed snapshot must never read torn — if it
+		// does, the save path has a hole.
 		return 0, fmt.Errorf("tenant %q: installed snapshot is torn (%d bytes, no intact frame)", tenant, len(data))
 	}
 	var snap snapMirror

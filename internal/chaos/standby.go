@@ -118,7 +118,7 @@ func waitStandbyTicks(ifs *faultfs.InjectFS, owner, tenant string, want int) (ti
 	start := time.Now()
 	deadline := start.Add(15 * time.Second)
 	for {
-		data, err := ifs.ReadFile(standbyFile(standbyDir, owner, tenant))
+		data, err := serve.ReadSnapshotFrame(ifs, standbyFile(standbyDir, owner, tenant))
 		if err == nil {
 			if h, derr := cluster.DecodeHandoff(data); derr == nil && h.Ticks >= want {
 				return time.Since(start), nil
@@ -277,7 +277,7 @@ func (h *standbyHarness) surveyTenant(ctx context.Context, owner, tenant string)
 	var b strings.Builder
 	for i, rep := range h.replicas {
 		fmt.Fprintf(&b, "\n  replica %d (%s):", i, h.peers[i])
-		if data, err := rep.fs.ReadFile(standbyFile(standbyDir, owner, tenant)); err == nil {
+		if data, err := serve.ReadSnapshotFrame(rep.fs, standbyFile(standbyDir, owner, tenant)); err == nil {
 			if hh, derr := cluster.DecodeHandoff(data); derr == nil {
 				fmt.Fprintf(&b, " copy@%d", hh.Ticks)
 			} else {

@@ -143,6 +143,50 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalZeroFilledTail: a power loss can leave an appended-to file
+// extended with zeros instead of the record's bytes. However many zeros,
+// Open must replay the intact records, report the tail torn and truncate it
+// — not refuse the journal as corrupt because 8 zero bytes pass the CRC.
+func TestJournalZeroFilledTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "zeros.journal")
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []PairRecord{testRecord("a", "b", 81), testRecord("b", "a", 79)}
+	for _, r := range recs {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for zeros := 1; zeros <= 4096; zeros++ {
+		if err := os.WriteFile(path, append(append([]byte(nil), intact...), make([]byte, zeros)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(path)
+		if err != nil {
+			t.Fatalf("%d zeros: %v", zeros, err)
+		}
+		n, torn := len(j.Records()), j.Torn()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(recs) || !torn {
+			t.Fatalf("%d zeros: %d records, torn=%v; want %d, true", zeros, n, torn, len(recs))
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(intact)) {
+			t.Fatalf("%d zeros: file not truncated to the valid end %d (err %v)", zeros, len(intact), err)
+		}
+	}
+}
+
 // TestJournalCorruptFlaggedNotDropped: a record whose CRC matches but whose
 // payload is not valid JSON is corruption, not a torn tail — Open must fail
 // loudly instead of silently discarding training work.

@@ -7,7 +7,7 @@ import (
 
 func TestFrameRoundtrip(t *testing.T) {
 	var buf []byte
-	records := [][]byte{[]byte("alpha"), []byte(""), []byte("a longer third record")}
+	records := [][]byte{[]byte("alpha"), []byte("b"), []byte("a longer third record")}
 	for _, r := range records {
 		buf = AppendFrame(buf, r)
 	}
@@ -71,6 +71,22 @@ func TestFramesOversizedLength(t *testing.T) {
 	payloads, valid, torn := Frames(buf)
 	if len(payloads) != 0 || valid != 0 || !torn {
 		t.Fatalf("oversized length accepted: %d payloads, valid=%d, torn=%v", len(payloads), valid, torn)
+	}
+}
+
+// TestFramesZeroLengthEndsPrefix: 8 zero bytes carry a matching CRC (the
+// CRC-32 of nothing is 0), yet they are a zero-filled tail, not a record.
+func TestFramesZeroLengthEndsPrefix(t *testing.T) {
+	buf := AppendFrame(nil, []byte("keep me"))
+	intact := len(buf)
+	buf = append(buf, make([]byte, 16)...)
+	buf = AppendFrame(buf, []byte("behind the zeros"))
+	payloads, valid, torn := Frames(buf)
+	if !torn || valid != intact || len(payloads) != 1 {
+		t.Fatalf("zero frame: %d payloads, valid=%d, torn=%v; want 1, %d, true", len(payloads), valid, torn, intact)
+	}
+	if _, _, ok := NextFrame(AppendFrame(nil, nil)); ok {
+		t.Fatal("an empty frame parsed as intact")
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // Together these are the crash-recovery contract Journal.replay relies on.
 func FuzzFrames(f *testing.F) {
 	// Seed with the shapes the unit tests cover: an empty journal, intact
-	// journals of one and several payloads, an empty payload, and torn or
-	// corrupt variants of each.
+	// journals of one and several payloads, a zero-length frame (which ends
+	// the intact prefix), and torn or corrupt variants of each.
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, []byte("pair a->b")))
 	intact := AppendFrame(nil, []byte("alpha"))

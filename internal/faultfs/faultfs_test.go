@@ -267,3 +267,48 @@ func TestInjectSeekAndTruncate(t *testing.T) {
 		t.Fatalf("seek end: %d, %v", pos, err)
 	}
 }
+
+// TestInjectInPlaceWriteStaysInRange: an in-place overwrite of a synced
+// file (open, seek, write, fsync, close — the serve slot-file save) crashed
+// at any of its operations, under many adversarial recoveries, never changes
+// a byte outside the range it wrote, nor the file's size. That is what lets
+// a two-slot file trust its other slot.
+func TestInjectInPlaceWriteStaysInRange(t *testing.T) {
+	orig := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB
+	patch := bytes.Repeat([]byte{0xA5}, 1800)
+	const off = 4096
+	for seed := int64(1); seed <= 32; seed++ {
+		for k := int64(1); k <= 4; k++ {
+			ifs := NewInject(seed, Faults{})
+			writeSync(t, ifs, "slots", orig)
+			if err := ifs.SyncDir("."); err != nil {
+				t.Fatal(err)
+			}
+			ifs.CrashAfter(k)
+			if f, err := ifs.OpenFile("slots", os.O_RDWR, 0); err == nil {
+				if _, err := f.Seek(off, io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(patch); err == nil {
+					if err := f.Sync(); err == nil {
+						_ = f.Close() // the crash lands here at k = 4
+					}
+				}
+			}
+			if !ifs.Crashed() {
+				t.Fatalf("seed %d: crash point %d never fired", seed, k)
+			}
+			ifs.Recover()
+			got, err := ifs.ReadFile("slots")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(orig) {
+				t.Fatalf("seed %d crash %d: size %d, want %d", seed, k, len(got), len(orig))
+			}
+			if !bytes.Equal(got[:off], orig[:off]) || !bytes.Equal(got[off+len(patch):], orig[off+len(patch):]) {
+				t.Fatalf("seed %d crash %d: bytes outside the written range changed", seed, k)
+			}
+		}
+	}
+}

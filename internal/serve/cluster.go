@@ -542,7 +542,7 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 	if err := cn.sender.Send(ctx, peer, h); err != nil {
 		s.met.clusterHandoffErrors.Add(1)
 		if frozen && s.opts.SnapshotDir != "" {
-			if err2 := saveSnapshot(s.fs, s.opts.SnapshotDir, tenant, snap); err2 != nil {
+			if err2 := saveSnapshot(s.files, s.opts.SnapshotDir, tenant, snap); err2 != nil {
 				s.met.snapshotErrors.Add(1)
 			}
 		}
@@ -553,7 +553,7 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 		s.met.replShipsHome.Add(1)
 	}
 	if s.opts.SnapshotDir != "" && !fromStandby {
-		_ = deleteSnapshot(s.fs, s.opts.SnapshotDir, tenant)
+		_ = deleteSnapshot(s.files, s.opts.SnapshotDir, tenant)
 	}
 	// What happens to the standby copy after an acked ship depends on who we
 	// are. If this replica is the tenant's live standby successor, the state
@@ -573,13 +573,13 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 					hc := h
 					hc.From = peer // standby frames carry the OWNER, not the shipper
 					if frame, err := cluster.EncodeHandoff(hc); err == nil {
-						if err := saveStandbyFrame(s.fs, s.opts.StandbyDir, peer, tenant, frame); err != nil {
+						if err := saveStandbyFrame(s.files, s.opts.StandbyDir, peer, tenant, frame); err != nil {
 							s.met.replStoreErrors.Add(1)
 						}
 					}
 				}
 			}
-		} else if err := deleteStandby(s.fs, s.opts.StandbyDir, peer, tenant); err != nil {
+		} else if err := deleteStandby(s.files, s.opts.StandbyDir, peer, tenant); err != nil {
 			s.met.replStoreErrors.Add(1)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -105,6 +106,8 @@ type Server struct {
 	reg  *registry
 	met  metrics
 	fs   faultfs.FS
+	// files writes every snapshot and standby copy (slots.go).
+	files *slotFiles
 
 	// scorer is installed on every session stream. With a ScoreDeadline it
 	// bounds each batch; tests may swap it before the first session exists.
@@ -161,8 +164,14 @@ func New(opts Options) (*Server, error) {
 		if dir == "" {
 			continue
 		}
-		if _, err := opts.FS.ReadDir(dir); errors.Is(err, fs.ErrNotExist) {
+		err := removeTempFiles(opts.FS, dir)
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("serve: state directory must exist before New: %w", err)
+		}
+		if err != nil {
+			// Leftover temp files are garbage, not state; the next start
+			// retries.
+			log.Printf("serve: remove leftover temp files in %s: %v", dir, err)
 		}
 	}
 
@@ -171,6 +180,7 @@ func New(opts Options) (*Server, error) {
 		mux:         http.NewServeMux(),
 		reg:         newRegistry(),
 		fs:          opts.FS,
+		files:       newSlotFiles(opts.FS),
 		slots:       make(chan struct{}, opts.MaxInflight),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -272,7 +282,7 @@ func (s *Server) persistLocked(v *session) {
 		return
 	}
 	snap := snapshotOfLocked(v)
-	if err := saveSnapshot(s.fs, s.opts.SnapshotDir, v.tenant, snap); err != nil {
+	if err := saveSnapshot(s.files, s.opts.SnapshotDir, v.tenant, snap); err != nil {
 		s.met.snapshotErrors.Add(1)
 		return
 	}
@@ -617,7 +627,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.reg.remove(sess)
 	}
 	if s.opts.SnapshotDir != "" {
-		if err := deleteSnapshot(s.fs, s.opts.SnapshotDir, tenant); err != nil {
+		if err := deleteSnapshot(s.files, s.opts.SnapshotDir, tenant); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -726,7 +736,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if s.opts.SnapshotDir != "" && sess.dirty {
 			snap := snapshotOfLocked(sess)
 			//mdes:allow(lockcall) drain-time only: the server has stopped accepting ticks, and the session lock guarantees the snapshot is the final state
-			if err := saveSnapshot(s.fs, s.opts.SnapshotDir, sess.tenant, snap); err != nil {
+			if err := saveSnapshot(s.files, s.opts.SnapshotDir, sess.tenant, snap); err != nil {
 				s.met.snapshotErrors.Add(1)
 				if firstErr == nil {
 					firstErr = err

@@ -15,10 +15,10 @@ import (
 )
 
 // sessionSnapshot is the durable state of one tenant session: which model it
-// runs plus the stream's rolling window. It is persisted as a single
-// checkpoint-framed record (length + CRC-32 + JSON payload), so a restart can
-// tell an intact snapshot from a torn or truncated one the same way the
-// training journal does.
+// runs plus the stream's rolling window. It is encoded as one
+// checkpoint-framed record (length + CRC-32 + JSON payload) and stored in a
+// slot of the tenant's slot file, so a restart can tell an intact snapshot
+// from a torn or truncated one the same way the training journal does.
 type sessionSnapshot struct {
 	Tenant string              `json:"tenant"`
 	Model  string              `json:"model"`
@@ -51,58 +51,29 @@ func snapshotPath(dir, tenant string) string {
 	return filepath.Join(dir, hex.EncodeToString([]byte(tenant))+".snap")
 }
 
-// writeDurable durably replaces path with one framed record: temp file in
-// dir, write, fsync, close, rename over path, fsync the directory. A crash
-// at any point leaves either the old intact file or the new one — never a
-// torn file that parses. The directory fsync matters: without it the rename
-// (or the very first file's creation) lives only in the dirty directory page
-// and can be undone by power loss. Shared by the session snapshot store and
-// the warm-standby store, which must not diverge in durability.
-func writeDurable(fsys faultfs.FS, dir, path string, frame []byte) error {
-	tmp, err := fsys.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(frame); err != nil {
-		_ = tmp.Close() // the write error is the one reported
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close() // the sync error is the one reported
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
-// saveSnapshot durably replaces the tenant's snapshot (see writeDurable for
-// the crash-safety argument).
-func saveSnapshot(fsys faultfs.FS, dir, tenant string, snap sessionSnapshot) error {
+// saveSnapshot durably stores the tenant's snapshot in its slot file (see
+// slots.go for the crash-safety argument).
+func saveSnapshot(files *slotFiles, dir, tenant string, snap sessionSnapshot) error {
 	payload, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("serve: encode snapshot for %q: %w", tenant, err)
 	}
 	frame := checkpoint.AppendFrame(make([]byte, 0, len(payload)+8), payload)
-	if err := writeDurable(fsys, dir, snapshotPath(dir, tenant), frame); err != nil {
+	if err := files.save(dir, snapshotPath(dir, tenant), frame); err != nil {
 		return fmt.Errorf("serve: write snapshot for %q: %w", tenant, err)
 	}
 	return nil
 }
 
 // loadSnapshot reads a tenant's snapshot if one exists. A missing file is
-// (zero, false, false, nil); a file whose single frame is torn or fails its
-// CRC loads nothing but reports torn=true — the caller decides whether the
-// resulting fresh start is routine (mid-rename crash) or worth surfacing
-// (the Server wrapper counts and logs it; silence here cost a debugging
-// session once). A frame that is intact but does not decode is a real error.
+// (zero, false, false, nil); a file with no intact record — every slot torn
+// or failing its CRC — loads nothing but reports torn=true. One torn slot
+// beside an intact one is a routine crash mid-save, not torn. The caller
+// decides whether the resulting fresh start is worth surfacing (the Server
+// wrapper counts and logs it; silence here cost a debugging session once).
+// A frame that is intact but does not decode is a real error.
 func loadSnapshot(fsys faultfs.FS, dir, tenant string) (snap sessionSnapshot, ok, torn bool, err error) {
-	data, err := fsys.ReadFile(snapshotPath(dir, tenant))
+	data, err := ReadSnapshotFrame(fsys, snapshotPath(dir, tenant))
 	if errors.Is(err, fs.ErrNotExist) {
 		return sessionSnapshot{}, false, false, nil
 	}
@@ -150,15 +121,6 @@ func listSnapshots(fsys faultfs.FS, dir string) ([]string, error) {
 
 // deleteSnapshot removes a tenant's snapshot and makes the removal durable;
 // missing files are fine.
-func deleteSnapshot(fsys faultfs.FS, dir, tenant string) error {
-	err := fsys.Remove(snapshotPath(dir, tenant))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	if err == nil {
-		if err := fsys.SyncDir(dir); err != nil {
-			return err
-		}
-	}
-	return nil
+func deleteSnapshot(files *slotFiles, dir, tenant string) error {
+	return files.remove(dir, snapshotPath(dir, tenant))
 }

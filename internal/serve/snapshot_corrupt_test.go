@@ -1,96 +1,120 @@
 package serve
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
 	"mdes"
+	"mdes/internal/checkpoint"
 	"mdes/internal/faultfs"
 )
 
-// refSnapshot builds one realistic session snapshot on disk and returns it
-// with the installed file's raw bytes.
-func refSnapshot(t *testing.T, dir string) (sessionSnapshot, []byte) {
-	t.Helper()
-	snap := sessionSnapshot{
+// bytesFS serves fixed bytes as every file, so the damage sweeps below load
+// thousands of variants without touching a disk. Loads call only ReadFile.
+type bytesFS struct {
+	faultfs.FS
+	data []byte
+}
+
+func (b bytesFS) ReadFile(string) ([]byte, error) { return b.data, nil }
+
+// snapAt builds one realistic session snapshot at the given tick count.
+func snapAt(ticks int) sessionSnapshot {
+	return sessionSnapshot{
 		Tenant: "plant",
 		Model:  "default",
 		Stream: mdes.StreamSnapshot{
-			Ticks:   42,
-			Emitted: 3,
+			Ticks:   ticks,
+			Emitted: ticks / 12,
 			Windows: map[string][]string{"a": {"ON", "OFF"}, "b": {"OFF", "ON"}},
 		},
 	}
-	if err := saveSnapshot(faultfs.OS, dir, "plant", snap); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(snapshotPath(dir, "plant"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap, data
 }
 
-// checkDamaged loads a (possibly damaged) snapshot file and asserts the only
-// legal outcomes: a clean miss (the tenant starts fresh) or the original
-// snapshot, bit for bit. Never a panic, never an error, never a mutated
-// snapshot.
-func checkDamaged(t *testing.T, dir string, want sessionSnapshot, label string) {
+// refSlotFile saves two snapshots through one writer — the first replaces
+// (creates) the file, the second goes in place — and returns them with the
+// file's bytes: slot 0 holds prev, slot 1 newest.
+func refSlotFile(t *testing.T) (prev, newest sessionSnapshot, data []byte) {
 	t.Helper()
-	got, ok, _, err := loadSnapshot(faultfs.OS, dir, "plant")
-	if err != nil {
-		t.Fatalf("%s: loadSnapshot error: %v", label, err)
-	}
-	if ok && !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: damaged snapshot loaded as %+v, want exact original or a miss", label, got)
-	}
-}
-
-// TestSnapshotTruncationSweep cuts the snapshot file at every byte length:
-// any truncation short of the full frame must read as a miss, and the full
-// frame as the exact original.
-func TestSnapshotTruncationSweep(t *testing.T) {
-	dir := t.TempDir()
-	want, data := refSnapshot(t, dir)
-	path := snapshotPath(dir, "plant")
-
-	for cut := 0; cut <= len(data); cut++ {
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+	ifs := faultfs.NewInject(1, faultfs.Faults{})
+	files := newSlotFiles(ifs)
+	prev, newest = snapAt(42), snapAt(48)
+	for _, s := range []sessionSnapshot{prev, newest} {
+		if err := saveSnapshot(files, "snaps", "plant", s); err != nil {
 			t.Fatal(err)
 		}
-		got, ok, torn, err := loadSnapshot(faultfs.OS, dir, "plant")
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		if cut < len(data) && ok {
-			t.Fatalf("cut at %d: truncated snapshot parsed as %+v", cut, got)
-		}
-		if cut > 0 && cut < len(data) && !torn {
-			t.Fatalf("cut at %d: truncated snapshot not reported torn", cut)
-		}
-		if cut == len(data) && (!ok || !reflect.DeepEqual(got, want)) {
-			t.Fatalf("full snapshot did not round-trip: ok=%v got=%+v", ok, got)
+	}
+	data, err := ifs.ReadFile(snapshotPath("snaps", "plant"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 2*slotAlign {
+		t.Fatalf("slot file is %d bytes, want two %d-byte slots", len(data), slotAlign)
+	}
+	return prev, newest, data
+}
+
+// recordEnd is the length of the intact record at the start of slot.
+func recordEnd(t *testing.T, slot []byte) int {
+	t.Helper()
+	_, n, ok := checkpoint.NextFrame(slot)
+	if !ok {
+		t.Fatal("reference slot holds no intact record")
+	}
+	return n
+}
+
+// expectLoad loads data as a snapshot file and asserts the outcome: want
+// nil means a clean miss (torn iff bytes exist), otherwise exactly *want and
+// not torn. Never an error, never a mutated snapshot.
+func expectLoad(t *testing.T, data []byte, want *sessionSnapshot, label string) {
+	t.Helper()
+	got, ok, torn, err := loadSnapshot(bytesFS{data: data}, "snaps", "plant")
+	switch {
+	case err != nil:
+		t.Fatalf("%s: load error: %v", label, err)
+	case want == nil && (ok || torn != (len(data) > 0)):
+		t.Fatalf("%s: loaded ok=%v torn=%v (%d bytes), want a clean miss", label, ok, torn, len(data))
+	case want != nil && (!ok || torn || !reflect.DeepEqual(got, *want)):
+		t.Fatalf("%s: loaded ok=%v torn=%v ticks=%d, want ticks=%d", label, ok, torn, got.Stream.Ticks, want.Stream.Ticks)
+	}
+}
+
+// TestSnapshotTruncationSweep cuts a two-slot file at every byte length: cut
+// inside slot 0's record, nothing loads (torn); cut before slot 1's record
+// ends, the previous record loads; otherwise the newest.
+func TestSnapshotTruncationSweep(t *testing.T) {
+	prev, newest, data := refSlotFile(t)
+	size := len(data) / 2
+	end0, end1 := recordEnd(t, data), size+recordEnd(t, data[size:])
+	for cut := 0; cut <= len(data); cut++ {
+		switch {
+		case cut < end0:
+			expectLoad(t, data[:cut], nil, "cut in slot 0's record")
+		case cut < end1:
+			expectLoad(t, data[:cut], &prev, "cut in slot 1's record")
+		default:
+			expectLoad(t, data[:cut], &newest, "cut in slot 1's padding")
 		}
 	}
 }
 
-// TestSnapshotBitFlipSweep flips a single bit at every byte offset of the
-// snapshot file: the CRC frame must catch every one — the load either misses
-// cleanly or (never, for a framed file this small) returns the original.
+// TestSnapshotBitFlipSweep flips a single bit at every offset of a two-slot
+// file: a flip inside the newest record loads the previous one, anywhere
+// else the newest — the CRC catches every one.
 func TestSnapshotBitFlipSweep(t *testing.T) {
-	dir := t.TempDir()
-	want, data := refSnapshot(t, dir)
-	path := snapshotPath(dir, "plant")
-
+	prev, newest, data := refSlotFile(t)
+	size := len(data) / 2
+	end1 := size + recordEnd(t, data[size:])
 	for off := 0; off < len(data); off++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), data...)
-			mut[off] ^= 1 << bit
-			if err := os.WriteFile(path, mut, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			checkDamaged(t, dir, want, "flip")
+		want := &newest
+		if off >= size && off < end1 {
+			want = &prev
+		}
+		for bit := byte(1); bit != 0; bit <<= 1 {
+			data[off] ^= bit
+			expectLoad(t, data, want, "flip")
+			data[off] ^= bit
 		}
 	}
 }

@@ -51,17 +51,18 @@ func standbyPath(dir, owner, tenant string) string {
 }
 
 // saveStandbyFrame durably stores one replicated record, already in its
-// CRC-framed wire form — the frame that survived the network CRC check is
-// byte-for-byte the frame on disk, so there is no re-encode step to corrupt.
-func saveStandbyFrame(fsys faultfs.FS, dir, owner, tenant string, frame []byte) error {
-	return writeDurable(fsys, dir, standbyPath(dir, owner, tenant), frame)
+// CRC-framed wire form, in the copy's slot file — the frame that survived
+// the network CRC check is byte-for-byte the frame in the slot, so there is
+// no re-encode step to corrupt.
+func saveStandbyFrame(files *slotFiles, dir, owner, tenant string, frame []byte) error {
+	return files.save(dir, standbyPath(dir, owner, tenant), frame)
 }
 
-// loadStandby reads a standby copy if one exists. Missing files and torn or
-// CRC-broken frames are (zero, false, nil) — a broken copy is as useless as
-// an absent one, and the caller treats both as "no standby state".
+// loadStandby reads a standby copy if one exists. Missing files and files
+// with no intact record are (zero, false, nil) — a broken copy is as useless
+// as an absent one, and the caller treats both as "no standby state".
 func loadStandby(fsys faultfs.FS, dir, owner, tenant string) (cluster.Handoff, bool, error) {
-	data, err := fsys.ReadFile(standbyPath(dir, owner, tenant))
+	data, err := ReadSnapshotFrame(fsys, standbyPath(dir, owner, tenant))
 	if errors.Is(err, fs.ErrNotExist) {
 		return cluster.Handoff{}, false, nil
 	}
@@ -109,15 +110,8 @@ func standbyTenantsFor(fsys faultfs.FS, dir, owner string) ([]string, error) {
 }
 
 // deleteStandby removes a standby copy durably; missing files are fine.
-func deleteStandby(fsys faultfs.FS, dir, owner, tenant string) error {
-	err := fsys.Remove(standbyPath(dir, owner, tenant))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	if err == nil {
-		return fsys.SyncDir(dir)
-	}
-	return nil
+func deleteStandby(files *slotFiles, dir, owner, tenant string) error {
+	return files.remove(dir, standbyPath(dir, owner, tenant))
 }
 
 // replicateLocked offers the just-persisted snapshot to the tenant's
@@ -209,7 +203,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if err := saveStandbyFrame(s.fs, s.opts.StandbyDir, h.From, h.Tenant, body); err != nil {
+	if err := saveStandbyFrame(s.files, s.opts.StandbyDir, h.From, h.Tenant, body); err != nil {
 		s.met.replStoreErrors.Add(1)
 		s.retryAfterHeader(w)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

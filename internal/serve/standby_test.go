@@ -70,7 +70,8 @@ func TestStandbyStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := saveStandbyFrame(faultfs.OS, dir, h.From, h.Tenant, frame); err != nil {
+	files := newSlotFiles(faultfs.OS)
+	if err := saveStandbyFrame(files, dir, h.From, h.Tenant, frame); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,7 +88,7 @@ func TestStandbyStoreRoundTrip(t *testing.T) {
 	h2.From = "http://other:1"
 	h2.Ticks = 7
 	frame2, _ := cluster.EncodeHandoff(h2)
-	if err := saveStandbyFrame(faultfs.OS, dir, h2.From, h2.Tenant, frame2); err != nil {
+	if err := saveStandbyFrame(files, dir, h2.From, h2.Tenant, frame2); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, _ := loadStandby(faultfs.OS, dir, h.From, h.Tenant); got.Ticks != 42 {
@@ -108,10 +109,10 @@ func TestStandbyStoreRoundTrip(t *testing.T) {
 		t.Fatalf("torn standby copy: ok=%v err=%v, want clean miss", ok, err)
 	}
 
-	if err := deleteStandby(faultfs.OS, dir, h.From, h.Tenant); err != nil {
+	if err := deleteStandby(files, dir, h.From, h.Tenant); err != nil {
 		t.Fatal(err)
 	}
-	if err := deleteStandby(faultfs.OS, dir, h.From, h.Tenant); err != nil {
+	if err := deleteStandby(files, dir, h.From, h.Tenant); err != nil {
 		t.Fatalf("double delete: %v", err)
 	}
 	tenants, _ = standbyTenantsFor(faultfs.OS, dir, h.From)
@@ -376,7 +377,7 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := tc.srvs[thirdIdx]
-	if err := saveStandbyFrame(third.fs, third.opts.StandbyDir, tc.urls[0], tenant, frame); err != nil {
+	if err := saveStandbyFrame(third.files, third.opts.StandbyDir, tc.urls[0], tenant, frame); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 12, 24)); err != nil {
@@ -555,33 +556,55 @@ func TestStandbyMetricsRendered(t *testing.T) {
 	}
 }
 
-// TestTornSnapshotCounted: a torn local snapshot increments the torn counter
-// and serves fresh instead of failing.
+// TestTornSnapshotCounted: a snapshot with no intact slot increments the
+// torn counter and serves fresh instead of failing. A torn newest slot beside
+// an intact older one is a routine crash mid-save: the tenant restores from
+// the older record and nothing is counted.
 func TestTornSnapshotCounted(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	srv, _, c := newTestServer(t, Options{SnapshotDir: dir})
 	tenant := "torn-plant"
 	ds := coupledDataset(rand.New(rand.NewSource(23)), 12)
-	if _, err := c.PushTicks(context.Background(), tenant, ticksOf(ds, 0, 12)); err != nil {
-		t.Fatal(err)
+	for _, from := range []int{0, 6} { // two saves: slot 0 @6, slot 1 @12
+		if _, err := c.PushTicks(ctx, tenant, ticksOf(ds, from, from+6)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	srv.Shutdown(context.Background())
-
-	// Tear the snapshot mid-frame.
+	srv.Shutdown(ctx)
 	path := snapshotPath(dir, tenant)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	srv2, _, c2 := newTestServer(t, Options{SnapshotDir: dir})
-	if _, err := c2.PushTicks(context.Background(), tenant, ticksOf(ds, 0, 6)); err != nil {
+	// Tear the newest record (slot 1) mid-frame.
+	oneTorn := append([]byte(nil), data...)
+	oneTorn[len(data)/2+20] ^= 0xff
+	if err := os.WriteFile(path, oneTorn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv2.met.snapshotTorn.Load(); got != 1 {
+	srv2, _, c2 := newTestServer(t, Options{SnapshotDir: dir})
+	if _, err := c2.PushTicks(ctx, tenant, ticksOf(ds, 6, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := c2.Session(ctx, tenant); err != nil || info.Ticks != 12 {
+		t.Fatalf("after a torn newest slot: session %+v (err %v), want restored @6 + 6 ticks", info, err)
+	}
+	if got := srv2.met.snapshotTorn.Load(); got != 0 {
+		t.Fatalf("snapshotTorn = %d with an intact slot left, want 0", got)
+	}
+	srv2.Shutdown(ctx)
+
+	// Tear every slot: cut the file inside the first record.
+	if err := os.WriteFile(path, data[:64], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv3, _, c3 := newTestServer(t, Options{SnapshotDir: dir})
+	if _, err := c3.PushTicks(ctx, tenant, ticksOf(ds, 0, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv3.met.snapshotTorn.Load(); got != 1 {
 		t.Fatalf("snapshotTorn = %d, want 1", got)
 	}
 }
