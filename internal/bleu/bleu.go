@@ -71,13 +71,32 @@ func Sentence(ref, hyp []string, maxN int, smoothing Smoothing) float64 {
 	return combine(matches, totals, len(ref), len(hyp), smoothing)
 }
 
-// CorpusIDs is Corpus over integer token sequences (convenience for NMT
-// output).
+// CorpusIDs is Corpus over integer token sequences — training's dev-set
+// score s(i,j). It counts on the Scorer's bitsets rather than string maps;
+// the counts are the same integers, so the score is Corpus's bit for bit
+// (scorer_test.go pins it over stringified tokens).
 func CorpusIDs(refs, hyps [][]int, maxN int) float64 {
-	return Corpus(stringify(refs), stringify(hyps), maxN)
+	maxN = clampOrder(maxN)
+	var matches, totals [MaxOrder]float64
+	var refLen, hypLen int
+	var s Scorer
+	for i := 0; i < len(refs) && i < len(hyps); i++ {
+		ref, hyp := refs[i], hyps[i]
+		if len(ref) == 0 || len(hyp) == 0 {
+			continue
+		}
+		refLen += len(ref)
+		hypLen += len(hyp)
+		s.accumulate(ref, hyp, maxN, &matches, &totals)
+	}
+	if hypLen == 0 || refLen == 0 {
+		return 0
+	}
+	return combine(matches[:maxN], totals[:maxN], refLen, hypLen, SmoothNone)
 }
 
-// SentenceIDs is Sentence over integer token sequences.
+// SentenceIDs is Sentence over integer token sequences: the string-keyed
+// reference the Scorer is tested against.
 func SentenceIDs(ref, hyp []int, maxN int, smoothing Smoothing) float64 {
 	return Sentence(stringifyOne(ref), stringifyOne(hyp), maxN, smoothing)
 }
@@ -169,14 +188,6 @@ func countNgrams(tokens []string, n int) map[string]int {
 			sb.WriteString(tokens[i+j])
 		}
 		out[sb.String()]++
-	}
-	return out
-}
-
-func stringify(seqs [][]int) [][]string {
-	out := make([][]string, len(seqs))
-	for i, s := range seqs {
-		out[i] = stringifyOne(s)
 	}
 	return out
 }

@@ -95,6 +95,42 @@ func BenchmarkScoreBatch(b *testing.B) {
 	b.Run("int8", func(b *testing.B) { benchScoreBatch(b, Int8) })
 }
 
+// BenchmarkScoreSentence measures one relationship score the way a stream
+// pays for it on a translation-cache miss: a batch of one, caching off. The
+// bench-shape case is the serving benchmark's pair model (bench/gen.go:
+// hidden = embed = 16, one layer, 13-token sentences, MaxDecodeLen 15) at
+// V = 19, under the f32 input-table break-even (V ≤ 21), with EOS pushed down
+// so every decode runs all 15 steps.
+func BenchmarkScoreSentence(b *testing.B) {
+	b.Run("bench-shape", func(b *testing.B) {
+		cfg := nmt.Config{
+			SrcVocab: 19, TgtVocab: 19,
+			Embed: 16, Hidden: 16, Layers: 1,
+			LearningRate: 1e-3, ClipNorm: 5,
+			TrainSteps: 1, BatchSize: 1, MaxDecodeLen: 15,
+		}
+		nm, err := nmt.NewModel(cfg, 17)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := nm.State()
+		st.Weights["out.b"][nmt.EosID] = -100
+		m, err := FromState(st, F32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.SetTranslationCaching(false)
+		srcs, refs := benchCorpus(benchBatch, 13, 19)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scoreSink += m.ScoreSentence(srcs[i%benchBatch], refs[i%benchBatch])
+		}
+	})
+}
+
+var scoreSink float64
+
 // BenchmarkModelMemory reports resident model bytes per precision as metrics
 // (the ~4× reduction claim); the benchmark body does no work.
 func BenchmarkModelMemory(b *testing.B) {

@@ -140,18 +140,19 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	h, layers := m.cfg.Hidden, m.cfg.Layers
 	maxLen := m.cfg.MaxDecodeLen
 
-	x := w.matrix(bN, m.cfg.Embed) // current-step input embeddings
+	x := w.matrix(bN, m.cfg.Embed) // input embeddings of a stack without a table
 	g := w.matrix(bN, 4*h)         // packed LSTM gate activations
 	w.states(layers, bN, h)
 
 	// Encoder: top-layer hidden per (sentence, source position), laid out so
 	// sentence b's positions are the contiguous rows [b*sN, (b+1)*sN).
 	encTop := w.matrix(bN*sN, h)
+	ids := w.intsBuf(bN)
 	for s := 0; s < sN; s++ {
 		for b, i := range group {
-			copy(x.Row(b), m.srcEmb.Row(m.clampSrc(srcs[i][s])))
+			ids[b] = srcs[i][s]
 		}
-		m.stepStack(w, x, m.enc, g)
+		m.stepStack(w, &m.enc, ids, x, g)
 		top := w.hs[layers-1]
 		for b := 0; b < bN; b++ {
 			copy(encTop.Row(b*sN+s), top.Row(b))
@@ -166,7 +167,6 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	// The decoder starts from the encoder's final state and the encoder never
 	// steps again, so w.hs/w.cs carry over in place.
 	scores := w.matrix(bN, sN)
-	ctx := w.matrix(bN, h)
 	cat := w.matrix(bN, 2*h)
 	htl := w.matrix(bN, h)
 	logits := w.matrix(bN, m.cfg.TgtVocab)
@@ -182,34 +182,29 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	for t := 0; t < maxLen && remaining > 0; t++ {
 		// Finished rows keep stepping with their last token so the batch
 		// stays rectangular; their outputs are ignored below.
-		for b := range tok {
-			copy(x.Row(b), m.tgtEmb.Row(m.clampTgt(tok[b])))
-		}
-		m.stepStack(w, x, m.dec, g)
+		m.stepStack(w, &m.dec, tok, x, g)
 		hTop := w.hs[layers-1]
 
-		// Attention scores against every source position.
 		for b := 0; b < bN; b++ {
-			hb := hTop.Row(b)
+			// Attention scores against every source position: one MulVec
+			// over the sentence's rows of Wa·ē, whose row blocks add each
+			// score's terms in Dot32's order.
 			sc := scores.Row(b)
-			for s := 0; s < sN; s++ {
-				sc[s] = mat.Dot32(hb, waEnc.Row(b*sN+s))
-			}
-		}
-
-		// Context, combine, output logits.
-		for b := 0; b < bN; b++ {
-			sc := scores.Row(b)
+			keys := mat.Matrix32{Rows: sN, Cols: h, Data: waEnc.Data[b*sN*h : (b+1)*sN*h]}
+			keys.MulVec(sc, hTop.Row(b))
 			mat.Softmax32(sc, sc)
-			cr := ctx.Row(b)
-			for j := range cr {
-				cr[j] = 0
-			}
-			for s := 0; s < sN; s++ {
-				mat.Axpy32(sc[s], encTop.Row(b*sN+s), cr)
-			}
+
+			// Context Σ_s a_s·ē_s into the first half of the combine input,
+			// each element's terms added in s order from zero — Axpy32's
+			// per-position accumulation, fused into one loop.
 			cc := cat.Row(b)
-			copy(cc[:h], cr)
+			ctx := cc[:h]
+			clear(ctx)
+			for s, a := range sc {
+				for j, v := range encTop.Data[(b*sN+s)*h : (b*sN+s+1)*h] {
+					ctx[j] += a * v
+				}
+			}
 			copy(cc[h:], hTop.Row(b))
 		}
 		m.mulInto(w, htl, cat, &m.wc, false)
@@ -243,17 +238,30 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	}
 }
 
-// stepStack advances a stacked LSTM one step for the whole batch: for each
-// layer, gates = in·Wxᵀ + hPrev·Whᵀ + b through SigTanhGates, then the cell
-// and hidden state matrices in w.hs/w.cs update in place.
+// stepStack advances a stacked LSTM one step for the whole batch, row b
+// reading token ids[b]: for each layer, gates = in·Wxᵀ + hPrev·Whᵀ + b
+// through SigTanhGates, then the cell and hidden state matrices in w.hs/w.cs
+// update in place. Layer 0's in·Wxᵀ is a copied row of the stack's input
+// table when it has one, else the embedding rows (staged in x) times Wx.
 //
 //mdes:noalloc
-func (m *Model) stepStack(w *ws, x *mat.Matrix32, cells []cell, g *mat.Matrix32) {
-	in := x
-	for l := range cells {
-		c := &cells[l]
+func (m *Model) stepStack(w *ws, st *stack, ids []int, x, g *mat.Matrix32) {
+	for l := range st.cells {
+		c := &st.cells[l]
 		h := c.hid
-		m.mulInto(w, g, in, &c.wx, false)
+		switch {
+		case l > 0:
+			m.mulInto(w, g, w.hs[l-1], &c.wx, false)
+		case st.in0 != nil:
+			for b, tok := range ids {
+				copy(g.Row(b), st.in0.Row(st.clamp(tok)))
+			}
+		default:
+			for b, tok := range ids {
+				copy(x.Row(b), st.emb.Row(st.clamp(tok)))
+			}
+			m.mulInto(w, g, x, &c.wx, false)
+		}
 		m.mulInto(w, g, w.hs[l], &c.wh, true)
 		hl, cl := w.hs[l], w.cs[l]
 		for b := 0; b < g.Rows; b++ {
@@ -272,6 +280,5 @@ func (m *Model) stepStack(w *ws, x *mat.Matrix32, cells []cell, g *mat.Matrix32)
 				hr[j] *= gr[3*h+j]
 			}
 		}
-		in = hl
 	}
 }

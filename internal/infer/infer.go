@@ -93,19 +93,70 @@ type cell struct {
 	in, hid int
 }
 
+// stack is one frozen LSTM stack with the token embedding that feeds it.
+// Layer 0 sees only emb[tok] for tok < vocab, so its input projection
+// emb[tok]·Wxᵀ can be frozen too, as a vocab×4h table (in0). FromState builds
+// the table when it is no larger than the embedding plus the layer-0 Wx it
+// replaces, and then drops those two: emb is nil and cells[0].wx empty.
+type stack struct {
+	vocab int
+	emb   *mat.Matrix32 // vocab×embed, float32 in both precisions; or nil
+	in0   *mat.Matrix32 // vocab×4h layer-0 input projections; or nil
+	cells []cell
+}
+
+// tabulate freezes st's layer-0 input projection into in0 if the table is no
+// larger than what it replaces. The rows come out of the same mulInto the
+// decode would run on the embedding rows, and every GEMM kernel is
+// row-independent, so a table row is bit for bit the per-step product — under
+// the kernels active now (mat.SetSIMD is a process-wide switch: flip it before
+// freezing, not after).
+func (m *Model) tabulate(st *stack) {
+	c := &st.cells[0]
+	if 4*st.vocab*4*c.hid > 4*len(st.emb.Data)+c.wx.bytes() {
+		return
+	}
+	st.in0 = mat.NewMatrix32(st.vocab, 4*c.hid)
+	m.mulInto(newWS(), st.in0, st.emb, &c.wx, false)
+	st.emb, c.wx = nil, weight{}
+}
+
+// bytes reports the resident size of the stack's frozen tensors.
+func (st *stack) bytes() int {
+	total := 0
+	if st.emb != nil {
+		total += 4 * len(st.emb.Data)
+	}
+	if st.in0 != nil {
+		total += 4 * len(st.in0.Data)
+	}
+	for i := range st.cells {
+		c := &st.cells[i]
+		total += c.wx.bytes() + c.wh.bytes() + 4*len(c.b)
+	}
+	return total
+}
+
+// clamp maps an out-of-vocabulary token to <unk>.
+func (st *stack) clamp(tok int) int {
+	if tok < 0 || tok >= st.vocab {
+		return nmt.UnkID
+	}
+	return tok
+}
+
 // Model is a frozen reduced-precision inference model built from a trained
 // nmt.Model's state. It scores; it never trains. Safe for concurrent use.
 type Model struct {
 	cfg  nmt.Config
 	prec Precision
 
-	srcEmb, tgtEmb *mat.Matrix32 // vocab×embed, float32 in both precisions
-	enc, dec       []cell
-	wa             weight // h×h attention bilinear form
-	wc             weight // h×2h combine projection
-	wcB            []float32
-	outW           weight // V×h output projection
-	outB           []float32
+	enc, dec stack  // source- and target-side
+	wa       weight // h×h attention bilinear form
+	wc       weight // h×2h combine projection
+	wcB      []float32
+	outW     weight // V×h output projection
+	outB     []float32
 
 	wsPool sync.Pool
 
@@ -128,21 +179,21 @@ func FromState(st nmt.State, prec Precision) (*Model, error) {
 	}
 	f := freezer{weights: st.Weights, prec: prec}
 	m := &Model{cfg: cfg, prec: prec}
-	m.srcEmb = f.f32Mat("src_emb", cfg.SrcVocab, cfg.Embed)
-	m.tgtEmb = f.f32Mat("tgt_emb", cfg.TgtVocab, cfg.Embed)
+	m.enc = stack{vocab: cfg.SrcVocab, emb: f.f32Mat("src_emb", cfg.SrcVocab, cfg.Embed)}
+	m.dec = stack{vocab: cfg.TgtVocab, emb: f.f32Mat("tgt_emb", cfg.TgtVocab, cfg.Embed)}
 	h := cfg.Hidden
-	for _, stack := range []struct {
-		name  string
-		cells *[]cell
+	for _, s := range []struct {
+		name string
+		st   *stack
 	}{{"enc", &m.enc}, {"dec", &m.dec}} {
-		*stack.cells = make([]cell, cfg.Layers)
-		for l := range *stack.cells {
+		s.st.cells = make([]cell, cfg.Layers)
+		for l := range s.st.cells {
 			in := cfg.Embed
 			if l > 0 {
 				in = h
 			}
-			prefix := fmt.Sprintf("%s.l%d", stack.name, l)
-			(*stack.cells)[l] = cell{
+			prefix := fmt.Sprintf("%s.l%d", s.name, l)
+			s.st.cells[l] = cell{
 				in: in, hid: h,
 				wx: f.gemm(prefix+".Wx", 4*h, in),
 				wh: f.gemm(prefix+".Wh", 4*h, h),
@@ -161,6 +212,8 @@ func FromState(st nmt.State, prec Precision) (*Model, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
+	m.tabulate(&m.enc)
+	m.tabulate(&m.dec)
 	return m, nil
 }
 
@@ -228,17 +281,13 @@ func (m *Model) Precision() Precision { return m.prec }
 // Config returns the underlying NMT configuration.
 func (m *Model) Config() nmt.Config { return m.cfg }
 
-// MemoryBytes reports the resident size of the frozen weights — the number
-// behind the ~4× model-memory reduction in CI's score-bench artifact
-// (BENCH_score.json).
+// MemoryBytes reports the resident size of the frozen weights, input tables
+// included (and the embeddings and layer-0 Wx they replaced excluded) — the
+// number behind the ~4× model-memory reduction in CI's score-bench artifact
+// (BENCH_score.json). A table is built only where it does not grow this.
 func (m *Model) MemoryBytes() int {
-	total := 4 * (len(m.srcEmb.Data) + len(m.tgtEmb.Data))
+	total := m.enc.bytes() + m.dec.bytes()
 	total += 4 * (len(m.wcB) + len(m.outB))
-	for _, cs := range [][]cell{m.enc, m.dec} {
-		for i := range cs {
-			total += cs[i].wx.bytes() + cs[i].wh.bytes() + 4*len(cs[i].b)
-		}
-	}
 	total += m.wa.bytes() + m.wc.bytes() + m.outW.bytes()
 	return total
 }
@@ -257,20 +306,6 @@ func (m *Model) getWS() *ws {
 func (m *Model) putWS(w *ws) {
 	w.reset()
 	m.wsPool.Put(w)
-}
-
-func (m *Model) clampSrc(tok int) int {
-	if tok < 0 || tok >= m.cfg.SrcVocab {
-		return nmt.UnkID
-	}
-	return tok
-}
-
-func (m *Model) clampTgt(tok int) int {
-	if tok < 0 || tok >= m.cfg.TgtVocab {
-		return nmt.UnkID
-	}
-	return tok
 }
 
 // mulInto computes dst = x·wᵀ (add=false) or dst += x·wᵀ (add=true) for a

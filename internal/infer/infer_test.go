@@ -119,6 +119,9 @@ func TestInferMatchesF64(t *testing.T) {
 // translation cache off (the configuration the throughput benchmarks run),
 // warmed batched scoring allocates nothing.
 func TestScoreBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops workspaces under the race detector")
+	}
 	for _, prec := range []Precision{F32, Int8} {
 		m, err := FromState(testState(t, 11), prec)
 		if err != nil {
@@ -303,6 +306,8 @@ func TestFromStateRejectsForeignWeights(t *testing.T) {
 
 // TestMemoryCompression pins the resident-size ordering of the formats and
 // that GEMM weights compress ~4×/~8× vs the float64 training weights.
+// testConfig's vocabularies are past the input-table break-even, so at f32
+// every tensor is a plain float32 copy: exactly half.
 func TestMemoryCompression(t *testing.T) {
 	st := testState(t, 3)
 	var f64Bytes int

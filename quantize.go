@@ -56,9 +56,11 @@ func (m *Model) ScorePrecision() Precision { return m.prec }
 
 // PairModelBytes reports the resident weight memory of all pair models at the
 // active scoring precision — the per-tenant cost of keeping this model
-// servable. Float64 counts the training weights; quantized precisions count
-// the frozen inference weights instead, although the float64 weights stay
-// resident beside them (Quantize and Save read them).
+// servable. Float64 counts the training weights. Quantized precisions count
+// what infer.Model.MemoryBytes counts instead: the frozen weights, with a
+// stack's input table in place of the embedding and layer-0 Wx it replaced.
+// The float64 weights stay resident beside them (Quantize and Save read
+// them) and are not counted.
 func (m *Model) PairModelBytes() int64 {
 	var total int64
 	if m.prec != PrecisionF64 {
