@@ -58,7 +58,10 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdes-serve:", err)
 		os.Exit(1)
 	}
@@ -102,7 +105,9 @@ func parseModels(specs []string) (map[string]*mdes.Model, error) {
 	return models, nil
 }
 
-func run(args []string, logw io.Writer) error {
+// run serves until ctx is cancelled, then drains and returns nil on a clean
+// drain.
+func run(ctx context.Context, args []string, logw io.Writer) error {
 	fs := flag.NewFlagSet("mdes-serve", flag.ContinueOnError)
 	var models modelList
 	fs.Var(&models, "model", "trained model to serve: path or name=path (repeatable)")
@@ -187,13 +192,11 @@ func run(args []string, logw io.Writer) error {
 		errc <- nil
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err
-	case sig := <-sigc:
-		fmt.Fprintf(logw, "mdes-serve: %s — draining\n", sig)
+	case <-ctx.Done():
+		fmt.Fprintln(logw, "mdes-serve: draining")
 	}
 
 	// Drain: stop admitting (readyz 503), let in-flight requests finish,
@@ -201,7 +204,7 @@ func run(args []string, logw io.Writer) error {
 	// the surviving replicas FIRST, while this listener still answers —
 	// peers need the drain announcement and clients need redirects until
 	// every handoff lands.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
 	defer cancel()
 	live := srv.SessionsLive()
 	moved, drainErr := srv.DrainToPeers(ctx) // includes BeginDrain; (0, nil) standalone

@@ -13,9 +13,9 @@ import (
 	"mdes/internal/seqio"
 )
 
-// saveToyModel trains and saves a minimal model for flag-parsing tests.
-func saveToyModel(t *testing.T, path string) {
-	t.Helper()
+// toyDataset is two coupled ON/OFF sensors, 400 ticks: the toy model's
+// training log, and the traffic the end-to-end test replays.
+func toyDataset() *seqio.Dataset {
 	rng := rand.New(rand.NewSource(3))
 	ticks := 400
 	a := make([]string, ticks)
@@ -32,10 +32,15 @@ func saveToyModel(t *testing.T, path string) {
 		a[i] = state
 		b[i] = state
 	}
-	ds := &seqio.Dataset{Sequences: []seqio.Sequence{
+	return &seqio.Dataset{Sequences: []seqio.Sequence{
 		{Sensor: "a", Events: a}, {Sensor: "b", Events: b},
 	}}
-	train, dev, _, err := ds.Split(280, 120)
+}
+
+// saveToyModel trains and saves a minimal model for the command's tests.
+func saveToyModel(t *testing.T, path string) {
+	t.Helper()
+	train, dev, _, err := toyDataset().Split(280, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +134,7 @@ func TestScorePrecisionFlag(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "toy.json")
 	saveToyModel(t, path)
-	err := run([]string{"-model", path, "-score-precision", "f16"}, io.Discard)
+	err := run(context.Background(), []string{"-model", path, "-score-precision", "f16"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unknown precision") {
 		t.Fatalf("err = %v, want unknown precision", err)
 	}

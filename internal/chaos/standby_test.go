@@ -65,8 +65,8 @@ func durationQuantile(samples []time.Duration, q float64) float64 {
 }
 
 // BenchmarkStandbySoak runs disk-loss failover cycles and reports the
-// replication-lag and promotion-latency distributions; the CI standby job
-// feeds its output through cmd/benchjson into BENCH_standby.json.
+// replication-lag and promotion-latency distributions; CI's partition-soak
+// job runs it after the standby soaks.
 func BenchmarkStandbySoak(b *testing.B) {
 	var replLag, promotion []time.Duration
 	for i := 0; i < b.N; i++ {

@@ -88,8 +88,7 @@ func benchScoreBatch(b *testing.B, prec Precision) {
 
 // BenchmarkScoreBatch measures batched GEMM scoring at each inference
 // precision; compare ns/sentence against BenchmarkScoreSentenceF64 for the
-// headline speedup (CI's score-bench job publishes both as its
-// BENCH_score.json artifact).
+// headline speedup (CI's score-bench job runs both).
 func BenchmarkScoreBatch(b *testing.B) {
 	b.Run("f32", func(b *testing.B) { benchScoreBatch(b, F32) })
 	b.Run("int8", func(b *testing.B) { benchScoreBatch(b, Int8) })

@@ -283,8 +283,8 @@ func (m *Model) Config() nmt.Config { return m.cfg }
 
 // MemoryBytes reports the resident size of the frozen weights, input tables
 // included (and the embeddings and layer-0 Wx they replaced excluded) — the
-// number behind the ~4× model-memory reduction in CI's score-bench artifact
-// (BENCH_score.json). A table is built only where it does not grow this.
+// number behind the ~4× model-memory reduction BenchmarkModelMemory reports.
+// A table is built only where it does not grow this.
 func (m *Model) MemoryBytes() int {
 	total := m.enc.bytes() + m.dec.bytes()
 	total += 4 * (len(m.wcB) + len(m.outB))

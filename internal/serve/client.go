@@ -19,8 +19,8 @@ import (
 )
 
 // Client is a small helper over the server's HTTP API, used by the end-to-end
-// tests and the load generator — and usable by any Go caller that wants to
-// stream ticks without hand-rolling NDJSON.
+// tests and the benchmark — and usable by any Go caller that wants to stream
+// ticks without hand-rolling NDJSON.
 //
 // Against a cluster, set Peers to the same static replica list the servers
 // run with: the client then routes each tenant straight to its ring owner,
@@ -34,9 +34,6 @@ type Client struct {
 	// Peers enables cluster routing: the full static replica list, matching
 	// the servers' -peers configuration.
 	Peers []string
-	// Vnodes must match the servers' virtual-node count; 0 selects
-	// cluster.DefaultVnodes.
-	Vnodes int
 	// MaxRedirects caps ownership-redirect hops (and connection-failure
 	// failovers) per request. 0 selects 3. Exhausting the budget on
 	// redirects returns *RedirectError.
@@ -174,7 +171,7 @@ func (c *Client) downTTL() time.Duration {
 
 // clusterRing lazily builds the routing ring from Peers.
 func (c *Client) clusterRing() (*cluster.Ring, error) {
-	c.ringOnce.Do(func() { c.ring, c.ringErr = cluster.NewRing(c.Peers, c.Vnodes) })
+	c.ringOnce.Do(func() { c.ring, c.ringErr = cluster.NewRing(c.Peers, 0) })
 	return c.ring, c.ringErr
 }
 
@@ -323,9 +320,9 @@ func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[strin
 	if err != nil {
 		return nil, err
 	}
-	path := "/v1/streams/" + tenant + "/ticks"
+	path := streamPath(tenant) + "/ticks"
 	if c.Model != "" {
-		path += "?model=" + c.Model
+		path += "?model=" + url.QueryEscape(c.Model)
 	}
 	target := base + path
 	for hop := 0; ; hop++ {
@@ -514,10 +511,17 @@ func (c *Client) doTenant(ctx context.Context, method, tenant, path string) (*ht
 	}
 }
 
+// streamPath is a tenant's resource path. The name is escaped into one path
+// segment: the server accepts any name, and one holding '/', '?', '#' or '%'
+// would otherwise address another route or another tenant.
+func streamPath(tenant string) string {
+	return "/v1/streams/" + url.PathEscape(tenant)
+}
+
 // Session fetches a tenant's session info (live or snapshotted).
 func (c *Client) Session(ctx context.Context, tenant string) (SessionInfo, error) {
 	var info SessionInfo
-	resp, err := c.doTenant(ctx, http.MethodGet, tenant, "/v1/streams/"+tenant)
+	resp, err := c.doTenant(ctx, http.MethodGet, tenant, streamPath(tenant))
 	if err != nil {
 		return info, err
 	}
@@ -531,7 +535,7 @@ func (c *Client) Session(ctx context.Context, tenant string) (SessionInfo, error
 
 // EndSession deletes a tenant's session and snapshot.
 func (c *Client) EndSession(ctx context.Context, tenant string) error {
-	resp, err := c.doTenant(ctx, http.MethodDelete, tenant, "/v1/streams/"+tenant)
+	resp, err := c.doTenant(ctx, http.MethodDelete, tenant, streamPath(tenant))
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func (s *Server) setupCluster(opts Options) error {
 	if len(opts.Peers) == 0 || opts.Advertise == "" {
 		return errors.New("serve: Peers and Advertise must be set together")
 	}
-	ring, err := cluster.NewRing(opts.Peers, opts.Vnodes)
+	ring, err := cluster.NewRing(opts.Peers, 0)
 	if err != nil {
 		return err
 	}

@@ -65,9 +65,6 @@ type Options struct {
 	// Advertise is this replica's own base URL exactly as it appears in
 	// Peers. Required with Peers.
 	Advertise string
-	// Vnodes overrides the ring's virtual-node count; 0 selects
-	// cluster.DefaultVnodes. All replicas and clients must agree.
-	Vnodes int
 	// ProbeInterval is the peer health-check period. 0 selects 2s.
 	ProbeInterval time.Duration
 	// PendingTTL bounds how long ticks for a tenant announced as inbound

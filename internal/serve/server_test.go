@@ -479,6 +479,57 @@ func TestDeleteSession(t *testing.T) {
 	}
 }
 
+// TestClientEscapesTenantNames pins the client's URL building: a tenant name
+// is one path segment whatever bytes it holds, and the model name one query
+// value. Each name below is its own session under its exact name ("50%41" is
+// not "50A"), and in a cluster the client hashes the same name the server
+// does, so every request reaches the owner without a redirect.
+func TestClientEscapesTenantNames(t *testing.T) {
+	names := []string{"a/b", "t?x=1", "t#1", "50%41", "50A", "sp ace", "ünï"}
+	const modelName = "m&x y"
+	models := map[string]*mdes.Model{modelName: testModel(t)}
+	ds := coupledDataset(rand.New(rand.NewSource(7)), len(names))
+
+	check := func(t *testing.T, client *Client) {
+		client.Model = modelName
+		ctx := context.Background()
+		// A distinct tick count per name shows whose session answers.
+		for i, name := range names {
+			if _, err := client.PushTicks(ctx, name, ticksOf(ds, 0, i+1)); err != nil {
+				t.Fatalf("push %q: %v", name, err)
+			}
+		}
+		for i, name := range names {
+			info, err := client.Session(ctx, name)
+			if err != nil {
+				t.Fatalf("session %q: %v", name, err)
+			}
+			if info.Tenant != name || info.Model != modelName || info.Ticks != i+1 {
+				t.Fatalf("session %q: got %+v, want %d ticks", name, info, i+1)
+			}
+		}
+		for _, name := range names {
+			if err := client.EndSession(ctx, name); err != nil {
+				t.Fatalf("end %q: %v", name, err)
+			}
+			if _, err := client.Session(ctx, name); err == nil || !strings.Contains(err.Error(), "404") {
+				t.Fatalf("session %q after end: %v, want 404", name, err)
+			}
+		}
+		if n := client.Stats().Redirects; n != 0 {
+			t.Fatalf("%d redirects, want 0", n)
+		}
+	}
+	t.Run("standalone", func(t *testing.T) {
+		_, _, client := newTestServer(t, Options{Models: models, SnapshotDir: t.TempDir()})
+		check(t, client)
+	})
+	t.Run("cluster", func(t *testing.T) {
+		tc := newTestCluster(t, 3, func(_ int, o *Options) { o.Models = models })
+		check(t, tc.client())
+	})
+}
+
 func TestHealthMetricsAndDrain(t *testing.T) {
 	srv, hs, client := newTestServer(t, Options{})
 	ctx := context.Background()
