@@ -24,7 +24,7 @@
 // consistent hashing: each replica serves only the tenants it owns and
 // answers misrouted requests with 307 + the owner's address. On SIGTERM a
 // clustered replica first migrates every resident tenant to its new owner
-// (snapshot handoff over /v1/cluster/handoff) before shutting the listener
+// (snapshot transfer over /v1/cluster/transfer) before shutting the listener
 // down, so the fleet keeps serving every tenant with no stream forked or
 // reset:
 //

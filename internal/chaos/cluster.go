@@ -12,6 +12,7 @@ import (
 
 	"mdes"
 	"mdes/internal/faultfs"
+	"mdes/internal/faultnet"
 	"mdes/internal/serve"
 )
 
@@ -56,9 +57,11 @@ var deadHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) 
 })
 
 // startReplica boots (or reboots) the serve process behind a replica's
-// address, against whatever state its disk holds.
-func startReplica(rep *replica, peers []string, model *mdes.Model) error {
-	srv, err := serve.New(serve.Options{
+// address, against whatever state its disk holds. A non-nil net turns on
+// warm-standby replication and routes the replica's cluster traffic through
+// that fault injector; ship-home under its faults gets a longer pend.
+func startReplica(rep *replica, peers []string, model *mdes.Model, net *faultnet.Transport) error {
+	opts := serve.Options{
 		Models:        map[string]*mdes.Model{"m": model},
 		SnapshotDir:   "snaps",
 		FS:            rep.fs,
@@ -69,7 +72,13 @@ func startReplica(rep *replica, peers []string, model *mdes.Model) error {
 		RetryAfter:    10 * time.Millisecond, // header "0": clients retry at their own pace
 		ProbeInterval: 25 * time.Millisecond,
 		PendingTTL:    2 * time.Second,
-	})
+	}
+	if net != nil {
+		opts.StandbyDir = standbyDir
+		opts.PendingTTL = 5 * time.Second
+		opts.ClusterClient = &http.Client{Transport: net}
+	}
+	srv, err := serve.New(opts)
 	if err != nil {
 		return err
 	}
@@ -78,47 +87,88 @@ func startReplica(rep *replica, peers []string, model *mdes.Model) error {
 	return nil
 }
 
+// clusterRefs is what every cluster soak audits against: each tenant's tick
+// sequence and the points a crash-free standalone stream emits for it.
+type clusterRefs struct {
+	model  *mdes.Model
+	ticks  map[string][]map[string]string
+	points map[string][]*mdes.Point
+}
+
+// runClusterSoak builds the references once, then runs iters iterations of
+// one cluster soak on an rng seeded with seed; kind names the soak in errors.
+func runClusterSoak(ctx context.Context, seed int64, iters int, kind string, iteration func(rng *rand.Rand, it int, refs clusterRefs) error) error {
+	if err := fixture(); err != nil {
+		return err
+	}
+	refs := clusterRefs{
+		model:  fixModel,
+		ticks:  make(map[string][]map[string]string, len(clusterTenants)),
+		points: make(map[string][]*mdes.Point, len(clusterTenants)),
+	}
+	for _, tenant := range clusterTenants {
+		refs.ticks[tenant] = tenantTicks(tenant)
+		_, p, err := referenceBoundaries(refs.model, refs.ticks[tenant])
+		if err != nil {
+			return fmt.Errorf("chaos: reference stream for %q: %w", tenant, err)
+		}
+		refs.points[tenant] = p
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for it := 0; it < iters; it++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := iteration(rng, it, refs); err != nil {
+			return fmt.Errorf("chaos: %s iteration %d: %w", kind, it, err)
+		}
+	}
+	return nil
+}
+
+// audit is the shared end-of-iteration check: every tenant's full point
+// stream bit-identical to the standalone reference, and the authoritative
+// session holding exactly the ticks that were sent.
+func (refs clusterRefs) audit(ctx context.Context, client *serve.Client, got map[string][]serve.WirePoint) error {
+	for _, tenant := range clusterTenants {
+		var want []serve.WirePoint
+		for _, p := range refs.points[tenant] {
+			if p != nil {
+				want = append(want, serve.PointWire(*p))
+			}
+		}
+		if !reflect.DeepEqual(got[tenant], want) {
+			return fmt.Errorf("tenant %q points diverge from reference: got %d points %+v, want %d %+v",
+				tenant, len(got[tenant]), got[tenant], len(want), want)
+		}
+		info, err := client.Session(ctx, tenant)
+		if err != nil {
+			return fmt.Errorf("verify tenant %q: %w", tenant, err)
+		}
+		if info.Ticks != serveTicks {
+			return fmt.Errorf("tenant %q: server holds %d ticks, sent %d — ticks lost or forked", tenant, info.Ticks, serveTicks)
+		}
+	}
+	return nil
+}
+
 // ClusterSoak runs iters kill-a-replica cycles over a three-replica cluster:
 // five tenants stream tick batches through the sharding client while one
 // replica — chosen per iteration by the seeded rng — either drains
-// gracefully (snapshot handoff to the survivors) or dies without warning at
+// gracefully (snapshot transfer to the survivors) or dies without warning at
 // a batch boundary and reboots from its own disk. Either way, every
 // tenant's full point stream must be bit-identical to a single-replica
 // crash-free reference, and every tenant's final server-side tick count
 // must equal what was sent: no tick lost, no stream forked, no divergence.
 func ClusterSoak(ctx context.Context, seed int64, iters int) (ClusterSoakReport, error) {
 	rep := ClusterSoakReport{Iterations: iters}
-	if err := fixture(); err != nil {
-		return rep, err
-	}
-	model := fixModel
-
-	ticks := make(map[string][]map[string]string, len(clusterTenants))
-	points := make(map[string][]*mdes.Point, len(clusterTenants))
-	for _, tenant := range clusterTenants {
-		ticks[tenant] = tenantTicks(tenant)
-		_, p, err := referenceBoundaries(model, ticks[tenant])
-		if err != nil {
-			return rep, fmt.Errorf("chaos: reference stream for %q: %w", tenant, err)
-		}
-		points[tenant] = p
-	}
-
-	rng := rand.New(rand.NewSource(seed))
-	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		if err := clusterIteration(ctx, rng, seed, it, model, ticks, points, &rep); err != nil {
-			return rep, fmt.Errorf("chaos: cluster iteration %d: %w", it, err)
-		}
-	}
-	return rep, nil
+	err := runClusterSoak(ctx, seed, iters, "cluster", func(rng *rand.Rand, it int, refs clusterRefs) error {
+		return clusterIteration(ctx, rng, seed, it, refs, &rep)
+	})
+	return rep, err
 }
 
-func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, model *mdes.Model,
-	ticks map[string][]map[string]string, points map[string][]*mdes.Point, rep *ClusterSoakReport) error {
-
+func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, refs clusterRefs, rep *ClusterSoakReport) error {
 	// Addresses first (the static peer list needs every URL), processes after.
 	replicas := make([]*replica, clusterReplicas)
 	peers := make([]string, clusterReplicas)
@@ -132,7 +182,7 @@ func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, m
 		peers[i] = r.url
 	}
 	for _, r := range replicas {
-		if err := startReplica(r, peers, model); err != nil {
+		if err := startReplica(r, peers, refs.model, nil); err != nil {
 			return err
 		}
 	}
@@ -161,7 +211,7 @@ func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, m
 				rep.HardKills++
 				replicas[victim].handler.Store(replicaBox{deadHandler})
 				_ = replicas[victim].srv.Shutdown(ctx) // reclaim goroutines; disk already holds boundary state
-				if err := startReplica(replicas[victim], peers, model); err != nil {
+				if err := startReplica(replicas[victim], peers, refs.model, nil); err != nil {
 					return err
 				}
 			} else {
@@ -180,7 +230,7 @@ func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, m
 			if hi > serveTicks {
 				hi = serveTicks
 			}
-			ps, err := client.PushTicksRetry(ctx, tenant, ticks[tenant][off:hi])
+			ps, err := client.PushTicksRetry(ctx, tenant, refs.ticks[tenant][off:hi])
 			if err != nil {
 				return fmt.Errorf("tenant %q ticks [%d,%d): %w", tenant, off, hi, err)
 			}
@@ -190,25 +240,9 @@ func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, m
 
 	// Post-recovery audit: full point streams bit-identical to the
 	// single-replica reference, and no tick lost anywhere.
-	for _, tenant := range clusterTenants {
-		var want []serve.WirePoint
-		for _, p := range points[tenant] {
-			if p != nil {
-				want = append(want, serve.PointWire(*p))
-			}
-		}
-		if !reflect.DeepEqual(got[tenant], want) {
-			return fmt.Errorf("tenant %q points diverge from reference: got %+v, want %+v", tenant, got[tenant], want)
-		}
-		info, err := client.Session(ctx, tenant)
-		if err != nil {
-			return fmt.Errorf("verify tenant %q: %w", tenant, err)
-		}
-		if info.Ticks != serveTicks {
-			return fmt.Errorf("tenant %q: server holds %d ticks, sent %d", tenant, info.Ticks, serveTicks)
-		}
+	if err := refs.audit(ctx, client, got); err != nil {
+		return err
 	}
-	st := client.Stats()
-	rep.Redirects += st.Redirects
+	rep.Redirects += client.Stats().Redirects
 	return nil
 }

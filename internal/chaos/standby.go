@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strings"
 	"time"
 
@@ -33,7 +32,7 @@ import (
 //     during the outage; on heal, adopted state ships home before the
 //     client's traffic returns to the owner.
 //
-// Both run the cluster's internal traffic (probes, handoffs, replication)
+// Both run the cluster's internal traffic (probes, transfers, updates)
 // through faultnet with standing faults — delays, duplicated deliveries,
 // mid-body request truncation — so every protocol path is exercised under
 // the failure model it claims to survive (DESIGN.md §7).
@@ -52,8 +51,8 @@ const standbyDir = "standby"
 // standingNetFaults is the always-on network fault mix for the cluster path.
 // Drop stays 0: unreachability is scripted (partitions, kills), not random,
 // so membership transitions in a soak are deterministic in wall-clock terms.
-// Duplicate is safe here because every endpoint on this path (probe, handoff,
-// replicate, update) is idempotent — the exact property the soak certifies.
+// Duplicate is safe here because every endpoint on this path (probe,
+// transfer, update) is idempotent — the exact property the soak certifies.
 func standingNetFaults() faultnet.Faults {
 	return faultnet.Faults{
 		Delay:       0.10,
@@ -78,31 +77,6 @@ var connResetHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Requ
 		_ = conn.Close() // the reset IS the behaviour under test
 	}
 })
-
-// startStandbyReplica boots (or reboots) a replica with warm-standby
-// replication on, its cluster traffic routed through net.
-func startStandbyReplica(rep *replica, peers []string, model *mdes.Model, net *faultnet.Transport) error {
-	srv, err := serve.New(serve.Options{
-		Models:        map[string]*mdes.Model{"m": model},
-		SnapshotDir:   "snaps",
-		StandbyDir:    standbyDir,
-		FS:            rep.fs,
-		ScoreWorkers:  2,
-		MaxInflight:   8,
-		Peers:         peers,
-		Advertise:     rep.url,
-		RetryAfter:    10 * time.Millisecond, // header "0": clients retry at their own pace
-		ProbeInterval: 25 * time.Millisecond,
-		PendingTTL:    5 * time.Second,
-		ClusterClient: &http.Client{Transport: net},
-	})
-	if err != nil {
-		return err
-	}
-	rep.srv = srv
-	rep.handler.Store(replicaBox{srv})
-	return nil
-}
 
 // standbyFile mirrors the serve layer's (owner, tenant) → standby path
 // mapping; the soaks read replicated copies from outside the server.
@@ -207,7 +181,7 @@ func newStandbyHarness(seed int64, it int, model *mdes.Model) (*standbyHarness, 
 		h.nets = append(h.nets, faultnet.New(nil, seed*5_000_011+int64(it*clusterReplicas+i), standingNetFaults()))
 	}
 	for i, r := range h.replicas {
-		if err := startStandbyReplica(r, h.peers, model, h.nets[i]); err != nil {
+		if err := startReplica(r, h.peers, model, h.nets[i]); err != nil {
 			h.close()
 			return nil, err
 		}
@@ -311,42 +285,9 @@ func (h *standbyHarness) surveyTenant(ctx context.Context, owner, tenant string)
 func (h *standbyHarness) netStats() faultnet.Stats {
 	var total faultnet.Stats
 	for _, nt := range append([]*faultnet.Transport{h.clientNT}, h.nets...) {
-		s := nt.Snapshot()
-		total.Drops += s.Drops
-		total.Delays += s.Delays
-		total.Duplicates += s.Duplicates
-		total.TruncatedReq += s.TruncatedReq
-		total.TruncatedResp += s.TruncatedResp
-		total.Partitioned += s.Partitioned
-		total.Requests += s.Requests
+		total.Add(nt.Snapshot())
 	}
 	return total
-}
-
-// auditStreams is the shared end-of-iteration audit: every tenant's full
-// point stream bit-identical to the standalone reference, and the
-// authoritative session holding exactly the ticks that were sent.
-func auditStreams(ctx context.Context, client *serve.Client, got map[string][]serve.WirePoint, points map[string][]*mdes.Point) error {
-	for _, tenant := range clusterTenants {
-		var want []serve.WirePoint
-		for _, p := range points[tenant] {
-			if p != nil {
-				want = append(want, serve.PointWire(*p))
-			}
-		}
-		if !reflect.DeepEqual(got[tenant], want) {
-			return fmt.Errorf("tenant %q points diverge from reference: got %d points %+v, want %d %+v",
-				tenant, len(got[tenant]), got[tenant], len(want), want)
-		}
-		info, err := client.Session(ctx, tenant)
-		if err != nil {
-			return fmt.Errorf("verify tenant %q: %w", tenant, err)
-		}
-		if info.Ticks != serveTicks {
-			return fmt.Errorf("tenant %q: server holds %d ticks, sent %d — ticks lost or forked", tenant, info.Ticks, serveTicks)
-		}
-	}
-	return nil
 }
 
 // DiskLossSoakReport summarises one DiskLossSoak run.
@@ -370,38 +311,14 @@ type DiskLossSoakReport struct {
 // there. Zero lost ticks, bit-identical points, every iteration.
 func DiskLossSoak(ctx context.Context, seed int64, iters int) (DiskLossSoakReport, error) {
 	rep := DiskLossSoakReport{Iterations: iters}
-	if err := fixture(); err != nil {
-		return rep, err
-	}
-	model := fixModel
-
-	ticks := make(map[string][]map[string]string, len(clusterTenants))
-	points := make(map[string][]*mdes.Point, len(clusterTenants))
-	for _, tenant := range clusterTenants {
-		ticks[tenant] = tenantTicks(tenant)
-		_, p, err := referenceBoundaries(model, ticks[tenant])
-		if err != nil {
-			return rep, fmt.Errorf("chaos: reference stream for %q: %w", tenant, err)
-		}
-		points[tenant] = p
-	}
-
-	rng := rand.New(rand.NewSource(seed))
-	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		if err := diskLossIteration(ctx, rng, seed, it, model, ticks, points, &rep); err != nil {
-			return rep, fmt.Errorf("chaos: disk-loss iteration %d: %w", it, err)
-		}
-	}
-	return rep, nil
+	err := runClusterSoak(ctx, seed, iters, "disk-loss", func(rng *rand.Rand, it int, refs clusterRefs) error {
+		return diskLossIteration(ctx, rng, seed, it, refs, &rep)
+	})
+	return rep, err
 }
 
-func diskLossIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, model *mdes.Model,
-	ticks map[string][]map[string]string, points map[string][]*mdes.Point, rep *DiskLossSoakReport) error {
-
-	h, err := newStandbyHarness(seed, it, model)
+func diskLossIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, refs clusterRefs, rep *DiskLossSoakReport) error {
+	h, err := newStandbyHarness(seed, it, refs.model)
 	if err != nil {
 		return err
 	}
@@ -440,7 +357,7 @@ func diskLossIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, 
 			h.replicas[victim].fs = faultfs.NewInject(seed*9_000_041+int64(it), faultfs.Faults{})
 		}
 		if off == reviveAt {
-			if err := startStandbyReplica(h.replicas[victim], h.peers, model, h.nets[victim]); err != nil {
+			if err := startReplica(h.replicas[victim], h.peers, refs.model, h.nets[victim]); err != nil {
 				return err
 			}
 		}
@@ -449,7 +366,7 @@ func diskLossIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, 
 			if hi > serveTicks {
 				hi = serveTicks
 			}
-			ps, err := h.client.PushTicksRetry(ctx, tenant, ticks[tenant][off:hi])
+			ps, err := h.client.PushTicksRetry(ctx, tenant, refs.ticks[tenant][off:hi])
 			if err != nil {
 				return fmt.Errorf("tenant %q ticks [%d,%d): %w", tenant, off, hi, err)
 			}
@@ -488,17 +405,10 @@ func diskLossIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, 
 		}
 		rep.ShipsHome++
 	}
-	if err := auditStreams(ctx, h.client, got, points); err != nil {
+	if err := refs.audit(ctx, h.client, got); err != nil {
 		return err
 	}
-	s := h.netStats()
-	rep.Net.Drops += s.Drops
-	rep.Net.Delays += s.Delays
-	rep.Net.Duplicates += s.Duplicates
-	rep.Net.TruncatedReq += s.TruncatedReq
-	rep.Net.TruncatedResp += s.TruncatedResp
-	rep.Net.Partitioned += s.Partitioned
-	rep.Net.Requests += s.Requests
+	rep.Net.Add(h.netStats())
 	return nil
 }
 
@@ -525,38 +435,14 @@ type PartitionSoakReport struct {
 // given tenant's ticks.
 func PartitionSoak(ctx context.Context, seed int64, iters int) (PartitionSoakReport, error) {
 	rep := PartitionSoakReport{Iterations: iters}
-	if err := fixture(); err != nil {
-		return rep, err
-	}
-	model := fixModel
-
-	ticks := make(map[string][]map[string]string, len(clusterTenants))
-	points := make(map[string][]*mdes.Point, len(clusterTenants))
-	for _, tenant := range clusterTenants {
-		ticks[tenant] = tenantTicks(tenant)
-		_, p, err := referenceBoundaries(model, ticks[tenant])
-		if err != nil {
-			return rep, fmt.Errorf("chaos: reference stream for %q: %w", tenant, err)
-		}
-		points[tenant] = p
-	}
-
-	rng := rand.New(rand.NewSource(seed))
-	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		if err := partitionIteration(ctx, rng, seed, it, model, ticks, points, &rep); err != nil {
-			return rep, fmt.Errorf("chaos: partition iteration %d: %w", it, err)
-		}
-	}
-	return rep, nil
+	err := runClusterSoak(ctx, seed, iters, "partition", func(rng *rand.Rand, it int, refs clusterRefs) error {
+		return partitionIteration(ctx, rng, seed, it, refs, &rep)
+	})
+	return rep, err
 }
 
-func partitionIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, model *mdes.Model,
-	ticks map[string][]map[string]string, points map[string][]*mdes.Point, rep *PartitionSoakReport) error {
-
-	h, err := newStandbyHarness(seed, it, model)
+func partitionIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, refs clusterRefs, rep *PartitionSoakReport) error {
+	h, err := newStandbyHarness(seed, it, refs.model)
 	if err != nil {
 		return err
 	}
@@ -654,7 +540,7 @@ func partitionIteration(ctx context.Context, rng *rand.Rand, seed int64, it int,
 			if hi > serveTicks {
 				hi = serveTicks
 			}
-			ps, err := h.client.PushTicksRetry(ctx, tenant, ticks[tenant][off:hi])
+			ps, err := h.client.PushTicksRetry(ctx, tenant, refs.ticks[tenant][off:hi])
 			if err != nil {
 				return fmt.Errorf("tenant %q ticks [%d,%d): %w", tenant, off, hi, err)
 			}
@@ -682,19 +568,13 @@ func partitionIteration(ctx context.Context, rng *rand.Rand, seed int64, it int,
 	if err := healLinks(serveTicks); err != nil {
 		return err
 	}
-	if err := auditStreams(ctx, h.client, got, points); err != nil {
+	if err := refs.audit(ctx, h.client, got); err != nil {
 		return err
 	}
 	s := h.netStats()
 	if s.Partitioned == 0 {
 		return errors.New("no round trip was ever refused by a partition; the soak exercised nothing")
 	}
-	rep.Net.Drops += s.Drops
-	rep.Net.Delays += s.Delays
-	rep.Net.Duplicates += s.Duplicates
-	rep.Net.TruncatedReq += s.TruncatedReq
-	rep.Net.TruncatedResp += s.TruncatedResp
-	rep.Net.Partitioned += s.Partitioned
-	rep.Net.Requests += s.Requests
+	rep.Net.Add(s)
 	return nil
 }

@@ -16,19 +16,17 @@ import (
 
 // Internal cluster endpoints, mounted by the serve layer on every replica.
 const (
-	// HandoffPath receives one tenant's frozen session snapshot.
-	HandoffPath = "/v1/cluster/handoff"
+	// TransferPath receives one tenant's CRC-framed session snapshot. A move
+	// (Handoff.Copy false) installs it as the receiver's live session; a copy
+	// (Copy true) files it in the receiver's warm-standby store and ownership
+	// stays where it was.
+	TransferPath = "/v1/cluster/transfer"
 	// UpdatePath receives peer announcements (hello on join, leave on
 	// drain) that adjust the receiver's membership view.
 	UpdatePath = "/v1/cluster/update"
-	// ReplicatePath receives one tenant's warm-standby snapshot copy. Same
-	// frame format and idempotency key as HandoffPath, but the receiver
-	// persists the record in its standby store instead of installing a live
-	// session — ownership does not move with a replica.
-	ReplicatePath = "/v1/cluster/replicate"
 )
 
-// Handoff is one tenant migration: the opaque session snapshot plus enough
+// Handoff is one tenant transfer: the opaque session snapshot plus enough
 // metadata for the receiver to order it. Payload is whatever the serve
 // layer serializes (cluster stays ignorant of session internals — the serve
 // package imports cluster, never the reverse); Ticks is the snapshot's
@@ -36,11 +34,17 @@ const (
 // state at >= Ticks treats the handoff as a duplicate and answers 200
 // without touching anything, which is what makes retries and crossed
 // deliveries safe.
+//
+// Copy marks a warm-standby copy: From then names the tenant's ring owner,
+// under whom the receiver files the frame. Without it the transfer is a move
+// and From names the shipper. Frames written before Copy existed decode as
+// moves, which is all a stored standby copy is ever read as.
 type Handoff struct {
 	Tenant  string          `json:"tenant"`
 	Model   string          `json:"model"`
 	Ticks   int             `json:"ticks"`
 	From    string          `json:"from"`
+	Copy    bool            `json:"copy,omitempty"`
 	Payload json.RawMessage `json:"payload"`
 }
 
@@ -97,7 +101,7 @@ type PeerUpdateReply struct {
 	Tenants []string `json:"tenants,omitempty"`
 }
 
-// Sender ships handoffs and updates to peers, retrying transient failures
+// Sender ships transfers and updates to peers, retrying transient failures
 // with exponential backoff. A 503 with Retry-After (the receiver is busy or
 // itself waiting on a pending migration) honours the hint. Senders hold no
 // locks — the serve layer freezes sessions first, then ships.
@@ -158,68 +162,56 @@ func (s *Sender) backoff(attempt int, hint time.Duration) time.Duration {
 	return d
 }
 
-// Send ships one handoff to peer, retrying until it is acknowledged or
+// Send ships one transfer to peer, retrying until it is acknowledged or
 // attempts are exhausted. Acknowledgement (200) means the receiver has the
-// state durable (installed or recognised as a duplicate) — only then may
-// the caller delete its local copy.
+// state durable (installed, stored, or recognised as a duplicate) — only then
+// may the caller delete its local copy. Redelivery is always safe: the
+// receiver is idempotent on the Ticks key.
 func (s *Sender) Send(ctx context.Context, peer string, h Handoff) error {
-	return s.SendTo(ctx, peer, HandoffPath, h)
-}
-
-// SendTo ships one handoff-framed record to an explicit endpoint on peer:
-// HandoffPath moves ownership, ReplicatePath feeds the peer's warm-standby
-// store. Retry semantics are identical — both receivers are idempotent on
-// the Ticks key, so redelivery is always safe.
-func (s *Sender) SendTo(ctx context.Context, peer, path string, h Handoff) error {
 	body, err := EncodeHandoff(h)
 	if err != nil {
 		return err
 	}
-	var lastErr error
-	for attempt := 0; attempt < s.attempts(); attempt++ {
-		if attempt > 0 {
-			hint := retryAfterOf(lastErr)
-			if err := s.sleep(ctx, s.backoff(attempt-1, hint)); err != nil {
-				return err
-			}
-		}
-		lastErr = s.post(ctx, peer+path, "application/octet-stream", body, nil)
-		if lastErr == nil {
-			return nil
-		}
-		if ctx.Err() != nil || isTerminal(lastErr) {
-			return fmt.Errorf("cluster: handoff %s to %s: %w", h.Tenant, peer, lastErr)
-		}
+	if err := s.retry(ctx, peer+TransferPath, "application/octet-stream", body, nil); err != nil {
+		return fmt.Errorf("cluster: transfer %s to %s: %w", h.Tenant, peer, err)
 	}
-	return fmt.Errorf("cluster: handoff %s to %s: %w", h.Tenant, peer, lastErr)
+	return nil
 }
 
-// SendUpdate posts one peer announcement and decodes the reply. Updates are
-// advisory (the prober converges the view anyway) so they retry less hard
-// than handoffs.
+// SendUpdate posts one peer announcement and decodes the reply.
 func (s *Sender) SendUpdate(ctx context.Context, peer string, u PeerUpdate) (PeerUpdateReply, error) {
 	body, err := json.Marshal(u)
 	if err != nil {
 		return PeerUpdateReply{}, fmt.Errorf("cluster: encode update: %w", err)
 	}
 	var reply PeerUpdateReply
+	decode := func(r io.Reader) error {
+		reply = PeerUpdateReply{} // a failed attempt's partial decode must not leak
+		return json.NewDecoder(io.LimitReader(r, 1<<20)).Decode(&reply)
+	}
+	if err := s.retry(ctx, peer+UpdatePath, "application/json", body, decode); err != nil {
+		return PeerUpdateReply{}, fmt.Errorf("cluster: update %s: %w", peer, err)
+	}
+	return reply, nil
+}
+
+// retry POSTs body until it is acknowledged, refused terminally, ctx ends,
+// or attempts run out, backing off between attempts. decode, if set, reads
+// an acknowledgement's body; its failure counts as a retryable attempt.
+func (s *Sender) retry(ctx context.Context, url, contentType string, body []byte, decode func(io.Reader) error) error {
 	var lastErr error
 	for attempt := 0; attempt < s.attempts(); attempt++ {
 		if attempt > 0 {
 			if err := s.sleep(ctx, s.backoff(attempt-1, retryAfterOf(lastErr))); err != nil {
-				return PeerUpdateReply{}, err
+				return err
 			}
 		}
-		reply = PeerUpdateReply{}
-		lastErr = s.post(ctx, peer+UpdatePath, "application/json", body, &reply)
-		if lastErr == nil {
-			return reply, nil
-		}
-		if ctx.Err() != nil || isTerminal(lastErr) {
-			return PeerUpdateReply{}, fmt.Errorf("cluster: update %s: %w", peer, lastErr)
+		lastErr = s.post(ctx, url, contentType, body, decode)
+		if lastErr == nil || ctx.Err() != nil || isTerminal(lastErr) {
+			return lastErr
 		}
 	}
-	return PeerUpdateReply{}, fmt.Errorf("cluster: update %s: %w", peer, lastErr)
+	return lastErr
 }
 
 // RetryableError is a non-2xx response worth retrying, carrying the
@@ -255,7 +247,7 @@ func isTerminal(err error) bool {
 
 // post performs one POST. Connection errors and 5xx/429 are retryable; a
 // 4xx other than 429 is terminal (the peer understood and refused).
-func (s *Sender) post(ctx context.Context, url, contentType string, body []byte, reply any) error {
+func (s *Sender) post(ctx context.Context, url, contentType string, body []byte, decode func(io.Reader) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -271,30 +263,39 @@ func (s *Sender) post(ctx context.Context, url, contentType string, body []byte,
 	}()
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		if reply != nil {
-			if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(reply); err != nil {
+		if decode != nil {
+			if err := decode(resp.Body); err != nil {
 				return fmt.Errorf("cluster: decode reply: %w", err)
 			}
 		}
 		return nil
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		return &RetryableError{Status: resp.StatusCode, RetryAfter: ParseRetryAfter(resp.Header.Get("Retry-After"))}
+		return &RetryableError{Status: resp.StatusCode, RetryAfter: ParseRetryAfter(resp.Header.Get("Retry-After"), 0)}
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return &terminalError{fmt.Errorf("cluster: peer answered %d: %s", resp.StatusCode, bytes.TrimSpace(msg))}
 	}
 }
 
-// ParseRetryAfter parses a Retry-After header's delay-seconds form. Zero
-// for absent or unparseable (the HTTP-date form is not worth supporting for
-// an internal protocol).
-func ParseRetryAfter(v string) time.Duration {
+// ParseRetryAfter reads a Retry-After header in either RFC 9110 form:
+// delta-seconds ("2") or an HTTP-date ("Mon, 02 Jan 2006 15:04:05 GMT"),
+// which becomes the wait until that instant. Missing, unparseable, negative,
+// or already-past values select fallback: a hint that says "retry in the
+// past" carries no schedule worth honouring.
+func ParseRetryAfter(v string, fallback time.Duration) time.Duration {
 	if v == "" {
-		return 0
+		return fallback
 	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
+	if secs, err := strconv.Atoi(v); err == nil {
+		if secs < 0 {
+			return fallback
+		}
+		return time.Duration(secs) * time.Second
 	}
-	return time.Duration(secs) * time.Second
+	if at, err := http.ParseTime(v); err == nil {
+		if d := time.Until(at); d > 0 {
+			return d
+		}
+	}
+	return fallback
 }

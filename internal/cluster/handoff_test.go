@@ -59,7 +59,7 @@ func TestDecodeHandoffRejectsCorruption(t *testing.T) {
 func TestSenderRetriesUntilAck(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != HandoffPath {
+		if r.URL.Path != TransferPath {
 			t.Errorf("unexpected path %s", r.URL.Path)
 		}
 		if calls.Add(1) < 3 {
@@ -160,6 +160,9 @@ func TestSendUpdateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseRetryAfter pins the sender's use of the parser: with a zero
+// fallback, a worthless hint means "no hint". The full table of both RFC 9110
+// forms lives with the client in internal/serve.
 func TestParseRetryAfter(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -167,8 +170,8 @@ func TestParseRetryAfter(t *testing.T) {
 	}{
 		{"", 0}, {"3", 3 * time.Second}, {"0", 0}, {"-1", 0}, {"soon", 0},
 	} {
-		if got := ParseRetryAfter(tc.in); got != tc.want {
-			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		if got := ParseRetryAfter(tc.in, 0); got != tc.want {
+			t.Errorf("ParseRetryAfter(%q, 0) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }

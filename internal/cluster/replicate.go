@@ -25,7 +25,7 @@ import (
 //     request would degrade the service itself.
 //
 // One drainer goroutine per peer pops entries in FIFO tenant order and hands
-// them to Ship (the serve layer wires Sender.SendTo with ReplicatePath).
+// them to Ship (the serve layer wires Sender.Send; its records are copies).
 // Redelivery, duplication, and reordering are all absorbed by the receiver's
 // ticks-idempotency, so the drainer retries nothing beyond what Ship itself
 // retries — a failed ship is dropped and the next snapshot of that tenant

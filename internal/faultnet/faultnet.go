@@ -73,6 +73,17 @@ type Stats struct {
 	Requests      int64 // total round trips attempted through the transport
 }
 
+// Add accumulates o into s, for totals across transports or runs.
+func (s *Stats) Add(o Stats) {
+	s.Drops += o.Drops
+	s.Delays += o.Delays
+	s.Duplicates += o.Duplicates
+	s.TruncatedReq += o.TruncatedReq
+	s.TruncatedResp += o.TruncatedResp
+	s.Partitioned += o.Partitioned
+	s.Requests += o.Requests
+}
+
 // Transport is a fault-injecting http.RoundTripper. Deterministic for a
 // given seed and call sequence; safe for concurrent use (the rng is guarded,
 // and fault decisions are drawn in one critical section per attempt so

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -273,29 +272,6 @@ func isRedirect(code int) bool {
 		code == http.StatusFound || code == http.StatusMovedPermanently
 }
 
-// retryHint reads a Retry-After header in either RFC 9110 form —
-// delta-seconds ("2") or an HTTP-date ("Mon, 02 Jan 2006 15:04:05 GMT").
-// Missing, unparseable, negative, or already-past values select fallback:
-// a hint that says "retry in the past" carries no schedule worth honouring.
-func retryHint(resp *http.Response, fallback time.Duration) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return fallback
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return fallback
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return fallback
-}
-
 func drainBody(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	_ = resp.Body.Close() // response already handled; nothing to report
@@ -354,7 +330,7 @@ func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[strin
 		switch {
 		case isRedirect(resp.StatusCode):
 			loc := resp.Header.Get("Location")
-			hint := retryHint(resp, 0)
+			hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), 0)
 			drainBody(resp)
 			next, err := baseOfLocation(loc)
 			if err != nil {
@@ -368,14 +344,14 @@ func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[strin
 			continue
 
 		case resp.StatusCode == http.StatusTooManyRequests:
-			hint := retryHint(resp, time.Second)
+			hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
 			drainBody(resp)
 			return nil, &BusyError{RetryAfter: hint}
 
 		case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
 			// Transient cluster states: draining, owner unreachable, or a
 			// tenant whose handoff is still in flight. No ticks consumed.
-			hint := retryHint(resp, time.Second)
+			hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
 			drainBody(resp)
 			return nil, &BusyError{RetryAfter: hint}
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mdes/internal/cluster"
 )
 
 // busyThenOK answers n requests with 429 (optionally carrying a Retry-After
@@ -170,12 +172,13 @@ func TestPushTicksRetryContextCancelledDuringBackoff(t *testing.T) {
 	}
 }
 
-// TestRetryHintParsing covers both RFC 9110 Retry-After forms. Delta-seconds
-// parse exactly; HTTP-dates parse to the remaining wait; anything malformed,
-// negative, or already in the past is worthless as a schedule and selects
-// the caller's fallback.
+// TestRetryHintParsing is the one table for cluster.ParseRetryAfter, the
+// Retry-After reader the client and the cluster sender share. Delta-seconds
+// parse exactly; HTTP-dates parse to the remaining wait; anything missing,
+// malformed, negative, or already in the past is worthless as a schedule and
+// selects the caller's fallback. Every case runs with the client's fallbacks
+// and with the sender's (zero).
 func TestRetryHintParsing(t *testing.T) {
-	const fallback = 7 * time.Second
 	httpDate := func(d time.Duration) string {
 		return time.Now().Add(d).UTC().Format(http.TimeFormat)
 	}
@@ -185,36 +188,40 @@ func TestRetryHintParsing(t *testing.T) {
 		// want is exact unless approx is set, in which case the result must
 		// land within slack of it (HTTP-dates lose sub-second precision and
 		// pay the wall-clock delta between header construction and parse).
-		want   time.Duration
-		approx bool
+		// fallback means the caller's fallback, whatever it is.
+		want     time.Duration
+		approx   bool
+		fallback bool
 	}{
-		{name: "missing", header: "", want: fallback},
+		{name: "missing", header: "", fallback: true},
 		{name: "delta seconds", header: "2", want: 2 * time.Second},
 		{name: "delta zero", header: "0", want: 0},
-		{name: "delta negative", header: "-3", want: fallback},
-		{name: "garbage", header: "soon", want: fallback},
-		{name: "float rejected", header: "1.5", want: fallback},
+		{name: "delta negative", header: "-3", fallback: true},
+		{name: "garbage", header: "soon", fallback: true},
+		{name: "float rejected", header: "1.5", fallback: true},
 		{name: "http date future", header: httpDate(90 * time.Second), want: 90 * time.Second, approx: true},
-		{name: "http date past", header: httpDate(-time.Minute), want: fallback},
+		{name: "http date past", header: httpDate(-time.Minute), fallback: true},
 		{name: "http date rfc850", header: time.Now().Add(time.Hour).UTC().Format("Monday, 02-Jan-06 15:04:05 GMT"), want: time.Hour, approx: true},
-		{name: "http date malformed", header: "Mon, 99 Zed 2099 25:61:61 GMT", want: fallback},
+		{name: "http date malformed", header: "Mon, 99 Zed 2099 25:61:61 GMT", fallback: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := &http.Response{Header: http.Header{}}
-			if tc.header != "" {
-				resp.Header.Set("Retry-After", tc.header)
-			}
-			got := retryHint(resp, fallback)
-			if tc.approx {
-				const slack = 3 * time.Second
-				if got < tc.want-slack || got > tc.want+slack {
-					t.Fatalf("retryHint(%q) = %v, want ~%v", tc.header, got, tc.want)
+			for _, fallback := range []time.Duration{0, time.Second, 7 * time.Second} {
+				got := cluster.ParseRetryAfter(tc.header, fallback)
+				want := tc.want
+				if tc.fallback {
+					want = fallback
 				}
-				return
-			}
-			if got != tc.want {
-				t.Fatalf("retryHint(%q) = %v, want %v", tc.header, got, tc.want)
+				if tc.approx {
+					const slack = 3 * time.Second
+					if got < want-slack || got > want+slack {
+						t.Fatalf("ParseRetryAfter(%q, %v) = %v, want ~%v", tc.header, fallback, got, want)
+					}
+					continue
+				}
+				if got != want {
+					t.Fatalf("ParseRetryAfter(%q, %v) = %v, want %v", tc.header, fallback, got, want)
+				}
 			}
 		})
 	}

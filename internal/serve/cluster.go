@@ -54,9 +54,9 @@ type clusterNode struct {
 	pending map[string]time.Time // tenant -> deadline for its inbound handoff
 }
 
-// maxHandoffBody bounds one inbound handoff request body. Session snapshots
-// are rolling windows, far below this.
-const maxHandoffBody = 1 << 26
+// maxHandoffBody bounds one inbound transfer body. Session snapshots are
+// rolling windows, far below this. A variable only so tests can reach it.
+var maxHandoffBody = 1 << 26
 
 // setupCluster wires the cluster node from Options; a nil return with
 // s.cluster == nil means standalone mode.
@@ -407,7 +407,7 @@ func (s *Server) localTenants() []string {
 		seen[sess.tenant] = struct{}{}
 	}
 	if s.opts.SnapshotDir != "" {
-		names, err := listSnapshots(s.fs, s.opts.SnapshotDir)
+		names, err := listTenants(s.fs, s.opts.SnapshotDir, "", ".snap")
 		if err != nil {
 			s.met.snapshotLoadErrors.Add(1)
 		}
@@ -527,17 +527,10 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 	if !have {
 		return nil // nothing to ship (e.g. deleted concurrently)
 	}
-	payload, err := json.Marshal(snap)
+	h, err := handoffOf(tenant, snap, cn.self, false)
 	if err != nil {
 		s.met.clusterHandoffErrors.Add(1)
-		return fmt.Errorf("serve: encode handoff for %q: %w", tenant, err)
-	}
-	h := cluster.Handoff{
-		Tenant:  tenant,
-		Model:   snap.Model,
-		Ticks:   snap.Stream.Ticks,
-		From:    cn.self,
-		Payload: payload,
+		return err
 	}
 	if err := cn.sender.Send(ctx, peer, h); err != nil {
 		s.met.clusterHandoffErrors.Add(1)
@@ -567,16 +560,10 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 	if s.opts.StandbyDir != "" {
 		if s.standbyShipper(tenant, peer) == cn.self {
 			if !fromStandby {
-				if old, ok, err := loadStandby(s.fs, s.opts.StandbyDir, peer, tenant); err != nil {
-					s.met.replStoreErrors.Add(1)
-				} else if !ok || old.Ticks < h.Ticks {
-					hc := h
-					hc.From = peer // standby frames carry the OWNER, not the shipper
-					if frame, err := cluster.EncodeHandoff(hc); err == nil {
-						if err := saveStandbyFrame(s.files, s.opts.StandbyDir, peer, tenant, frame); err != nil {
-							s.met.replStoreErrors.Add(1)
-						}
-					}
+				hc := h
+				hc.From, hc.Copy = peer, true // a copy is filed under its OWNER, not the shipper
+				if frame, err := cluster.EncodeHandoff(hc); err == nil {
+					_, _ = s.keepCopy(hc, frame) // counted; the ship itself succeeded
 				}
 			}
 		} else if err := deleteStandby(s.files, s.opts.StandbyDir, peer, tenant); err != nil {
@@ -588,11 +575,11 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 
 // handoffSnapshot decodes the session a handoff frame carries and checks it
 // against the envelope — the one reading of a cluster.Handoff every consumer
-// (handoff install, replicate store, standby promotion, standby ship-home)
-// goes through. The envelope's Tenant/Ticks/Model duplicate the payload so
-// more-ticks-wins can be decided without decoding it. They must agree: a
-// disagreement means the sender framed one session's metadata around another
-// session's payload, and acting on either reading could lose ticks silently.
+// (transfer receipt, standby promotion, standby ship-home) goes through. The
+// envelope's Tenant/Ticks/Model duplicate the payload so more-ticks-wins can
+// be decided without decoding it. They must agree: a disagreement means the
+// sender framed one session's metadata around another session's payload, and
+// acting on either reading could lose ticks silently.
 func handoffSnapshot(h cluster.Handoff) (sessionSnapshot, error) {
 	var snap sessionSnapshot
 	if err := json.Unmarshal(h.Payload, &snap); err != nil {
@@ -605,11 +592,71 @@ func handoffSnapshot(h cluster.Handoff) (sessionSnapshot, error) {
 	return snap, nil
 }
 
-// handleHandoff is POST /v1/cluster/handoff: decode, validate, restore, and
-// install one migrated tenant. The expensive work (CRC check, JSON decode,
-// stream restore) happens before any lock; installation compares tick
-// counts so a duplicate or stale delivery acks 200 without touching state.
-func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
+// handoffOf frames tenant's snapshot as a transfer from `from`, a standby
+// copy when copy is set: the inverse of handoffSnapshot.
+func handoffOf(tenant string, snap sessionSnapshot, from string, copy bool) (cluster.Handoff, error) {
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		return cluster.Handoff{}, fmt.Errorf("serve: encode handoff for %q: %w", tenant, err)
+	}
+	return cluster.Handoff{Tenant: tenant, Model: snap.Model, Ticks: snap.Stream.Ticks, From: from, Copy: copy, Payload: payload}, nil
+}
+
+// handleTransfer is POST /v1/cluster/transfer: one tenant's CRC-framed
+// snapshot, either moving ownership here (installMove) or feeding this
+// replica's warm-standby store (storeCopy, when h.Copy is set). The reading
+// is shared and runs before any lock: a bounded read, the frame check, and
+// the envelope check. Each branch then keeps whichever state has consumed
+// more ticks, so duplicate, stale and crossed deliveries ack 200 untouched.
+func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
+	fail := func(status int, msg string) {
+		s.met.clusterHandoffErrors.Add(1)
+		if status == http.StatusServiceUnavailable {
+			s.retryAfterHeader(w)
+		}
+		http.Error(w, msg, status)
+	}
+	frame, err := io.ReadAll(io.LimitReader(r.Body, int64(maxHandoffBody)+1))
+	if err != nil {
+		// The body was cut on its way in; the sender's copy is intact.
+		fail(http.StatusServiceUnavailable, fmt.Sprintf("read transfer: %v", err))
+		return
+	}
+	if len(frame) > maxHandoffBody {
+		// Terminal: a resend carries the same frame, which can never fit.
+		fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("transfer body over %d bytes", maxHandoffBody))
+		return
+	}
+	h, err := cluster.DecodeHandoff(frame)
+	if errors.Is(err, cluster.ErrBadFrame) {
+		// A short or CRC-broken frame is transmission damage — the sender's
+		// copy is intact, so answer retryable instead of terminal. (A
+		// terminal 400 here would permanently strand a tenant whose transfer
+		// happened to cross a flaky link once.)
+		fail(http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	if err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
+	}
+	// Checked before either branch's more-ticks-wins comparison: an envelope
+	// that overstates its payload's ticks must not displace fresher state.
+	snap, err := handoffSnapshot(h)
+	if err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
+	}
+	if h.Copy {
+		s.storeCopy(w, h, frame)
+		return
+	}
+	s.installMove(w, snap)
+}
+
+// installMove is handleTransfer's move branch: restore the migrated tenant
+// (before any lock) and install it unless local state already covers it.
+func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
 	cn := s.cluster
 	if s.draining.Load() {
 		// A drainer must not accept new tenants; the sender retries
@@ -618,46 +665,13 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxHandoffBody))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("read handoff: %v", err), http.StatusBadRequest)
-		return
-	}
-	h, err := cluster.DecodeHandoff(body)
-	if errors.Is(err, cluster.ErrBadFrame) {
-		// A short or CRC-broken frame is transmission damage — the sender's
-		// copy is intact, so answer retryable instead of terminal. (A
-		// terminal 400 here would permanently strand a tenant whose handoff
-		// happened to cross a flaky link once.)
-		s.met.clusterHandoffErrors.Add(1)
-		s.retryAfterHeader(w)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
+	sess, err := s.restoreSession(snap.Tenant, snap)
 	if err != nil {
 		s.met.clusterHandoffErrors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	snap, err := handoffSnapshot(h)
-	if err != nil {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	model, ok := s.opts.Models[snap.Model]
-	if !ok {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, fmt.Sprintf("unknown model %q", snap.Model), http.StatusBadRequest)
-		return
-	}
-	stream, err := model.RestoreStream(snap.Stream)
-	if err != nil {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, fmt.Sprintf("restore stream: %v", err), http.StatusBadRequest)
-		return
-	}
-	stream.SetScorer(s.scorer)
+	sess.dirty = true
 
 	s.reg.mu.Lock()
 	if existing := s.reg.sessions[snap.Tenant]; existing != nil {
@@ -681,21 +695,21 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	} else if s.opts.SnapshotDir != "" {
 		//mdes:allow(lockcall) install must be atomic with the registry check; one snapshot read on the migration path only, never per-tick
 		old, ok, _, err := loadSnapshot(s.fs, s.opts.SnapshotDir, snap.Tenant)
-		if err == nil && ok && old.Stream.Ticks >= snap.Stream.Ticks {
+		if err != nil {
+			// The evicted session on disk may be fresher than this frame;
+			// installing over what cannot be read could lose its ticks.
+			s.reg.mu.Unlock()
+			s.met.snapshotLoadErrors.Add(1)
+			s.retryAfterHeader(w)
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		if ok && old.Stream.Ticks >= snap.Stream.Ticks {
 			s.reg.mu.Unlock()
 			cn.clearPending(snap.Tenant)
 			w.WriteHeader(http.StatusOK)
 			return
 		}
-	}
-	sess := &session{
-		tenant:    snap.Tenant,
-		model:     snap.Model,
-		stream:    stream,
-		lastScore: snap.LastScore,
-		degraded:  snap.Degraded,
-		dirty:     true,
-		lastUsed:  time.Now(),
 	}
 	s.reg.sessions[snap.Tenant] = sess
 	s.reg.mu.Unlock()

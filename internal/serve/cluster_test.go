@@ -45,7 +45,7 @@ func (sh *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // testCluster is n in-process replicas sharing one static peer list, each
 // with its own snapshot directory.
 type testCluster struct {
-	t     *testing.T
+	t     testing.TB
 	urls  []string
 	srvs  []*Server
 	swaps []*swapHandler
@@ -53,7 +53,7 @@ type testCluster struct {
 	ring  *cluster.Ring
 }
 
-func newTestCluster(t *testing.T, n int, mutate func(i int, o *Options)) *testCluster {
+func newTestCluster(t testing.TB, n int, mutate func(i int, o *Options)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
 	for i := 0; i < n; i++ {

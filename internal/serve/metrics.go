@@ -34,7 +34,7 @@ type metrics struct {
 	clusterRedirects        atomic.Int64 // misrouted requests answered 307
 	clusterHandoffsSent     atomic.Int64 // tenant snapshots shipped and acked
 	clusterHandoffsReceived atomic.Int64 // tenant snapshots installed
-	clusterHandoffErrors    atomic.Int64 // handoffs that failed to ship or decode
+	clusterHandoffErrors    atomic.Int64 // moves that failed to ship or install; transfers that failed to read or decode
 	clusterPendingWaits     atomic.Int64 // ticks answered 503 awaiting a handoff
 	clusterPendingExpired   atomic.Int64 // pending entries that hit their TTL
 
@@ -158,7 +158,7 @@ func (m *metrics) writeCluster(w io.Writer, peersAlive, pendingTenants, ownedTen
 	counter(w, "mdes_serve_cluster_redirects_total", "Misrouted tenant requests answered with 307 + owner address.", m.clusterRedirects.Load())
 	counter(w, "mdes_serve_cluster_handoffs_sent_total", "Tenant snapshots shipped to a new owner and acknowledged.", m.clusterHandoffsSent.Load())
 	counter(w, "mdes_serve_cluster_handoffs_received_total", "Tenant snapshots received and installed from a peer.", m.clusterHandoffsReceived.Load())
-	counter(w, "mdes_serve_cluster_handoff_errors_total", "Handoffs that failed to ship, decode, or install.", m.clusterHandoffErrors.Load())
+	counter(w, "mdes_serve_cluster_handoff_errors_total", "Moves that failed to ship or install, and transfers that failed to read or decode.", m.clusterHandoffErrors.Load())
 	counter(w, "mdes_serve_cluster_pending_waits_total", "Tick requests answered 503 while awaiting a tenant's inbound handoff.", m.clusterPendingWaits.Load())
 	counter(w, "mdes_serve_cluster_pending_expired_total", "Pending-handoff entries that hit their TTL and served fresh.", m.clusterPendingExpired.Load())
 	gauge(w, "mdes_serve_cluster_peers_alive", "Peers this replica currently believes are alive.", float64(peersAlive))

@@ -206,9 +206,8 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if s.cluster != nil {
-		s.mux.HandleFunc("POST "+cluster.HandoffPath, s.handleHandoff)
+		s.mux.HandleFunc("POST "+cluster.TransferPath, s.handleTransfer)
 		s.mux.HandleFunc("POST "+cluster.UpdatePath, s.handleClusterUpdate)
-		s.mux.HandleFunc("POST "+cluster.ReplicatePath, s.handleReplicate)
 		if opts.StandbyDir != "" {
 			if opts.SnapshotDir == "" {
 				s.pool.close()
@@ -216,10 +215,8 @@ func New(opts Options) (*Server, error) {
 			}
 			cn := s.cluster
 			s.repl = &cluster.ReplQueue{
-				Cap: opts.ReplQueueCap,
-				Ship: func(ctx context.Context, peer string, h cluster.Handoff) error {
-					return cn.sender.SendTo(ctx, peer, cluster.ReplicatePath, h)
-				},
+				Cap:   opts.ReplQueueCap,
+				Ship:  cn.sender.Send, // replicateLocked offers copies
 				Now:   time.Now,
 				OnLag: func(d time.Duration) { s.met.replLag.observe(d) },
 			}
@@ -336,10 +333,7 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 
 	// Snapshot lookup happens under the registry lock; it is one small file
 	// read on the session-creation path only, never on the tick hot path.
-	modelName := wantModel
-	var stream *mdes.Stream
-	var restoredSnap sessionSnapshot
-	restored := false
+	var sess *session
 	if s.opts.SnapshotDir != "" {
 		//mdes:allow(lockcall) creation must be atomic: the registry lock is what stops two requests racing to restore the same tenant; this path never runs per-tick
 		snap, ok, err := s.loadSnapshotNoted(tenant)
@@ -349,28 +343,23 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 			return nil, http.StatusInternalServerError, err
 		}
 		if ok {
-			if modelName != "" && modelName != snap.Model {
+			if wantModel != "" && wantModel != snap.Model {
 				s.reg.mu.Unlock()
 				return nil, http.StatusConflict,
-					fmt.Errorf("tenant %q has a snapshot for model %q, not %q", tenant, snap.Model, modelName)
+					fmt.Errorf("tenant %q has a snapshot for model %q, not %q", tenant, snap.Model, wantModel)
 			}
-			model, found := s.opts.Models[snap.Model]
-			if !found {
+			if sess, err = s.restoreSession(tenant, snap); err != nil {
 				s.reg.mu.Unlock()
-				return nil, http.StatusNotFound,
-					fmt.Errorf("tenant %q snapshot references unknown model %q", tenant, snap.Model)
-			}
-			stream, err = model.RestoreStream(snap.Stream)
-			if err != nil {
-				s.reg.mu.Unlock()
+				if errors.Is(err, errUnknownModel) {
+					return nil, http.StatusNotFound, fmt.Errorf("tenant %q snapshot references %w", tenant, err)
+				}
 				return nil, http.StatusInternalServerError, err
 			}
-			modelName = snap.Model
-			restoredSnap = snap
-			restored = true
 		}
 	}
-	if stream == nil {
+	restored := sess != nil
+	if !restored {
+		modelName := wantModel
 		if modelName == "" {
 			modelName = s.opts.DefaultModel
 		}
@@ -379,13 +368,9 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 			s.reg.mu.Unlock()
 			return nil, http.StatusNotFound, fmt.Errorf("unknown model %q", modelName)
 		}
-		stream = model.NewStream()
-	}
-	stream.SetScorer(s.scorer)
-	sess := &session{tenant: tenant, model: modelName, stream: stream, lastUsed: time.Now()}
-	if restored {
-		sess.lastScore = restoredSnap.LastScore
-		sess.degraded = restoredSnap.Degraded
+		stream := model.NewStream()
+		stream.SetScorer(s.scorer)
+		sess = &session{tenant: tenant, model: modelName, stream: stream, lastUsed: time.Now()}
 	}
 	s.reg.sessions[tenant] = sess
 

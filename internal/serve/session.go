@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -49,20 +51,33 @@ func (s *session) infoLocked() SessionInfo {
 	}
 }
 
-// newAdoptedSession builds the resident session for a promoted standby
-// copy: real restored state (degraded as it was), marked adopted and dirty
-// so the first release persists it into this replica's own snapshot store.
-func newAdoptedSession(tenant string, snap sessionSnapshot, stream *mdes.Stream) *session {
+// errUnknownModel reports a snapshot naming a model this replica does not
+// serve.
+var errUnknownModel = errors.New("unknown model")
+
+// restoreSession is the one way a snapshot becomes a session: the stream
+// restored on this server's scorer, carrying the degraded-mode state it was
+// saved with. It touches no registry; each caller (restart restore, move
+// install, standby promotion) applies its own registry rules and marks the
+// session dirty or adopted as those rules require.
+func (s *Server) restoreSession(tenant string, snap sessionSnapshot) (*session, error) {
+	model, ok := s.opts.Models[snap.Model]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", errUnknownModel, snap.Model)
+	}
+	stream, err := model.RestoreStream(snap.Stream)
+	if err != nil {
+		return nil, err
+	}
+	stream.SetScorer(s.scorer)
 	return &session{
 		tenant:    tenant,
 		model:     snap.Model,
 		stream:    stream,
 		lastScore: snap.LastScore,
 		degraded:  snap.Degraded,
-		adopted:   true,
-		dirty:     true,
 		lastUsed:  time.Now(),
-	}
+	}, nil
 }
 
 // registry owns the tenant → session map. It only guards membership and

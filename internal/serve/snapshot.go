@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"mdes"
@@ -93,29 +94,32 @@ func loadSnapshot(fsys faultfs.FS, dir, tenant string) (snap sessionSnapshot, ok
 	return snap, true, valid != len(data), nil
 }
 
-// listSnapshots returns the tenants that have a snapshot file in dir,
-// decoding the hex file names back to tenant names. A missing directory is
-// an empty list; temp files and foreign names are skipped.
-func listSnapshots(fsys faultfs.FS, dir string) ([]string, error) {
+// listTenants decodes the tenant names of dir's files named prefix +
+// hex(tenant) + suffix, sorted: snapshots are ("", ".snap"), one owner's
+// standby copies (hex(owner)+"-", ".standby"). A missing directory is an
+// empty list; temp files and foreign names are skipped.
+func listTenants(fsys faultfs.FS, dir, prefix, suffix string) ([]string, error) {
 	names, err := fsys.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: list snapshots: %w", err)
+		return nil, fmt.Errorf("serve: list %s: %w", dir, err)
 	}
 	var tenants []string
 	for _, name := range names {
-		hexName, ok := strings.CutSuffix(name, ".snap")
-		if !ok || hexName == "" {
+		rest, ok := strings.CutSuffix(name, suffix)
+		if !ok {
 			continue
 		}
-		raw, err := hex.DecodeString(hexName)
-		if err != nil {
+		if rest, ok = strings.CutPrefix(rest, prefix); !ok || rest == "" {
 			continue
 		}
-		tenants = append(tenants, string(raw))
+		if raw, err := hex.DecodeString(rest); err == nil {
+			tenants = append(tenants, string(raw))
+		}
 	}
+	sort.Strings(tenants)
 	return tenants, nil
 }
 

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"net/http"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"mdes/internal/cluster"
@@ -33,10 +30,10 @@ import (
 //     membership view, so the instant the owner is probed back to Alive the
 //     standby stops accepting and redirects.
 //   - Promotion is idempotent and races safely: installs go through the
-//     registry with the same more-ticks-wins rule as handoffs.
-//   - Adopted state ships home when the owner returns, through the normal
-//     handoff protocol (idempotent), announced first so the owner holds
-//     those tenants pending instead of serving its own stale copy.
+//     registry with the same more-ticks-wins rule as moves.
+//   - Adopted state ships home when the owner returns, as an ordinary move
+//     over the transfer endpoint (idempotent), announced first so the owner
+//     holds those tenants pending instead of serving its own stale copy.
 //   - Replication is asynchronous and lossy-by-design under pressure: a
 //     dropped copy degrades the standby's freshness, never the tick path.
 //     The local snapshot remains the durable source of truth.
@@ -81,32 +78,7 @@ func loadStandby(fsys faultfs.FS, dir, owner, tenant string) (cluster.Handoff, b
 
 // standbyTenantsFor lists the tenants with a standby copy held for owner.
 func standbyTenantsFor(fsys faultfs.FS, dir, owner string) ([]string, error) {
-	names, err := fsys.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: list standby store: %w", err)
-	}
-	prefix := hex.EncodeToString([]byte(owner)) + "-"
-	var tenants []string
-	for _, name := range names {
-		hexName, ok := strings.CutSuffix(name, ".standby")
-		if !ok {
-			continue
-		}
-		rest, ok := strings.CutPrefix(hexName, prefix)
-		if !ok {
-			continue
-		}
-		raw, err := hex.DecodeString(rest)
-		if err != nil {
-			continue
-		}
-		tenants = append(tenants, string(raw))
-	}
-	sort.Strings(tenants)
-	return tenants, nil
+	return listTenants(fsys, dir, hex.EncodeToString([]byte(owner))+"-", ".standby")
 }
 
 // deleteStandby removes a standby copy durably; missing files are fine.
@@ -127,90 +99,70 @@ func (s *Server) replicateLocked(tenant string, snap sessionSnapshot) {
 	if cn == nil || q == nil {
 		return
 	}
-	states := cn.mem.Snapshot()
-	owner := cn.ring.OwnerAmong(tenant, func(p string) bool {
-		st := states[p]
-		return st == cluster.Alive || st == cluster.Down
-	})
+	owner := cn.owner(tenant)
 	if owner == "" {
 		owner = cn.self
 	}
+	states := cn.mem.Snapshot()
 	target := cn.ring.SuccessorAmong(tenant, owner, func(p string) bool {
 		return p != cn.self && states[p] == cluster.Alive
 	})
 	if target == "" {
 		return // nowhere to replicate (single replica, or everyone else down)
 	}
-	payload, err := json.Marshal(snap)
+	h, err := handoffOf(tenant, snap, owner, true)
 	if err != nil {
 		return // the durable local save already succeeded; skip this copy
 	}
-	q.Offer(target, cluster.Handoff{
-		Tenant:  tenant,
-		Model:   snap.Model,
-		Ticks:   snap.Stream.Ticks,
-		From:    owner,
-		Payload: payload,
-	})
+	q.Offer(target, h)
 }
 
-// handleReplicate is POST /v1/cluster/replicate: persist one peer's snapshot
-// copy in the standby store. Same framing and Ticks-idempotency as a
-// handoff, but no session is installed and ownership does not move. The
-// frame is stored verbatim after the CRC and envelope/payload checks.
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil || s.opts.StandbyDir == "" {
+// storeCopy is handleTransfer's copy branch: persist one peer's snapshot
+// copy in the standby store, filed under the tenant's owner (h.From). No
+// session is installed and ownership does not move. The frame is stored
+// verbatim — the bytes that passed the CRC check are the bytes in the slot.
+func (s *Server) storeCopy(w http.ResponseWriter, h cluster.Handoff, frame []byte) {
+	if s.opts.StandbyDir == "" {
 		// Terminal on purpose: a peer without a standby store will never
 		// accept copies, so the sender must stop retrying.
 		http.Error(w, "standby store not configured", http.StatusNotFound)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxHandoffBody))
-	if err != nil {
-		s.retryAfterHeader(w)
-		http.Error(w, fmt.Sprintf("read replicate body: %v", err), http.StatusServiceUnavailable)
-		return
-	}
-	h, err := cluster.DecodeHandoff(body)
-	if errors.Is(err, cluster.ErrBadFrame) {
-		// Transmission damage: the sender's copy is intact, so ask for a
-		// retry rather than answering with a terminal 4xx.
-		s.retryAfterHeader(w)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	if h.From == "" {
-		http.Error(w, "replicate without owner", http.StatusBadRequest)
+		http.Error(w, "standby copy without owner", http.StatusBadRequest)
 		return
 	}
-	// Checked before the more-ticks-wins comparison below: an envelope that
-	// overstates its payload's ticks must not displace a fresher held copy.
-	if _, err := handoffSnapshot(h); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if old, ok, err := loadStandby(s.fs, s.opts.StandbyDir, h.From, h.Tenant); err != nil {
-		s.met.replStoreErrors.Add(1)
-		s.retryAfterHeader(w)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	} else if ok && old.Ticks >= h.Ticks {
-		// Duplicate or reordered ship: the held copy is as fresh or fresher.
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	if err := saveStandbyFrame(s.files, s.opts.StandbyDir, h.From, h.Tenant, body); err != nil {
-		s.met.replStoreErrors.Add(1)
+	stored, err := s.keepCopy(h, frame)
+	if err != nil {
+		// Retryable: the store may heal, and overwriting a held copy that
+		// cannot be read could discard ticks it has and this frame lacks.
 		s.retryAfterHeader(w)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	s.met.replReceived.Add(1)
+	if stored {
+		s.met.replReceived.Add(1)
+	}
 	w.WriteHeader(http.StatusOK)
+}
+
+// keepCopy files frame, the encoded h, as the standby copy of h.Tenant held
+// for owner h.From — unless the held copy is as fresh or fresher (duplicate
+// or reordered ships). It reports whether it wrote. An error (counted) means
+// the held copy could not be read or the write failed.
+func (s *Server) keepCopy(h cluster.Handoff, frame []byte) (bool, error) {
+	old, ok, err := loadStandby(s.fs, s.opts.StandbyDir, h.From, h.Tenant)
+	if err == nil && ok && old.Ticks >= h.Ticks {
+		return false, nil
+	}
+	if err == nil {
+		err = saveStandbyFrame(s.files, s.opts.StandbyDir, h.From, h.Tenant, frame)
+	}
+	if err != nil {
+		s.met.replStoreErrors.Add(1)
+		return false, err
+	}
+	return true, nil
 }
 
 // tryAdopt decides whether this replica may serve tenant in place of its
@@ -268,16 +220,16 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 		s.met.replStoreErrors.Add(1)
 		return false
 	}
-	model, found := s.opts.Models[snap.Model]
-	if !found {
-		return false
-	}
-	stream, err := model.RestoreStream(snap.Stream)
+	sess, err := s.restoreSession(tenant, snap)
 	if err != nil {
-		s.met.replStoreErrors.Add(1)
+		if !errors.Is(err, errUnknownModel) {
+			s.met.replStoreErrors.Add(1)
+		}
 		return false
 	}
-	stream.SetScorer(s.scorer)
+	// Dirty, so the first release persists it into this replica's own
+	// snapshot store.
+	sess.adopted, sess.dirty = true, true
 
 	s.reg.mu.Lock()
 	if existing := s.reg.sessions[tenant]; existing != nil {
@@ -291,7 +243,6 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 		existing.mu.Unlock()
 		return won
 	}
-	sess := newAdoptedSession(tenant, snap, stream)
 	s.reg.sessions[tenant] = sess
 	s.reg.mu.Unlock()
 

@@ -21,7 +21,7 @@ import (
 
 // standbyCluster builds an n-replica cluster with warm-standby replication
 // on: every replica gets a standby store and a fast probe interval.
-func standbyCluster(t *testing.T, n int) *testCluster {
+func standbyCluster(t testing.TB, n int) *testCluster {
 	t.Helper()
 	return newTestCluster(t, n, func(i int, o *Options) {
 		o.StandbyDir = t.TempDir()
@@ -161,10 +161,11 @@ func TestReplicationShipsToSuccessor(t *testing.T) {
 	}
 }
 
-// TestHandleReplicateIdempotent: a stale or duplicate ship must not regress
-// the held copy, a torn frame must be answered retryable (503 + hint), never
-// terminal, and a frame whose envelope disagrees with its payload is refused
-// (400) before more-ticks-wins can let it displace a fresher copy.
+// TestHandleReplicateIdempotent: a copy transfer that is stale or a
+// duplicate must not regress the held copy, a torn frame must be answered
+// retryable (503 + hint), never terminal, and a frame whose envelope disagrees
+// with its payload is refused (400) before more-ticks-wins can let it
+// displace a fresher copy.
 func TestHandleReplicateIdempotent(t *testing.T) {
 	tc := standbyCluster(t, 2)
 	target := tc.urls[1]
@@ -172,7 +173,7 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 
 	post := func(envelopeTicks, payloadTicks int, mangle func([]byte) []byte) *http.Response {
 		t.Helper()
-		h := cluster.Handoff{Tenant: "idem", Model: "default", Ticks: envelopeTicks, From: owner,
+		h := cluster.Handoff{Tenant: "idem", Model: "default", Ticks: envelopeTicks, From: owner, Copy: true,
 			Payload: []byte(fmt.Sprintf(`{"tenant":"idem","model":"default","stream":{"ticks":%d}}`, payloadTicks))}
 		frame, err := cluster.EncodeHandoff(h)
 		if err != nil {
@@ -181,7 +182,7 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 		if mangle != nil {
 			frame = mangle(frame)
 		}
-		resp, err := http.Post(target+cluster.ReplicatePath, "application/octet-stream", bytes.NewReader(frame))
+		resp, err := http.Post(target+cluster.TransferPath, "application/octet-stream", bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
