@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -79,9 +78,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *format == "json" {
-		enc := json.NewEncoder(stdout)
+		var line []byte
 		for _, p := range points {
-			if err := enc.Encode(serve.PointWire(p)); err != nil {
+			if line, err = serve.AppendPoint(line[:0], p); err != nil {
+				return err
+			}
+			if _, err := stdout.Write(line); err != nil {
 				return err
 			}
 		}

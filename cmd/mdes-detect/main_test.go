@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"mdes"
+	"mdes/internal/experiments"
 	"mdes/internal/seqio"
+	"mdes/internal/serve"
 )
 
 // trainToyModel trains a tiny model in-process and saves it where the CLI
@@ -186,5 +188,74 @@ func TestDetectRejectsUnknownFormat(t *testing.T) {
 	if err := run([]string{"-in", "x.csv", "-format", "xml"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-format") {
 		t.Fatalf("bad -format accepted: %v", err)
+	}
+}
+
+// TestDetectJSONIsEncodingJSON pins -format json to the bytes encoding/json
+// writes for the same points, on the quick plant's test split: real scores,
+// and anomalous days whose points carry broken relationships.
+func TestDetectJSONIsEncodingJSON(t *testing.T) {
+	plant, err := experiments.QuickPlant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	modelPath, testCSV := filepath.Join(dir, "model.json"), filepath.Join(dir, "test.csv")
+	for path, write := range map[string]func(*os.File) error{
+		modelPath: func(f *os.File) error { return plant.Model.Save(f) },
+		testCSV:   func(f *os.File) error { return plant.Tst.WriteCSV(f) },
+	} {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-model", modelPath, "-in", testCSV, "-format", "json"}, &got); err != nil {
+		t.Fatal(err)
+	}
+
+	mf, err := os.Open(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := mdes.Load(mf)
+	mf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := os.Open(testCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := seqio.ReadCSV(tf)
+	tf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := model.Detect(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	broken := 0
+	for _, p := range points {
+		if err := enc.Encode(serve.PointWire(p)); err != nil {
+			t.Fatal(err)
+		}
+		broken += len(p.Broken)
+	}
+	if broken == 0 {
+		t.Fatal("no point carries a broken relationship")
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("-format json differs from encoding/json:\n%s\nwant\n%s", got.Bytes(), want.Bytes())
 	}
 }

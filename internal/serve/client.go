@@ -284,14 +284,7 @@ func drainBody(resp *http.Response) {
 // and resend it. Ownership redirects are followed transparently within the
 // budget.
 func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[string]string) ([]WirePoint, error) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, tick := range ticks {
-		if err := enc.Encode(tick); err != nil {
-			return nil, err
-		}
-	}
-	payload := body.Bytes()
+	payload := appendTicks(nil, ticks)
 	base, err := c.baseFor(tenant)
 	if err != nil {
 		return nil, err
@@ -370,32 +363,28 @@ func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[strin
 	}
 }
 
+// maxPointLine bounds one NDJSON point line the client reads. A point line
+// grows by about 73 bytes plus both names per broken relationship, so a
+// point of a paper-scale model (16,256 relationships) can be megabytes long:
+// far past maxTickLine, the server's bound on one tick. By the time a point
+// is read the server has consumed its ticks, so refusing it would lose them.
+const maxPointLine = 64 << 20
+
 // decodePoints parses the NDJSON response stream.
 func (c *Client) decodePoints(r io.Reader) ([]WirePoint, error) {
 	var points []WirePoint
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), maxTickLine)
+	sc.Buffer(make([]byte, 0, 4096), maxPointLine)
 	for sc.Scan() {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		// One decode serves both shapes a line can take: a point, or the
-		// error trailer (wireError's one field).
-		var line struct {
-			WirePoint
-			wireError
-		}
-		err := json.Unmarshal(raw, &line)
-		// An error trailer ends the stream: everything before it was
-		// processed; the erroring tick and the rest of the batch were not.
-		if line.Error != "" {
-			return points, errors.New(line.Error)
-		}
+		p, err := decodePoint(raw)
 		if err != nil {
-			return points, fmt.Errorf("serve: decode point: %w", err)
+			return points, err
 		}
-		points = append(points, line.WirePoint)
+		points = append(points, p)
 	}
 	return points, sc.Err()
 }

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"mdes"
 )
 
 // FuzzWireDecode runs arbitrary byte streams through the NDJSON tick path
@@ -18,7 +21,9 @@ import (
 //   - every other line is accepted or rejected exactly as json.Unmarshal into
 //     a map[string]string accepts or rejects it, with identical content;
 //   - the decoded strings own their bytes: they survive the scanner's buffer
-//     being overwritten (stream windows and snapshots retain them).
+//     being overwritten (stream windows and snapshots retain them);
+//   - the client's tick encoder (appendTicks) writes, for every tick decoded
+//     from the stream, exactly the body json.NewEncoder writes.
 //
 // TestTickScannerRefusesOversizedLines covers the memory bound separately (a
 // megabyte seed would stall the fuzzer's throughput).
@@ -41,10 +46,11 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := tickScanner(bytes.NewReader(data))
 		lines := 0
+		var ticks []map[string]string
 		for sc.Scan() {
 			lines++
 			if lines > 1<<16 {
-				return // enough structure exercised; keep iterations fast
+				break // enough structure exercised; keep iterations fast
 			}
 			line := sc.Bytes()
 			var want map[string]string
@@ -66,6 +72,7 @@ func FuzzWireDecode(f *testing.F) {
 			if err != nil {
 				continue // rejected lines surface a 400 upstream; nothing more to check
 			}
+			ticks = append(ticks, tick)
 			if (tick == nil) != (want == nil) || len(tick) != len(want) {
 				t.Fatalf("line %q: decoded %#v, encoding/json %#v", shown, tick, want)
 			}
@@ -74,6 +81,16 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("line %q: key %q = %q (present %v), encoding/json %q", shown, k, got, ok, v)
 				}
 			}
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for _, tick := range ticks {
+			if err := enc.Encode(tick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := appendTicks(nil, ticks); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("ticks %q: appendTicks wrote\n%s\nencoding/json\n%s", ticks, got, want.Bytes())
 		}
 	})
 }
@@ -152,4 +169,104 @@ func TestTickScannerRefusesOversizedLines(t *testing.T) {
 	if err := sc.Err(); err == nil {
 		t.Fatal("oversized line scanned without error")
 	}
+}
+
+// FuzzPointWire holds the point codecs to encoding/json, the implementation
+// they replace on the wire:
+//
+//   - appendPoint writes exactly what json.NewEncoder writes for the point's
+//     WirePoint, and fails exactly when it fails (NaN, ±Inf);
+//   - what appendPoint writes for a point of plain names, parsePoint reads
+//     back to the same bits;
+//   - on any line, parsePoint either declines or returns exactly what
+//     json.Unmarshal returns into the client's struct{WirePoint; wireError},
+//     with no error and no trailer.
+func FuzzPointWire(f *testing.F) {
+	lines := []string{
+		`{"t":3,"score":0.025,"valid":40,"broken":[{"src":"s01","tgt":"s02","train":0.71,"test":0.2}]}`,
+		`{"t":4,"score":0.5,"valid":0,"degraded":true}`,
+		`{"error":"tick 7: unknown sensor"}`,             // the error trailer
+		`{"T":1,"score":0,"valid":1}`,                    // case-folded key
+		`{"t":1,"t":2,"score":0,"valid":1}`,              // duplicate key
+		`{"t":1,"score":0,"valid":1,"broken":null}`,      // null list
+		`{"t":1,"score":0,"valid":1,"broken":[]}`,        // empty list
+		`{"t":1,"score":0,"valid":1,"degraded":false}`,   // false flag
+		`{"t":1,"score":-0,"valid":1}`,                   // −0
+		`{"t":1,"score":1e-7,"valid":1}`,                 // exponent below 1e-6
+		`{"t":1,"score":1e21,"valid":1}`,                 // exponent from 1e21
+		`{"t":99999999999999999999,"score":0,"valid":1}`, // int overflow
+		`{"t":1,"score":1e400,"valid":1}`,                // float overflow
+		`{"t":01,"score":0,"valid":1}`,                   // leading zero
+		`{"t":1,"score":.5,"valid":1}`,                   // bare fraction
+		`{"t":1,"score":0,"valid":1,"broken":[{"src":"a<b","tgt":"b","train":1,"test":0}]}`,
+	}
+	for i, line := range lines {
+		f.Add([]byte(line), i, []float64{0.025, -0.0, 1e-7, 1e21, 5e-324, 123456789.125}[i%6], 40, "s01", "s02", 0.71, 0.2, uint8(i%3), i%2 == 1)
+	}
+	f.Add([]byte(`{}`), 0, math.Inf(1), 1, "a<b", `x"y`, math.NaN(), 0.5, uint8(2), false)
+	f.Add([]byte(`{}`), -7, 1.0, 1, "ünï", "&", 1e20, 1e-6, uint8(1), true)
+
+	f.Fuzz(func(t *testing.T, line []byte, tt int, score float64, valid int,
+		src, tgt string, train, test float64, alerts uint8, degraded bool) {
+		p := mdes.Point{T: tt, Score: score, Valid: valid}
+		for i := 0; i < int(alerts%4); i++ {
+			p.Broken = append(p.Broken, mdes.Alert{Src: src, Tgt: tgt, TrainScore: train, TestScore: test})
+			src, tgt, train, test = tgt, src, test, train
+		}
+		wp := PointWire(p)
+		wp.Degraded = degraded
+		var want bytes.Buffer
+		wantErr := json.NewEncoder(&want).Encode(wp)
+		got, err := appendPoint([]byte("prefix"), &p, degraded)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%+v: appendPoint error %v, encoding/json error %v", wp, err, wantErr)
+		}
+		if err == nil {
+			if !bytes.Equal(got, append([]byte("prefix"), want.Bytes()...)) {
+				t.Fatalf("%+v: appendPoint wrote\n%s\nencoding/json\n%s", wp, got, want.Bytes())
+			}
+			// A line of printable ASCII with no escapes is the plain form.
+			plain := bytes.IndexFunc(bytes.TrimSuffix(want.Bytes(), []byte("\n")), func(r rune) bool {
+				return r < 0x20 || r >= 0x7f || r == '\\'
+			}) < 0
+			if plain {
+				back, ok := parsePoint(strings.TrimSuffix(string(got[len("prefix"):]), "\n"))
+				if !ok || !sameWirePoint(back, wp) {
+					t.Fatalf("%s: parsed back %+v (ok %v), want %+v", want.Bytes(), back, ok, wp)
+				}
+			}
+		}
+
+		parsed, ok := parsePoint(string(line))
+		if !ok {
+			return
+		}
+		var v struct {
+			WirePoint
+			wireError
+		}
+		if err := json.Unmarshal(line, &v); err != nil || v.Error != "" {
+			t.Fatalf("%q: parsePoint took what encoding/json rejects (error %v, trailer %q)", line, err, v.Error)
+		}
+		if !sameWirePoint(parsed, v.WirePoint) {
+			t.Fatalf("%q: parsePoint %+v, encoding/json %+v", line, parsed, v.WirePoint)
+		}
+	})
+}
+
+// sameWirePoint compares two points bit for bit: floats by their bits (−0
+// is not 0) and a nil alert list apart from an empty one.
+func sameWirePoint(a, b WirePoint) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if a.T != b.T || !same(a.Score, b.Score) || a.Valid != b.Valid || a.Degraded != b.Degraded ||
+		(a.Broken == nil) != (b.Broken == nil) || len(a.Broken) != len(b.Broken) {
+		return false
+	}
+	for i, x := range a.Broken {
+		y := b.Broken[i]
+		if x.Src != y.Src || x.Tgt != y.Tgt || !same(x.Train, y.Train) || !same(x.Test, y.Test) {
+			return false
+		}
+	}
+	return true
 }

@@ -473,7 +473,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.CopyN(io.Discard, r.Body, maxTickLine)
 		_ = r.Body.Close()
 	}()
-	enc := json.NewEncoder(w)
+	var line []byte // one point line, reused for the request's points
 	wrote := false
 	fail := func(code int, msg string) {
 		if !wrote {
@@ -481,7 +481,20 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// The status line is gone; surface the error as an NDJSON trailer.
-		enc.Encode(wireError{Error: msg})
+		json.NewEncoder(w).Encode(wireError{Error: msg})
+	}
+	// emit writes one point line and flushes it; false means the client went
+	// away (or the point cannot be encoded).
+	emit := func(p *mdes.Point, degraded bool) bool {
+		var err error
+		if line, err = appendPoint(line[:0], p, degraded); err != nil {
+			return false
+		}
+		if _, err := w.Write(line); err != nil {
+			return false
+		}
+		wrote = true
+		return rc.Flush() == nil
 	}
 
 	sc := tickScanner(r.Body)
@@ -507,13 +520,8 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 				s.met.degradedTicks.Add(1)
 				sess.dirty = true
 				sess.degraded = true
-				wp := WirePoint{T: sess.stream.SkipEmit(), Score: sess.lastScore, Degraded: true}
-				if err := enc.Encode(wp); err != nil {
-					return // client went away
-				}
-				wrote = true
-				if err := rc.Flush(); err != nil {
-					return // client went away
+				if !emit(&mdes.Point{T: sess.stream.SkipEmit(), Score: sess.lastScore}, true) {
+					return
 				}
 				continue
 			}
@@ -526,12 +534,8 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		if p != nil {
 			sess.lastScore = p.Score
 			sess.degraded = false
-			if err := enc.Encode(PointWire(*p)); err != nil {
-				return // client went away
-			}
-			wrote = true
-			if err := rc.Flush(); err != nil {
-				return // client went away
+			if !emit(p, false) {
+				return
 			}
 			s.met.pointsEmitted.Add(1)
 		}

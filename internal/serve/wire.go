@@ -21,7 +21,12 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 
 	"mdes"
@@ -30,6 +35,15 @@ import (
 // WirePoint is the NDJSON wire form of one detection point, shared by the
 // server, the client helper, the load generator, and mdes-detect's JSON
 // output so everything on the wire composes.
+//
+// Both directions of the wire — tick lines the client writes and the server
+// reads, point lines the server writes and the client reads — are the bytes
+// encoding/json writes and the values it reads. The hand-written codecs below
+// take a line themselves only when it is plain: strings of printable ASCII
+// that encoding/json writes verbatim, finite floats, and for points exactly
+// the keys in the order the server writes them. Every other line goes through
+// encoding/json, so old and new builds interoperate byte for byte
+// (FuzzWireDecode and FuzzPointWire hold the two implementations together).
 type WirePoint struct {
 	T      int         `json:"t"`
 	Score  float64     `json:"score"`
@@ -52,12 +66,338 @@ type WireAlert struct {
 // PointWire converts a detection point to its wire form.
 func PointWire(p mdes.Point) WirePoint {
 	wp := WirePoint{T: p.T, Score: p.Score, Valid: p.Valid}
-	for _, a := range p.Broken {
-		wp.Broken = append(wp.Broken, WireAlert{
-			Src: a.Src, Tgt: a.Tgt, Train: a.TrainScore, Test: a.TestScore,
-		})
+	if len(p.Broken) > 0 {
+		wp.Broken = make([]WireAlert, len(p.Broken))
+		for i, a := range p.Broken {
+			wp.Broken[i] = WireAlert{Src: a.Src, Tgt: a.Tgt, Train: a.TrainScore, Test: a.TestScore}
+		}
 	}
 	return wp
+}
+
+// AppendPoint appends p's NDJSON wire line to dst: exactly the bytes
+// json.NewEncoder writes for PointWire(p), newline included. Like
+// encoding/json it fails on a NaN or infinite score.
+func AppendPoint(dst []byte, p mdes.Point) ([]byte, error) {
+	return appendPoint(dst, &p, false)
+}
+
+// appendPoint is AppendPoint for a point that may be degraded (see
+// WirePoint.Degraded); a degraded point carries only T and Score.
+func appendPoint(dst []byte, p *mdes.Point, degraded bool) ([]byte, error) {
+	// Room for the longest line p can make: a number is at most 25 bytes.
+	room := 120
+	for i := range p.Broken {
+		room += 90 + len(p.Broken[i].Src) + len(p.Broken[i].Tgt)
+	}
+	dst = slices.Grow(dst, room)
+	start := len(dst)
+	ok := true
+	dst = append(dst, `{"t":`...)
+	dst = strconv.AppendInt(dst, int64(p.T), 10)
+	dst = append(dst, `,"score":`...)
+	dst, ok = appendFloat(dst, p.Score, ok)
+	dst = append(dst, `,"valid":`...)
+	dst = strconv.AppendInt(dst, int64(p.Valid), 10)
+	if len(p.Broken) > 0 {
+		dst = append(dst, `,"broken":[`...)
+		for i := range p.Broken {
+			a := &p.Broken[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"src":`...)
+			dst, ok = appendString(dst, a.Src, ok)
+			dst = append(dst, `,"tgt":`...)
+			dst, ok = appendString(dst, a.Tgt, ok)
+			dst = append(dst, `,"train":`...)
+			dst, ok = appendFloat(dst, a.TrainScore, ok)
+			dst = append(dst, `,"test":`...)
+			dst, ok = appendFloat(dst, a.TestScore, ok)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	if ok {
+		return append(dst, '}', '\n'), nil
+	}
+	wp := PointWire(*p)
+	wp.Degraded = degraded
+	return appendJSONLine(dst[:start], wp)
+}
+
+// appendJSONLine appends what json.NewEncoder writes for v: its encoding
+// (HTML-safe, as json.Marshal's) and a newline.
+func appendJSONLine(dst []byte, v any) ([]byte, error) {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	return append(append(dst, line...), '\n'), nil
+}
+
+// appendFloat appends f as encoding/json formats a float64: the shortest
+// round-tripping digits, in exponent form below 1e-6 and from 1e21 on, with a
+// one-digit negative exponent unpadded. It leaves ok false once it or an
+// earlier append met a value encoding/json would not write this way — here
+// NaN and ±Inf, which encoding/json refuses.
+func appendFloat(dst []byte, f float64, ok bool) ([]byte, bool) {
+	if !ok || math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst, true
+}
+
+// appendString appends s as a JSON string when encoding/json would write its
+// bytes verbatim, and leaves ok false otherwise (see appendFloat).
+func appendString(dst []byte, s string, ok bool) ([]byte, bool) {
+	if !ok {
+		return dst, false
+	}
+	for i := 0; i < len(s); i++ {
+		if !wireVerbatim[s[i]] {
+			return dst, false
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"'), true
+}
+
+// wireVerbatim marks the bytes encoding/json writes inside a string as
+// themselves: printable ASCII except the quote and backslash, which it
+// escapes, and '<', '>' and '&', which its HTML-safe default escapes too.
+var wireVerbatim = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()
+
+// tickEntry is one sensor → event pair of a tick being encoded.
+type tickEntry struct{ sensor, event string }
+
+// appendTicks appends the NDJSON request body json.NewEncoder writes for
+// ticks — one object per line, keys sorted — to dst. A batch's ticks
+// normally share one key set, so the sorted keys of one tick are reused for
+// the next whenever it has the same keys: one lookup per key, no sort. A
+// tick with a string encoding/json would escape, or a nil tick, is encoded
+// by encoding/json.
+func appendTicks(dst []byte, ticks []map[string]string) []byte {
+	var entries []tickEntry // the last tick's entries in key order
+	for i, tick := range ticks {
+		if !refillTick(entries, tick) {
+			entries = slices.Grow(entries[:0], len(tick))
+			for s, e := range tick {
+				entries = append(entries, tickEntry{s, e})
+			}
+			slices.SortFunc(entries, func(a, b tickEntry) int { return strings.Compare(a.sensor, b.sensor) })
+			// Size the body for the rest of the batch at this tick's width.
+			width := 3
+			for _, en := range entries {
+				width += len(en.sensor) + len(en.event) + 6
+			}
+			dst = slices.Grow(dst, width*(len(ticks)-i))
+		}
+		start := len(dst)
+		ok := tick != nil
+		dst = append(dst, '{')
+		for j, en := range entries {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst, ok = appendString(dst, en.sensor, ok)
+			dst = append(dst, ':')
+			dst, ok = appendString(dst, en.event, ok)
+		}
+		dst = append(dst, '}', '\n')
+		if !ok {
+			dst, _ = appendJSONLine(dst[:start], tick) // a map[string]string always encodes
+		}
+	}
+	return dst
+}
+
+// refillTick loads tick's events into entries when tick has exactly
+// entries' sensors, and reports whether it did.
+func refillTick(entries []tickEntry, tick map[string]string) bool {
+	if len(tick) != len(entries) {
+		return false
+	}
+	for i := range entries {
+		e, ok := tick[entries[i].sensor]
+		if !ok {
+			return false
+		}
+		entries[i].event = e
+	}
+	return true
+}
+
+// decodePoint parses one point line of a response. Lines the server writes
+// for plain points are parsed by parsePoint; every other line by
+// encoding/json, into a point and the error trailer (wireError) at once. A
+// trailer ends the stream: everything before it was processed, the erroring
+// tick and the rest of the batch were not.
+func decodePoint(line []byte) (WirePoint, error) {
+	if wp, ok := parsePoint(string(line)); ok {
+		return wp, nil
+	}
+	var v struct {
+		WirePoint
+		wireError
+	}
+	err := json.Unmarshal(line, &v)
+	if v.Error != "" {
+		return WirePoint{}, errors.New(v.Error)
+	}
+	if err != nil {
+		return WirePoint{}, fmt.Errorf("serve: decode point: %w", err)
+	}
+	return v.WirePoint, nil
+}
+
+// parsePoint is the reflection-free decoder for the point lines the server
+// writes: keys in the server's order, plain strings, numbers as JSON spells
+// them, and no whitespace. It reports ok=false for anything else (case-folded
+// or repeated keys, a null or empty broken list, a false degraded flag,
+// escapes, a number out of range, the error trailer), which decodePoint hands
+// to encoding/json — so every value it returns is the one json.Unmarshal
+// returns. Names are substrings of s: one allocation per line, not two per
+// alert.
+func parsePoint(s string) (wp WirePoint, ok bool) {
+	p := pointParser{s: s, ok: true}
+	p.lit(`{"t":`)
+	wp.T = p.readInt()
+	p.lit(`,"score":`)
+	wp.Score = p.readFloat()
+	p.lit(`,"valid":`)
+	wp.Valid = p.readInt()
+	if p.skip(`,"broken":[`) {
+		// A plain name holds no quote, so every `{"src":` opens an alert.
+		wp.Broken = make([]WireAlert, 0, strings.Count(s[p.i:], `{"src":`))
+		for p.ok {
+			var a WireAlert
+			p.lit(`{"src":`)
+			a.Src = p.readString()
+			p.lit(`,"tgt":`)
+			a.Tgt = p.readString()
+			p.lit(`,"train":`)
+			a.Train = p.readFloat()
+			p.lit(`,"test":`)
+			a.Test = p.readFloat()
+			p.lit(`}`)
+			wp.Broken = append(wp.Broken, a)
+			if !p.skip(`,`) {
+				break
+			}
+		}
+		p.lit(`]`)
+	}
+	wp.Degraded = p.skip(`,"degraded":true`)
+	p.lit(`}`)
+	return wp, p.ok && p.i == len(s)
+}
+
+// pointParser is parsePoint's cursor. Once a step fails ok stays false, and
+// every later step is a no-op.
+type pointParser struct {
+	s  string
+	i  int
+	ok bool
+}
+
+// skip consumes want if the input continues with it.
+func (p *pointParser) skip(want string) bool {
+	if p.ok && strings.HasPrefix(p.s[p.i:], want) {
+		p.i += len(want)
+		return true
+	}
+	return false
+}
+
+// lit consumes want, which must come next.
+func (p *pointParser) lit(want string) {
+	p.ok = p.skip(want)
+}
+
+// readString reads a plain string literal (see plainString).
+func (p *pointParser) readString() string {
+	if !p.ok {
+		return ""
+	}
+	s, next, ok := plainString(p.s, p.i)
+	p.i, p.ok = next, ok
+	return s
+}
+
+// readInt reads an integer that fits an int, as encoding/json requires of
+// an int field.
+func (p *pointParser) readInt() int {
+	n, err := strconv.Atoi(p.number(false))
+	p.ok = p.ok && err == nil
+	return n
+}
+
+// readFloat reads a number that fits a float64: strconv.ParseFloat refuses
+// one out of range, such as 1e400, and so does encoding/json.
+func (p *pointParser) readFloat() float64 {
+	f, err := strconv.ParseFloat(p.number(true), 64)
+	p.ok = p.ok && err == nil
+	return f
+}
+
+// number consumes a literal of JSON's number grammar, -?(0|[1-9][0-9]*)
+// followed, when frac is set, by an optional fraction and exponent, and
+// returns it. strconv accepts more (a '+' sign, "Inf", hex, underscores), so
+// the grammar is checked here.
+func (p *pointParser) number(frac bool) string {
+	if !p.ok {
+		return ""
+	}
+	s, start := p.s, p.i
+	i := start
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	lead := i
+	i = skipDigits(s, i)
+	p.ok = i > lead && (s[lead] != '0' || i == lead+1)
+	if frac && p.ok && i < len(s) && s[i] == '.' {
+		j := skipDigits(s, i+1)
+		p.ok, i = j > i+1, j
+	}
+	if frac && p.ok && i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		j := skipDigits(s, i)
+		p.ok, i = j > i, j
+	}
+	p.i = i
+	return s[start:i]
+}
+
+// skipDigits returns the index of the first byte at or after i that is not
+// a decimal digit.
+func skipDigits(s string, i int) int {
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // wireError is the NDJSON error trailer emitted when a tick fails after the
