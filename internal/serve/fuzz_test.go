@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,15 +16,17 @@ import (
 
 // FuzzWireDecode runs arbitrary byte streams through the NDJSON tick path
 // handleTicks uses (tickScanner + decodeTick) and holds decodeTick — the
-// hand-written plain-tick parser with its encoding/json fallback — to
+// hand-written plain-row decoder with its encoding/json fallback — to
 // encoding/json alone, the decoder it replaced:
 //
 //   - scanning and decoding never panic;
-//   - a blank line, and only a blank line, skips;
-//   - every other line is accepted or rejected exactly as json.Unmarshal into
-//     a map[string]string accepts or rejects it, with identical content;
-//   - the decoded strings own their bytes: they survive the scanner's buffer
-//     being overwritten (stream windows and snapshots retain them);
+//   - every line is accepted or rejected exactly as json.Unmarshal into a
+//     map[string]string accepts or rejects it;
+//   - a line decodePlainRow takes yields exactly the row Stream.Push lays
+//     out from encoding/json's map (see sameRowAsMap), and any other line
+//     decodes to encoding/json's map itself;
+//   - the map path's strings own their bytes: they survive the scanner's
+//     buffer being overwritten (stream windows and snapshots retain them);
 //   - the client's tick encoder (appendTicks) writes, for every tick decoded
 //     from the stream, exactly the body json.NewEncoder writes.
 //
@@ -43,6 +48,8 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"long":"` + strings.Repeat("x", 5000) + `","s":"on"}` + "\n" + `{"s":"off"}`)) // grows the 4 KiB buffer
 
+	model := testModel(f)
+	row := model.NewRow()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := tickScanner(bytes.NewReader(data))
 		lines := 0
@@ -53,16 +60,23 @@ func FuzzWireDecode(f *testing.F) {
 				break // enough structure exercised; keep iterations fast
 			}
 			line := sc.Bytes()
+			if len(line) == 0 {
+				continue // handleTicks skips blank lines before decoding
+			}
 			var want map[string]string
 			wantErr := json.Unmarshal(line, &want)
-			tick, skip, err := decodeTick(line)
-			if skip {
-				if len(line) != 0 {
-					t.Fatalf("non-empty line %q skipped", line)
+			tick, plain, err := decodeTick(line, row)
+			shown := string(line)
+			if plain {
+				if wantErr != nil {
+					t.Fatalf("line %q: the plain decoder took what encoding/json rejects: %v", shown, wantErr)
 				}
+				if err := sameRowAsMap(model, row, want); err != nil {
+					t.Fatalf("line %q: %v", shown, err)
+				}
+				ticks = append(ticks, want)
 				continue
 			}
-			shown := string(line)
 			for i := range line {
 				line[i] = 'X'
 			}
@@ -95,8 +109,49 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
+// sameRowAsMap holds a decoded row to the tick map encoding/json decodes
+// from the same line, through the stream API alone, on two fresh streams of
+// model. For each modelled sensor in sorted order that the map lacks, both
+// pushes must fail with the same error (naming that sensor) before the
+// sensor is filled alike on both sides; so the row lacks exactly the
+// sensors the map lacks. Once both pushes succeed, the windows they leave
+// must be the same, so every present sensor's event ranked the same.
+func sameRowAsMap(model *mdes.Model, row *mdes.Row, tick map[string]string) error {
+	byRow, byMap := model.NewStream(), model.NewStream()
+	tick = maps.Clone(tick)
+	if tick == nil {
+		tick = map[string]string{}
+	}
+	var names []string
+	for name := range byMap.Snapshot().Windows {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		if _, ok := tick[name]; ok {
+			continue
+		}
+		_, errRow := byRow.PushRow(row)
+		_, errMap := byMap.Push(tick)
+		if errRow == nil || errMap == nil || errRow.Error() != errMap.Error() {
+			return fmt.Errorf("sensor %q missing: row push error %v, map push error %v", name, errRow, errMap)
+		}
+		row.Set([]byte(name), []byte("ON"))
+		tick[name] = "ON"
+	}
+	_, errRow := byRow.PushRow(row)
+	_, errMap := byMap.Push(tick)
+	if errRow != nil || errMap != nil {
+		return fmt.Errorf("complete tick: row push error %v, map push error %v", errRow, errMap)
+	}
+	if got, want := byRow.Snapshot(), byMap.Snapshot(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("row left window %v, map %v", got.Windows, want.Windows)
+	}
+	return nil
+}
+
 // plainTickCases are lines around the edge of the wire shape
-// decodePlainTick recognises; plain says which side each is on.
+// decodePlainRow recognises; plain says which side each is on.
 var plainTickCases = []struct {
 	line  string
 	plain bool
@@ -130,14 +185,23 @@ var plainTickCases = []struct {
 	{`{"a"}`, false},
 	{`{a:"b"}`, false},
 	{`{`, false},
+	// The test model's sensors a, b and c, whose events are ON and OFF.
+	{`{"a":"ON","b":"OFF","c":"ON"}`, true},
+	{`{"c":"ON","extra":"1","a":"OFF","b":"ON"}`, true},    // unsorted, unknown sensor
+	{`{"a":"ON","b":"ON","c":"OFF","a":"MELTDOWN"}`, true}, // the last of a duplicate wins, unknown event
+	{`{"a":"ON","c":"OFF"}`, true},                         // b missing
+	{`{"a":"OFF","b":"ON","c":"?"}`, true},                 // "?" is an unknown event too
 }
 
-// TestDecodePlainTick pins which lines the hand-written parser takes itself
-// and that, on those, it decodes what encoding/json decodes; FuzzWireDecode
-// extends the agreement to decodeTick on every input.
-func TestDecodePlainTick(t *testing.T) {
+// TestDecodePlainRow pins which lines the hand-written parser takes itself
+// and that, on those, it fills the row Stream.Push lays out from what
+// encoding/json decodes; FuzzWireDecode extends the agreement to decodeTick
+// on every input.
+func TestDecodePlainRow(t *testing.T) {
+	model := testModel(t)
+	row := model.NewRow()
 	for _, tc := range plainTickCases {
-		got, ok := decodePlainTick([]byte(tc.line))
+		ok := decodePlainRow([]byte(tc.line), row)
 		if ok != tc.plain {
 			t.Errorf("line %q: plain %v, want %v", tc.line, ok, tc.plain)
 			continue
@@ -150,9 +214,23 @@ func TestDecodePlainTick(t *testing.T) {
 			t.Errorf("line %q: the plain parser accepted what encoding/json rejects: %v", tc.line, err)
 			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("line %q: decoded %#v, encoding/json %#v", tc.line, got, want)
+		if err := sameRowAsMap(model, row, want); err != nil {
+			t.Errorf("line %q: %v", tc.line, err)
 		}
+	}
+}
+
+// TestDecodePlainRowAllocs pins the plain decode of a tick line at zero
+// allocations: keys resolve and events rank straight from the line's bytes.
+func TestDecodePlainRowAllocs(t *testing.T) {
+	row := testModel(t).NewRow()
+	line := []byte(`{"a":"ON","b":"OFF","c":"ON","extra":"1"}`)
+	if got := testing.AllocsPerRun(100, func() {
+		if !decodePlainRow(line, row) {
+			t.Fatal("plain line declined")
+		}
+	}); got != 0 {
+		t.Fatalf("plain row decode allocates %v times per line, want 0", got)
 	}
 }
 

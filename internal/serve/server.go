@@ -370,7 +370,7 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 		}
 		stream := model.NewStream()
 		stream.SetScorer(s.scorer)
-		sess = &session{tenant: tenant, model: modelName, stream: stream, lastUsed: time.Now()}
+		sess = &session{tenant: tenant, model: modelName, stream: stream, row: model.NewRow(), lastUsed: time.Now()}
 	}
 	s.reg.sessions[tenant] = sess
 
@@ -499,16 +499,22 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 
 	sc := tickScanner(r.Body)
 	for sc.Scan() {
-		tick, skip, err := decodeTick(sc.Bytes())
-		if skip {
-			continue
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue // blank lines separate nothing
 		}
+		tick, plain, err := decodeTick(line, sess.row)
 		if err != nil {
 			s.met.tickErrors.Add(1)
 			fail(http.StatusBadRequest, fmt.Sprintf("tick %d: %v", sess.stream.Ticks(), err))
 			return
 		}
-		p, err := sess.stream.Push(tick)
+		var p *mdes.Point
+		if plain {
+			p, err = sess.stream.PushRow(sess.row)
+		} else {
+			p, err = sess.stream.Push(tick)
+		}
 		if err != nil {
 			// Degraded mode: a scoring deadline miss or missing pair model
 			// answers the tick with the last valid score instead of stalling

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -700,4 +701,50 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
+}
+
+// BenchmarkIdleSessionBytes reports the heap one idle restored session holds
+// — its stream, tick row and session record — at 16 and 128 sensors, on an
+// untrained model with the serving bench's language (a sentence spans 16
+// ticks) and no relationships.
+func BenchmarkIdleSessionBytes(b *testing.B) {
+	lc := mdes.LanguageConfig{WordLen: 4, WordStride: 1, SentenceLen: 13, SentenceStride: 13}
+	for _, sensors := range []int{16, 128} {
+		b.Run(fmt.Sprintf("sensors=%d", sensors), func(b *testing.B) {
+			model := untrainedModel(b, sensors, lc)
+			srv, err := New(Options{Models: map[string]*mdes.Model{"default": model}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Shutdown(context.Background())
+			stream := model.NewStream()
+			tick := make(map[string]string, sensors)
+			for t := 0; t < 2*stream.SentenceSpan(); t++ {
+				for i := 0; i < sensors; i++ {
+					tick[fmt.Sprintf("s%02d", i)] = fmt.Sprintf("%c%d", 'A'+(t+i)%3, i%5)
+				}
+				if _, err := stream.Push(tick); err != nil {
+					b.Fatal(err)
+				}
+			}
+			snap := sessionSnapshot{Tenant: "t", Model: "default", Stream: stream.Snapshot()}
+			held := make([]*session, 512)
+			var before, after runtime.MemStats
+			var perSession float64
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for k := range held {
+					if held[k], err = srv.restoreSession("t", snap); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				perSession = float64(after.HeapAlloc-before.HeapAlloc) / float64(len(held))
+				clear(held)
+			}
+			b.ReportMetric(perSession, "B/session")
+		})
+	}
 }

@@ -17,6 +17,7 @@ type session struct {
 	tenant string
 	model  string // model registry name
 	stream *mdes.Stream
+	row    *mdes.Row // the tick being decoded (under mu)
 
 	mu    sync.Mutex
 	gone  bool // set under mu when evicted or deleted; lock holders must retry
@@ -74,6 +75,7 @@ func (s *Server) restoreSession(tenant string, snap sessionSnapshot) (*session, 
 		tenant:    tenant,
 		model:     snap.Model,
 		stream:    stream,
+		row:       model.NewRow(),
 		lastScore: snap.LastScore,
 		degraded:  snap.Degraded,
 		lastUsed:  time.Now(),

@@ -415,66 +415,61 @@ func tickScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// decodeTick parses one NDJSON line into a tick. Blank lines separate
-// nothing and are skipped; any other line must be a flat JSON object mapping
-// sensor names to event strings. The returned strings own their bytes — the
-// stream's windows and snapshots retain them long after line's buffer is
-// reused.
-func decodeTick(line []byte) (tick map[string]string, skip bool, err error) {
-	if len(line) == 0 {
+// decodeTick parses one non-blank NDJSON tick line, which must be a flat
+// JSON object mapping sensor names to event strings. A plain line (see
+// decodePlainRow) lands in row and plain is true; any other line is decoded
+// by encoding/json into tick, so what is accepted, what is rejected and every
+// decoded byte are exactly encoding/json's (FuzzWireDecode holds the two
+// paths together).
+func decodeTick(line []byte, row *mdes.Row) (tick map[string]string, plain bool, err error) {
+	if decodePlainRow(line, row) {
 		return nil, true, nil
 	}
-	if tick, ok := decodePlainTick(line); ok {
-		return tick, false, nil
-	}
-	if err := json.Unmarshal(line, &tick); err != nil {
-		return nil, false, err
-	}
-	return tick, false, nil
+	err = json.Unmarshal(line, &tick)
+	return tick, false, err
 }
 
-// decodePlainTick is the reflection-free decoder for the wire shape the
+// decodePlainRow is the reflection-free decoder for the wire shape the
 // server documents: one flat object of string → string whose strings are
-// plain — printable ASCII with no escapes. It reports ok=false for anything
-// else (escapes, control or non-ASCII bytes, non-string values, nesting,
-// trailing bytes, malformed input), which decodeTick then hands to
-// encoding/json, so what is accepted, what is rejected and every decoded
-// byte are exactly encoding/json's (FuzzWireDecode holds the two together).
-// The line is copied once; keys and values are slices of that copy.
-func decodePlainTick(line []byte) (map[string]string, bool) {
-	s := string(line)
-	i := skipSpace(s, 0)
-	if i == len(s) || s[i] != '{' {
-		return nil, false
+// plain — printable ASCII with no escapes. It resets row and sets every
+// pair into it, straight from line's bytes; a duplicate key keeps its last
+// value, as in encoding/json. It reports false for anything else (escapes,
+// control or non-ASCII bytes, non-string values, nesting, trailing bytes,
+// malformed input), leaving row partly filled.
+//
+//mdes:noalloc
+func decodePlainRow(line []byte, row *mdes.Row) bool {
+	row.Reset()
+	i := skipSpace(line, 0)
+	if i == len(line) || line[i] != '{' {
+		return false
 	}
-	// Four quotes per pair sizes the map without a second parse.
-	tick := make(map[string]string, strings.Count(s, `"`)/4)
-	if i = skipSpace(s, i+1); i < len(s) && s[i] == '}' {
-		return tick, skipSpace(s, i+1) == len(s)
+	if i = skipSpace(line, i+1); i < len(line) && line[i] == '}' {
+		return skipSpace(line, i+1) == len(line)
 	}
 	for {
-		key, next, ok := plainString(s, i)
+		key, next, ok := plainString(line, i)
 		if !ok {
-			return nil, false
+			return false
 		}
-		if i = skipSpace(s, next); i == len(s) || s[i] != ':' {
-			return nil, false
+		if i = skipSpace(line, next); i == len(line) || line[i] != ':' {
+			return false
 		}
-		val, next, ok := plainString(s, skipSpace(s, i+1))
+		val, next, ok := plainString(line, skipSpace(line, i+1))
 		if !ok {
-			return nil, false
+			return false
 		}
-		tick[key] = val // a duplicate key keeps its last value, as in encoding/json
-		if i = skipSpace(s, next); i == len(s) {
-			return nil, false
+		row.Set(key, val)
+		if i = skipSpace(line, next); i == len(line) {
+			return false
 		}
-		switch s[i] {
+		switch line[i] {
 		case ',':
-			i = skipSpace(s, i+1)
+			i = skipSpace(line, i+1)
 		case '}':
-			return tick, skipSpace(s, i+1) == len(s)
+			return skipSpace(line, i+1) == len(line)
 		default:
-			return nil, false
+			return false
 		}
 	}
 }
@@ -482,24 +477,24 @@ func decodePlainTick(line []byte) (map[string]string, bool) {
 // plainString reads the JSON string literal opening at s[i], provided it
 // needs no unescaping and no UTF-8 validation; next is the index past its
 // closing quote.
-func plainString(s string, i int) (str string, next int, ok bool) {
+func plainString[S string | []byte](s S, i int) (str S, next int, ok bool) {
 	if i >= len(s) || s[i] != '"' {
-		return "", 0, false
+		return str, 0, false
 	}
 	for j := i + 1; j < len(s); j++ {
 		switch c := s[j]; {
 		case c == '"':
 			return s[i+1 : j], j + 1, true
 		case c < 0x20 || c >= 0x7f || c == '\\':
-			return "", 0, false
+			return str, 0, false
 		}
 	}
-	return "", 0, false
+	return str, 0, false
 }
 
 // skipSpace returns the index of the first byte at or after i that is not
 // JSON whitespace.
-func skipSpace(s string, i int) int {
+func skipSpace[S string | []byte](s S, i int) int {
 	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r' || s[i] == '\n') {
 		i++
 	}

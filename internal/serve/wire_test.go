@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"mdes"
@@ -129,10 +131,60 @@ func TestNonPlainTrafficRoundTrips(t *testing.T) {
 	}
 }
 
-// BenchmarkWireCodec times the three wire codecs beside the encoding/json
-// path each replaces: a request of 13 ticks × 16 sensors (the serving
-// bench's shape) encoded, and one point with 8 broken relationships encoded
-// and decoded.
+// TestPlainAndEscapedTicksServeAlike sends every request twice, to two
+// tenants: once as plain lines, which decode straight into the session's
+// row, and once with the key "a" spelled as the JSON escape "\u0061", which
+// sends every line through encoding/json and Stream.Push. Status, points and
+// error bodies must be identical, for clean traffic, for a tick missing a
+// sensor and for a malformed line.
+func TestPlainAndEscapedTicksServeAlike(t *testing.T) {
+	_, hs, _ := newTestServer(t, Options{Models: map[string]*mdes.Model{"default": testModel(t)}})
+	ds := coupledDataset(rand.New(rand.NewSource(31)), 60)
+	missing := ticksOf(ds, 45, 46)[0]
+	delete(missing, "b")
+	requests := []struct {
+		name string
+		body []byte
+		want string // in the plain answer
+	}{
+		{"clean", appendTicks(nil, ticksOf(ds, 0, 40)), `"score"`},
+		{"missing b", appendTicks(appendTicks(nil, ticksOf(ds, 40, 45)), []map[string]string{missing}), `\"b\" missing from tick 45`},
+		{"malformed", append(appendTicks(nil, ticksOf(ds, 45, 50)), `{"a":"ON","b":"OFF","c":"ON"`+"\n"...), `tick 50: unexpected end of JSON input`},
+		{"first bad", []byte(`{"a":"ON","c":"OFF"}` + "\n"), `"b" missing from tick 50`},
+	}
+	post := func(tenant string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(hs.URL+"/v1/streams/"+tenant+"/ticks", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(got)
+	}
+	for _, req := range requests {
+		escaped := bytes.ReplaceAll(req.body, []byte(`"a":`), []byte(`"\u0061":`))
+		if bytes.Equal(escaped, req.body) {
+			t.Fatalf("%s: nothing to escape", req.name)
+		}
+		codeP, plain := post("plain", req.body)
+		codeE, esc := post("escaped", escaped)
+		if codeP != codeE || plain != esc {
+			t.Fatalf("%s: plain answered %d\n%s\nescaped answered %d\n%s", req.name, codeP, plain, codeE, esc)
+		}
+		if !strings.Contains(plain, req.want) {
+			t.Fatalf("%s: answer %q lacks %q", req.name, plain, req.want)
+		}
+	}
+}
+
+// BenchmarkWireCodec times the wire codecs beside the encoding/json path
+// each replaces: a request of 13 ticks × 16 sensors (the serving bench's
+// shape) encoded, and decoded into a row against the map decode, and one
+// point with 8 broken relationships encoded and decoded.
 func BenchmarkWireCodec(b *testing.B) {
 	ticks := make([]map[string]string, 13)
 	for i := range ticks {
@@ -153,6 +205,31 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	line = bytes.TrimSpace(line)
+
+	body := appendTicks(nil, ticks)
+	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	row := untrainedModel(b, 16, mdes.LanguageConfig{WordLen: 4, WordStride: 1, SentenceLen: 13, SentenceStride: 13}).NewRow()
+	b.Run("ticks-decode/row", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, line := range lines {
+				if !decodePlainRow(line, row) {
+					b.Fatalf("plain line %q declined", line)
+				}
+			}
+		}
+	})
+	b.Run("ticks-decode/json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, line := range lines {
+				var tick map[string]string
+				if err := json.Unmarshal(line, &tick); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 
 	sink := wireSink[:0]
 	b.Run("ticks-encode/fast", func(b *testing.B) {
@@ -223,3 +300,54 @@ var (
 	wireSink      []byte
 	wirePointSink WirePoint
 )
+
+// TestSensorlessModelStreams: Load accepts a model with no sensors, and its
+// streams take ticks, the window being empty.
+func TestSensorlessModelStreams(t *testing.T) {
+	m := untrainedModel(t, 0, mdes.LanguageConfig{WordLen: 2, WordStride: 1, SentenceLen: 2, SentenceStride: 1})
+	st := m.NewStream()
+	for i := 0; i < 5; i++ {
+		if _, err := st.Push(map[string]string{"x": "y"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.PushRow(m.NewRow()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Ticks() != 10 {
+		t.Fatalf("%d ticks consumed, want 10", st.Ticks())
+	}
+}
+
+// untrainedModel loads a model of sensors sensors s00, s01, … with no edges
+// and no pair models, so it costs no training: sensor i's alphabet is A, B
+// and C suffixed with the digit i%5, the events BenchmarkWireCodec sends.
+func untrainedModel(tb testing.TB, sensors int, lc mdes.LanguageConfig) *mdes.Model {
+	tb.Helper()
+	type language struct {
+		Sensor   string              `json:"sensor"`
+		Alphabet []string            `json:"alphabet"`
+		Words    []string            `json:"words"`
+		Config   mdes.LanguageConfig `json:"config"`
+	}
+	cfg := tinyConfig()
+	cfg.Language = lc
+	langs := make(map[string]language, sensors)
+	for i := 0; i < sensors; i++ {
+		name := fmt.Sprintf("s%02d", i)
+		var alphabet []string
+		for c := 'A'; c <= 'C'; c++ {
+			alphabet = append(alphabet, fmt.Sprintf("%c%d", c, i%5))
+		}
+		langs[name] = language{Sensor: name, Alphabet: alphabet, Words: []string{}, Config: lc}
+	}
+	raw, err := json.Marshal(map[string]any{"config": cfg, "languages": langs, "edges": []any{}, "pairs": map[string]any{}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := mdes.Load(bytes.NewReader(raw))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"mdes/internal/anomaly"
@@ -167,6 +168,12 @@ type Model struct {
 	// reference path).
 	infPairs map[[2]string]*infer.Model
 	prec     Precision
+	// quantized counts Quantize calls, so a stream that resolved its frozen
+	// pair models before the latest one resolves them again.
+	quantized int
+
+	layoutOnce sync.Once
+	lay        *sensorLayout // see layout
 }
 
 // ScreenSummary records the candidate-pair screening decision of a training

@@ -423,10 +423,10 @@ func (m *Model) RestoreStream(snap StreamSnapshot) (*Stream, error) {
 	if wantLen > s.span {
 		wantLen = s.span
 	}
-	if len(snap.Windows) != len(s.names) {
-		return nil, fmt.Errorf("mdes: restore stream: snapshot has %d sensors, model has %d", len(snap.Windows), len(s.names))
+	if len(snap.Windows) != len(s.lay.names) {
+		return nil, fmt.Errorf("mdes: restore stream: snapshot has %d sensors, model has %d", len(snap.Windows), len(s.lay.names))
 	}
-	for _, name := range s.names {
+	for i, name := range s.lay.names {
 		w, ok := snap.Windows[name]
 		if !ok {
 			return nil, fmt.Errorf("mdes: restore stream: sensor %q missing from snapshot", name)
@@ -434,7 +434,10 @@ func (m *Model) RestoreStream(snap StreamSnapshot) (*Stream, error) {
 		if len(w) != wantLen {
 			return nil, fmt.Errorf("mdes: restore stream: sensor %q window holds %d ticks, want %d", name, len(w), wantLen)
 		}
-		s.win[name] = append(s.win[name][:0], w...)
+		slot := s.win[(i+1)*s.span-wantLen : (i+1)*s.span]
+		for j, ev := range w {
+			slot[j] = rank(s.lay.langs[i].Alphabet, ev)
+		}
 	}
 	wantEmitted := 0
 	if snap.Ticks >= s.span {

@@ -33,6 +33,7 @@ func ParsePrecision(s string) (Precision, error) { return infer.ParsePrecision(s
 // Quantize is not safe to call concurrently with scoring; publish before
 // serving traffic.
 func (m *Model) Quantize(p Precision) error {
+	m.quantized++
 	if p == PrecisionF64 {
 		m.infPairs = nil
 		m.prec = PrecisionF64

@@ -261,3 +261,46 @@ func TestParsePrecision(t *testing.T) {
 		t.Error("ParsePrecision accepted f16")
 	}
 }
+
+// TestQuantizeReachesLiveStreams pins Quantize's promise to streams that
+// already exist: one created at float64 scores with the frozen weights of a
+// later Quantize(F32) and with the float64 weights again after
+// Quantize(F64), and its points equal a fresh stream's at each precision.
+func TestQuantizeReachesLiveStreams(t *testing.T) {
+	model := trainTiny(t)
+	ds := coupledDataset(rand.New(rand.NewSource(71)), 150)
+	var seen []Precision // the precision each scored job ran at
+	hook := func(jobs []ScoreJob, row []float64) error {
+		for i := range jobs {
+			prec := PrecisionF64
+			if inf := jobs[i].BatchModel(); inf != nil {
+				prec = inf.Precision()
+			}
+			seen = append(seen, prec)
+			row[jobs[i].Index()] = jobs[i].Run()
+		}
+		return nil
+	}
+	live := model.NewStream()
+	live.SetScorer(hook)
+	from := 0
+	for phase, prec := range []Precision{PrecisionF64, PrecisionF32, PrecisionF64} {
+		if err := model.Quantize(prec); err != nil {
+			t.Fatal(err)
+		}
+		to := from + 50
+		seen = seen[:0]
+		got := pushAll(t, live, ds, from, to)
+		fresh := pushAll(t, model.NewStream(), ds, 0, to)
+		samePoints(t, prec.String(), got, fresh[len(fresh)-len(got):])
+		if len(seen) == 0 {
+			t.Fatalf("phase %d: no job reached the scorer", phase)
+		}
+		for _, p := range seen {
+			if p != prec {
+				t.Fatalf("phase %d: a live stream scored at %v after Quantize(%v)", phase, p, prec)
+			}
+		}
+		from = to
+	}
+}

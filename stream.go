@@ -1,12 +1,11 @@
 package mdes
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"mdes/internal/anomaly"
 	"mdes/internal/infer"
-	"mdes/internal/lang"
 	"mdes/internal/nmt"
 )
 
@@ -21,14 +20,18 @@ import (
 // (see internal/serve) must serialise Push per stream.
 type Stream struct {
 	model *Model
+	lay   *sensorLayout
 	det   *anomaly.Detector
 	rels  []anomaly.Relationship
+	pairs []streamPair // per relationship, resolved once
 
 	span   int // ticks covered by one sentence
 	stride int // ticks between consecutive sentences
 
-	names []string            // modelled sensors in sorted order
-	win   map[string][]string // rolling window of the last `span` ticks
+	// win holds each modelled sensor's last span ticks as encrypted chars,
+	// sensor i (in sorted order) at win[i*span:(i+1)*span], oldest first.
+	// Until span ticks have arrived, they sit at the end of each slot.
+	win []byte
 
 	ticks    int // total ticks consumed
 	emitted  int // points emitted so far
@@ -36,14 +39,22 @@ type Stream struct {
 
 	// Per-push scratch, reused across pushes so the steady state allocates
 	// nothing beyond the detection outputs that escape to the caller.
-	ranks   map[string]map[string]byte // per-sensor event -> encrypted char
-	chars   []byte                     // encrypted window of one sensor
-	sent    map[string][]int           // per-sensor encoded sentence
+	tick    *Row    // Push's tick map, laid out by sensor
+	sent    [][]int // per-sensor encoded sentence
 	jobs    []ScoreJob
 	row     []float64
 	rowWrap [][]float64
 
+	quantized int // the model's Quantize count pairs[].inf was resolved at
+
 	scorer func(jobs []ScoreJob, row []float64) error
+}
+
+// streamPair is one relationship's sensors and pair models.
+type streamPair struct {
+	src, tgt int        // sensor indices
+	model    *nmt.Model // nil when the model lacks the pair: emit fails with ErrNoPairModel
+	inf      *infer.Model
 }
 
 // NewStream creates an online detector over the model's configured valid
@@ -51,32 +62,41 @@ type Stream struct {
 func (m *Model) NewStream() *Stream {
 	lc := m.cfg.Language
 	det := m.Detector()
+	rels := det.Relationships()
+	lay := m.layout()
+	span := lc.WordLen + (lc.SentenceLen-1)*lc.WordStride
 	s := &Stream{
 		model:  m,
+		lay:    lay,
 		det:    det,
-		rels:   det.Relationships(),
-		span:   lc.WordLen + (lc.SentenceLen-1)*lc.WordStride,
+		rels:   rels,
+		pairs:  make([]streamPair, len(rels)),
+		span:   span,
 		stride: lc.SentenceStride * lc.WordStride,
-		win:    make(map[string][]string, len(m.languages)),
-		ranks:  make(map[string]map[string]byte, len(m.languages)),
-		sent:   make(map[string][]int, len(m.languages)),
+		win:    make([]byte, len(lay.names)*span),
+		tick:   m.NewRow(),
+		sent:   make([][]int, len(lay.names)),
+		jobs:   make([]ScoreJob, 0, len(rels)),
+		row:    make([]float64, len(rels)),
 	}
-	for name, l := range m.languages {
-		s.names = append(s.names, name)
-		s.win[name] = make([]string, 0, s.span)
-		rank := make(map[string]byte, len(l.Alphabet))
-		for i, e := range l.Alphabet {
-			rank[e] = byte('a' + i)
-		}
-		s.ranks[name] = rank
-		s.sent[name] = make([]int, 0, lc.SentenceLen)
+	for i := range s.sent {
+		s.sent[i] = make([]int, 0, lc.SentenceLen)
 	}
-	sort.Strings(s.names)
-	s.chars = make([]byte, 0, s.span)
-	s.jobs = make([]ScoreJob, 0, len(s.rels))
-	s.row = make([]float64, len(s.rels))
+	for k, rel := range rels {
+		s.pairs[k] = streamPair{src: lay.index[rel.Src], tgt: lay.index[rel.Tgt], model: m.pairs[[2]string{rel.Src, rel.Tgt}]}
+	}
+	s.resolveFrozen()
 	s.rowWrap = [][]float64{s.row}
 	return s
+}
+
+// resolveFrozen points every relationship at the frozen weights of the
+// model's latest Quantize.
+func (s *Stream) resolveFrozen() {
+	for k, rel := range s.rels {
+		s.pairs[k].inf = s.model.inferFor([2]string{rel.Src, rel.Tgt})
+	}
+	s.quantized = s.model.quantized
 }
 
 // SentenceSpan returns how many ticks one detection window covers.
@@ -151,27 +171,41 @@ func (s *Stream) SetScorer(fn func(jobs []ScoreJob, row []float64) error) { s.sc
 //
 //mdes:noalloc
 func (s *Stream) Push(tick map[string]string) (*Point, error) {
-	// Validate the whole tick before touching any buffer: a tick missing one
-	// modelled sensor must leave the stream state untouched, not advance the
-	// sensors iterated before the error was noticed.
-	for _, name := range s.names {
-		if _, ok := tick[name]; !ok {
-			//mdes:allow(noalloc) cold error path: a malformed tick aborts the push
-			return nil, fmt.Errorf("%w: %q missing from tick %d", ErrMisaligned, name, s.ticks)
+	r := s.tick
+	r.Reset()
+	for i, name := range s.lay.names {
+		if ev, ok := tick[name]; ok {
+			r.setRank(i, rank(s.lay.langs[i].Alphabet, ev))
 		}
 	}
-	for _, name := range s.names {
-		w := s.win[name]
-		if len(w) < s.span {
-			//mdes:allow(noalloc) warm-up only: the window was sized to span in NewStream, so this append never grows it
-			s.win[name] = append(w, tick[name])
-		} else {
-			// Shift down in place instead of append-and-reslice: the window
-			// stays at its original capacity forever, so the steady state
-			// never reallocates.
-			copy(w, w[1:])
-			w[s.span-1] = tick[name]
-		}
+	return s.PushRow(r)
+}
+
+// errForeignRow reports a row made by another model.
+var errForeignRow = errors.New("mdes: row belongs to another model")
+
+// PushRow is Push for a tick already laid out by sensor (see Row). The row
+// is read, not retained or reset.
+//
+//mdes:noalloc
+func (s *Stream) PushRow(r *Row) (*Point, error) {
+	if r.lay != s.lay {
+		return nil, errForeignRow
+	}
+	// Validate the whole tick before touching the window: a tick missing one
+	// modelled sensor must leave the stream state untouched.
+	if i := r.missing(); i >= 0 {
+		//mdes:allow(noalloc) cold error path: a malformed tick aborts the push
+		return nil, fmt.Errorf("%w: %q missing from tick %d", ErrMisaligned, s.lay.names[i], s.ticks)
+	}
+	// One move shifts every sensor's window down a tick. The byte each slot
+	// takes in from the next sensor's oldest lands in its newest position,
+	// which the new tick then overwrites.
+	if len(s.win) > 0 { // a loaded model may have no sensors at all
+		copy(s.win, s.win[1:])
+	}
+	for i, c := range r.chars {
+		s.win[(i+1)*s.span-1] = c
 	}
 	s.ticks++
 
@@ -189,26 +223,19 @@ func (s *Stream) Push(tick map[string]string) (*Point, error) {
 //mdes:noalloc
 func (s *Stream) emit() (*Point, error) {
 	lc := s.model.cfg.Language
-	for _, name := range s.names {
-		l := s.model.languages[name]
-		rank := s.ranks[name]
-		chars := s.chars[:0]
-		for _, ev := range s.win[name] {
-			c, ok := rank[ev]
-			if !ok {
-				c = lang.UnknownChar
-			}
-			chars = append(chars, c)
-		}
+	for i, l := range s.lay.langs {
 		// A full window yields exactly SentenceLen words — one sentence —
 		// so the word window encodes straight into token ids without
 		// materialising word strings (IDBytes keeps the lookup alloc-free).
-		ids := s.sent[name][:0]
-		for i := 0; i+lc.WordLen <= len(chars); i += lc.WordStride {
-			ids = append(ids, l.Vocab.IDBytes(chars[i:i+lc.WordLen]))
+		chars := s.win[i*s.span : (i+1)*s.span]
+		ids := s.sent[i][:0]
+		for j := 0; j+lc.WordLen <= len(chars); j += lc.WordStride {
+			ids = append(ids, l.Vocab.IDBytes(chars[j:j+lc.WordLen]))
 		}
-		s.chars = chars
-		s.sent[name] = ids
+		s.sent[i] = ids
+	}
+	if s.quantized != s.model.quantized {
+		s.resolveFrozen()
 	}
 
 	// Probe each relationship's score memo first: f(i,j) is a pure function of
@@ -216,16 +243,15 @@ func (s *Stream) emit() (*Point, error) {
 	// this model has scored before is answered in place and only the misses
 	// become jobs. An emit with no misses never reaches the scorer.
 	jobs := s.jobs[:0]
-	for k, rel := range s.rels {
-		key := [2]string{rel.Src, rel.Tgt}
-		m := s.model.pairs[key]
-		if m == nil {
+	for k := range s.pairs {
+		p, rel := &s.pairs[k], &s.rels[k]
+		if p.model == nil {
 			//mdes:allow(noalloc) cold error path: a missing pair model is a corrupt-model condition
 			return nil, fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt)
 		}
 		job := ScoreJob{
-			k: k, model: m, inf: s.model.inferFor(key),
-			src: s.sent[rel.Src], tgt: s.sent[rel.Tgt],
+			k: k, model: p.model, inf: p.inf,
+			src: s.sent[p.src], tgt: s.sent[p.tgt],
 			srcName: rel.Src, tgtName: rel.Tgt,
 		}
 		if score, hit := job.cached(); hit {
@@ -298,10 +324,20 @@ type StreamSnapshot struct {
 
 // Snapshot captures the stream's durable state. The returned snapshot owns
 // its window copies, so it stays valid as the stream keeps consuming ticks.
+// Windows hold each char's event from the sensor's alphabet, and for an
+// unknown char an event outside it, which ranks back to the same char.
 func (s *Stream) Snapshot() StreamSnapshot {
-	w := make(map[string][]string, len(s.names))
-	for _, name := range s.names {
-		w[name] = append([]string(nil), s.win[name]...)
+	n := min(s.ticks, s.span)
+	w := make(map[string][]string, len(s.lay.names))
+	for i, name := range s.lay.names {
+		var events []string // before the first tick: null, as the format has it
+		if n > 0 {
+			events = make([]string, n)
+		}
+		for j, c := range s.win[(i+1)*s.span-n : (i+1)*s.span] {
+			events[j] = s.lay.event(i, c)
+		}
+		w[name] = events
 	}
 	return StreamSnapshot{Ticks: s.ticks, Emitted: s.emitted, Windows: w}
 }

@@ -1,6 +1,7 @@
 package mdes
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -135,11 +136,11 @@ func TestStreamBadTickLeavesStateIntact(t *testing.T) {
 			if dirty.Ticks() != control.Ticks() {
 				t.Fatalf("bad ticks consumed: %d vs %d", dirty.Ticks(), control.Ticks())
 			}
-			for name, buf := range dirty.win {
-				if len(buf) != len(control.win[name]) {
-					t.Fatalf("sensor %q buffer advanced by rejected tick: %d vs %d",
-						name, len(buf), len(control.win[name]))
-				}
+			if !bytes.Equal(dirty.win, control.win) {
+				t.Fatalf("window changed by rejected tick: %q vs %q", dirty.win, control.win)
+			}
+			if fd, fc := min(dirty.ticks, dirty.span), min(control.ticks, control.span); fd != fc {
+				t.Fatalf("window fill advanced by rejected tick: %d vs %d", fd, fc)
 			}
 		}
 		r := readingAt(tick)
@@ -430,5 +431,68 @@ func TestStreamPushSteadyStateAllocs(t *testing.T) {
 	// returned *Point); everything else is reused scratch.
 	if perPush > 2 {
 		t.Fatalf("stride cycle allocates %v, want <= 2 (Push hot path regressed)", perPush)
+	}
+
+	row := model.NewRow()
+	row.Set([]byte("c"), []byte("OFF"))
+	row.Set([]byte("a"), []byte("ON"))
+	row.Set([]byte("b"), []byte("ON"))
+	perPushRow := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 5; i++ {
+			p, err := stream.PushRow(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 && p == nil {
+				t.Fatal("expected an emission in each stride cycle")
+			}
+		}
+	})
+	if perPushRow > 2 {
+		t.Fatalf("stride cycle of PushRow allocates %v, want <= 2", perPushRow)
+	}
+}
+
+// TestPushRowMatchesPush holds the row path to the map path on the same
+// traffic, rejected ticks included: the same points bit for bit, the same
+// error text, and the same window after every push.
+func TestPushRowMatchesPush(t *testing.T) {
+	model := trainTiny(t)
+	ds := snapshotTraffic(true)
+	byMap, byRow := model.NewStream(), model.NewStream()
+	row := model.NewRow()
+	for tick := 0; tick < ds.Ticks(); tick++ {
+		reading := map[string]string{"extra": "1"}
+		row.Reset()
+		row.Set([]byte("extra"), []byte("1"))
+		for i := len(ds.Sequences) - 1; i >= 0; i-- { // unsorted on purpose
+			s := ds.Sequences[i]
+			if tick%17 == 3 && s.Sensor == "b" {
+				continue // a rejected tick
+			}
+			reading[s.Sensor] = s.Events[tick]
+			row.Set([]byte(s.Sensor), []byte(s.Events[tick]))
+		}
+		pm, errM := byMap.Push(reading)
+		pr, errR := byRow.PushRow(row)
+		if (errM == nil) != (errR == nil) || errM != nil && errM.Error() != errR.Error() {
+			t.Fatalf("tick %d: Push error %v, PushRow error %v", tick, errM, errR)
+		}
+		if (pm == nil) != (pr == nil) {
+			t.Fatalf("tick %d: Push point %v, PushRow point %v", tick, pm, pr)
+		}
+		if pm != nil {
+			samePoints(t, "PushRow", []Point{*pr}, []Point{*pm})
+		}
+		if !bytes.Equal(byMap.win, byRow.win) || byMap.ticks != byRow.ticks {
+			t.Fatalf("tick %d: windows diverged: %q vs %q", tick, byMap.win, byRow.win)
+		}
+	}
+	foreign := trainTiny(t).NewRow()
+	for _, name := range []string{"a", "b", "c"} {
+		foreign.Set([]byte(name), []byte("ON"))
+	}
+	if _, err := byRow.PushRow(foreign); err == nil {
+		t.Fatal("a complete row of another model was accepted")
 	}
 }
