@@ -190,7 +190,7 @@ func BenchmarkNMTTranslate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := m.Translate(src[i%len(src)]); len(out) == 0 {
+		if out := m.Decode(src[i%len(src)]); len(out) == 0 {
 			b.Fatal("empty translation")
 		}
 	}

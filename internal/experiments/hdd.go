@@ -13,6 +13,7 @@ import (
 	"mdes/internal/discretize"
 	"mdes/internal/graph"
 	"mdes/internal/hddgen"
+	"mdes/internal/infer"
 	"mdes/internal/lang"
 	"mdes/internal/nmt"
 	"mdes/internal/seqio"
@@ -144,7 +145,7 @@ type HDDArtifacts struct {
 	// discretised event sequences per feature per drive, and languages.
 	events map[string]map[string][]string // feature -> driveID -> events
 	langs  map[string]*lang.Language
-	pairs  map[[2]string]*nmt.Model
+	pairs  map[[2]string]*infer.Model // per-pair scoring engines
 }
 
 // featureSeries returns the analysis series for one feature of one drive:
@@ -173,7 +174,7 @@ func BuildHDD(ctx context.Context, sc Scale) (*HDDArtifacts, error) {
 		Schemes: make(map[string]discretize.Scheme, len(hs.Features)),
 		events:  make(map[string]map[string][]string, len(hs.Features)),
 		langs:   make(map[string]*lang.Language, len(hs.Features)),
-		pairs:   make(map[[2]string]*nmt.Model),
+		pairs:   make(map[[2]string]*infer.Model),
 	}
 
 	// Fit per-feature discretisation on pooled training-window values and
@@ -250,7 +251,7 @@ func BuildHDD(ctx context.Context, sc Scale) (*HDDArtifacts, error) {
 		if err := art.Graph.AddEdgeChecked(r.Src, r.Tgt, r.BLEU); err != nil {
 			return nil, err
 		}
-		art.pairs[[2]string{r.Src, r.Tgt}] = r.Model
+		art.pairs[[2]string{r.Src, r.Tgt}] = infer.FromModel(r.Model)
 	}
 
 	if err := art.runDetection(); err != nil {
@@ -288,8 +289,7 @@ func (art *HDDArtifacts) runDetection() error {
 		for t := 0; t < steps; t++ {
 			row := make([]float64, len(rels))
 			for k, rel := range rels {
-				m := art.pairs[[2]string{rel.Src, rel.Tgt}]
-				row[k] = nmt.ScoreSentence(m, sents[rel.Src][t], sents[rel.Tgt][t])
+				row[k] = art.pairs[[2]string{rel.Src, rel.Tgt}].ScoreSentence(sents[rel.Src][t], sents[rel.Tgt][t])
 			}
 			scores[t] = row
 		}

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"slices"
 
 	"mdes/internal/mat"
 	"mdes/internal/nmt"
@@ -35,9 +36,9 @@ func (m *Model) ScoreSentence(src, ref []int) float64 {
 	return w.out1[0]
 }
 
-// Translate greedily decodes one source sentence, returning target token ids
-// (no BOS/EOS) in a fresh slice the caller may keep. Matches the float64
-// model's Translate up to precision.
+// Translate greedily decodes one source sentence through the translation
+// cache, returning target token ids (no BOS/EOS) in a fresh slice the caller
+// may keep. Frozen engines match the float64 decode up to precision.
 func (m *Model) Translate(src []int) []int {
 	if len(src) == 0 {
 		return nil
@@ -55,10 +56,11 @@ func (m *Model) Translate(src []int) []int {
 // sentence ref, if a scoring call has stored one. It allocates nothing.
 func (m *Model) CachedScore(src, ref []int) (float64, bool) { return m.cache.Score(src, ref) }
 
-// scoreBatch is ScoreBatch on a caller-held workspace. Sentence pairs the
-// score memo already holds are answered from it; the rest are translated and
-// scored, and memoised when their source's translation was already cached
-// (the second sighting on — see nmt.TransCache.StoreScore).
+// scoreBatch is ScoreBatch on a caller-held workspace, and the one site that
+// writes the score memo. Sentence pairs the memo already holds are answered
+// from it; the rest are translated and scored, and memoised when their
+// source was seen before: its translation cached, or decoded once for this
+// batch (the second sighting on — see nmt.TransCache.StoreScore).
 //
 //mdes:noalloc
 func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
@@ -107,24 +109,42 @@ func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 
 // translateGroup fills hyps[i] for every i in group (all sources the same
 // nonzero length), consulting the translation cache around one batched
-// decode, and sets cached[i] where the cache answered. Cached hypotheses are
-// cache-owned; decoded ones live in the workspace until reset. Either way
-// they are read-only for the caller.
+// decode of the distinct misses, and sets cached[i] where the cache or an
+// earlier copy in the group answered. Cached hypotheses are cache-owned;
+// decoded ones live in the workspace until reset (at F64, on the heap).
+// Either way they are read-only for the caller.
 func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int, cached []int) {
 	miss := w.intsBuf(len(group))[:0]
+	reps := w.intsBuf(2 * len(group))[:0] // (repeat, first copy) pairs
+scan:
 	for _, i := range group {
 		if hyp, ok := m.cache.Lookup(srcs[i]); ok {
 			hyps[i], cached[i] = hyp, 1
-		} else {
-			miss = append(miss, i)
+			continue
 		}
+		for _, j := range miss {
+			if slices.Equal(srcs[i], srcs[j]) {
+				reps = append(reps, i, j)
+				continue scan
+			}
+		}
+		miss = append(miss, i)
 	}
 	if len(miss) == 0 {
 		return
 	}
-	m.decodeGroup(w, srcs, miss, hyps)
+	if m.f64 != nil {
+		for _, i := range miss {
+			hyps[i] = m.f64.Decode(srcs[i])
+		}
+	} else {
+		m.decodeGroup(w, srcs, miss, hyps)
+	}
 	for _, i := range miss {
 		m.cache.Store(srcs[i], hyps[i])
+	}
+	for k := 0; k < len(reps); k += 2 {
+		hyps[reps[k]], cached[reps[k]] = hyps[reps[k+1]], 1
 	}
 }
 

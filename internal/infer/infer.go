@@ -1,9 +1,11 @@
-// Package infer is the reduced-precision batched inference engine for
-// trained NMT pair models. Training stays float64 (internal/nmt); at publish
-// time a model's weights are frozen into float32 (GEMM weights stored
-// pre-transposed) or int8 (row-quantized with per-row scales), and scoring
-// runs through ScoreBatch, which packs many sentences against one pair model
-// into GEMM calls over pooled workspaces.
+// Package infer is the scoring engine for trained NMT pair models, at every
+// precision. Training stays float64 (internal/nmt). At publish time a model
+// becomes an engine: FromModel serves the float64 training model as it is
+// (F64), and FromState freezes its weights into float32 (GEMM weights stored
+// pre-transposed) or int8 (row-quantized with per-row scales). Scoring runs
+// through ScoreBatch, which answers what the score memo holds and decodes
+// the rest: each distinct source once, and at f32/int8 many sentences against
+// one pair model in GEMM calls over pooled workspaces.
 //
 // Two invariants make batching safe to deploy:
 //
@@ -25,9 +27,9 @@ import (
 	"mdes/internal/nmt"
 )
 
-// Precision selects the numeric format of the scoring path. The zero value
-// F64 means "no inference engine — score through the float64 training
-// model"; F32 and Int8 are the reduced-precision engine formats.
+// Precision selects the numeric format of an engine. The zero value F64
+// decodes with the float64 training model itself (FromModel), the paper's
+// reference path; F32 and Int8 are the frozen formats (FromState).
 type Precision int
 
 const (
@@ -145,11 +147,12 @@ func (st *stack) clamp(tok int) int {
 	return tok
 }
 
-// Model is a frozen reduced-precision inference model built from a trained
-// nmt.Model's state. It scores; it never trains. Safe for concurrent use.
+// Model is a scoring engine built from a trained nmt.Model. It scores; it
+// never trains. Safe for concurrent use.
 type Model struct {
 	cfg  nmt.Config
 	prec Precision
+	f64  *nmt.Model // the decoder at F64; the frozen tensors below are unset
 
 	enc, dec stack  // source- and target-side
 	wa       weight // h×h attention bilinear form
@@ -161,24 +164,34 @@ type Model struct {
 	wsPool sync.Pool
 
 	// cache memoises greedy decodes per source sentence and scores per
-	// sentence pair, exactly like the float64 model's.
-	cache nmt.TransCache
+	// sentence pair: the engine's own when frozen, the training model's at F64.
+	cache *nmt.TransCache
 }
 
-// FromState freezes a trained model snapshot into an inference model at the
-// given precision (F32 or Int8), walking the architecture cfg implies. The
-// frozen weights are a pure function of the snapshot, so a model file stores
-// only the float64 weights and the precision to freeze them at.
+// FromModel serves a trained model as an F64 engine. It decodes with the
+// model's own greedy decode (nmt.Model.Decode) through the model's own cache
+// (nmt.Model.Cache), so its scores are nmt.ScoreSentence's bit for bit and
+// the dev-set translations training cached answer it from the start. The
+// model must not train while the engine serves.
+func FromModel(nm *nmt.Model) *Model {
+	return &Model{cfg: nm.Config(), prec: F64, f64: nm, cache: nm.Cache()}
+}
+
+// FromState freezes a trained model snapshot into an engine at the given
+// precision (F32 or Int8; F64 engines come from FromModel), walking the
+// architecture cfg implies. The frozen weights are a pure function of the
+// snapshot, so a model file stores only the float64 weights and the
+// precision to freeze them at.
 func FromState(st nmt.State, prec Precision) (*Model, error) {
 	if prec != F32 && prec != Int8 {
-		return nil, fmt.Errorf("infer: %v is not an inference precision (want f32 or int8)", prec)
+		return nil, fmt.Errorf("infer: FromState freezes f32 or int8, not %v", prec)
 	}
 	cfg := st.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	f := freezer{weights: st.Weights, prec: prec}
-	m := &Model{cfg: cfg, prec: prec}
+	m := &Model{cfg: cfg, prec: prec, cache: new(nmt.TransCache)}
 	m.enc = stack{vocab: cfg.SrcVocab, emb: f.f32Mat("src_emb", cfg.SrcVocab, cfg.Embed)}
 	m.dec = stack{vocab: cfg.TgtVocab, emb: f.f32Mat("tgt_emb", cfg.TgtVocab, cfg.Embed)}
 	h := cfg.Hidden
@@ -281,19 +294,24 @@ func (m *Model) Precision() Precision { return m.prec }
 // Config returns the underlying NMT configuration.
 func (m *Model) Config() nmt.Config { return m.cfg }
 
-// MemoryBytes reports the resident size of the frozen weights, input tables
+// MemoryBytes reports the resident size of the weights the engine decodes
+// with: at F64 the training weights; frozen, the frozen weights, input tables
 // included (and the embeddings and layer-0 Wx they replaced excluded) — the
 // number behind the ~4× model-memory reduction BenchmarkModelMemory reports.
 // A table is built only where it does not grow this.
 func (m *Model) MemoryBytes() int {
+	if m.f64 != nil {
+		return 8 * m.f64.ParamCount()
+	}
 	total := m.enc.bytes() + m.dec.bytes()
 	total += 4 * (len(m.wcB) + len(m.outB))
 	total += m.wa.bytes() + m.wc.bytes() + m.outW.bytes()
 	return total
 }
 
-// SetTranslationCaching toggles the per-model translation cache and score
-// memo (on by default). Turning it off also drops everything cached.
+// SetTranslationCaching toggles the engine's translation cache and score
+// memo (on by default; at F64 it is the training model's). Turning it off
+// also drops everything cached.
 func (m *Model) SetTranslationCaching(on bool) { m.cache.SetCaching(on) }
 
 func (m *Model) getWS() *ws {

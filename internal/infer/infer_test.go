@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -27,6 +28,24 @@ func testState(t testing.TB, seed int64) nmt.State {
 	return m.State()
 }
 
+// newEngine builds a fresh engine at prec from seed's model state: at F64
+// over a model of its own, so no two engines share a cache.
+func newEngine(t testing.TB, seed int64, prec Precision) *Model {
+	t.Helper()
+	if prec == F64 {
+		nm, err := nmt.LoadModel(testState(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromModel(nm)
+	}
+	m, err := FromState(testState(t, seed), prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func randSentences(rng *rand.Rand, n, maxLen, vocab int) [][]int {
 	out := make([][]int, n)
 	for i := range out {
@@ -44,15 +63,11 @@ func randSentences(rng *rand.Rand, n, maxLen, vocab int) [][]int {
 
 // TestScoreBatchMatchesSingle pins the load-bearing batching invariant: a
 // sentence scored inside a batch gets the bit-identical score it gets alone,
-// at both precisions, with the translation cache on and off.
+// at every precision, with the translation cache on and off.
 func TestScoreBatchMatchesSingle(t *testing.T) {
-	st := testState(t, 11)
-	for _, prec := range []Precision{F32, Int8} {
+	for _, prec := range []Precision{F64, F32, Int8} {
 		for _, cache := range []bool{false, true} {
-			m, err := FromState(st, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := newEngine(t, 11, prec)
 			m.SetTranslationCaching(cache)
 			rng := rand.New(rand.NewSource(23))
 			srcs := randSentences(rng, 37, 9, 12)
@@ -97,7 +112,7 @@ func TestInferMatchesF64(t *testing.T) {
 	srcs := randSentences(rng, 25, 9, 12)
 	refs := randSentences(rng, 25, 9, 12)
 	for i := range srcs {
-		want := ref64.Translate(srcs[i])
+		want := ref64.Decode(srcs[i])
 		got := m.Translate(srcs[i])
 		if len(got) != len(want) {
 			t.Fatalf("sentence %d: f32 hyp %v, f64 hyp %v", i, got, want)
@@ -147,17 +162,14 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestTranslationCacheLifecycle is internal/nmt's test of the same name run
-// against the frozen engines: the one nmt.TransCache implementation must see
-// a miss, a hit, the full drop at its 4096-entry cap and the off switch
-// through infer's batched translate path too, and the score memo beside it
-// its admission rule, its cap and the same drops through scoreBatch.
+// TestTranslationCacheLifecycle walks every engine's nmt.TransCache through
+// infer's batched translate path: a miss, a hit, the full drop at its
+// 4096-entry cap and the off switch; and the score memo beside it, which
+// scoreBatch alone writes, through its admission rule, its cap and the same
+// drops — at F64 a training step of the model it shares the cache with too.
 func TestTranslationCacheLifecycle(t *testing.T) {
-	for _, prec := range []Precision{F32, Int8} {
-		m, err := FromState(testState(t, 11), prec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, prec := range []Precision{F64, F32, Int8} {
+		m := newEngine(t, 11, prec)
 		probe := []int{4, 5, 6}
 		first := m.Translate(probe)
 		if n := m.cache.Len(); n != 1 {
@@ -208,10 +220,17 @@ func TestTranslationCacheLifecycle(t *testing.T) {
 		}
 		m.SetTranslationCaching(true)
 
-		// Drop and the memo's own cap empty it. (The frozen engine never
-		// trains; internal/nmt covers the training step.)
-		m.ScoreSentence(probe, ref)
-		m.ScoreSentence(probe, ref)
+		// Drop, the memo's own cap and (at F64, last: it moves the weights) a
+		// training step empty it.
+		refill := func() {
+			t.Helper()
+			m.ScoreSentence(probe, ref)
+			m.ScoreSentence(probe, ref)
+			if m.cache.ScoreLen() != 1 {
+				t.Fatalf("%v: refill: %d scores memoised, want 1", prec, m.cache.ScoreLen())
+			}
+		}
+		refill()
 		m.cache.Drop()
 		if n := m.cache.ScoreLen(); n != 0 {
 			t.Fatalf("%v: Drop must empty the memo: %d scores left", prec, n)
@@ -237,22 +256,101 @@ func TestTranslationCacheLifecycle(t *testing.T) {
 		if n := m.cache.ScoreLen(); n != 0 {
 			t.Fatalf("%v: with the cache off nothing may be memoised: %d scores", prec, n)
 		}
+		if m.f64 != nil {
+			m.SetTranslationCaching(true)
+			refill()
+			if _, err := m.f64.Train([][]int{{3, 4}}, [][]int{{5}}); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.cache.ScoreLen(); n != 0 {
+				t.Fatalf("%v: a training step must empty the memo: %d scores left", prec, n)
+			}
+		}
 	}
 }
 
-// TestWarmProbesDoNotAllocate pins the serving hit paths of the frozen
-// engines at zero allocations: the memo probe Stream.emit answers a replayed
+// TestF64EngineMatchesReference is the F64 engine's differential test: on
+// seeded random pairs, with sources that repeat inside a batch, its
+// ScoreBatch and ScoreSentence equal the uncached nmt.ScoreSentence bit for
+// bit with the memo on and off, scored cold and again warm. And k copies of
+// one source decode once: they leave one translation-cache entry, and the
+// later copies are memoised as second sightings.
+func TestF64EngineMatchesReference(t *testing.T) {
+	ref, err := nmt.LoadModel(testState(t, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	srcs := randSentences(rng, 40, 9, 12)
+	refs := randSentences(rng, len(srcs)+8, 9, 12)
+	for i := 0; i < 8; i++ { // repeats, half against their first copy's reference
+		j := rng.Intn(40)
+		srcs = append(srcs, srcs[j])
+		if i%2 == 0 {
+			refs[40+i] = refs[j]
+		}
+	}
+	want := make([]float64, len(srcs))
+	for i := range srcs {
+		want[i] = nmt.ScoreSentence(ref, srcs[i], refs[i])
+	}
+	same := func(label string, got []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s sentence %d: %v, reference %v", label, i, got[i], want[i])
+			}
+		}
+	}
+	for _, cache := range []bool{true, false} {
+		m := newEngine(t, 17, F64)
+		m.SetTranslationCaching(cache)
+		for pass := 0; pass < 2; pass++ {
+			got := make([]float64, len(srcs))
+			m.ScoreBatch(srcs, refs, got)
+			same(fmt.Sprintf("cache=%v pass %d batch", cache, pass), got)
+			for i := range srcs {
+				got[i] = m.ScoreSentence(srcs[i], refs[i])
+			}
+			same(fmt.Sprintf("cache=%v pass %d single", cache, pass), got)
+		}
+
+		m.SetTranslationCaching(cache) // empties the cache
+		// k copies against k distinct references: one decode, one cache
+		// entry, and every copy after the first counts as a second sighting.
+		k := 5
+		copies, kRefs := make([][]int, k), make([][]int, k)
+		for i := range copies {
+			copies[i], kRefs[i] = []int{4, 5, 6}, []int{3 + i}
+		}
+		out := make([]float64, k)
+		m.ScoreBatch(copies, kRefs, out)
+		wantLen, wantMemo := 0, 0
+		if cache {
+			wantLen, wantMemo = 1, k-1
+		}
+		if m.cache.Len() != wantLen || m.cache.ScoreLen() != wantMemo {
+			t.Fatalf("cache=%v: %d copies of one source left %d translations and %d scores, want %d and %d",
+				cache, k, m.cache.Len(), m.cache.ScoreLen(), wantLen, wantMemo)
+		}
+		for i := range copies {
+			if w := nmt.ScoreSentence(ref, copies[i], kRefs[i]); math.Float64bits(out[i]) != math.Float64bits(w) {
+				t.Fatalf("cache=%v: copy %d scored %v, reference %v", cache, i, out[i], w)
+			}
+		}
+	}
+}
+
+// TestWarmProbesDoNotAllocate pins the serving hit paths of every engine at
+// zero allocations: the memo probe Stream.emit answers a replayed
 // pair with, and the lookup of a cached translation behind a memo miss (the
 // hypothesis is read in place; the memo store that follows allocates its
 // entry, so the translate step is pinned on its own). Both run on a held
 // workspace: what sync.Pool recycles is TestScoreBatchSteadyStateAllocs's
 // business.
 func TestWarmProbesDoNotAllocate(t *testing.T) {
-	for _, prec := range []Precision{F32, Int8} {
-		m, err := FromState(testState(t, 11), prec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, prec := range []Precision{F64, F32, Int8} {
+		m := newEngine(t, 11, prec)
 		src, ref := []int{4, 5, 6, 7}, []int{3, 4, 5}
 		m.ScoreSentence(src, ref)
 		m.ScoreSentence(src, ref) // second sighting: memoised
@@ -271,8 +369,8 @@ func TestWarmProbesDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestFromStateRejectsF64 pins that F64 is a routing sentinel, not an engine
-// precision.
+// TestFromStateRejectsF64 pins that FromState only freezes: F64 engines come
+// from FromModel.
 func TestFromStateRejectsF64(t *testing.T) {
 	if _, err := FromState(testState(t, 3), F64); err == nil {
 		t.Fatal("FromState(F64) succeeded, want error")

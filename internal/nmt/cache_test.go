@@ -58,31 +58,13 @@ func TestScoreCorpusCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestTranslateReturnsFreshCopies guards against callers corrupting the cache
-// through the returned slice.
-func TestTranslateReturnsFreshCopies(t *testing.T) {
-	m, src, _ := cacheTestModel(t)
-	first := m.Translate(src[16])
-	second := m.Translate(src[16]) // cache hit
-	if !eqInts(first, second) {
-		t.Fatalf("repeated Translate diverged: %v vs %v", first, second)
-	}
-	if len(first) > 0 {
-		first[0] = -999
-		third := m.Translate(src[16])
-		if len(third) > 0 && third[0] == -999 {
-			t.Fatal("mutating a Translate result leaked into the cache")
-		}
-	}
-}
-
 // TestTranslationCacheInvalidatedByTraining: a stale cache across optimiser
 // steps would silently freeze the model's translations.
 func TestTranslationCacheInvalidatedByTraining(t *testing.T) {
 	m, src, tgt := cacheTestModel(t)
-	m.Translate(src[16])
+	m.translateShared(src[16])
 	if m.cache.Len() == 0 {
-		t.Fatal("expected a cache entry after Translate")
+		t.Fatal("expected a cache entry after translateShared")
 	}
 	if _, err := m.Train(src[:8], tgt[:8]); err != nil {
 		t.Fatal(err)
@@ -92,120 +74,56 @@ func TestTranslationCacheInvalidatedByTraining(t *testing.T) {
 	}
 }
 
-// TestTranslationCacheLifecycle walks the float64 engine's cache through a
-// miss, a hit, the full drop at the cap and the off switch, and the score
-// memo beside it through its admission rule and the same lifecycle.
-// internal/infer runs the same walk against the frozen f32 and int8 engines.
+// TestTranslationCacheLifecycle walks the training model's translation
+// cache through a miss, a hit, the full drop at the cap and the off switch.
+// internal/infer runs the same walk, and the score memo's, against every
+// engine, the F64 one on this cache included.
 func TestTranslationCacheLifecycle(t *testing.T) {
-	m, src, tgt := cacheTestModel(t)
+	m, _, _ := cacheTestModel(t)
 	probe := []int{4, 5, 6}
-	first := m.Translate(probe)
+	first, _ := m.translateShared(probe)
 	if n := m.cache.Len(); n != 1 {
 		t.Fatalf("a miss must store its translation: %d entries", n)
 	}
-	if again := m.Translate(probe); !eqInts(again, first) || m.cache.Len() != 1 {
+	if again, hit := m.translateShared(probe); !hit || !eqInts(again, first) || m.cache.Len() != 1 {
 		t.Fatalf("a hit must return the stored translation and add nothing: %v vs %v, %d entries", again, first, m.cache.Len())
 	}
 	// Length-5 sources never collide with the length-3 probe or each other.
 	distinct := func(i int) []int { return []int{i % 8, i / 8 % 8, i / 64 % 8, i / 512 % 8, i / 4096 % 8} }
 	i := 0
 	for ; m.cache.Len() < transCacheCap; i++ {
-		m.Translate(distinct(i))
+		m.translateShared(distinct(i))
 	}
-	m.Translate(distinct(i))
+	m.translateShared(distinct(i))
 	if n := m.cache.Len(); n != 1 {
 		t.Fatalf("a miss on a full cache must drop the whole map first: %d entries", n)
 	}
 
-	// The score memo's admission rule: the translation cache is its
-	// doorkeeper, so a sentence's first sighting stores no score, its second
-	// does, and its third is a hit.
-	m.cache.Drop()
-	ref := []int{3, 4, 5}
-	want := ScoreSentence(m, probe, ref)
-	if _, hit := m.CachedScore(probe, ref); hit || m.cache.ScoreLen() != 0 {
-		t.Fatalf("a first sighting must not be memoised: hit %v, %d scores", hit, m.cache.ScoreLen())
-	}
-	if got := ScoreSentence(m, probe, ref); math.Float64bits(got) != math.Float64bits(want) || m.cache.ScoreLen() != 1 {
-		t.Fatalf("a second sighting must score the same and be memoised: %v vs %v, %d scores", got, want, m.cache.ScoreLen())
-	}
-	if got, hit := m.CachedScore(probe, ref); !hit || math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("a third sighting must hit the memo with the same score: hit %v, %v vs %v", hit, got, want)
-	}
-	// The memo keys on the pair, not the source alone.
-	if _, hit := m.CachedScore(probe, []int{3, 4, 6}); hit {
-		t.Fatal("another reference for the same source must miss")
-	}
-	// Everything that empties the translation cache empties the memo: Drop,
-	// a training step, the off switch — and the memo's own cap.
-	refill := func() {
-		t.Helper()
-		ScoreSentence(m, probe, ref)
-		ScoreSentence(m, probe, ref)
-		if m.cache.ScoreLen() != 1 {
-			t.Fatalf("refill: %d scores memoised, want 1", m.cache.ScoreLen())
-		}
-	}
-	m.cache.Drop()
-	if n := m.cache.ScoreLen(); n != 0 {
-		t.Fatalf("Drop must empty the memo: %d scores left", n)
-	}
-	refill()
-	if _, err := m.Train(src[:8], tgt[:8]); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.cache.ScoreLen(); n != 0 {
-		t.Fatalf("a training step must empty the memo: %d scores left", n)
-	}
-	refill()
-	for i := 0; m.cache.ScoreLen() < transCacheCap; i++ {
-		ScoreSentence(m, probe, distinct(i))
-	}
-	ScoreSentence(m, probe, []int{7})
-	if n := m.cache.ScoreLen(); n != 1 {
-		t.Fatalf("a store into a full memo must drop the whole map first: %d scores", n)
-	}
-
-	first = m.Translate(probe)
 	m.SetTranslationCaching(false)
-	if n, ns := m.cache.Len(), m.cache.ScoreLen(); n != 0 || ns != 0 {
-		t.Fatalf("switching the cache off must drop its entries: %d translations, %d scores left", n, ns)
+	if n := m.cache.Len(); n != 0 {
+		t.Fatalf("switching the cache off must drop its entries: %d left", n)
 	}
-	if off := m.Translate(probe); !eqInts(off, first) || m.cache.Len() != 0 {
-		t.Fatalf("with the cache off Translate must decode the same and store nothing: %v vs %v, %d entries", off, first, m.cache.Len())
-	}
-	ScoreSentence(m, probe, ref)
-	ScoreSentence(m, probe, ref)
-	if n := m.cache.ScoreLen(); n != 0 {
-		t.Fatalf("with the cache off nothing may be memoised: %d scores", n)
+	if off, hit := m.translateShared(probe); hit || !eqInts(off, first) || m.cache.Len() != 0 {
+		t.Fatalf("with the cache off translateShared must decode the same and store nothing: %v vs %v, %d entries", off, first, m.cache.Len())
 	}
 }
 
-// TestCacheProbesDoNotAllocate pins the hit path's cost: translation and
-// score probes build their keys on the stack, and a scoring call whose
-// translation is cached reads the cache-owned hypothesis instead of copying
-// it.
+// TestCacheProbesDoNotAllocate pins the hit path's cost: translation probes
+// build their keys on the stack, and a cached translation is read in place,
+// not copied.
 func TestCacheProbesDoNotAllocate(t *testing.T) {
 	m, src, tgt := cacheTestModel(t)
 	s, ref := src[16], tgt[16]
-	ScoreSentence(m, s, ref)
-	ScoreSentence(m, s, ref) // second sighting: memoised
-	var sink float64
+	m.translateShared(s)
 	for name, fn := range map[string]func(){
-		"translation hit":  func() { m.cache.Lookup(s) },
-		"translation miss": func() { m.cache.Lookup(ref) },
-		"memo hit":         func() { sink, _ = m.CachedScore(s, ref) },
-		"memo miss":        func() { sink, _ = m.CachedScore(ref, s) },
-		// The memo answers a repeated pair; the translation-cache hit behind a
-		// memo miss is the shared-hypothesis path.
-		"ScoreSentence, memo hit":    func() { sink = ScoreSentence(m, s, ref) },
+		"translation hit":            func() { m.cache.Lookup(s) },
+		"translation miss":           func() { m.cache.Lookup(ref) },
 		"translateShared, cache hit": func() { m.translateShared(s) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s allocates %v/op, want 0", name, allocs)
 		}
 	}
-	_ = sink
 }
 
 // TestConcurrentTranslate exercises the sync.Pool workspaces and the
@@ -214,7 +132,7 @@ func TestConcurrentTranslate(t *testing.T) {
 	m, src, _ := cacheTestModel(t)
 	want := make([][]int, 8)
 	for i := range want {
-		want[i] = m.Translate(src[16+i%8])
+		want[i] = m.Decode(src[16+i%8])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -224,9 +142,9 @@ func TestConcurrentTranslate(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for k := 0; k < 50; k++ {
 				i := rng.Intn(8)
-				got := m.Translate(src[16+i])
+				got, _ := m.translateShared(src[16+i])
 				if !eqInts(got, want[i]) {
-					t.Errorf("goroutine %d: Translate diverged: %v vs %v", g, got, want[i])
+					t.Errorf("goroutine %d: translateShared diverged: %v vs %v", g, got, want[i])
 					return
 				}
 			}
@@ -272,9 +190,9 @@ func TestTrainAndTranslateAllocations(t *testing.T) {
 		t.Skip("sync.Pool drops workspaces under the race detector")
 	}
 	m, src, tgt := cacheTestModel(t)
-	m.translate(src[0]) // warm a pooled workspace at this shape
-	if allocs := testing.AllocsPerRun(50, func() { m.translate(src[0]) }); allocs > 2 {
-		t.Errorf("translate allocates %v times per sentence on a warm workspace, want <= 2", allocs)
+	m.Decode(src[0]) // warm a pooled workspace at this shape
+	if allocs := testing.AllocsPerRun(50, func() { m.Decode(src[0]) }); allocs > 2 {
+		t.Errorf("Decode allocates %v times per sentence on a warm workspace, want <= 2", allocs)
 	}
 	if _, _, err := m.TrainExample(src[0], tgt[0]); err != nil {
 		t.Fatal(err)

@@ -60,9 +60,9 @@ func TestGoldenTrainingTrajectory(t *testing.T) {
 		{6, 6, 6, 6, 6, 6, 4, 4},
 	}
 	for i, want := range wantDecodes {
-		got := m.Translate(src[16+i])
+		got := m.Decode(src[16+i])
 		if !eqInts(got, want) {
-			t.Errorf("Translate(src[%d]) = %v, want %v", 16+i, got, want)
+			t.Errorf("Decode(src[%d]) = %v, want %v", 16+i, got, want)
 		}
 	}
 

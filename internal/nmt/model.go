@@ -97,8 +97,9 @@ type Model struct {
 	opt    *nn.Adam
 	rng    *rand.Rand
 
-	// cache memoises Translate per source sentence and ScoreSentence per
-	// sentence pair; it is dropped whenever weights change.
+	// cache memoises greedy decodes per source sentence (ScoreCorpus's) and
+	// scores per sentence pair (the F64 infer engine's, see Cache); it is
+	// dropped whenever weights change.
 	cache TransCache
 }
 
@@ -368,24 +369,10 @@ func (m *Model) TrainContext(ctx context.Context, src, tgt [][]int) (TrainResult
 	return res, nil
 }
 
-// Translate greedily decodes the source sentence and returns target token
-// ids (without BOS/EOS). Decoding stops at EOS or cfg.MaxDecodeLen.
-//
-// Greedy decoding is deterministic, so identical source sentences are served
-// from a per-model cache — the dedupe that makes corpus scoring and online
-// detection cheap on the highly repetitive languages the framework builds.
-// The returned slice is always a fresh copy the caller may modify.
-func (m *Model) Translate(src []int) []int {
-	hyp, cached := m.translateShared(src)
-	if cached {
-		return append([]int(nil), hyp...)
-	}
-	return hyp
-}
-
-// translateShared is Translate for the scoring paths, which only read the
-// hypothesis: a cache hit returns the cache-owned slice itself (cached=true),
-// never to be modified; a miss returns the fresh decode.
+// translateShared is the cached greedy decode ScoreCorpus scores the dev set
+// with, so a pair's dev translations are still cached when it starts serving
+// (infer.FromModel shares this cache). A hit returns the cache-owned slice
+// itself (cached=true), never to be modified; a miss returns the fresh decode.
 func (m *Model) translateShared(src []int) (hyp []int, cached bool) {
 	if len(src) == 0 {
 		return nil, false
@@ -393,18 +380,22 @@ func (m *Model) translateShared(src []int) (hyp []int, cached bool) {
 	if hyp, ok := m.cache.Lookup(src); ok {
 		return hyp, true
 	}
-	out := m.translate(src)
+	out := m.Decode(src)
 	m.cache.Store(src, out)
 	return out, false
 }
 
-// CachedScore returns the memoised f(i,j) of src against the observed target
-// sentence ref, if ScoreSentence has stored one since the weights last
-// changed. It allocates nothing.
-func (m *Model) CachedScore(src, ref []int) (float64, bool) { return m.cache.Score(src, ref) }
+// Cache returns the model's translation cache and score memo, which
+// infer.FromModel serves through. It is dropped whenever the weights change.
+func (m *Model) Cache() *TransCache { return &m.cache }
 
-// translate is the uncached greedy decode.
-func (m *Model) translate(src []int) []int {
+// Decode greedily decodes the source sentence, uncached, and returns target
+// token ids (without BOS/EOS) in a fresh slice. Decoding stops at EOS or
+// cfg.MaxDecodeLen; an empty source decodes to nil.
+func (m *Model) Decode(src []int) []int {
+	if len(src) == 0 {
+		return nil
+	}
 	ws := getWS()
 	defer putWS(ws)
 	enc := m.encode(src, false, ws)

@@ -130,11 +130,11 @@ func TestTranslateEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := model.Translate(nil); out != nil {
-		t.Fatalf("Translate(nil) = %v, want nil", out)
+	if out := model.Decode(nil); out != nil {
+		t.Fatalf("Decode(nil) = %v, want nil", out)
 	}
 	// Out-of-vocabulary and negative ids must be clamped to <unk>, not panic.
-	out := model.Translate([]int{999, -5, 3})
+	out := model.Decode([]int{999, -5, 3})
 	if len(out) > tinyConfig().MaxDecodeLen {
 		t.Fatalf("decode exceeded MaxDecodeLen: %d", len(out))
 	}
@@ -180,7 +180,7 @@ func TestDeterministicTraining(t *testing.T) {
 		if _, err := m.Train(src, tgt); err != nil {
 			t.Fatal(err)
 		}
-		return m.Translate(src[0])
+		return m.Decode(src[0])
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -268,11 +268,11 @@ func TestScoreSentenceUsesSmoothing(t *testing.T) {
 	}
 }
 
-// TestSentenceScorerMatchesAllocatingReference pins the scoring tail both
-// engines share to what nmt.ScoreSentence computed before the tails were
-// merged: copy-on-write masking of <unk> reference tokens, then the
-// allocating string-keyed bleu.SentenceIDs. One scorer is reused across all
-// cases, so stale scratch would show too.
+// TestSentenceScorerMatchesAllocatingReference pins the scoring tail
+// ScoreSentence and internal/infer share to what nmt.ScoreSentence computed
+// before the tails were merged: copy-on-write masking of <unk> reference
+// tokens, then the allocating string-keyed bleu.SentenceIDs. One scorer is
+// reused across all cases, so stale scratch would show too.
 func TestSentenceScorerMatchesAllocatingReference(t *testing.T) {
 	oldMask := func(ref []int) []int {
 		masked := append([]int(nil), ref...)

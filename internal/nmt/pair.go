@@ -89,31 +89,21 @@ func ScoreCorpus(ctx context.Context, m *Model, src, refs [][]int) (float64, err
 	return bleu.CorpusIDs(maskedRefs, hyps, bleu.MaxOrder), nil
 }
 
-// ScoreSentence translates one source sentence and returns smoothed sentence
-// BLEU against its reference — the f(i,j) of Algorithm 2. A (src, ref) pair
-// already scored since the weights last changed is answered from the model's
-// score memo; a computed score is memoised when the source's translation was
-// already cached, i.e. from the sentence's second sighting on.
+// ScoreSentence greedily decodes one source sentence, uncached, and returns
+// smoothed sentence BLEU against its reference — the f(i,j) of Algorithm 2.
+// It is the reference the serving engine (infer.FromModel, which adds the
+// translation cache and score memo) is tested against.
 func ScoreSentence(m *Model, src, ref []int) float64 {
-	if score, ok := m.cache.Score(src, ref); ok {
-		return score
-	}
-	hyp, cached := m.translateShared(src)
 	sc := sentenceScorers.Get().(*SentenceScorer)
-	score := sc.Score(ref, hyp)
-	sentenceScorers.Put(sc)
-	if cached {
-		m.cache.StoreScore(src, ref, score)
-	}
-	return score
+	defer sentenceScorers.Put(sc)
+	return sc.Score(ref, m.Decode(src))
 }
 
 var sentenceScorers = sync.Pool{New: func() any { return NewSentenceScorer() }}
 
-// SentenceScorer is the scoring tail both engines share: mask the <unk>
-// tokens of the observed reference, then smoothed sentence BLEU of a greedy
-// translation against it. The float64 model above and the frozen infer.Model
-// differ only in how they decode the hypothesis. It reuses its scratch, so
+// SentenceScorer is the scoring tail ScoreSentence and infer.Model share:
+// mask the <unk> tokens of the observed reference, then smoothed sentence
+// BLEU of a greedy translation against it. It reuses its scratch, so
 // steady-state scoring allocates nothing; not safe for concurrent use.
 type SentenceScorer struct {
 	bleu   *bleu.Scorer

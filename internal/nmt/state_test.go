@@ -39,8 +39,8 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		a := m.Translate(src[i])
-		b := m2.Translate(src[i])
+		a := m.Decode(src[i])
+		b := m2.Decode(src[i])
 		if !eqInts(a, b) {
 			t.Fatalf("loaded model decodes differently: %v vs %v", a, b)
 		}

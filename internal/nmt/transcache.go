@@ -9,14 +9,16 @@ import (
 // sentence and relationship scores f(i,j) by (source, observed target)
 // sentence pair. Greedy decoding is deterministic, the score is a pure
 // function of (weights, source, target), and discrete event languages repeat
-// the same sentences constantly, so both engines — Model here and the frozen
-// infer.Model — put one in front of their decoder. The translation map is
-// the dedupe that makes corpus scoring and detection on new targets cheap;
-// the score memo lets a replayed window skip the hypothesis and BLEU too, and
-// lets a Stream answer it without handing its scorer a job. The two maps
-// share one lifecycle: the owner drops both whenever its weights change, and
-// SetCaching(false) disables both. The zero value is an empty, enabled
-// cache; it is safe for concurrent use.
+// the same sentences constantly. Every infer.Model puts one in front of its
+// decoder: a frozen engine its own, the F64 engine its training model's
+// (Model.Cache), which already holds the dev set's translations from
+// ScoreCorpus. The translation map is the dedupe that makes corpus scoring
+// and detection on new targets cheap; the score memo, written only by
+// infer.Model's scoring, lets a replayed window skip the hypothesis and BLEU
+// too, and lets a Stream answer it without handing its scorer a job. The two
+// maps share one lifecycle: the owner drops both whenever its weights
+// change, and SetCaching(false) disables both. The zero value is an empty,
+// enabled cache; it is safe for concurrent use.
 type TransCache struct {
 	mu      sync.Mutex
 	entries map[string][]int
@@ -109,10 +111,10 @@ func (c *TransCache) Score(src, ref []int) (float64, bool) {
 	return score, ok
 }
 
-// StoreScore memoises score for (src, ref); a no-op with caching off. The
-// engines call it only for a source whose translation was already cached —
-// the translation map is the memo's doorkeeper, so one-off sentences (novel
-// traffic) never occupy it.
+// StoreScore memoises score for (src, ref); a no-op with caching off.
+// infer.Model calls it only for a source seen before: translation cached, or
+// decoded earlier in the same batch. The translation map is the memo's
+// doorkeeper, so one-off sentences (novel traffic) never occupy it.
 func (c *TransCache) StoreScore(src, ref []int, score float64) {
 	var buf [keyBufLen]byte
 	key := appendScoreKey(buf[:0], src, ref)

@@ -56,10 +56,12 @@ type testCluster struct {
 func newTestCluster(t testing.TB, n int, mutate func(i int, o *Options)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
+	var servers []*httptest.Server
 	for i := 0; i < n; i++ {
 		sh := newSwapHandler()
 		hs := httptest.NewServer(sh)
 		t.Cleanup(hs.Close)
+		servers = append(servers, hs)
 		tc.swaps = append(tc.swaps, sh)
 		tc.urls = append(tc.urls, hs.URL)
 	}
@@ -90,6 +92,15 @@ func newTestCluster(t testing.TB, n int, mutate func(i int, o *Options)) *testCl
 		tc.swaps[i].set(srv)
 		t.Cleanup(func() { srv.Shutdown(context.Background()) })
 	}
+	// Cleanups run last-in first-out, so this one closes every listener
+	// before any replica shuts down and before the temp dirs go: a replica
+	// that has shut down still answers a peer's transfer, and a standby copy
+	// it stored into a directory being removed failed the removal.
+	t.Cleanup(func() {
+		for _, hs := range servers {
+			hs.Close()
+		}
+	})
 	tc.waitReady()
 	return tc
 }

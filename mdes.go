@@ -163,13 +163,12 @@ type Model struct {
 	runtimes  []PairRuntime
 	screen    ScreenSummary
 
-	// Frozen reduced-precision inference weights, built by Quantize. Nil maps
-	// with prec == PrecisionF64 mean pure float64 scoring (the paper's
-	// reference path).
-	infPairs map[[2]string]*infer.Model
-	prec     Precision
-	// quantized counts Quantize calls, so a stream that resolved its frozen
-	// pair models before the latest one resolves them again.
+	// Per-pair scoring engines at prec, built by Quantize (which Train and
+	// Load end with): every pair scores through its engine.
+	engines map[[2]string]*infer.Model
+	prec    Precision
+	// quantized counts Quantize calls, so a stream that resolved its pair
+	// engines before the latest one resolves them again.
 	quantized int
 
 	layoutOnce sync.Once
@@ -515,5 +514,5 @@ func (f *Framework) TrainWithOptions(ctx context.Context, train, dev *seqio.Data
 		m.pairs[[2]string{r.Src, r.Tgt}] = r.Model
 		m.runtimes = append(m.runtimes, PairRuntime{Src: r.Src, Tgt: r.Tgt, Runtime: r.Runtime})
 	}
-	return m, nil
+	return m, m.Quantize(PrecisionF64)
 }

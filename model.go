@@ -89,8 +89,8 @@ func (m *Model) TestScores(ctx context.Context, test *seqio.Dataset) ([][]float6
 	return m.testScores(ctx, test, m.Detector())
 }
 
-// ctxCheckStride bounds how many sentence scores a worker computes between
-// context checks.
+// ctxCheckStride is how many timestamps of one relationship a worker scores
+// in one ScoreBatch call, between context checks.
 const ctxCheckStride = 64
 
 func (m *Model) testScores(ctx context.Context, test *seqio.Dataset, det *anomaly.Detector) ([][]float64, error) {
@@ -145,48 +145,32 @@ func (m *Model) testScores(ctx context.Context, test *seqio.Dataset, det *anomal
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := make([]float64, ctxCheckStride)
 			for k := range jobs {
 				if ctx.Err() != nil {
 					setErr(ctx.Err())
 					continue
 				}
 				rel := rels[k]
-				model := m.pairs[[2]string{rel.Src, rel.Tgt}]
-				if model == nil {
+				im := m.engines[[2]string{rel.Src, rel.Tgt}]
+				if im == nil {
 					setErr(fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt))
 					continue
 				}
+				// One ScoreBatch per chunk of timestamps: one relationship can
+				// cover thousands, and checking the context between chunks
+				// keeps Detect cancellation prompt.
 				src, tgt := sents[rel.Src], sents[rel.Tgt]
-				if im := m.inferFor([2]string{rel.Src, rel.Tgt}); im != nil {
-					// Quantized path: one GEMM batch per chunk of timestamps
-					// instead of one GEMV decode per sentence. The chunk size
-					// doubles as the cancellation-check stride.
-					buf := make([]float64, ctxCheckStride)
-					for t0 := 0; t0 < steps; t0 += ctxCheckStride {
-						if ctx.Err() != nil {
-							setErr(ctx.Err())
-							break
-						}
-						hi := t0 + ctxCheckStride
-						if hi > steps {
-							hi = steps
-						}
-						im.ScoreBatch(src[t0:hi], tgt[t0:hi], buf[:hi-t0])
-						for i, v := range buf[:hi-t0] {
-							scores[t0+i][k] = v
-						}
-					}
-					continue
-				}
-				for t := 0; t < steps; t++ {
-					// Re-check cancellation periodically: one relationship can
-					// cover thousands of timestamps, and waiting for the whole
-					// column would make Detect cancellation sluggish.
-					if t%ctxCheckStride == 0 && ctx.Err() != nil {
+				for t0 := 0; t0 < steps; t0 += ctxCheckStride {
+					if ctx.Err() != nil {
 						setErr(ctx.Err())
 						break
 					}
-					scores[t][k] = nmt.ScoreSentence(model, src[t], tgt[t])
+					hi := min(t0+ctxCheckStride, steps)
+					im.ScoreBatch(src[t0:hi], tgt[t0:hi], buf[:hi-t0])
+					for i, v := range buf[:hi-t0] {
+						scores[t0+i][k] = v
+					}
 				}
 			}
 		}()
@@ -396,14 +380,16 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		m.pairs[[2]string{src, tgt}] = model
 	}
+	prec := PrecisionF64
 	if p.Quant != nil {
-		prec, err := ParsePrecision(p.Quant.Precision)
+		var err error
+		prec, err = ParsePrecision(p.Quant.Precision)
 		if err != nil || prec == PrecisionF64 {
 			return nil, fmt.Errorf("%w: quant section precision %q", ErrCorruptModel, p.Quant.Precision)
 		}
-		if err := m.Quantize(prec); err != nil {
-			return nil, err
-		}
+	}
+	if err := m.Quantize(prec); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -6,13 +6,13 @@ import (
 	"mdes/internal/infer"
 )
 
-// Precision selects the numeric path pair models score with. Training is
-// always float64; PrecisionF32 and PrecisionInt8 activate the batched
-// reduced-precision inference engine (internal/infer) built by Quantize.
+// Precision selects the numeric format pair models score at. Training is
+// always float64; Quantize builds the scoring engines (internal/infer) at a
+// precision.
 type Precision = infer.Precision
 
-// The scoring precisions. PrecisionF64 is the zero value: the float64
-// training weights score directly, exactly as the paper's reference path.
+// The scoring precisions. PrecisionF64 is the zero value and the default:
+// the float64 training weights score directly, the paper's reference path.
 const (
 	PrecisionF64  = infer.F64
 	PrecisionF32  = infer.F32
@@ -23,31 +23,31 @@ const (
 // "int8" and common aliases).
 func ParsePrecision(s string) (Precision, error) { return infer.ParsePrecision(s) }
 
-// Quantize freezes every pair model into reduced-precision inference weights
-// at precision p — the publish step of the f64-train/f32-serve boundary. The
-// float64 training weights stay untouched (and keep serving as the reference
-// path); scoring entry points (ScoreJob.Run, TestScores, Detect, streams) use
-// the frozen weights until Quantize is called again. PrecisionF64 drops the
-// frozen weights and restores pure float64 scoring.
+// Quantize builds every pair model's scoring engine at precision p — the
+// publish step of the f64-train/f32-serve boundary, which Train and Load end
+// with at PrecisionF64 (or a loaded model's saved precision). PrecisionF64
+// serves the float64 training models themselves; PrecisionF32 and
+// PrecisionInt8 freeze their weights. The training weights stay untouched;
+// every scoring entry point (ScoreJob.Run, TestScores, Detect, streams) uses
+// the engines of the latest Quantize.
 //
 // Quantize is not safe to call concurrently with scoring; publish before
 // serving traffic.
 func (m *Model) Quantize(p Precision) error {
 	m.quantized++
-	if p == PrecisionF64 {
-		m.infPairs = nil
-		m.prec = PrecisionF64
-		return nil
-	}
-	infs := make(map[[2]string]*infer.Model, len(m.pairs))
+	engines := make(map[[2]string]*infer.Model, len(m.pairs))
 	for key, pm := range m.pairs {
+		if p == PrecisionF64 {
+			engines[key] = infer.FromModel(pm)
+			continue
+		}
 		im, err := infer.FromState(pm.State(), p)
 		if err != nil {
 			return fmt.Errorf("mdes: quantize pair %s->%s: %w", key[0], key[1], err)
 		}
-		infs[key] = im
+		engines[key] = im
 	}
-	m.infPairs = infs
+	m.engines = engines
 	m.prec = p
 	return nil
 }
@@ -57,40 +57,31 @@ func (m *Model) ScorePrecision() Precision { return m.prec }
 
 // PairModelBytes reports the resident weight memory of all pair models at the
 // active scoring precision — the per-tenant cost of keeping this model
-// servable. Float64 counts the training weights. Quantized precisions count
-// what infer.Model.MemoryBytes counts instead: the frozen weights, with a
-// stack's input table in place of the embedding and layer-0 Wx it replaced.
-// The float64 weights stay resident beside them (Quantize and Save read
-// them) and are not counted.
+// servable: what infer.Model.MemoryBytes counts. Float64 counts the training
+// weights. Quantized precisions count the frozen weights, with a stack's
+// input table in place of the embedding and layer-0 Wx it replaced; the
+// float64 weights stay resident beside them (Quantize and Save read them)
+// and are not counted.
 func (m *Model) PairModelBytes() int64 {
 	var total int64
-	if m.prec != PrecisionF64 {
-		for _, im := range m.infPairs {
-			total += int64(im.MemoryBytes())
-		}
-		return total
-	}
-	for _, pm := range m.pairs {
-		total += int64(pm.ParamCount()) * 8
+	for _, im := range m.engines {
+		total += int64(im.MemoryBytes())
 	}
 	return total
 }
 
 // SetTranslationCaching toggles every pair model's translation cache and
-// score memo — float64 and, if Quantize has run, frozen (caching is on by
-// default, and back on for the weights a later Quantize freezes). Turning it
-// off drops everything cached and makes every scoring call decode and score
-// from scratch: the reference that memoised scoring is compared with, bit for
-// bit. Not safe to call concurrently with Quantize.
+// score memo: the training models' (which F64 engines share) and the frozen
+// engines'. Caching is on by default, and on for the engines a later
+// reduced-precision Quantize freezes. Turning it off drops everything cached
+// and makes every scoring call decode and score from scratch: the reference
+// that memoised scoring is compared with, bit for bit. Not safe to call
+// concurrently with Quantize.
 func (m *Model) SetTranslationCaching(on bool) {
 	for _, pm := range m.pairs {
 		pm.SetTranslationCaching(on)
 	}
-	for _, im := range m.infPairs {
+	for _, im := range m.engines {
 		im.SetTranslationCaching(on)
 	}
 }
-
-// inferFor returns the frozen inference model for a pair, or nil when scoring
-// runs at float64.
-func (m *Model) inferFor(key [2]string) *infer.Model { return m.infPairs[key] }

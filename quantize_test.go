@@ -272,11 +272,7 @@ func TestQuantizeReachesLiveStreams(t *testing.T) {
 	var seen []Precision // the precision each scored job ran at
 	hook := func(jobs []ScoreJob, row []float64) error {
 		for i := range jobs {
-			prec := PrecisionF64
-			if inf := jobs[i].BatchModel(); inf != nil {
-				prec = inf.Precision()
-			}
-			seen = append(seen, prec)
+			seen = append(seen, jobs[i].BatchModel().Precision())
 			row[jobs[i].Index()] = jobs[i].Run()
 		}
 		return nil

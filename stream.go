@@ -6,7 +6,6 @@ import (
 
 	"mdes/internal/anomaly"
 	"mdes/internal/infer"
-	"mdes/internal/nmt"
 )
 
 // Stream is an online detector: it consumes one tick of sensor readings at a
@@ -50,11 +49,10 @@ type Stream struct {
 	scorer func(jobs []ScoreJob, row []float64) error
 }
 
-// streamPair is one relationship's sensors and pair models.
+// streamPair is one relationship's sensors and scoring engine.
 type streamPair struct {
-	src, tgt int        // sensor indices
-	model    *nmt.Model // nil when the model lacks the pair: emit fails with ErrNoPairModel
-	inf      *infer.Model
+	src, tgt int          // sensor indices
+	inf      *infer.Model // nil when the model lacks the pair: emit fails with ErrNoPairModel
 }
 
 // NewStream creates an online detector over the model's configured valid
@@ -83,18 +81,18 @@ func (m *Model) NewStream() *Stream {
 		s.sent[i] = make([]int, 0, lc.SentenceLen)
 	}
 	for k, rel := range rels {
-		s.pairs[k] = streamPair{src: lay.index[rel.Src], tgt: lay.index[rel.Tgt], model: m.pairs[[2]string{rel.Src, rel.Tgt}]}
+		s.pairs[k] = streamPair{src: lay.index[rel.Src], tgt: lay.index[rel.Tgt]}
 	}
-	s.resolveFrozen()
+	s.resolveEngines()
 	s.rowWrap = [][]float64{s.row}
 	return s
 }
 
-// resolveFrozen points every relationship at the frozen weights of the
-// model's latest Quantize.
-func (s *Stream) resolveFrozen() {
+// resolveEngines points every relationship at the engine of the model's
+// latest Quantize.
+func (s *Stream) resolveEngines() {
 	for k, rel := range s.rels {
-		s.pairs[k].inf = s.model.inferFor([2]string{rel.Src, rel.Tgt})
+		s.pairs[k].inf = s.model.engines[[2]string{rel.Src, rel.Tgt}]
 	}
 	s.quantized = s.model.quantized
 }
@@ -103,27 +101,22 @@ func (s *Stream) resolveFrozen() {
 func (s *Stream) SentenceSpan() int { return s.span }
 
 // ScoreJob is one pairwise relationship-scoring task produced by a completed
-// sentence window: translate the source sensor's sentence with the pair's NMT
-// model and score it against the observed target sentence.
+// sentence window: translate the source sensor's sentence with the pair's
+// engine and score it against the observed target sentence.
 type ScoreJob struct {
-	k                int
-	model            *nmt.Model
-	inf              *infer.Model
-	src, tgt         []int
-	srcName, tgtName string
+	k        int
+	inf      *infer.Model
+	src, tgt []int
 }
 
 // Index returns the job's column in the detection row; a custom scorer must
 // store the job's score at this index.
 func (j *ScoreJob) Index() int { return j.k }
 
-// Pair returns the sensor names of the relationship being scored.
-func (j *ScoreJob) Pair() (src, tgt string) { return j.srcName, j.tgtName }
-
-// BatchModel returns the job's frozen inference model, or nil when the model
-// scores at float64. Jobs sharing a BatchModel — across streams and tenants —
-// can be packed into one ScoreBatch call; each score is bit-identical to
-// Run on the same job, so batching is invisible to detection verdicts.
+// BatchModel returns the job's scoring engine. Jobs sharing a BatchModel —
+// across streams and tenants — can be packed into one ScoreBatch call; each
+// score is bit-identical to Run on the same job, so batching is invisible to
+// detection verdicts.
 func (j *ScoreJob) BatchModel() *infer.Model { return j.inf }
 
 // Sentences returns the job's encoded source and observed-target sentences
@@ -133,21 +126,7 @@ func (j *ScoreJob) Sentences() (src, tgt []int) { return j.src, j.tgt }
 // Run computes the job's score f(i,j) — the smoothed sentence BLEU of the
 // model's translation against the observed target sentence. Run is safe to
 // call from any goroutine; distinct jobs may run concurrently.
-func (j *ScoreJob) Run() float64 {
-	if j.inf != nil {
-		return j.inf.ScoreSentence(j.src, j.tgt)
-	}
-	return nmt.ScoreSentence(j.model, j.src, j.tgt)
-}
-
-// cached probes the score memo of the model Run would score with. It
-// allocates nothing.
-func (j *ScoreJob) cached() (float64, bool) {
-	if j.inf != nil {
-		return j.inf.CachedScore(j.src, j.tgt)
-	}
-	return j.model.CachedScore(j.src, j.tgt)
-}
+func (j *ScoreJob) Run() float64 { return j.inf.ScoreSentence(j.src, j.tgt) }
 
 // SetScorer replaces the stream's serial relationship scorer. The function
 // must fill row[j.Index()] = j.Run() (or an equivalent score) for every job
@@ -235,7 +214,7 @@ func (s *Stream) emit() (*Point, error) {
 		s.sent[i] = ids
 	}
 	if s.quantized != s.model.quantized {
-		s.resolveFrozen()
+		s.resolveEngines()
 	}
 
 	// Probe each relationship's score memo first: f(i,j) is a pure function of
@@ -244,22 +223,18 @@ func (s *Stream) emit() (*Point, error) {
 	// become jobs. An emit with no misses never reaches the scorer.
 	jobs := s.jobs[:0]
 	for k := range s.pairs {
-		p, rel := &s.pairs[k], &s.rels[k]
-		if p.model == nil {
+		p := &s.pairs[k]
+		if p.inf == nil {
 			//mdes:allow(noalloc) cold error path: a missing pair model is a corrupt-model condition
-			return nil, fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt)
+			return nil, fmt.Errorf("%w %s->%s", ErrNoPairModel, s.rels[k].Src, s.rels[k].Tgt)
 		}
-		job := ScoreJob{
-			k: k, model: p.model, inf: p.inf,
-			src: s.sent[p.src], tgt: s.sent[p.tgt],
-			srcName: rel.Src, tgtName: rel.Tgt,
-		}
-		if score, hit := job.cached(); hit {
+		src, tgt := s.sent[p.src], s.sent[p.tgt]
+		if score, hit := p.inf.CachedScore(src, tgt); hit {
 			s.row[k] = score
 			s.memoHits++
 			continue
 		}
-		jobs = append(jobs, job)
+		jobs = append(jobs, ScoreJob{k: k, inf: p.inf, src: src, tgt: tgt})
 	}
 	s.jobs = jobs
 	if len(jobs) > 0 && s.scorer != nil {
