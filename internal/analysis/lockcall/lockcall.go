@@ -1,8 +1,8 @@
 // Package lockcall guards the server's latency and liveness invariants: a
 // sync.Mutex/RWMutex in internal/serve protects in-memory session state, and
-// one in internal/cluster protects ring/membership state; neither must ever
+// one in internal/cluster protects the ownership table; neither must ever
 // be held across blocking operations (in cluster in particular, no network
-// I/O under a membership lock — a slow peer would stall ownership lookups
+// I/O under the table's lock — a slow peer would stall ownership lookups
 // fleet-wide).
 //
 // Within the configured packages, after a mu.Lock()/mu.RLock() and before the

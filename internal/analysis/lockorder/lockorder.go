@@ -1,5 +1,5 @@
 // Package lockorder guards the cluster era's deadlock-freedom invariant: the
-// serve session/registry locks and the cluster ring/membership locks must be
+// serve session/registry locks and the cluster ownership-table locks must be
 // acquired in one global order. The analyzer builds a per-package
 // lock-acquisition graph — an edge A→B for every site that blocking-acquires
 // B while A is held, including acquisitions reached through same-package

@@ -21,8 +21,7 @@ const (
 	// (Copy true) files it in the receiver's warm-standby store and ownership
 	// stays where it was.
 	TransferPath = "/v1/cluster/transfer"
-	// UpdatePath receives peer announcements (hello on join, leave on
-	// drain) that adjust the receiver's membership view.
+	// UpdatePath receives peer announcements (PeerUpdate).
 	UpdatePath = "/v1/cluster/update"
 )
 
@@ -82,23 +81,28 @@ func DecodeHandoff(data []byte) (Handoff, error) {
 // PeerUpdate is a peer announcement POSTed to UpdatePath.
 //
 //   - Kind "hello": the sender just (re)joined. The receiver marks it
-//     Alive and replies with the tenants it currently holds that the
-//     sender now owns, so the sender can block them as pending until the
-//     receiver ships them over.
+//     Alive and replies with the tenants it holds that belong on the
+//     sender, so the sender can block them as pending until the receiver
+//     ships them over.
 //   - Kind "leave": the sender is draining. The receiver marks it Gone and
 //     records Tenants — the sessions the sender is about to ship to this
 //     receiver — as pending, so a tick that races ahead of its handoff
 //     waits (503) instead of fresh-starting a divergent stream.
+//   - Kind "inbound": the sender is about to ship Tenants here.
+//
+// Ticks[i] is how fresh the sender's Tenants[i] is (Table.Pend).
 type PeerUpdate struct {
 	Kind    string   `json:"kind"`
 	From    string   `json:"from"`
 	Tenants []string `json:"tenants,omitempty"`
+	Ticks   []int    `json:"ticks,omitempty"`
 }
 
-// PeerUpdateReply is the response to a PeerUpdate; Tenants is only set for
-// hello (see PeerUpdate).
+// PeerUpdateReply is the response to a PeerUpdate; Tenants and Ticks are
+// only set for hello (see PeerUpdate).
 type PeerUpdateReply struct {
 	Tenants []string `json:"tenants,omitempty"`
+	Ticks   []int    `json:"ticks,omitempty"`
 }
 
 // Sender ships transfers and updates to peers, retrying transient failures

@@ -10,35 +10,23 @@ import (
 // ProbeFunc checks one peer's health; nil means healthy. The cluster node
 // injects an HTTP GET of the peer's /healthz; tests inject whatever they
 // like. Probes run OUTSIDE every cluster lock — lockcall enforces that no
-// network IO can hide under the membership mutex.
+// network IO can hide under the table's mutex.
 type ProbeFunc func(ctx context.Context, peer string) error
 
-// Prober periodically health-checks every peer except self and maintains
-// the reachability half of the Membership table:
-//
-//   - Alive → Down after FailThreshold consecutive failures (crash or
-//     partition; ownership is retained — see PeerState).
-//   - Down → Alive on one success (the peer came back; nothing moved, so
-//     nothing ships).
-//   - Leaving → Gone on failure (the drain completed and the peer exited).
-//
-// Gone is sticky under probing: a drained peer's tenants moved away, so
-// its revival must be announced (a hello that triggers shipping them
-// home), not inferred from a port answering — a drainer still answering
-// health checks mid-drain must not be yanked back to Alive. A failing
-// peer's probes back off exponentially so a long outage costs one cheap
-// refused dial per MaxInterval rather than a tight reconnect loop.
-//
-// Every wait is jittered ±20% by a per-peer seeded rng: N replicas probing
-// a recovering peer would otherwise converge on the same cadence and hit it
-// simultaneously every round (a probe storm at exactly the moment the peer
-// is least able to absorb one). The seed is explicit and per-peer so the
-// schedule stays deterministic under test (detrand forbids the global
-// source here for the same reason it does in scoring code).
+// Prober periodically health-checks every peer except self and keeps the
+// reachability half of the ownership Table, by compare-and-set: Alive →
+// Down after FailThreshold consecutive failures (ownership is retained —
+// see PeerState); Down → Alive on one success; Leaving → Gone on failure.
+// Gone is sticky under probing: a drained peer's revival is announced by
+// its hello, never inferred from a port answering mid-drain. A failing
+// peer's probes back off exponentially to MaxInterval, and every wait is
+// jittered ±20% by a per-peer seeded rng, so N replicas never converge on
+// one cadence and storm a recovering peer, and the schedule stays
+// deterministic under test.
 type Prober struct {
 	Peers    []string
 	Self     string
-	Mem      *Membership
+	Table    *Table
 	Probe    ProbeFunc
 	Interval time.Duration // base probe period (default 2s)
 	// MaxInterval caps the per-peer backoff (default 30s).
@@ -182,13 +170,10 @@ func (p *Prober) loop(peer string) {
 	}
 }
 
-// transition applies from→to if the peer is currently in from, then fires
-// OnChange outside the membership lock.
+// transition applies from→to as one compare-and-set on the table, then fires
+// OnChange outside the table's lock.
 func (p *Prober) transition(peer string, from, to PeerState) {
-	if p.Mem.Get(peer) != from {
-		return
-	}
-	if p.Mem.Set(peer, to) && p.OnChange != nil {
+	if p.Table.Transition(peer, from, to) && p.OnChange != nil {
 		p.OnChange(peer, from, to)
 	}
 }

@@ -48,16 +48,16 @@ func (c *stepClock) recorded() []time.Duration {
 
 // stepProber wires a prober against a single remote peer with the stepped
 // clock and an OnChange recorder.
-func stepProber(t *testing.T, flip *failFlip) (*Prober, *Membership, *stepClock, chan [2]PeerState) {
+func stepProber(t *testing.T, flip *failFlip) (*Prober, *Table, *stepClock, chan [2]PeerState) {
 	t.Helper()
 	peers := testPeers(2)
-	mem := NewMembership(peers)
+	mem := newTestTable(t, peers)
 	clock := newStepClock()
 	changes := make(chan [2]PeerState, 64)
 	p := &Prober{
 		Peers:         peers,
 		Self:          peers[0],
-		Mem:           mem,
+		Table:         mem,
 		Probe:         flip.probe,
 		Interval:      100 * time.Millisecond,
 		MaxInterval:   800 * time.Millisecond,
@@ -74,7 +74,7 @@ func stepProber(t *testing.T, flip *failFlip) (*Prober, *Membership, *stepClock,
 	return p, mem, clock, changes
 }
 
-func waitState(t *testing.T, mem *Membership, peer string, want PeerState) {
+func waitState(t *testing.T, mem *Table, peer string, want PeerState) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for mem.Get(peer) != want {
@@ -230,7 +230,7 @@ func TestProberTimeoutDecoupledFromBackoff(t *testing.T) {
 	pr := &Prober{
 		Peers:    testPeers(2),
 		Self:     testPeers(2)[0],
-		Mem:      NewMembership(testPeers(2)),
+		Table:    newTestTable(t, testPeers(2)),
 		Interval: 5 * time.Second,
 		Sleep:    clock.sleep,
 		Probe: func(ctx context.Context, _ string) error {

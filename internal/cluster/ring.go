@@ -1,8 +1,8 @@
 // Package cluster is the horizontal-scaling substrate for mdes-serve: a
-// consistent-hash ring that assigns every tenant to exactly one replica, a
-// peer-membership table with health probing, and a snapshot-handoff protocol
-// that moves a tenant's frozen session between replicas without losing a
-// tick.
+// consistent-hash ring that assigns every tenant to exactly one replica, an
+// ownership table (Table) that makes every routing decision from a probed
+// view of the peers, and a snapshot-handoff protocol that moves a tenant's
+// frozen session between replicas without losing a tick.
 //
 // The design is deliberately coordination-free: the replica set is a static
 // `-peers` list, every node (and every routing client) derives the same ring
@@ -17,7 +17,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 )
@@ -87,10 +86,16 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 // population into a sliver of the circle that one or two replicas own).
 // The finalizer spreads those clustered sums uniformly while staying just
 // as deterministic.
+//
+// FNV-64a is inlined rather than run through hash/fnv, whose Write is an
+// io.Writer call: the ring is walked under the ownership table's lock,
+// where lockcall admits no I/O-shaped calls.
 func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s)) // hash.Hash.Write never fails
-	z := h.Sum64()
+	z := uint64(14695981039346656037) // FNV-64a offset basis
+	for i := 0; i < len(s); i++ {
+		z ^= uint64(s[i])
+		z *= 1099511628211 // FNV-64 prime
+	}
 	z ^= z >> 33
 	z *= 0xff51afd7ed558ccd
 	z ^= z >> 33

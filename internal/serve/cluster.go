@@ -7,61 +7,40 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mdes/internal/cluster"
 )
 
 // Cluster mode turns N independent mdes-serve replicas into one sharded
-// deployment. The pieces, and the invariants they keep:
-//
-//   - Single owner: a consistent-hash ring over the static peer list
-//     assigns every tenant to exactly one replica. Non-owners never touch a
-//     tenant's stream — they answer 307 with the owner's address (or 503
-//     when the owner is unreachable, because an unreachable owner still
-//     OWNS: its tenants' state is on its disk, and adopting them fresh
-//     would silently diverge).
-//   - Boundary-aligned moves: a migration freezes the session by taking its
-//     mutex, which serialises with tick requests — the snapshot is always
-//     taken at a request boundary, never mid-stream.
-//   - Idempotent handoff: the snapshot ships CRC-framed; the receiver keeps
-//     whichever state has consumed more ticks, so retries, crossed
-//     deliveries, and duplicate ships are all no-ops.
-//   - No fresh-start races: a replica that learns it is about to receive a
-//     tenant (via a drain announcement or a join reply) holds that tenant
-//     "pending" and answers its ticks 503 + Retry-After until the handoff
-//     lands, bounded by PendingTTL.
+// deployment. Every ownership decision — serve, adopt, redirect, refuse,
+// replicate, ship, land — is one cluster.Table method; this file does the IO
+// those decisions call for. DESIGN.md §8 states the invariants, each with
+// its table row and its test.
 type clusterNode struct {
 	self   string
 	ring   *cluster.Ring
-	mem    *cluster.Membership
 	sender *cluster.Sender
 	prober *cluster.Prober
 	httpc  *http.Client
-
-	joined     atomic.Bool
-	pendingTTL time.Duration
 
 	// ctx bounds all background cluster IO (join hellos, rebalance ships);
 	// Shutdown cancels it.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	mu      sync.Mutex
-	pending map[string]time.Time // tenant -> deadline for its inbound handoff
 }
 
 // maxHandoffBody bounds one inbound transfer body. Session snapshots are
 // rolling windows, far below this. A variable only so tests can reach it.
 var maxHandoffBody = 1 << 26
 
-// setupCluster wires the cluster node from Options; a nil return with
-// s.cluster == nil means standalone mode.
+// setupCluster wires the cluster node and the ownership table from Options;
+// standalone mode gets a table without a ring and no cluster node.
 func (s *Server) setupCluster(opts Options) error {
 	if len(opts.Peers) == 0 && opts.Advertise == "" {
+		s.table = cluster.NewTable(nil, "", 0, false)
 		return nil
 	}
 	if len(opts.Peers) == 0 || opts.Advertise == "" {
@@ -71,39 +50,27 @@ func (s *Server) setupCluster(opts Options) error {
 	if err != nil {
 		return err
 	}
-	self := false
-	for _, p := range ring.Peers() {
-		if p == opts.Advertise {
-			self = true
-		}
-	}
-	if !self {
+	if !slices.Contains(ring.Peers(), opts.Advertise) {
 		return fmt.Errorf("serve: Advertise %q is not in Peers", opts.Advertise)
-	}
-	ttl := opts.PendingTTL
-	if ttl <= 0 {
-		ttl = 10 * time.Second
 	}
 	httpc := opts.ClusterClient
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	s.table = cluster.NewTable(ring, opts.Advertise, opts.PendingTTL, opts.StandbyDir != "")
 	cn := &clusterNode{
-		self:       opts.Advertise,
-		ring:       ring,
-		mem:        cluster.NewMembership(ring.Peers()),
-		sender:     &cluster.Sender{HTTPClient: httpc},
-		httpc:      httpc,
-		pendingTTL: ttl,
-		ctx:        ctx,
-		cancel:     cancel,
-		pending:    make(map[string]time.Time),
+		self:   opts.Advertise,
+		ring:   ring,
+		sender: &cluster.Sender{HTTPClient: httpc},
+		httpc:  httpc,
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	cn.prober = &cluster.Prober{
 		Peers:    ring.Peers(),
 		Self:     cn.self,
-		Mem:      cn.mem,
+		Table:    s.table,
 		Probe:    s.probePeer,
 		Interval: opts.ProbeInterval,
 		// A revived peer may be missing state that moved while it was
@@ -126,13 +93,10 @@ func (s *Server) stopCluster() {
 	}
 }
 
-// onPeerChange reacts to probe-observed state transitions. Only recovery
-// needs action: a peer back from Down may have stale state (its tenants were
-// adopted by their standbys while it was unreachable) or none at all. The
-// resync runs in the background — OnChange fires on a prober goroutine and
-// must not block the probe loop.
+// onPeerChange resyncs with a peer back from Down, in the background: it
+// may have stale state or none, and OnChange must not block the probe loop.
 func (s *Server) onPeerChange(peer string, _, to cluster.PeerState) {
-	if to != cluster.Alive || s.draining.Load() {
+	if to != cluster.Alive || s.table.Ready() == cluster.Draining {
 		return
 	}
 	cn := s.cluster
@@ -140,50 +104,23 @@ func (s *Server) onPeerChange(peer string, _, to cluster.PeerState) {
 }
 
 // resyncPeer runs the two-sided recovery exchange with a revived peer:
-//
-//  1. Hello: ask the peer which of OUR tenants it holds (it may have
-//     adopted them while we were partitioned from it); pend those until its
-//     handoffs land, so we never serve a stale local copy.
-//  2. Ship home: for tenants the PEER owns that we hold — adopted sessions,
-//     stranded snapshots, standby copies — announce them as inbound (the
-//     peer pends them instead of serving its own stale state) and ship.
-//
-// Every message is idempotent, so overlapping resyncs (flapping link, both
-// sides recovering at once) converge on the same outcome.
+// hello (pend what it holds for us), shipHeld (what we hold for it), and a
+// replication re-seed. Every message is idempotent, so overlapping resyncs
+// converge on the same outcome.
 func (s *Server) resyncPeer(ctx context.Context, peer string) {
 	cn := s.cluster
 	if reply, err := cn.sender.SendUpdate(ctx, peer, cluster.PeerUpdate{Kind: "hello", From: cn.self}); err == nil {
-		cn.setPending(reply.Tenants)
+		s.table.Pend(reply.Tenants, reply.Ticks, time.Now())
 	}
 	if ctx.Err() != nil {
 		return
 	}
-	if toShip := s.tenantsHeldFor(peer); len(toShip) > 0 {
-		// Best-effort: if the announcement fails the ship still proceeds —
-		// the peer then risks serving briefly stale state (bounded by the
-		// ship landing), which beats stranding the fresher copy here.
-		_, _ = cn.sender.SendUpdate(ctx, peer, cluster.PeerUpdate{Kind: "inbound", From: cn.self, Tenants: toShip})
-		s.shipTenants(peer, toShip)
-	}
-	// Re-seed warm standbys: persists that happened while this replica's
-	// view of the peer was stale (partitioned, or the peer dead) never
-	// reached it, so any resident session whose replication target is the
-	// revived peer is re-offered now. This must run even when nothing ships
-	// home — after a two-way partition heals, the victim typically holds
-	// nothing owned by the revived peer, yet its own post-heal persists were
-	// mis-targeted while its view was stale and the standby would stay stale
-	// forever. The queue coalesces per tenant, so a sweep over every
-	// resident session costs at most one frame each.
-	s.reseedReplication()
-}
-
-// reseedReplication re-offers every resident session to the replication
-// queue against the current membership view. Cheap and idempotent: the
-// receiver ignores frames at or below the ticks it already holds.
-func (s *Server) reseedReplication() {
-	if s.repl == nil {
-		return
-	}
+	s.shipHeld(ctx, peer)
+	// Persists made while the view of the peer was stale never reached it;
+	// re-offer every resident session even when nothing ships home (after a
+	// two-way partition heals the victim holds nothing of the peer's, yet
+	// its standby copies went stale). The queue coalesces per tenant, and
+	// receivers ignore frames at or below the ticks they hold.
 	for _, sess := range s.reg.all() {
 		sess.mu.Lock()
 		s.replicateLocked(sess.tenant, snapshotOfLocked(sess))
@@ -191,42 +128,49 @@ func (s *Server) reseedReplication() {
 	}
 }
 
-// tenantsHeldFor lists every tenant with state on this replica whose ring
-// owner is peer: resident (possibly adopted) sessions, local snapshots, and
-// standby-store copies held on the peer's behalf.
-func (s *Server) tenantsHeldFor(peer string) []string {
-	seen := make(map[string]struct{})
-	for _, t := range s.tenantsOwnedBy(peer) {
-		seen[t] = struct{}{}
+// shipHeld announces to peer, as inbound, what is held here for it, then
+// ships it. A failed announcement does not stop the ships: briefly stale
+// state on the peer beats stranding the fresher copy here.
+func (s *Server) shipHeld(ctx context.Context, peer string) {
+	cn := s.cluster
+	if names, ticks := s.tenantsHeldFor(peer, false); len(names) > 0 {
+		_, _ = cn.sender.SendUpdate(ctx, peer, cluster.PeerUpdate{Kind: "inbound", From: cn.self, Tenants: names, Ticks: ticks})
+		s.shipTenants(peer, names, false)
 	}
-	if s.opts.StandbyDir != "" {
-		names, err := standbyTenantsFor(s.fs, s.opts.StandbyDir, peer)
-		if err != nil {
-			s.met.replStoreErrors.Add(1)
-		}
-		for _, t := range names {
-			seen[t] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
-// standbyShipper resolves which replica is responsible for shipping a
-// standby copy of tenant home to owner under this replica's current view:
-// the tenant's ring successor among peers that are Alive (self always
-// counts — a replica running this code is alive regardless of what its own
-// membership entry says mid-drain).
-func (s *Server) standbyShipper(tenant, owner string) string {
-	cn := s.cluster
-	states := cn.mem.Snapshot()
-	return cn.ring.SuccessorAmong(tenant, owner, func(p string) bool {
-		return p == cn.self || states[p] == cluster.Alive
-	})
+// tenantsHeldFor lists the tenants with state here — session, snapshot or
+// standby copy — that belongs on peer (Table.ShipTo), with the ticks ship
+// would send: the announcement pends exactly what ships. pulled marks an
+// answer to peer's own hello (Table.Shipper).
+func (s *Server) tenantsHeldFor(peer string, pulled bool) (names []string, ticks []int) {
+	for _, t := range s.localTenants(true) {
+		if s.table.ShipTo(t) != peer {
+			continue
+		}
+		if n := s.heldTicks(t, peer, pulled); n >= 0 {
+			names, ticks = append(names, t), append(ticks, n)
+		}
+	}
+	return names, ticks
+}
+
+// heldTicks is how many ticks the state of tenant that ship would send to
+// peer has: the resident session's, else the stored state's; -1 for none.
+func (s *Server) heldTicks(tenant, peer string, pulled bool) int {
+	if sess := s.reg.get(tenant); sess != nil {
+		sess.mu.Lock()
+		n, gone := sess.stream.Ticks(), sess.gone
+		sess.mu.Unlock()
+		if !gone {
+			return n
+		}
+	}
+	_, _, copies := s.table.Shipper(tenant, peer, pulled)
+	if snap, ok, _, err := s.stored(tenant, copies); ok && err == nil {
+		return snap.Stream.Ticks
+	}
+	return -1
 }
 
 // probePeer is the Prober's health check: one GET of the peer's /healthz.
@@ -248,12 +192,14 @@ func (s *Server) probePeer(ctx context.Context, peer string) error {
 	return nil
 }
 
-// clusterJoin announces this replica to every peer and collects, from each
-// reply, the tenants that peer holds but this replica owns — they become
-// pending until their handoffs land. Runs once in the background at
-// startup; the server answers tenant requests 503 until it completes.
+// clusterJoin says hello to every peer and pends what each holds for this
+// replica; tenant requests answer 503 until it is done. Then it ships each
+// peer it reached what is held here for it: state stranded by a failed
+// drain or a view change while this replica was down, or a standby copy
+// whose owner restarted without it.
 func (s *Server) clusterJoin() {
 	cn := s.cluster
+	var reached []string
 	for _, p := range cn.ring.Peers() {
 		if p == cn.self || cn.ctx.Err() != nil {
 			continue
@@ -264,219 +210,114 @@ func (s *Server) clusterJoin() {
 			// rejoins its own hello triggers the exchange from its side.
 			continue
 		}
-		cn.setPending(reply.Tenants)
+		s.table.Pend(reply.Tenants, reply.Ticks, time.Now())
+		reached = append(reached, p)
 	}
 	if cn.ctx.Err() != nil {
 		return
 	}
-	cn.joined.Store(true)
-	// Ship anything held here that the ring assigns elsewhere — state
-	// stranded by a failed drain or an ownership change while this
-	// replica was down.
-	s.shipMisplaced()
+	s.table.Join()
+	for _, p := range reached {
+		s.shipHeld(cn.ctx, p)
+	}
 }
 
-// owner resolves the tenant's owner under this replica's current view:
-// Alive and Down peers own their ranges; Leaving/Gone peers have given
-// theirs up. One membership snapshot per resolution keeps the ring walk
-// lock-free.
-func (cn *clusterNode) owner(tenant string) string {
-	states := cn.mem.Snapshot()
-	return cn.ring.OwnerAmong(tenant, func(p string) bool {
-		st := states[p]
-		return st == cluster.Alive || st == cluster.Down
-	})
+// clusterGate routes a tenant-scoped request with one Table.Route reading:
+// the route and true to proceed, false after writing the 307/503.
+func (s *Server) clusterGate(w http.ResponseWriter, r *http.Request, tenant string, op cluster.Op) (cluster.Route, bool) {
+	have := -1
+	if s.cluster != nil && s.reg.get(tenant) != nil {
+		have = cluster.Unread
+	}
+	rt := s.table.Route(tenant, time.Now(), cluster.Request{Op: op, Have: have})
+	if rt.Expired {
+		s.met.clusterPendingExpired.Add(1)
+	}
+	switch rt.Verdict {
+	case cluster.Serve:
+		return rt, true
+	case cluster.Adopt:
+		if s.tryAdopt(tenant, rt.Owner) {
+			return rt, true
+		}
+		rt = cluster.Route{Verdict: cluster.Refuse, Why: cluster.OwnerDown, Owner: rt.Owner}
+	}
+	s.answerRoute(w, r, tenant, rt)
+	return rt, false
 }
 
-// pendingVerdict classifies a tenant's pending-handoff state.
-type pendingVerdict int
-
-const (
-	pendingNone pendingVerdict = iota
-	pendingWaiting
-	pendingExpired
-)
-
-func (cn *clusterNode) setPending(tenants []string) {
-	if len(tenants) == 0 {
+// answerRoute writes the response for a route that does not proceed: 307
+// with the owner's address, or 503 with its reason.
+func (s *Server) answerRoute(w http.ResponseWriter, r *http.Request, tenant string, rt cluster.Route) {
+	if rt.Verdict == cluster.Redirect {
+		s.met.clusterRedirects.Add(1)
+		w.Header().Set("Location", rt.Owner+r.URL.RequestURI())
+		s.retryAfterHeader(w)
+		http.Error(w, fmt.Sprintf("tenant %q is owned by %s", tenant, rt.Owner), http.StatusTemporaryRedirect)
 		return
 	}
-	deadline := time.Now().Add(cn.pendingTTL)
-	cn.mu.Lock()
-	for _, t := range tenants {
-		cn.pending[t] = deadline
+	if rt.Why == cluster.Pending {
+		s.met.clusterPendingWaits.Add(1)
 	}
-	cn.mu.Unlock()
-}
-
-func (cn *clusterNode) clearPending(tenant string) {
-	cn.mu.Lock()
-	delete(cn.pending, tenant)
-	cn.mu.Unlock()
-}
-
-// checkPending reports whether tenant's ticks must wait for an inbound
-// handoff. An entry past its TTL is dropped: the handoff is presumed lost
-// and the tenant serves from whatever state exists locally.
-func (cn *clusterNode) checkPending(tenant string) pendingVerdict {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	deadline, ok := cn.pending[tenant]
-	if !ok {
-		return pendingNone
-	}
-	if time.Now().After(deadline) {
-		delete(cn.pending, tenant)
-		return pendingExpired
-	}
-	return pendingWaiting
-}
-
-func (cn *clusterNode) pendingCount() int {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return len(cn.pending)
-}
-
-// clusterGate decides whether this replica should handle a tenant-scoped
-// request. It returns true to proceed; false after writing the 307/503
-// response. checkPending gates tick ingestion behind inbound migrations;
-// read-only handlers pass false.
-func (s *Server) clusterGate(w http.ResponseWriter, r *http.Request, tenant string, checkPending bool) bool {
-	cn := s.cluster
-	if cn == nil {
-		return true
-	}
-	if !cn.joined.Load() {
+	if s.cluster != nil { // a standalone drain has no peer to retry against
 		s.retryAfterHeader(w)
-		http.Error(w, "cluster join in progress", http.StatusServiceUnavailable)
-		return false
 	}
-	if owner := cn.owner(tenant); owner != cn.self {
-		// Warm-standby promotion: if the owner is Down and this replica is
-		// the tenant's standby with a replicated copy, adopt and serve it
-		// rather than stalling the stream behind the outage. The checks run
-		// per request against the live view, so the standby stops serving
-		// the instant the owner is probed back to Alive.
-		if !s.tryAdopt(tenant, owner) {
-			s.clusterMisroute(w, r, tenant, owner)
-			return false
-		}
-	}
-	if checkPending {
-		switch cn.checkPending(tenant) {
-		case pendingWaiting:
-			if s.reg.get(tenant) != nil {
-				// The handoff already landed (installs can race the
-				// pending announcement); the stale entry must not block.
-				cn.clearPending(tenant)
-				return true
-			}
-			s.met.clusterPendingWaits.Add(1)
-			s.retryAfterHeader(w)
-			http.Error(w, fmt.Sprintf("tenant %q migration in progress", tenant), http.StatusServiceUnavailable)
-			return false
-		case pendingExpired:
-			s.met.clusterPendingExpired.Add(1)
-		}
-	}
-	return true
+	http.Error(w, fmt.Sprintf("tenant %q: %s", tenant, rt.Why), http.StatusServiceUnavailable)
 }
 
-// clusterMisroute answers a request for a tenant owned elsewhere: 307 with
-// the owner's address, or 503 when the owner is known-unreachable (its
-// state is stranded with it; the client must retry until it returns).
-func (s *Server) clusterMisroute(w http.ResponseWriter, r *http.Request, tenant, owner string) {
-	cn := s.cluster
-	if owner == "" || cn.mem.Get(owner) == cluster.Down {
-		s.retryAfterHeader(w)
-		http.Error(w, fmt.Sprintf("tenant %q owner is unreachable", tenant), http.StatusServiceUnavailable)
-		return
-	}
-	s.met.clusterRedirects.Add(1)
-	w.Header().Set("Location", owner+r.URL.RequestURI())
-	s.retryAfterHeader(w)
-	http.Error(w, fmt.Sprintf("tenant %q is owned by %s", tenant, owner), http.StatusTemporaryRedirect)
-}
-
-// localTenants enumerates every tenant with state on this replica:
-// resident sessions plus disk snapshots.
-func (s *Server) localTenants() []string {
-	seen := make(map[string]struct{})
+// localTenants lists, sorted and once each, the tenants with a session or
+// a snapshot here — and with copies, those with a standby copy too.
+func (s *Server) localTenants(copies bool) []string {
+	var out []string
 	for _, sess := range s.reg.all() {
-		seen[sess.tenant] = struct{}{}
+		out = append(out, sess.tenant)
 	}
 	if s.opts.SnapshotDir != "" {
 		names, err := listTenants(s.fs, s.opts.SnapshotDir, "", ".snap")
 		if err != nil {
 			s.met.snapshotLoadErrors.Add(1)
 		}
-		for _, t := range names {
-			seen[t] = struct{}{}
-		}
+		out = append(out, names...)
 	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
+	if copies && s.opts.StandbyDir != "" {
+		names, err := standbyTenantsFor(s.fs, s.opts.StandbyDir, "")
+		if err != nil {
+			s.met.replStoreErrors.Add(1)
+		}
+		out = append(out, names...)
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
-// tenantsOwnedBy returns the locally held tenants whose ring owner is peer.
-func (s *Server) tenantsOwnedBy(peer string) []string {
-	cn := s.cluster
-	var out []string
-	for _, t := range s.localTenants() {
-		if cn.owner(t) == peer {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// shipMisplaced ships every locally held tenant whose owner is another
-// (reachable) replica. Idempotent: a duplicate ship is dropped by the
-// receiver's more-ticks-wins rule.
-func (s *Server) shipMisplaced() {
-	cn := s.cluster
-	for _, tenant := range s.localTenants() {
-		if cn.ctx.Err() != nil {
-			return
-		}
-		owner := cn.owner(tenant)
-		if owner == "" || owner == cn.self || cn.mem.Get(owner) != cluster.Alive {
-			continue
-		}
-		_ = s.shipTenant(cn.ctx, owner, tenant)
-	}
-}
-
-// shipTenants ships the named tenants to peer, re-checking ownership per
-// tenant in case the view moved since the list was computed.
-func (s *Server) shipTenants(peer string, tenants []string) {
+// shipTenants ships the named tenants to peer, re-checking each one's
+// destination in case the view moved since the list was computed.
+func (s *Server) shipTenants(peer string, tenants []string, pulled bool) {
 	cn := s.cluster
 	for _, t := range tenants {
 		if cn.ctx.Err() != nil {
 			return
 		}
-		if cn.owner(t) != peer {
+		if s.table.ShipTo(t) != peer {
 			continue
 		}
-		_ = s.shipTenant(cn.ctx, peer, t)
+		_ = s.ship(cn.ctx, peer, t, pulled)
 	}
 }
 
-// shipTenant freezes one tenant's state and ships it to peer. The freeze
-// takes the session mutex, so it serialises after any in-flight tick
-// request — the snapshot is request-boundary aligned by construction. On a
-// successful ack the local snapshot is deleted (the receiver holds the only
-// authoritative copy now); on failure the frozen state is persisted back so
-// nothing is lost. All network IO happens after every lock is released.
+// shipTenant ships tenant's state to peer unasked (a drain).
 func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
+	return s.ship(ctx, peer, tenant, false)
+}
+
+// ship freezes one tenant's state — the resident session, frozen under its
+// mutex at a request boundary, else the stored state — and ships it to
+// peer, after every lock is released. An ack deletes the local snapshot; a
+// failure persists the frozen state back.
+func (s *Server) ship(ctx context.Context, peer, tenant string, pulled bool) error {
 	cn := s.cluster
 	var snap sessionSnapshot
-	have, frozen, wasAdopted := false, false, false
+	have, frozen, wasAdopted, fromCopy := false, false, false, false
 	if sess := s.reg.get(tenant); sess != nil {
 		sess.mu.Lock()
 		if !sess.gone {
@@ -488,40 +329,11 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 		}
 		sess.mu.Unlock()
 	}
-	if !have && s.opts.SnapshotDir != "" {
-		var ok bool
+	owner, shipper, copies := s.table.Shipper(tenant, peer, pulled)
+	if !have {
 		var err error
-		snap, ok, err = s.loadSnapshotNoted(tenant)
-		if err != nil {
-			s.met.snapshotLoadErrors.Add(1)
+		if snap, have, fromCopy, err = s.stored(tenant, copies); err != nil {
 			return err
-		}
-		have = ok
-	}
-	// Last resort: a standby copy held on the destination's behalf. This is
-	// what restores a wiped owner, and it also covers the second-order
-	// failure where the adopting standby itself died and only the copy it
-	// forwarded elsewhere survives. The receiver's more-ticks-wins rule
-	// makes shipping a redundant copy (owner's disk was fine all along) a
-	// harmless ack — but only the tenant's LIVE successor may ship one: a
-	// third replica's forwarded copy is typically staler than the
-	// successor's, and its install would clear the owner's pend before the
-	// fresh state lands, opening exactly the tick-fork window the pend
-	// exists to close. If the successor is down, the ring's next live pick
-	// (which is what this check resolves to) inherits the duty.
-	fromStandby := false
-	if !have && s.opts.StandbyDir != "" && s.standbyShipper(tenant, peer) == cn.self {
-		h, ok, err := loadStandby(s.fs, s.opts.StandbyDir, peer, tenant)
-		if err != nil {
-			s.met.replStoreErrors.Add(1)
-			return err
-		}
-		if ok {
-			if snap, err = handoffSnapshot(h); err != nil {
-				s.met.replStoreErrors.Add(1)
-				return fmt.Errorf("serve: standby copy for %q: %w", tenant, err)
-			}
-			have, fromStandby = true, true
 		}
 	}
 	if !have {
@@ -542,35 +354,58 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 		return err
 	}
 	s.met.clusterHandoffsSent.Add(1)
-	if wasAdopted || fromStandby {
+	if wasAdopted || fromCopy {
 		s.met.replShipsHome.Add(1)
 	}
-	if s.opts.SnapshotDir != "" && !fromStandby {
+	if s.opts.SnapshotDir != "" {
 		_ = deleteSnapshot(s.files, s.opts.SnapshotDir, tenant)
 	}
-	// What happens to the standby copy after an acked ship depends on who we
-	// are. If this replica is the tenant's live standby successor, the state
-	// just shipped IS the owner's current state — keep it (or write it) as
-	// the warm copy, so the tenant stays adoptable in the gap before the
-	// owner's next persist re-seeds replication. Deleting here opens a
-	// no-copy window, and a partition landing inside it strands the tenant:
-	// the owner is unreachable and the successor has nothing to promote.
-	// Any other replica's copy really is superseded — drop it so a later
-	// flap cannot re-ship stale state.
-	if s.opts.StandbyDir != "" {
-		if s.standbyShipper(tenant, peer) == cn.self {
-			if !fromStandby {
-				hc := h
-				hc.From, hc.Copy = peer, true // a copy is filed under its OWNER, not the shipper
-				if frame, err := cluster.EncodeHandoff(hc); err == nil {
-					_, _ = s.keepCopy(hc, frame) // counted; the ship itself succeeded
-				}
-			}
-		} else if err := deleteStandby(s.files, s.opts.StandbyDir, peer, tenant); err != nil {
+	// The live successor keeps what it shipped as its warm copy: a no-copy
+	// window until the next persist would strand the tenant if a partition
+	// landed in it. Any other holder's copy is superseded and dropped.
+	switch {
+	case s.opts.StandbyDir == "" || owner == "":
+	case shipper && !fromCopy:
+		hc := h
+		hc.From, hc.Copy = owner, true // a copy is filed under its OWNER, not the shipper
+		if frame, err := cluster.EncodeHandoff(hc); err == nil {
+			_, _ = s.keepCopy(hc, frame) // counted; the ship itself succeeded
+		}
+	case !shipper:
+		if err := deleteStandby(s.files, s.opts.StandbyDir, owner, tenant); err != nil {
 			s.met.replStoreErrors.Add(1)
 		}
 	}
 	return nil
+}
+
+// stored is the freshest state of tenant on this replica's disks: its
+// snapshot or, with copies, a fresher standby copy held for any owner
+// (fromCopy) — so a replica never restores, adopts or ships older state
+// than it holds. An unreadable copy is counted and passed over.
+func (s *Server) stored(tenant string, copies bool) (snap sessionSnapshot, ok, fromCopy bool, err error) {
+	if s.opts.SnapshotDir != "" {
+		if snap, ok, err = s.loadSnapshotNoted(tenant); err != nil {
+			s.met.snapshotLoadErrors.Add(1)
+			return snap, false, false, err
+		}
+	}
+	if !copies || s.cluster == nil || s.opts.StandbyDir == "" {
+		return snap, ok, false, nil
+	}
+	for _, owner := range s.cluster.ring.Peers() {
+		h, found, err := loadStandby(s.fs, s.opts.StandbyDir, owner, tenant)
+		if err == nil && found && (!ok || h.Ticks > snap.Stream.Ticks) {
+			var c sessionSnapshot
+			if c, err = handoffSnapshot(h); err == nil {
+				snap, ok, fromCopy = c, true, true
+			}
+		}
+		if err != nil {
+			s.met.replStoreErrors.Add(1)
+		}
+	}
+	return snap, ok, fromCopy, nil
 }
 
 // handoffSnapshot decodes the session a handoff frame carries and checks it
@@ -647,6 +482,14 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, err.Error())
 		return
 	}
+	if why := s.table.MayLand(h.Tenant, h.Copy, h.Ticks); why != cluster.NoReason {
+		// Shut down: nothing lands. Draining: moves wait for the sender's
+		// next view. Pending: a fresher copy is on its way. Nothing is
+		// written, and the sender retries.
+		s.retryAfterHeader(w)
+		http.Error(w, why.String(), http.StatusServiceUnavailable)
+		return
+	}
 	if h.Copy {
 		s.storeCopy(w, h, frame)
 		return
@@ -657,14 +500,6 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 // installMove is handleTransfer's move branch: restore the migrated tenant
 // (before any lock) and install it unless local state already covers it.
 func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
-	cn := s.cluster
-	if s.draining.Load() {
-		// A drainer must not accept new tenants; the sender retries
-		// against the next view.
-		s.retryAfterHeader(w)
-		http.Error(w, "server is draining", http.StatusServiceUnavailable)
-		return
-	}
 	sess, err := s.restoreSession(snap.Tenant, snap)
 	if err != nil {
 		s.met.clusterHandoffErrors.Add(1)
@@ -681,11 +516,11 @@ func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
 			http.Error(w, fmt.Sprintf("tenant %q busy", snap.Tenant), http.StatusServiceUnavailable)
 			return
 		}
-		if existing.stream.Ticks() >= snap.Stream.Ticks {
+		if have := existing.stream.Ticks(); have >= snap.Stream.Ticks {
 			// Duplicate or stale: local state already covers it.
 			existing.mu.Unlock()
 			s.reg.mu.Unlock()
-			cn.clearPending(snap.Tenant)
+			s.table.Landed(snap.Tenant, have)
 			w.WriteHeader(http.StatusOK)
 			return
 		}
@@ -706,7 +541,7 @@ func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
 		}
 		if ok && old.Stream.Ticks >= snap.Stream.Ticks {
 			s.reg.mu.Unlock()
-			cn.clearPending(snap.Tenant)
+			s.table.Landed(snap.Tenant, old.Stream.Ticks)
 			w.WriteHeader(http.StatusOK)
 			return
 		}
@@ -724,15 +559,13 @@ func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
 		s.persistLocked(sess)
 		sess.mu.Unlock()
 	}
-	cn.clearPending(snap.Tenant)
+	s.table.Landed(snap.Tenant, snap.Stream.Ticks)
 	s.met.clusterHandoffsReceived.Add(1)
 	w.WriteHeader(http.StatusOK)
 }
 
-// handleClusterUpdate is POST /v1/cluster/update: peer announcements.
-// "hello" marks the sender alive and replies with the tenants it should now
-// own (then ships them in the background); "leave" marks it gone and pends
-// the tenants it is about to ship here.
+// handleClusterUpdate is POST /v1/cluster/update: peer announcements
+// (cluster.PeerUpdate).
 func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 	cn := s.cluster
 	var u cluster.PeerUpdate
@@ -747,49 +580,31 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("decode update: %v", err), http.StatusServiceUnavailable)
 		return
 	}
-	known := false
-	for _, p := range cn.ring.Peers() {
-		if p == u.From {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(cn.ring.Peers(), u.From) {
 		http.Error(w, fmt.Sprintf("unknown peer %q", u.From), http.StatusBadRequest)
 		return
 	}
 	switch u.Kind {
 	case "hello":
-		// A hello proves the sender is reachable again. If we still had it
-		// marked Down, this is a recovery observation just like a prober
-		// success, and must fire the same resync hook: a bare mem.Set here
-		// would leave the prober's next success a no-op (Alive != Down), so
-		// no resyncPeer would ever run on THIS side — and a standby offer
-		// made under the stale Down view (mis-targeted past the "dead"
-		// successor) would stay stranded until the next natural persist.
-		prev := cn.mem.Get(u.From)
-		if cn.mem.Set(u.From, cluster.Alive) && prev == cluster.Down {
-			s.onPeerChange(u.From, prev, cluster.Alive)
+		// A hello from a Down peer is a recovery observation: it fires the
+		// same resync as a probe would, which the prober's next success
+		// (Alive != Down) no longer can.
+		if s.table.Hello(u.From) {
+			s.onPeerChange(u.From, cluster.Down, cluster.Alive)
 		}
-		// Held state includes standby copies kept on the sender's behalf:
-		// a sender restarting on a wiped disk recovers everything its
-		// standbys replicated, through the same pend-then-ship exchange
-		// that recovers ordinary stranded snapshots.
-		held := s.tenantsHeldFor(u.From)
-		writeJSON(w, cluster.PeerUpdateReply{Tenants: held})
-		if len(held) > 0 && !s.draining.Load() {
-			go s.shipTenants(u.From, held)
+		held, ticks := s.tenantsHeldFor(u.From, true)
+		writeJSON(w, cluster.PeerUpdateReply{Tenants: held, Ticks: ticks})
+		if len(held) > 0 && s.table.Ready() != cluster.Draining {
+			go s.shipTenants(u.From, held, true)
 		}
 	case "leave":
-		cn.mem.Set(u.From, cluster.Gone)
-		cn.setPending(u.Tenants)
+		s.table.Set(u.From, cluster.Gone)
+		s.table.Pend(u.Tenants, u.Ticks, time.Now())
 		writeJSON(w, cluster.PeerUpdateReply{})
 	case "inbound":
-		// The sender is about to ship us tenants we own (typically adopted
-		// state after our own outage healed). Pend them so their ticks wait
-		// for the fresher copy instead of being served from stale local
-		// state. Membership is untouched — reachability is the prober's
-		// call, and "inbound" must never resurrect a Gone peer.
-		cn.setPending(u.Tenants)
+		// Pend what the sender is about to ship. The view is untouched:
+		// "inbound" must never resurrect a Gone peer.
+		s.table.Pend(u.Tenants, u.Ticks, time.Now())
 		writeJSON(w, cluster.PeerUpdateReply{})
 	default:
 		http.Error(w, fmt.Sprintf("unknown update kind %q", u.Kind), http.StatusBadRequest)
@@ -797,42 +612,42 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // DrainToPeers migrates every locally held tenant to its new owner: mark
-// self leaving (ownership rehashes onto the survivors), announce the drain
-// to every peer — receivers pend the tenants they are about to own, closing
-// the window where a rerouted tick could fresh-start a divergent stream —
-// then freeze and ship each tenant. Call it on SIGTERM while the HTTP
-// listener is still accepting, so peers and clients can still be answered;
-// shut the listener down after it returns. Returns how many tenants moved.
+// self leaving, announce the drain (receivers pend what they are about to
+// get), then freeze and ship each tenant. Call it on SIGTERM while the HTTP
+// listener still accepts, and shut the listener down after it returns.
+// Returns how many tenants moved.
 func (s *Server) DrainToPeers(ctx context.Context) (moved int, err error) {
 	cn := s.cluster
 	if cn == nil {
 		return 0, nil
 	}
 	s.BeginDrain()
-	cn.mem.Set(cn.self, cluster.Leaving)
+	s.table.Set(cn.self, cluster.Leaving)
 
-	plan := make(map[string][]string)
+	plan := make(map[string]*cluster.PeerUpdate) // the leave each peer gets
+	for _, p := range cn.ring.Peers() {
+		plan[p] = &cluster.PeerUpdate{Kind: "leave", From: cn.self}
+	}
 	var firstErr error
-	for _, t := range s.localTenants() {
-		owner := cn.owner(t)
-		if owner == "" || owner == cn.self || cn.mem.Get(owner) != cluster.Alive {
+	for _, t := range s.localTenants(false) {
+		dest := s.table.ShipTo(t)
+		if dest == "" {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("serve: no live owner to drain tenant %q to", t)
 			}
 			continue
 		}
-		plan[owner] = append(plan[owner], t)
+		plan[dest].Tenants = append(plan[dest].Tenants, t)
+		plan[dest].Ticks = append(plan[dest].Ticks, max(s.heldTicks(t, dest, false), 0))
 	}
-	for _, p := range cn.ring.Peers() {
-		if p == cn.self {
-			continue
-		}
-		if _, err := cn.sender.SendUpdate(ctx, p, cluster.PeerUpdate{Kind: "leave", From: cn.self, Tenants: plan[p]}); err != nil && firstErr == nil {
+	delete(plan, cn.self)
+	for p, u := range plan {
+		if _, err := cn.sender.SendUpdate(ctx, p, *u); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	for p, tenants := range plan {
-		for _, t := range tenants {
+	for p, u := range plan {
+		for _, t := range u.Tenants {
 			if err := ctx.Err(); err != nil {
 				return moved, err
 			}
@@ -845,6 +660,6 @@ func (s *Server) DrainToPeers(ctx context.Context) (moved int, err error) {
 			moved++
 		}
 	}
-	cn.mem.Set(cn.self, cluster.Gone)
+	s.table.Set(cn.self, cluster.Gone)
 	return moved, firstErr
 }

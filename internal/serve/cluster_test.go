@@ -267,7 +267,7 @@ func TestClusterMisrouteSemantics(t *testing.T) {
 
 	// Owner down: the non-owner answers 503 with a retry hint, never 307 to
 	// a dead address and never a fresh local session.
-	tc.srvs[1].cluster.mem.Set(tc.urls[0], cluster.Down)
+	tc.srvs[1].table.Set(tc.urls[0], cluster.Down)
 	resp, err = noFollow.Post(tc.urls[1]+path, "application/x-ndjson", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestClusterMisrouteSemantics(t *testing.T) {
 	if tc.srvs[1].SessionsLive() != 0 {
 		t.Fatal("non-owner created a session for a down owner's tenant")
 	}
-	tc.srvs[1].cluster.mem.Set(tc.urls[0], cluster.Alive)
+	tc.srvs[1].table.Set(tc.urls[0], cluster.Alive)
 }
 
 // TestClusterHandoffIdempotent replays deliveries at the receiving replica:
@@ -343,9 +343,9 @@ func TestClusterPendingGate(t *testing.T) {
 	client := tc.client()
 	tenant := tc.tenantOwnedBy(1, "pend")
 	ds := coupledDataset(rand.New(rand.NewSource(6)), 10)
-	cn := tc.srvs[1].cluster
+	table := tc.srvs[1].table
 
-	cn.setPending([]string{tenant})
+	table.Pend([]string{tenant}, nil, time.Now())
 	oneShot := tc.client()
 	oneShot.Retry.MaxAttempts = 1
 	_, err := oneShot.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 5))
@@ -358,9 +358,7 @@ func TestClusterPendingGate(t *testing.T) {
 	}
 
 	// Force the entry past its TTL: the gate opens and the expiry is counted.
-	cn.mu.Lock()
-	cn.pending[tenant] = time.Now().Add(-time.Second)
-	cn.mu.Unlock()
+	table.Pend([]string{tenant}, nil, time.Now().Add(-time.Hour-time.Second))
 	if _, err := client.PushTicks(context.Background(), tenant, ticksOf(ds, 0, 5)); err != nil {
 		t.Fatalf("tick after pending expiry: %v", err)
 	}
@@ -476,7 +474,7 @@ func TestClusterProberDetectsDownAndRecovery(t *testing.T) {
 		http.Error(w, "killed", http.StatusServiceUnavailable)
 	})
 	tc.swaps[0].set(downHandler)
-	waitState(t, tc.srvs[1].cluster.mem, tc.urls[0], cluster.Down)
+	waitState(t, tc.srvs[1].table, tc.urls[0], cluster.Down)
 
 	// The survivor refuses the down owner's tenant instead of adopting it.
 	oneShot := tc.client()
@@ -489,13 +487,13 @@ func TestClusterProberDetectsDownAndRecovery(t *testing.T) {
 
 	// Recovery: the prober promotes it back and the stream resumes.
 	tc.swaps[0].set(tc.srvs[0])
-	waitState(t, tc.srvs[1].cluster.mem, tc.urls[0], cluster.Alive)
+	waitState(t, tc.srvs[1].table, tc.urls[0], cluster.Alive)
 	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 10, 20)); err != nil {
 		t.Fatalf("tick after owner recovery: %v", err)
 	}
 }
 
-func waitState(t *testing.T, mem *cluster.Membership, peer string, want cluster.PeerState) {
+func waitState(t *testing.T, mem *cluster.Table, peer string, want cluster.PeerState) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for mem.Get(peer) != want {

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"mdes"
@@ -110,6 +109,9 @@ type Server struct {
 	// bounds each batch; tests may swap it before the first session exists.
 	scorer func(jobs []mdes.ScoreJob, row []float64) error
 
+	// table answers every routing decision and holds the lifecycle
+	// (joined, draining, stopped); standalone, it has no ring.
+	table *cluster.Table
 	// cluster is non-nil in cluster mode (Options.Peers set); see
 	// cluster.go for the sharding, redirect, and handoff machinery.
 	cluster *clusterNode
@@ -117,9 +119,7 @@ type Server struct {
 	// mode and Options.StandbyDir are configured; see standby.go.
 	repl *cluster.ReplQueue
 
-	slots    chan struct{} // admission tokens for tick requests
-	draining atomic.Bool
-	stopped  atomic.Bool
+	slots chan struct{} // admission tokens for tick requests
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -336,10 +336,9 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 	var sess *session
 	if s.opts.SnapshotDir != "" {
 		//mdes:allow(lockcall) creation must be atomic: the registry lock is what stops two requests racing to restore the same tenant; this path never runs per-tick
-		snap, ok, err := s.loadSnapshotNoted(tenant)
+		snap, ok, _, err := s.stored(tenant, true)
 		if err != nil {
 			s.reg.mu.Unlock()
-			s.met.snapshotLoadErrors.Add(1)
 			return nil, http.StatusInternalServerError, err
 		}
 		if ok {
@@ -406,18 +405,12 @@ func (s *Server) release(sess *session) {
 // that line.
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	// Ownership first, drain and admission second: a draining cluster
-	// replica must still answer misrouted tenants with the owner's address
-	// (its own tenants are mid-migration and get 503 + Retry-After below),
-	// and a redirect must not burn an admission slot.
-	if !s.clusterGate(w, r, tenant, true) {
-		return
-	}
-	if s.draining.Load() {
-		if s.cluster != nil {
-			s.retryAfterHeader(w)
-		}
-		http.Error(w, "server is draining", http.StatusServiceUnavailable)
+	// Route first, admission second: a draining cluster replica must still
+	// answer misrouted tenants with the owner's address (its own tenants
+	// are mid-migration and get 503 + Retry-After), and a redirect must not
+	// burn an admission slot.
+	rt, ok := s.clusterGate(w, r, tenant, cluster.Tick)
+	if !ok {
 		return
 	}
 	select {
@@ -435,18 +428,22 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	// Re-check ownership now that the session lock is held: the gate's
-	// answer can go stale if a rebalance ships this tenant away between
-	// gate and acquire, and ticking a shipped (or freshly re-created)
-	// stream here would fork it from the authoritative copy. An adopted
-	// session is the one sanctioned exception — the standby serves it for
-	// exactly as long as the owner stays Down.
-	if cn := s.cluster; cn != nil {
-		if owner := cn.owner(tenant); owner != cn.self && !(sess.adopted && cn.mem.Get(owner) == cluster.Down) {
-			s.release(sess)
-			s.clusterMisroute(w, r, tenant, owner)
-			return
+	// Re-route now that the session lock is held: the gate's answer can go
+	// stale if a rebalance ships this tenant away between gate and acquire
+	// (ticking a re-created stream would fork it), and a pend the gate let
+	// through is settled against the session's ticks.
+	if s.cluster != nil {
+		rt = s.table.Route(tenant, time.Now(), cluster.Request{Op: cluster.Tick, Have: sess.stream.Ticks()})
+		if rt.Expired {
+			s.met.clusterPendingExpired.Add(1)
 		}
+	}
+	if rt.Verdict == cluster.Adopt {
+		sess.adopted = true // served for exactly as long as the owner stays Down
+	} else if rt.Verdict != cluster.Serve {
+		s.release(sess)
+		s.answerRoute(w, r, tenant, rt)
+		return
 	}
 	defer s.release(sess)
 	// Runs before release, so the stream's count is read under the session
@@ -569,7 +566,7 @@ func (s *Server) classifyDegraded(err error) bool {
 // the snapshotted ones for a tenant currently evicted to disk.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	if !s.clusterGate(w, r, tenant, false) {
+	if _, ok := s.clusterGate(w, r, tenant, cluster.Read); !ok {
 		return
 	}
 	if sess := s.reg.get(tenant); sess != nil {
@@ -606,10 +603,11 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete is DELETE /v1/streams/{tenant}: ends the session and removes
-// its snapshot — the tenant's next tick starts a fresh window.
+// its snapshot and the standby copies held here for any owner (sessions
+// restore from those too) — the tenant's next tick starts a fresh window.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	if !s.clusterGate(w, r, tenant, true) {
+	if _, ok := s.clusterGate(w, r, tenant, cluster.Delete); !ok {
 		return
 	}
 	if sess := s.reg.get(tenant); sess != nil {
@@ -622,6 +620,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if err := deleteSnapshot(s.files, s.opts.SnapshotDir, tenant); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
+		}
+	}
+	if s.repl != nil {
+		for _, owner := range s.cluster.ring.Peers() {
+			if err := deleteStandby(s.files, s.opts.StandbyDir, owner, tenant); err != nil {
+				s.met.replStoreErrors.Add(1)
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -644,14 +651,15 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.met.write(w, s.reg.len(), len(s.slots), s.pool.depth())
-	if cn := s.cluster; cn != nil {
+	if s.cluster != nil {
 		owned := 0
 		for _, sess := range s.reg.all() {
-			if cn.owner(sess.tenant) == cn.self {
+			if s.table.Route(sess.tenant, time.Time{}, cluster.Request{}).Owner == s.cluster.self {
 				owned++
 			}
 		}
-		s.met.writeCluster(w, cn.mem.AliveCount(), cn.pendingCount(), owned)
+		alive, pending := s.table.Stats()
+		s.met.writeCluster(w, alive, pending, owned)
 		if q := s.repl; q != nil {
 			st := q.Stats()
 			s.met.writeStandby(w, st.Enqueued, st.Coalesced, st.Dropped, st.Shipped, st.Errors,
@@ -666,12 +674,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if cn := s.cluster; cn != nil && !cn.joined.Load() {
-		http.Error(w, "cluster join in progress", http.StatusServiceUnavailable)
+	if why := s.table.Ready(); why != cluster.NoReason {
+		http.Error(w, why.String(), http.StatusServiceUnavailable)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -699,7 +703,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // balancers stop routing here) and new tick requests are refused. Call it
 // before shutting the HTTP listener down so in-flight requests finish while
 // no new ones start.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+func (s *Server) BeginDrain() { s.table.BeginDrain() }
 
 // SessionsLive reports the resident session count.
 func (s *Server) SessionsLive() int { return s.reg.len() }
@@ -708,8 +712,7 @@ func (s *Server) SessionsLive() int { return s.reg.len() }
 // machinery. Call it after the HTTP server has drained (http.Server.Shutdown)
 // so no request still holds a session. Further calls are no-ops.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.BeginDrain()
-	if !s.stopped.CompareAndSwap(false, true) {
+	if !s.table.Stop() {
 		return nil
 	}
 	s.stopCluster()

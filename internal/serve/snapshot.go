@@ -115,6 +115,9 @@ func listTenants(fsys faultfs.FS, dir, prefix, suffix string) ([]string, error) 
 		if rest, ok = strings.CutPrefix(rest, prefix); !ok || rest == "" {
 			continue
 		}
+		if _, t, ok := strings.Cut(rest, "-"); ok {
+			rest = t // a standby copy's name without its owner
+		}
 		if raw, err := hex.DecodeString(rest); err == nil {
 			tenants = append(tenants, string(raw))
 		}

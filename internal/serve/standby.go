@@ -8,35 +8,17 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
-	"strings"
 
 	"mdes/internal/cluster"
 	"mdes/internal/faultfs"
 )
 
 // Warm-standby replication: after every durable local snapshot save, the
-// owner asynchronously ships the snapshot to the tenant's ring successor,
-// which persists it in a standby store keyed by (owner, tenant). The copy is
-// pure insurance — it is never served while the owner is reachable — and
-// buys exactly one thing: when the owner's disk is lost (or the owner is
-// partitioned away), the standby can promote the tenant and keep the stream
-// alive from the replicated state instead of answering 503 until a human
-// restores a backup.
-//
-// Invariants (tested by the chaos soaks, documented in DESIGN.md §8):
-//
-//   - The standby never serves a tenant while its owner is anything but
-//     Down. The promotion check runs per request against the live
-//     membership view, so the instant the owner is probed back to Alive the
-//     standby stops accepting and redirects.
-//   - Promotion is idempotent and races safely: installs go through the
-//     registry with the same more-ticks-wins rule as moves.
-//   - Adopted state ships home when the owner returns, as an ordinary move
-//     over the transfer endpoint (idempotent), announced first so the owner
-//     holds those tenants pending instead of serving its own stale copy.
-//   - Replication is asynchronous and lossy-by-design under pressure: a
-//     dropped copy degrades the standby's freshness, never the tick path.
-//     The local snapshot remains the durable source of truth.
+// owner asynchronously ships the snapshot to Table.Replica, which keeps it
+// in a standby store keyed by (owner, tenant). The copy is insurance, never
+// served while the owner is reachable: when the owner is Down, its standby
+// (Table.Route's Adopt) promotes it instead of answering 503. DESIGN.md §8
+// states the invariants.
 
 // standbyPath names a standby copy. Both owner and tenant are hex-encoded
 // (same reasoning as snapshotPath) and joined with "-", which cannot appear
@@ -76,9 +58,14 @@ func loadStandby(fsys faultfs.FS, dir, owner, tenant string) (cluster.Handoff, b
 	return h, true, nil
 }
 
-// standbyTenantsFor lists the tenants with a standby copy held for owner.
+// standbyTenantsFor lists the tenants with a standby copy held for owner,
+// or for any owner when owner is empty.
 func standbyTenantsFor(fsys faultfs.FS, dir, owner string) ([]string, error) {
-	return listTenants(fsys, dir, hex.EncodeToString([]byte(owner))+"-", ".standby")
+	prefix := ""
+	if owner != "" {
+		prefix = hex.EncodeToString([]byte(owner)) + "-"
+	}
+	return listTenants(fsys, dir, prefix, ".standby")
 }
 
 // deleteStandby removes a standby copy durably; missing files are fine.
@@ -86,27 +73,16 @@ func deleteStandby(files *slotFiles, dir, owner, tenant string) error {
 	return files.remove(dir, standbyPath(dir, owner, tenant))
 }
 
-// replicateLocked offers the just-persisted snapshot to the tenant's
-// standby. Called from persistLocked with the session mutex held, which is
-// why everything here must be lock-free and IO-free from the queue's point
-// of view: Offer is a bounded map update, and the actual ship happens on the
-// queue's drainer goroutines. The handoff's From field names the tenant's
-// ring OWNER (not necessarily this replica): the receiver keys its store by
-// it, so a copy of adopted state forwarded by a standby still files under
-// the true owner and ships home when that owner revives.
+// replicateLocked offers the just-persisted snapshot to Table.Replica,
+// filed under the owner it names. Called from persistLocked with the
+// session mutex held: Offer is a bounded map update with no IO, and the
+// ship happens on the queue's drainer goroutines.
 func (s *Server) replicateLocked(tenant string, snap sessionSnapshot) {
-	cn, q := s.cluster, s.repl
-	if cn == nil || q == nil {
+	q := s.repl
+	if q == nil {
 		return
 	}
-	owner := cn.owner(tenant)
-	if owner == "" {
-		owner = cn.self
-	}
-	states := cn.mem.Snapshot()
-	target := cn.ring.SuccessorAmong(tenant, owner, func(p string) bool {
-		return p != cn.self && states[p] == cluster.Alive
-	})
+	owner, target := s.table.Replica(tenant)
 	if target == "" {
 		return // nowhere to replicate (single replica, or everyone else down)
 	}
@@ -165,40 +141,15 @@ func (s *Server) keepCopy(h cluster.Handoff, frame []byte) (bool, error) {
 	return true, nil
 }
 
-// tryAdopt decides whether this replica may serve tenant in place of its
-// Down owner, installing a session from the standby store if needed. True
-// means "proceed: a resident session exists and is marked adopted". The
-// conditions are strict on purpose — every one of them guards the
-// single-writer invariant:
-//
-//   - a standby store must be configured (promotion is opt-in),
-//   - the owner must be Down in THIS replica's live view (the check runs
-//     per request, so recovery is noticed at the next request),
-//   - this replica must be the tenant's ring successor among Alive peers
-//     (exactly one standby can promote, derived deterministically),
-//   - replicated state must exist (no silent fresh starts: a tenant whose
-//     copy was dropped stays 503 until its owner returns, same as a
-//     tenant with no standby at all).
+// tryAdopt promotes tenant for its Down owner once Table.Route has answered
+// Adopt. True means "proceed: a resident session exists and is marked
+// adopted". Held state must exist: a tenant whose copy was dropped is never
+// fresh-started — it stays 503 until its owner returns, same as a tenant
+// with no standby at all.
 func (s *Server) tryAdopt(tenant, owner string) bool {
-	cn := s.cluster
-	if cn == nil || s.opts.StandbyDir == "" || owner == "" {
-		return false
-	}
-	states := cn.mem.Snapshot()
-	if states[owner] != cluster.Down {
-		return false
-	}
-	standby := cn.ring.SuccessorAmong(tenant, owner, func(p string) bool {
-		return states[p] == cluster.Alive
-	})
-	if standby != cn.self {
-		return false
-	}
 	if sess := s.reg.get(tenant); sess != nil {
-		// Already resident: either a previous request adopted it, or it was
-		// restored from this replica's own snapshot of an earlier adoption.
-		// (Re)mark it; a gone session means an eviction raced us — retry via
-		// the install path below.
+		// Already resident: (re)mark it. A gone one lost a race with an
+		// eviction; install below.
 		sess.mu.Lock()
 		if !sess.gone {
 			sess.adopted = true
@@ -207,17 +158,8 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 		}
 		sess.mu.Unlock()
 	}
-	h, ok, err := loadStandby(s.fs, s.opts.StandbyDir, owner, tenant)
-	if err != nil {
-		s.met.replStoreErrors.Add(1)
-		return false
-	}
-	if !ok {
-		return false
-	}
-	snap, err := handoffSnapshot(h)
-	if err != nil || snap.Tenant != tenant {
-		s.met.replStoreErrors.Add(1)
+	snap, ok, _, err := s.stored(tenant, true) // a copy, or an earlier adoption's snapshot
+	if err != nil || !ok {
 		return false
 	}
 	sess, err := s.restoreSession(tenant, snap)
@@ -227,9 +169,7 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 		}
 		return false
 	}
-	// Dirty, so the first release persists it into this replica's own
-	// snapshot store.
-	sess.adopted, sess.dirty = true, true
+	sess.adopted, sess.dirty = true, true // the first release persists it here
 
 	s.reg.mu.Lock()
 	if existing := s.reg.sessions[tenant]; existing != nil {
@@ -269,17 +209,8 @@ func (s *Server) standbyHeldCount() int {
 	if s.opts.StandbyDir == "" {
 		return 0
 	}
-	names, err := s.fs.ReadDir(s.opts.StandbyDir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, name := range names {
-		if strings.HasSuffix(name, ".standby") {
-			n++
-		}
-	}
-	return n
+	names, _ := standbyTenantsFor(s.fs, s.opts.StandbyDir, "")
+	return len(names)
 }
 
 // loadSnapshotNoted is loadSnapshot plus torn-snapshot observability: a

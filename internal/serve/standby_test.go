@@ -263,7 +263,7 @@ func TestStandbyPromotionOnOwnerDown(t *testing.T) {
 		}
 	}))
 	for i := 1; i < 3; i++ {
-		waitState(t, tc.srvs[i].cluster.mem, tc.urls[0], cluster.Down)
+		waitState(t, tc.srvs[i].table, tc.urls[0], cluster.Down)
 	}
 
 	pts, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 24, 36))
@@ -291,7 +291,7 @@ func TestStandbyPromotionOnOwnerDown(t *testing.T) {
 	// lost, no tick replayed.
 	tc.swaps[0].set(tc.srvs[0])
 	for i := 1; i < 3; i++ {
-		waitState(t, tc.srvs[i].cluster.mem, tc.urls[0], cluster.Alive)
+		waitState(t, tc.srvs[i].table, tc.urls[0], cluster.Alive)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for tc.srvs[sbIdx].met.replShipsHome.Load() == 0 {
@@ -309,6 +309,163 @@ func TestStandbyPromotionOnOwnerDown(t *testing.T) {
 	}
 	if info.Adopted || info.Ticks != 48 {
 		t.Fatalf("session after ship-home = %+v, want un-adopted at 48 ticks", info)
+	}
+}
+
+// TestStandbySuccessionAfterRestart is the standby-succession fork. Tenant T
+// is owned by O with ring successors P then S: it replicates to P at 24
+// ticks, to S at 36 while P is down, and with O down too S adopts and
+// serves T to 48. P restarts on its own disk, still holding its 24-tick
+// copy. P must not promote that copy: S's hello reply pends T on P (S's
+// adopted session belongs on P now), the pend is checked before adoption,
+// and S ships the session to P as a move. The stream continues on P at 48.
+func TestStandbySuccessionAfterRestart(t *testing.T) {
+	tc := standbyCluster(t, 3)
+	tenant := tc.tenantOwnedBy(0, "succ")
+	p := tc.standbyIdx(tenant)
+	s := 3 - p // the replicas are {0, p, s}
+	ds := coupledDataset(rand.New(rand.NewSource(47)), 60)
+	at := func(i int) *Client {
+		return &Client{BaseURL: tc.urls[i], Retry: RetryPolicy{MaxAttempts: 200, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}}
+	}
+	kill := func(i int) {
+		tc.swaps[i].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+		}))
+		tc.srvs[i].Shutdown(context.Background())
+	}
+
+	if _, err := at(0).PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 24)); err != nil {
+		t.Fatal(err)
+	}
+	waitStandbyCopy(t, tc, p, tc.urls[0], tenant, 24)
+	kill(p)
+	waitState(t, tc.srvs[0].table, tc.urls[p], cluster.Down)
+	if _, err := at(0).PushTicksRetry(context.Background(), tenant, ticksOf(ds, 24, 36)); err != nil {
+		t.Fatal(err)
+	}
+	waitStandbyCopy(t, tc, s, tc.urls[0], tenant, 36)
+	kill(0)
+	waitState(t, tc.srvs[s].table, tc.urls[0], cluster.Down)
+	waitState(t, tc.srvs[s].table, tc.urls[p], cluster.Down)
+	if _, err := at(s).PushTicksRetry(context.Background(), tenant, ticksOf(ds, 36, 48)); err != nil {
+		t.Fatalf("push to the adopting standby: %v", err)
+	}
+
+	// P restarts on its own disk. S's replication queue is parked first:
+	// its re-seed copy to P would otherwise race the push below, and the
+	// copy is asynchronous insurance — only the ownership exchange itself
+	// may be relied on to carry T to P.
+	tc.srvs[s].repl.Stop()
+	restarted, err := New(tc.srvs[p].opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Shutdown(context.Background()) })
+	tc.srvs[p] = restarted
+	tc.swaps[p].set(restarted)
+	waitState(t, restarted.table, tc.urls[0], cluster.Down)
+	if _, err := at(p).PushTicksRetry(context.Background(), tenant, ticksOf(ds, 48, 60)); err != nil {
+		t.Fatalf("push to the restarted standby: %v", err)
+	}
+	info, err := at(p).Session(context.Background(), tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Ticks != 60 || !info.Adopted {
+		t.Fatalf("restarted standby serves %+v, want adopted at 60 ticks (it promoted its own stale copy)", info)
+	}
+}
+
+// TestWipedOwnerTakesFresherThirdCopy: tenant T, owned by O with ring
+// successors P then S, replicates to P at 24 ticks and, while P is down, to
+// S at 36. P comes back, and O restarts with an empty disk. P is T's live
+// successor and ships its 24-tick copy; S, answering O's own hello, ships
+// its 36-tick copy too, and the owner's pend keeps the fresher one. The
+// stream resumes on O at 36: nothing is lost, and nothing is announced
+// that no replica ships.
+func TestWipedOwnerTakesFresherThirdCopy(t *testing.T) {
+	tc := standbyCluster(t, 3)
+	tenant := tc.tenantOwnedBy(0, "fresher")
+	p := tc.standbyIdx(tenant)
+	s := 3 - p // the replicas are {0, p, s}
+	ds := coupledDataset(rand.New(rand.NewSource(59)), 48)
+	at := &Client{BaseURL: tc.urls[0], Retry: RetryPolicy{MaxAttempts: 200, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}}
+
+	if _, err := at.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 24)); err != nil {
+		t.Fatal(err)
+	}
+	waitStandbyCopy(t, tc, p, tc.urls[0], tenant, 24)
+	tc.swaps[p].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+	}))
+	waitState(t, tc.srvs[0].table, tc.urls[p], cluster.Down)
+	if _, err := at.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 24, 36)); err != nil {
+		t.Fatal(err)
+	}
+	waitStandbyCopy(t, tc, s, tc.urls[0], tenant, 36)
+	// P comes back still holding 24: the owner's replication queue is parked
+	// so its resync cannot refresh P's copy.
+	tc.srvs[0].repl.Stop()
+	tc.swaps[p].set(tc.srvs[p])
+	waitState(t, tc.srvs[s].table, tc.urls[p], cluster.Alive)
+
+	opts := tc.srvs[0].opts
+	opts.SnapshotDir, opts.StandbyDir = t.TempDir(), t.TempDir()
+	tc.srvs[0].Shutdown(context.Background())
+	restarted, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Shutdown(context.Background()) })
+	tc.srvs[0] = restarted
+	tc.swaps[0].set(restarted)
+	if _, err := at.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 36, 48)); err != nil {
+		t.Fatalf("push to the wiped owner: %v", err)
+	}
+	info, err := at.Session(context.Background(), tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Ticks != 48 {
+		t.Fatalf("the wiped owner is at %d ticks after resuming and 12 more, want 48 (it resumed from a staler copy)", info.Ticks)
+	}
+}
+
+// TestDeleteAfterDrainStartsFresh: a drain moves a tenant to its old
+// owner's ring successor, which is the replica holding that owner's standby
+// copy. A DELETE there must take the copy too, or the next tick would
+// restore the deleted stream from it.
+func TestDeleteAfterDrainStartsFresh(t *testing.T) {
+	tc := standbyCluster(t, 3)
+	client := tc.client()
+	tenant := tc.tenantOwnedBy(0, "del")
+	sb := tc.standbyIdx(tenant)
+	ds := coupledDataset(rand.New(rand.NewSource(53)), 36)
+	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 24)); err != nil {
+		t.Fatal(err)
+	}
+	waitStandbyCopy(t, tc, sb, tc.urls[0], tenant, 24)
+	if moved, err := tc.srvs[0].DrainToPeers(context.Background()); err != nil || moved != 1 {
+		t.Fatalf("drain moved %d (err %v), want 1", moved, err)
+	}
+	at := &Client{BaseURL: tc.urls[sb], Retry: RetryPolicy{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}}
+	if err := at.EndSession(context.Background(), tenant); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := at.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 12)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := at.Session(context.Background(), tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Ticks != 12 {
+		t.Fatalf("after DELETE and 12 ticks the new owner is at %d ticks, want 12 (the deleted stream came back)", info.Ticks)
 	}
 }
 
@@ -331,7 +488,7 @@ func TestStandbyNoCopyStays503(t *testing.T) {
 		}
 	}))
 	for i := 1; i < 3; i++ {
-		waitState(t, tc.srvs[i].cluster.mem, tc.urls[0], cluster.Down)
+		waitState(t, tc.srvs[i].table, tc.urls[0], cluster.Down)
 	}
 	oneShot := tc.client()
 	oneShot.Retry.MaxAttempts = 2
@@ -344,7 +501,7 @@ func TestStandbyNoCopyStays503(t *testing.T) {
 	// Owner back: the tenant starts fresh there, exactly once.
 	tc.swaps[0].set(tc.srvs[0])
 	for i := 1; i < 3; i++ {
-		waitState(t, tc.srvs[i].cluster.mem, tc.urls[0], cluster.Alive)
+		waitState(t, tc.srvs[i].table, tc.urls[0], cluster.Alive)
 	}
 	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 12)); err != nil {
 		t.Fatal(err)
@@ -466,7 +623,7 @@ func TestHelloRecoveryTriggersResync(t *testing.T) {
 	waitStandbyCopy(t, tc, tc.standbyIdx(tenant), tc.urls[0], tenant, 12)
 
 	owner := tc.srvs[0]
-	owner.cluster.mem.Set(tc.urls[1], cluster.Down)
+	owner.table.Set(tc.urls[1], cluster.Down)
 	before := owner.repl.Stats()
 	body := fmt.Sprintf(`{"kind":"hello","from":%q}`, tc.urls[1])
 	resp, err := http.Post(tc.urls[0]+cluster.UpdatePath, "application/json", strings.NewReader(body))
@@ -478,7 +635,7 @@ func TestHelloRecoveryTriggersResync(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hello answered %d", resp.StatusCode)
 	}
-	if got := owner.cluster.mem.Get(tc.urls[1]); got != cluster.Alive {
+	if got := owner.table.Get(tc.urls[1]); got != cluster.Alive {
 		t.Fatalf("hello left peer state %v", got)
 	}
 	deadline := time.Now().Add(5 * time.Second)

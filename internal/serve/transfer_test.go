@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -103,6 +104,37 @@ func TestTransferCopyAndMoveStayApart(t *testing.T) {
 	}
 }
 
+// TestShutDownReplicaRefusesTransfers: after Shutdown a replica's listener
+// may still answer, but its table's stopped row takes nothing — a standby
+// copy and a move both get 503 + Retry-After and write nothing, so the
+// sender keeps its state and retries elsewhere.
+func TestShutDownReplicaRefusesTransfers(t *testing.T) {
+	m := testModel(t)
+	tc := standbyCluster(t, 2)
+	rx := tc.srvs[1]
+	if err := rx.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ds := coupledDataset(rand.New(rand.NewSource(43)), 24)
+	tenant := tc.tenantOwnedBy(1, "stopped")
+	held := rx.standbyHeldCount()
+	for _, copy := range []bool{true, false} {
+		resp := postTransfer(t, tc.urls[1], transferFrame(t, snapshotAfter(t, m, tenant, ds, 20), tc.urls[0], copy))
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("transfer (copy %v) to a shut-down replica: %s (Retry-After %q), want 503 with a hint", copy, resp.Status, resp.Header.Get("Retry-After"))
+		}
+	}
+	if got := rx.standbyHeldCount(); got != held {
+		t.Fatalf("a shut-down replica stored %d standby copies, had %d", got, held)
+	}
+	if rx.reg.get(tenant) != nil {
+		t.Fatal("a shut-down replica installed a moved session")
+	}
+	if _, ok, _, _ := loadSnapshot(rx.fs, tc.dirs[1], tenant); ok {
+		t.Fatal("a shut-down replica wrote a moved snapshot")
+	}
+}
+
 // TestLegacyStandbyCopyPromotes: a standby file written before transfers
 // carried the copy flag still loads, and promotes when its owner is Down.
 func TestLegacyStandbyCopyPromotes(t *testing.T) {
@@ -130,7 +162,7 @@ func TestLegacyStandbyCopyPromotes(t *testing.T) {
 			conn.Close()
 		}
 	}))
-	waitState(t, sb.cluster.mem, tc.urls[0], cluster.Down)
+	waitState(t, sb.table, tc.urls[0], cluster.Down)
 	got, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 12, 24))
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +361,65 @@ func FuzzTransfer(f *testing.F) {
 		}
 		if rec.Code != http.StatusOK {
 			t.Fatalf("state changed but the transfer answered %d", rec.Code)
+		}
+	})
+}
+
+// FuzzPeerUpdate holds /v1/cluster/update to its contract on arbitrary
+// bodies, from any prior view of the peer: it never panics; a body that
+// does not decode is 503 + Retry-After (line damage, so the sender
+// redelivers the pend it carries); an unknown peer or kind is 400;
+// "inbound" never changes the view; "leave" never revives a peer.
+func FuzzPeerUpdate(f *testing.F) {
+	tc := newTestCluster(f, 2, func(_ int, o *Options) { o.StandbyDir = f.TempDir() })
+	srv, peer := tc.srvs[0], tc.urls[1]
+	// The peer answers every resync the fuzzer provokes with a terminal 404,
+	// so no exchange outlives its iteration by more than one round trip.
+	tc.swaps[1].set(http.NotFoundHandler())
+	for _, u := range []string{
+		fmt.Sprintf(`{"kind":"hello","from":%q}`, peer),
+		fmt.Sprintf(`{"kind":"leave","from":%q,"tenants":["a","b"],"ticks":[3,4]}`, peer),
+		fmt.Sprintf(`{"kind":"inbound","from":%q,"tenants":["a"],"ticks":[7]}`, peer),
+		fmt.Sprintf(`{"kind":"gossip","from":%q}`, peer),
+		`{"kind":"hello","from":"http://nobody.invalid"}`,
+		`{"kind":"hello","from":"http`,
+	} {
+		f.Add(uint8(cluster.Down), []byte(u))
+	}
+	peers := func() []cluster.PeerState {
+		var out []cluster.PeerState
+		for _, p := range tc.urls {
+			out = append(out, srv.table.Get(p))
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, state uint8, body []byte) {
+		srv.table.Set(peer, cluster.PeerState(state%4))
+		before := peers()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, cluster.UpdatePath, bytes.NewReader(body)))
+		var u cluster.PeerUpdate
+		want := http.StatusOK
+		switch err := json.NewDecoder(bytes.NewReader(body)).Decode(&u); {
+		case err != nil:
+			want = http.StatusServiceUnavailable
+		case !slices.Contains(tc.urls, u.From), u.Kind != "hello" && u.Kind != "leave" && u.Kind != "inbound":
+			want = http.StatusBadRequest
+		}
+		if rec.Code != want {
+			t.Fatalf("update answered %d, want %d: %s", rec.Code, want, rec.Body)
+		}
+		if want == http.StatusServiceUnavailable && rec.Header().Get("Retry-After") == "" {
+			t.Fatal("undecodable update answered 503 without Retry-After")
+		}
+		after := peers()
+		for i := range after {
+			if u.Kind == "inbound" && after[i] != before[i] {
+				t.Fatalf("inbound moved %s from %v to %v", tc.urls[i], before[i], after[i])
+			}
+			if u.Kind == "leave" && before[i] != cluster.Alive && after[i] == cluster.Alive {
+				t.Fatalf("leave revived %s from %v", tc.urls[i], before[i])
+			}
 		}
 	})
 }
