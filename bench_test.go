@@ -158,9 +158,7 @@ func BenchmarkAlgorithm2Detection(b *testing.B) {
 	p := plantArtifacts(b)
 	ctx := context.Background()
 	// One sentence worth of test data per sensor.
-	lc := p.Scale.PlantLang
-	span := lc.WordLen + (lc.SentenceLen-1)*lc.WordStride
-	oneSentence := p.Tst.Slice(0, span)
+	oneSentence := p.Tst.Slice(0, p.Scale.PlantLang.Span())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

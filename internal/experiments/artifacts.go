@@ -265,9 +265,7 @@ func (p *PlantArtifacts) DetectWithRange(r mdes.Range) ([]mdes.Point, error) {
 // the continuous test split, so they drift across day boundaries).
 func (p *PlantArtifacts) DayOfPoint(t int) int {
 	lc := p.Scale.PlantLang
-	startTick := t * lc.SentenceStride * lc.WordStride
-	span := lc.WordLen + (lc.SentenceLen-1)*lc.WordStride
-	mid := startTick + span/2
+	mid := t*lc.Stride() + lc.Span()/2
 	return p.TestStartDay + mid/p.Config.MinutesPerDay
 }
 

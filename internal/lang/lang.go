@@ -84,65 +84,72 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NumWords returns how many words a sequence of `ticks` events yields, and
-// NumSentences how many sentences those words yield. Both are 0 when the
-// input is too short.
-func (c Config) NumWords(ticks int) int {
-	if ticks < c.WordLen {
+// Span returns how many chars — ticks — one sentence window covers: the i-th
+// sentence of a sequence is encoded from chars[i*Stride() : i*Stride()+Span()].
+func (c Config) Span() int { return c.WordLen + (c.SentenceLen-1)*c.WordStride }
+
+// Stride returns how many ticks apart consecutive sentence windows start.
+func (c Config) Stride() int { return c.SentenceStride * c.WordStride }
+
+// NumSentences returns the number of sentences produced from `ticks` events,
+// 0 when the input is too short. It is also the number of detection points a
+// stream has due after `ticks` ticks.
+func (c Config) NumSentences(ticks int) int {
+	if ticks < c.Span() {
 		return 0
 	}
-	return (ticks-c.WordLen)/c.WordStride + 1
+	return (ticks-c.Span())/c.Stride() + 1
 }
 
-// NumSentences returns the number of sentences produced from `ticks` events.
-func (c Config) NumSentences(ticks int) int {
-	w := c.NumWords(ticks)
-	if w < c.SentenceLen {
-		return 0
+// Rank returns the encrypted char of an event: 'a'+i for its last position i
+// in the alphabet, or UnknownChar for an event outside it. Alphabets are tiny
+// — the paper's average 2.07 events, at most 7 — so the scan beats hashing
+// the event string.
+func Rank[E string | []byte](alphabet []string, event E) byte {
+	for i := len(alphabet) - 1; i >= 0; i-- {
+		if alphabet[i] == string(event) {
+			return byte('a' + i)
+		}
 	}
-	return (w-c.SentenceLen)/c.SentenceStride + 1
+	return UnknownChar
 }
 
 // Encrypt maps each event to a character by alphanumeric rank within the
-// training alphabet: the i-th distinct event becomes 'a'+i. Events outside
-// the alphabet become UnknownChar. Alphabets longer than 26 extend into
-// subsequent ASCII; sensors in this domain have single-digit cardinality
-// (paper: mean 2.07, max 7). The alphabet must hold at most MaxAlphabet
-// events — Build rejects anything larger — or ranks would wrap and collide.
+// training alphabet (see Rank): the i-th distinct event becomes 'a'+i and
+// events outside the alphabet become UnknownChar. Alphabets longer than 26
+// extend into subsequent ASCII; sensors in this domain have single-digit
+// cardinality (paper: mean 2.07, max 7). The alphabet must hold at most
+// MaxAlphabet events — Build rejects anything larger — or ranks would wrap
+// and collide.
 func Encrypt(events []string, alphabet []string) []byte {
-	rank := make(map[string]byte, len(alphabet))
-	for i, e := range alphabet {
-		rank[e] = byte('a' + i)
-	}
 	out := make([]byte, len(events))
 	for i, e := range events {
-		if ch, ok := rank[e]; ok {
-			out[i] = ch
-		} else {
-			out[i] = UnknownChar
-		}
+		out[i] = Rank(alphabet, e)
 	}
 	return out
 }
 
-// Words slides a WordLen window with WordStride over the encrypted
-// characters.
-func (c Config) Words(chars []byte) []string {
-	n := c.NumWords(len(chars))
-	out := make([]string, 0, n)
-	for i := 0; i+c.WordLen <= len(chars); i += c.WordStride {
-		out = append(out, string(chars[i:i+c.WordLen]))
+// words is the sensor language's one word window: it slides a WordLen window
+// with WordStride over one sentence window of chars and encodes each word
+// with id into dst's storage, returning the ids.
+//
+//mdes:noalloc
+func (c Config) words(dst []int, window []byte, id func(word []byte) int) []int {
+	ids := dst[:0]
+	for j := 0; j+c.WordLen <= len(window); j += c.WordStride {
+		ids = append(ids, id(window[j:j+c.WordLen]))
 	}
-	return out
+	return ids
 }
 
-// Sentences slides a SentenceLen window with SentenceStride over words.
-func (c Config) Sentences(words []string) [][]string {
-	var out [][]string
-	for i := 0; i+c.SentenceLen <= len(words); i += c.SentenceStride {
-		sent := make([]string, c.SentenceLen)
-		copy(sent, words[i:i+c.SentenceLen])
-		out = append(out, sent)
+// sentences encodes every sentence window of chars with id into one slab.
+func (c Config) sentences(chars []byte, id func(word []byte) int) [][]int {
+	n, span, stride := c.NumSentences(len(chars)), c.Span(), c.Stride()
+	slab := make([]int, n*c.SentenceLen)
+	out := make([][]int, n)
+	for i := range out {
+		slot := slab[i*c.SentenceLen : (i+1)*c.SentenceLen : (i+1)*c.SentenceLen]
+		out[i] = c.words(slot, chars[i*stride:i*stride+span], id)
 	}
 	return out
 }
@@ -151,39 +158,6 @@ func (c Config) Sentences(words []string) [][]string {
 type Vocab struct {
 	words []string       // id -> word; ids 0..2 reserved
 	index map[string]int // word -> id
-}
-
-// BuildVocab collects the distinct words of the training sentences, keeps at
-// most maxVocab of them by descending frequency (ties lexicographic), and
-// assigns ids deterministically.
-func BuildVocab(sentences [][]string, maxVocab int) *Vocab {
-	freq := make(map[string]int)
-	for _, sent := range sentences {
-		for _, w := range sent {
-			freq[w]++
-		}
-	}
-	words := make([]string, 0, len(freq))
-	for w := range freq {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(i, j int) bool {
-		if freq[words[i]] != freq[words[j]] {
-			return freq[words[i]] > freq[words[j]]
-		}
-		return words[i] < words[j]
-	})
-	if maxVocab > 0 && len(words) > maxVocab {
-		words = words[:maxVocab]
-	}
-	v := &Vocab{
-		words: append([]string{UnkWord, BosWord, EosWord}, words...),
-		index: make(map[string]int, len(words)+numReserved),
-	}
-	for id, w := range v.words {
-		v.index[w] = id
-	}
-	return v
 }
 
 // VocabFromWords rebuilds a vocabulary from real words in id order (as
@@ -205,18 +179,10 @@ func (v *Vocab) Size() int { return len(v.words) }
 // WordCount returns the number of real (non-reserved) words.
 func (v *Vocab) WordCount() int { return len(v.words) - numReserved }
 
-// ID returns the id of a word, or UnkID if absent.
-func (v *Vocab) ID(word string) int {
-	if id, ok := v.index[word]; ok {
-		return id
-	}
-	return UnkID
-}
-
-// IDBytes is ID for a word spelled as raw encrypted characters. The compiler
-// elides the []byte→string conversion inside the map lookup, so this is the
-// allocation-free twin of ID used by streaming hot paths that window a reused
-// character buffer instead of materialising word strings.
+// IDBytes returns the id of a word spelled as raw encrypted characters, or
+// UnkID if absent. The compiler elides the []byte→string conversion inside
+// the map lookup, so encoding a window of a reused character buffer
+// allocates nothing.
 func (v *Vocab) IDBytes(word []byte) int {
 	if id, ok := v.index[string(word)]; ok {
 		return id
@@ -230,33 +196,6 @@ func (v *Vocab) Word(id int) string {
 		return UnkWord
 	}
 	return v.words[id]
-}
-
-// Encode maps a sentence to token ids.
-func (v *Vocab) Encode(sentence []string) []int {
-	out := make([]int, len(sentence))
-	for i, w := range sentence {
-		out[i] = v.ID(w)
-	}
-	return out
-}
-
-// EncodeAll maps sentences to token id sequences.
-func (v *Vocab) EncodeAll(sentences [][]string) [][]int {
-	out := make([][]int, len(sentences))
-	for i, s := range sentences {
-		out[i] = v.Encode(s)
-	}
-	return out
-}
-
-// Decode maps token ids back to words.
-func (v *Vocab) Decode(ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = v.Word(id)
-	}
-	return out
 }
 
 // Language is one sensor's trained language: its event alphabet, vocabulary,
@@ -273,24 +212,84 @@ var ErrTooShort = errors.New("lang: sequence too short for one sentence")
 
 // Build learns a sensor language from its training sequence.
 func Build(seq seqio.Sequence, cfg Config) (*Language, error) {
+	l, _, _, err := Learn(seq, cfg)
+	return l, err
+}
+
+// Learn is Build that also returns what it encoded on the way: the training
+// sequence's encrypted chars and its sentences, exactly as SentencesFor
+// would encode them, so a trainer encrypts each sequence once.
+//
+// The vocabulary is the words of the sentence windows, counted per window
+// (overlapping windows count a shared word once each), kept by descending
+// frequency (ties lexicographic) up to MaxVocab, with ids in that order.
+func Learn(seq seqio.Sequence, cfg Config) (l *Language, chars []byte, sentences [][]int, err error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if cfg.NumSentences(len(seq.Events)) == 0 {
-		return nil, fmt.Errorf("%w: sensor %q has %d ticks", ErrTooShort, seq.Sensor, len(seq.Events))
+		return nil, nil, nil, fmt.Errorf("%w: sensor %q has %d ticks", ErrTooShort, seq.Sensor, len(seq.Events))
 	}
 	alphabet := seq.Alphabet()
 	if len(alphabet) > MaxAlphabet {
-		return nil, fmt.Errorf("%w: sensor %q has %d distinct events, max %d",
+		return nil, nil, nil, fmt.Errorf("%w: sensor %q has %d distinct events, max %d",
 			ErrAlphabetTooLarge, seq.Sensor, len(alphabet), MaxAlphabet)
 	}
-	sentences := cfg.Sentences(cfg.Words(Encrypt(seq.Events, alphabet)))
-	return &Language{
-		Sensor:   seq.Sensor,
-		Alphabet: alphabet,
-		Vocab:    BuildVocab(sentences, cfg.MaxVocab),
-		Config:   cfg,
-	}, nil
+	chars = Encrypt(seq.Events, alphabet)
+
+	// Number the words by first sight, counting them, then renumber the
+	// encoded sentences into vocabulary order.
+	seen := make(map[string]int)
+	var words []string
+	var freq []int
+	sentences = cfg.sentences(chars, func(word []byte) int {
+		n, ok := seen[string(word)]
+		if !ok {
+			n = len(words)
+			words = append(words, string(word))
+			freq = append(freq, 0)
+			seen[words[n]] = n
+		}
+		freq[n]++
+		return n
+	})
+	order := make([]int, len(words)) // vocabulary position -> first-sight number
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if freq[a] != freq[b] {
+			return freq[a] > freq[b]
+		}
+		return words[a] < words[b]
+	})
+	if cfg.MaxVocab > 0 && len(order) > cfg.MaxVocab {
+		order = order[:cfg.MaxVocab]
+	}
+	id := make([]int, len(words)) // first-sight number -> id; UnkID past the cap
+	kept := make([]string, len(order))
+	for pos, n := range order {
+		id[n] = numReserved + pos
+		kept[pos] = words[n]
+	}
+	for _, sent := range sentences {
+		for j, n := range sent {
+			sent[j] = id[n]
+		}
+	}
+	l = &Language{Sensor: seq.Sensor, Alphabet: alphabet, Vocab: VocabFromWords(kept), Config: cfg}
+	return l, chars, sentences, nil
+}
+
+// Sentence encodes one sentence window of encrypted chars — Config.Span() of
+// them — into dst's storage and returns it: one id per word, <unk> for words
+// outside the vocabulary. It is the one chars → word-id encoder: offline
+// encoding, training and live streams all go through it.
+//
+//mdes:noalloc
+func (l *Language) Sentence(dst []int, window []byte) []int {
+	return l.Config.words(dst, window, l.Vocab.IDBytes)
 }
 
 // SentencesFor converts any aligned sequence of the same sensor (train, dev,
@@ -300,8 +299,7 @@ func (l *Language) SentencesFor(seq seqio.Sequence) ([][]int, error) {
 	if cnt := l.Config.NumSentences(len(seq.Events)); cnt == 0 {
 		return nil, fmt.Errorf("%w: sensor %q has %d ticks", ErrTooShort, seq.Sensor, len(seq.Events))
 	}
-	raw := l.Config.Sentences(l.Config.Words(Encrypt(seq.Events, l.Alphabet)))
-	return l.Vocab.EncodeAll(raw), nil
+	return l.Config.sentences(Encrypt(seq.Events, l.Alphabet), l.Vocab.IDBytes), nil
 }
 
 // VocabularySize reports the number of distinct real words — Fig 3(b)'s

@@ -3,12 +3,98 @@ package lang
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"mdes/internal/seqio"
 )
+
+// The string pipeline below is the paper's sensor language spelled out step
+// by step — chars → word strings → sentences of words → ids — and the
+// reference Build, SentencesFor and Sentence are held to.
+
+// numWords returns how many words a sequence of `ticks` events yields.
+func numWords(c Config, ticks int) int {
+	if ticks < c.WordLen {
+		return 0
+	}
+	return (ticks-c.WordLen)/c.WordStride + 1
+}
+
+// refWords slides a WordLen window with WordStride over the chars.
+func refWords(c Config, chars []byte) []string {
+	var out []string
+	for i := 0; i+c.WordLen <= len(chars); i += c.WordStride {
+		out = append(out, string(chars[i:i+c.WordLen]))
+	}
+	return out
+}
+
+// refSentences slides a SentenceLen window with SentenceStride over words.
+func refSentences(c Config, words []string) [][]string {
+	var out [][]string
+	for i := 0; i+c.SentenceLen <= len(words); i += c.SentenceStride {
+		out = append(out, append([]string(nil), words[i:i+c.SentenceLen]...))
+	}
+	return out
+}
+
+// refVocab collects the distinct words of the sentences, keeps at most
+// maxVocab of them by descending frequency (ties lexicographic), and
+// assigns ids in that order.
+func refVocab(sentences [][]string, maxVocab int) *Vocab {
+	freq := make(map[string]int)
+	for _, sent := range sentences {
+		for _, w := range sent {
+			freq[w]++
+		}
+	}
+	words := make([]string, 0, len(freq))
+	for w := range freq {
+		words = append(words, w)
+	}
+	sort.Slice(words, func(i, j int) bool {
+		if freq[words[i]] != freq[words[j]] {
+			return freq[words[i]] > freq[words[j]]
+		}
+		return words[i] < words[j]
+	})
+	if maxVocab > 0 && len(words) > maxVocab {
+		words = words[:maxVocab]
+	}
+	return VocabFromWords(words)
+}
+
+// refID returns the id of a word, or UnkID if absent.
+func refID(v *Vocab, word string) int {
+	if id, ok := v.index[word]; ok {
+		return id
+	}
+	return UnkID
+}
+
+// refEncode maps sentences of words to id sequences.
+func refEncode(v *Vocab, sentences [][]string) [][]int {
+	out := make([][]int, len(sentences))
+	for i, sent := range sentences {
+		out[i] = make([]int, len(sent))
+		for j, w := range sent {
+			out[i][j] = refID(v, w)
+		}
+	}
+	return out
+}
+
+// refLanguage is Build by the string pipeline: the vocabulary and the
+// training sentences' ids.
+func refLanguage(events, alphabet []string, cfg Config) (*Vocab, [][]int) {
+	sents := refSentences(cfg, refWords(cfg, Encrypt(events, alphabet)))
+	v := refVocab(sents, cfg.MaxVocab)
+	return v, refEncode(v, sents)
+}
 
 func TestConfigValidate(t *testing.T) {
 	good := Config{WordLen: 3, WordStride: 1, SentenceLen: 2, SentenceStride: 1}
@@ -41,7 +127,7 @@ func TestPaperConfigs(t *testing.T) {
 	// Paper arithmetic: 1440 chars/day, sentence window 20 with stride 20
 	// and word stride 1 → 72 sentences/day... verified over one day:
 	day := 1440
-	if got := p.NumWords(day); got != 1431 {
+	if got := numWords(p, day); got != 1431 {
 		t.Fatalf("NumWords(1440) = %d, want 1431", got)
 	}
 	if got := p.NumSentences(day); got != 71 {
@@ -68,37 +154,55 @@ func TestEncryptUnknownEvent(t *testing.T) {
 	}
 }
 
+// decode maps ids back to words.
+func decode(v *Vocab, ids []int) string {
+	words := make([]string, len(ids))
+	for i, id := range ids {
+		words[i] = v.Word(id)
+	}
+	return strings.Join(words, ",")
+}
+
 func TestWordsSlidingWindow(t *testing.T) {
-	cfg := Config{WordLen: 3, WordStride: 1, SentenceLen: 2, SentenceStride: 1}
-	words := cfg.Words([]byte("abcde"))
-	want := []string{"abc", "bcd", "cde"}
-	if strings.Join(words, ",") != strings.Join(want, ",") {
-		t.Fatalf("Words = %v, want %v", words, want)
+	l := &Language{
+		Vocab:  VocabFromWords([]string{"abc", "bcd", "cde"}),
+		Config: Config{WordLen: 3, WordStride: 1, SentenceLen: 3, SentenceStride: 1},
 	}
-	cfg.WordStride = 2
-	words = cfg.Words([]byte("abcdef"))
-	want = []string{"abc", "cde"}
-	if strings.Join(words, ",") != strings.Join(want, ",") {
-		t.Fatalf("strided Words = %v, want %v", words, want)
+	if got := decode(l.Vocab, l.Sentence(nil, []byte("abcde"))); got != "abc,bcd,cde" {
+		t.Fatalf("Sentence words = %s, want abc,bcd,cde", got)
 	}
-	if got := cfg.Words([]byte("ab")); len(got) != 0 {
-		t.Fatalf("too-short input produced words: %v", got)
+	l.Config.WordStride, l.Config.SentenceLen = 2, 2
+	if got := decode(l.Vocab, l.Sentence(nil, []byte("abcdef"))); got != "abc,cde" {
+		t.Fatalf("strided Sentence words = %s, want abc,cde", got)
+	}
+	if got := l.Sentence(nil, []byte("ab")); len(got) != 0 {
+		t.Fatalf("too-short window produced words: %v", got)
+	}
+	// A word stride past the word length skips the chars between words.
+	l.Config = Config{WordLen: 1, WordStride: 3, SentenceLen: 2, SentenceStride: 1}
+	l.Vocab = VocabFromWords([]string{"a", "d"})
+	if span := l.Config.Span(); span != 4 {
+		t.Fatalf("Span = %d, want 4", span)
+	}
+	if got := decode(l.Vocab, l.Sentence(nil, []byte("abcd"))); got != "a,d" {
+		t.Fatalf("gapped Sentence words = %s, want a,d", got)
 	}
 }
 
 func TestSentencesWindow(t *testing.T) {
 	cfg := Config{WordLen: 1, WordStride: 1, SentenceLen: 2, SentenceStride: 2}
-	sents := cfg.Sentences([]string{"w1", "w2", "w3", "w4", "w5"})
-	if len(sents) != 2 {
-		t.Fatalf("Sentences count = %d, want 2 (no partial sentences)", len(sents))
+	pos := func(word []byte) int { return int(word[0] - 'a') }
+	sents := cfg.sentences([]byte("abcde"), pos)
+	if fmt.Sprint(sents) != "[[0 1] [2 3]]" {
+		t.Fatalf("sentences = %v, want [[0 1] [2 3]] (no partial sentences)", sents)
 	}
-	if sents[1][0] != "w3" || sents[1][1] != "w4" {
-		t.Fatalf("second sentence = %v", sents[1])
+	if got := refSentences(cfg, []string{"w1", "w2", "w3", "w4", "w5"}); fmt.Sprint(got) != "[[w1 w2] [w3 w4]]" {
+		t.Fatalf("reference sentences = %v", got)
 	}
 	// Overlapping sentences with stride 1.
 	cfg.SentenceStride = 1
-	if got := cfg.Sentences([]string{"a", "b", "c"}); len(got) != 2 {
-		t.Fatalf("overlapping sentence count = %d, want 2", len(got))
+	if got := cfg.sentences([]byte("abc"), pos); fmt.Sprint(got) != "[[0 1] [1 2]]" {
+		t.Fatalf("overlapping sentences = %v, want [[0 1] [1 2]]", got)
 	}
 }
 
@@ -115,30 +219,39 @@ func TestNumWordsSentencesMatchGeneration(t *testing.T) {
 		for i := range chars {
 			chars[i] = byte('a' + i%2)
 		}
-		words := cfg.Words(chars)
-		if len(words) != cfg.NumWords(ticks) {
+		words := refWords(cfg, chars)
+		if len(words) != numWords(cfg, ticks) {
 			return false
 		}
-		return len(cfg.Sentences(words)) == cfg.NumSentences(ticks)
+		return len(refSentences(cfg, words)) == cfg.NumSentences(ticks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// vocabSeq is a one-char-word training sequence whose chars occur with the
+// frequencies c:3, a:2, d:2, b:1 (alphabet mid, off, on, up → a, b, c, d).
+var vocabSeq = seqio.Sequence{Sensor: "s", Events: []string{"on", "mid", "on", "up", "off", "mid", "up", "on"}}
+
 func TestBuildVocabReservedAndOrder(t *testing.T) {
-	sents := [][]string{{"aa", "bb", "aa"}, {"cc", "aa"}}
-	v := BuildVocab(sents, 0)
-	if v.Size() != 6 || v.WordCount() != 3 {
+	cfg := Config{WordLen: 1, WordStride: 1, SentenceLen: 1, SentenceStride: 1}
+	l, err := Build(vocabSeq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := l.Vocab
+	if v.Size() != 7 || v.WordCount() != 4 {
 		t.Fatalf("vocab size = %d/%d", v.Size(), v.WordCount())
 	}
-	if v.ID(UnkWord) != UnkID || v.ID(BosWord) != BosID || v.ID(EosWord) != EosID {
+	if refID(v, UnkWord) != UnkID || refID(v, BosWord) != BosID || refID(v, EosWord) != EosID {
 		t.Fatal("reserved ids wrong")
 	}
-	if v.ID("aa") != 3 { // most frequent word gets the first real id
-		t.Fatalf("ID(aa) = %d, want 3", v.ID("aa"))
+	// Descending frequency, ties lexicographic: c, then a before d, then b.
+	if got := decode(v, []int{3, 4, 5, 6}); got != "c,a,d,b" {
+		t.Fatalf("vocabulary order = %s, want c,a,d,b", got)
 	}
-	if v.ID("zz") != UnkID {
+	if v.IDBytes([]byte("zz")) != UnkID {
 		t.Fatal("unknown word must map to UnkID")
 	}
 	if v.Word(99) != UnkWord || v.Word(-1) != UnkWord {
@@ -147,30 +260,37 @@ func TestBuildVocabReservedAndOrder(t *testing.T) {
 }
 
 func TestBuildVocabCap(t *testing.T) {
-	sents := [][]string{{"a", "a", "a", "b", "b", "c"}}
-	v := BuildVocab(sents, 2)
+	cfg := Config{WordLen: 1, WordStride: 1, SentenceLen: 1, SentenceStride: 1, MaxVocab: 2}
+	l, _, sents, err := Learn(vocabSeq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := l.Vocab
 	if v.WordCount() != 2 {
 		t.Fatalf("capped WordCount = %d, want 2", v.WordCount())
 	}
-	if v.ID("a") == UnkID || v.ID("b") == UnkID {
+	if v.IDBytes([]byte("c")) == UnkID || v.IDBytes([]byte("a")) == UnkID {
 		t.Fatal("top-frequency words must survive the cap")
 	}
-	if v.ID("c") != UnkID {
-		t.Fatal("capped-out word must be <unk>")
+	if v.IDBytes([]byte("d")) != UnkID || v.IDBytes([]byte("b")) != UnkID {
+		t.Fatal("capped-out words must be <unk>")
+	}
+	// Learn's training sentences encode the capped-out words as <unk> too.
+	if fmt.Sprint(sents) != "[[3] [4] [3] [0] [0] [4] [0] [3]]" {
+		t.Fatalf("Learn sentences = %v", sents)
 	}
 }
 
 func TestVocabEncodeDecodeRoundTrip(t *testing.T) {
-	sents := [][]string{{"x", "y"}, {"y", "z"}}
-	v := BuildVocab(sents, 0)
-	ids := v.Encode([]string{"x", "z", "missing"})
-	back := v.Decode(ids)
-	if back[0] != "x" || back[1] != "z" || back[2] != UnkWord {
-		t.Fatalf("Decode = %v", back)
+	l := &Language{
+		Vocab:  VocabFromWords([]string{"x", "y", "z"}),
+		Config: Config{WordLen: 1, WordStride: 1, SentenceLen: 3, SentenceStride: 1},
 	}
-	all := v.EncodeAll(sents)
-	if len(all) != 2 || len(all[0]) != 2 {
-		t.Fatalf("EncodeAll shape wrong: %v", all)
+	if got := decode(l.Vocab, l.Sentence(nil, []byte("xz?"))); got != "x,z,"+UnkWord {
+		t.Fatalf("decoded Sentence = %s", got)
+	}
+	if got := refEncode(l.Vocab, [][]string{{"x", "y"}, {"y", "z"}}); fmt.Sprint(got) != "[[3 4] [4 5]]" {
+		t.Fatalf("reference encoding = %v", got)
 	}
 }
 
@@ -285,7 +405,7 @@ func TestAlignedSentenceCountsQuick(t *testing.T) {
 func TestIDBytesMatchesIDAndDoesNotAllocate(t *testing.T) {
 	v := VocabFromWords([]string{"abca", "bcab", "cabc"})
 	for _, w := range []string{"abca", "bcab", "cabc", "zzzz", ""} {
-		if got, want := v.IDBytes([]byte(w)), v.ID(w); got != want {
+		if got, want := v.IDBytes([]byte(w)), refID(v, w); got != want {
 			t.Fatalf("IDBytes(%q) = %d, ID = %d", w, got, want)
 		}
 	}
@@ -299,6 +419,12 @@ func TestIDBytesMatchesIDAndDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("IDBytes allocates %v per call, want 0", allocs)
+	}
+	// Nor does Sentence encoding a window into a buffer with room.
+	l := &Language{Vocab: v, Config: Config{WordLen: 4, WordStride: 1, SentenceLen: 3, SentenceStride: 1}}
+	window, dst := []byte("bcabca"), make([]int, 0, 3)
+	if allocs := testing.AllocsPerRun(100, func() { dst = l.Sentence(dst, window) }); allocs != 0 {
+		t.Fatalf("Sentence allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -336,4 +462,92 @@ func TestBuildAlphabetBound(t *testing.T) {
 	if _, err := Build(mkSeq(MaxAlphabet+1), cfg); !errors.Is(err, ErrAlphabetTooLarge) {
 		t.Fatalf("Build past the boundary: err = %v, want ErrAlphabetTooLarge", err)
 	}
+}
+
+// FuzzSentences holds the one chars → ids encoder to the string pipeline:
+// over a fuzzed alphabet (1 to MaxAlphabet events), configuration and event
+// sequence, with test events outside the alphabet, Build's vocabulary (words
+// and ids) and Learn's chars and sentences equal the reference's, and
+// SentencesFor and Sentence encode every sequence exactly as refEncode
+// does, into NumSentences sentences.
+func FuzzSentences(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(1), uint8(4), uint8(2), uint8(0), []byte("\x00\x01\x01\x00\x02\x00\x01\x01\x00\x01\x03\x00"))
+	f.Add(uint8(3), uint8(1), uint8(3), uint8(2), uint8(1), uint8(2), []byte("\x00\x01\x02\x02\x01\x00\x04\x01\x02\x00"))
+	f.Add(uint8(200), uint8(12), uint8(2), uint8(3), uint8(3), uint8(5), []byte("\x07\x10\x9f\xa0\xa1\x03"))
+	f.Fuzz(func(t *testing.T, alpha, wl, ws, sl, ss, maxVocab uint8, data []byte) {
+		cfg := Config{
+			WordLen:        int(wl)%12 + 1,
+			WordStride:     int(ws)%6 + 1,
+			SentenceLen:    int(sl)%8 + 1,
+			SentenceStride: int(ss)%8 + 1,
+			MaxVocab:       int(maxVocab) % 8,
+		}
+		// Events e000.. sort in index order; the training sequence holds
+		// each of the n once, then the data's. The test sequence also
+		// draws from two events outside the alphabet.
+		n := int(alpha)%MaxAlphabet + 1
+		event := func(i int) string {
+			switch i - n {
+			case 0:
+				return string(UnknownChar)
+			case 1:
+				return "zz"
+			}
+			return fmt.Sprintf("e%03d", i)
+		}
+		var train, test []string
+		for i := 0; i < n; i++ {
+			train = append(train, event(i))
+		}
+		for _, b := range data {
+			train = append(train, event(int(b)%n))
+			test = append(test, event(int(b)%(n+2)))
+		}
+
+		l, chars, sents, err := Learn(seqio.Sequence{Sensor: "s", Events: train}, cfg)
+		if cfg.NumSentences(len(train)) == 0 {
+			if !errors.Is(err, ErrTooShort) {
+				t.Fatalf("%+v: %d training ticks: err = %v, want ErrTooShort", cfg, len(train), err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantVocab, wantSents := refLanguage(train, l.Alphabet, cfg)
+		if !reflect.DeepEqual(l.Vocab.words, wantVocab.words) {
+			t.Fatalf("%+v: vocabulary %q, reference %q", cfg, l.Vocab.words, wantVocab.words)
+		}
+		if want := Encrypt(train, l.Alphabet); string(chars) != string(want) {
+			t.Fatalf("%+v: Learn chars %q, Encrypt %q", cfg, chars, want)
+		}
+		if !reflect.DeepEqual(sents, wantSents) {
+			t.Fatalf("%+v: Learn sentences %v, reference %v", cfg, sents, wantSents)
+		}
+
+		for _, events := range [][]string{train, test} {
+			chars := Encrypt(events, l.Alphabet)
+			want := refEncode(l.Vocab, refSentences(cfg, refWords(cfg, chars)))
+			if len(want) != cfg.NumSentences(len(events)) {
+				t.Fatalf("%+v: reference has %d sentences over %d ticks, NumSentences %d", cfg, len(want), len(events), cfg.NumSentences(len(events)))
+			}
+			got, err := l.SentencesFor(seqio.Sequence{Sensor: "s", Events: events})
+			if len(want) == 0 {
+				if !errors.Is(err, ErrTooShort) {
+					t.Fatalf("%+v: %d ticks: err = %v, want ErrTooShort", cfg, len(events), err)
+				}
+				continue
+			}
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: SentencesFor %v (err %v), reference %v", cfg, got, err, want)
+			}
+			var dst []int
+			for i, sent := range want {
+				dst = l.Sentence(dst, chars[i*cfg.Stride():i*cfg.Stride()+cfg.Span()])
+				if !reflect.DeepEqual(dst, sent) {
+					t.Fatalf("%+v: Sentence %d = %v, reference %v", cfg, i, dst, sent)
+				}
+			}
+		}
+	})
 }

@@ -500,18 +500,12 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue // blank lines separate nothing
 		}
-		tick, plain, err := decodeTick(line, sess.row)
-		if err != nil {
+		if err := decodeTick(line, sess.row); err != nil {
 			s.met.tickErrors.Add(1)
 			fail(http.StatusBadRequest, fmt.Sprintf("tick %d: %v", sess.stream.Ticks(), err))
 			return
 		}
-		var p *mdes.Point
-		if plain {
-			p, err = sess.stream.PushRow(sess.row)
-		} else {
-			p, err = sess.stream.Push(tick)
-		}
+		p, err := sess.stream.PushRow(sess.row)
 		if err != nil {
 			// Degraded mode: a scoring deadline miss or missing pair model
 			// answers the tick with the last valid score instead of stalling
@@ -563,7 +557,8 @@ func (s *Server) classifyDegraded(err error) bool {
 }
 
 // handleSession is GET /v1/streams/{tenant}: the live session's counters, or
-// the snapshotted ones for a tenant currently evicted to disk.
+// for a tenant with no resident session the counters of the state its next
+// tick would restore (its snapshot, or a fresher standby copy held here).
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	if _, ok := s.clusterGate(w, r, tenant, cluster.Read); !ok {
@@ -577,9 +572,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.opts.SnapshotDir != "" {
-		snap, ok, err := s.loadSnapshotNoted(tenant)
+		snap, ok, _, err := s.stored(tenant, true)
 		if err != nil {
-			s.met.snapshotLoadErrors.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -592,8 +586,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 				Degraded: snap.Degraded,
 			}
 			if model, found := s.opts.Models[snap.Model]; found {
-				lc := model.Config().Language
-				info.SentenceSpan = lc.WordLen + (lc.SentenceLen-1)*lc.WordStride
+				info.SentenceSpan = model.Config().Language.Span()
 			}
 			writeJSON(w, info)
 			return

@@ -469,6 +469,51 @@ func TestDeleteAfterDrainStartsFresh(t *testing.T) {
 	}
 }
 
+// TestSessionReadsStandbyCopy: GET /v1/streams/{tenant} reports the state
+// the tenant's next tick would restore. With no session and no snapshot on
+// the owner, that is a standby copy the owner holds; the GET must report
+// its ticks, not 404, and the next tick must resume from it.
+func TestSessionReadsStandbyCopy(t *testing.T) {
+	tc := standbyCluster(t, 3)
+	tenant := tc.tenantOwnedBy(0, "getcopy")
+	p := tc.standbyIdx(tenant)
+	ds := coupledDataset(rand.New(rand.NewSource(61)), 25)
+	at := &Client{BaseURL: tc.urls[0], Retry: RetryPolicy{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond}}
+	if _, err := at.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 24)); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := cluster.EncodeHandoff(waitStandbyCopy(t, tc, p, tc.urls[0], tenant, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// End the owner's session and snapshot, then leave it a 24-tick copy —
+	// held for another owner, as a standby of that owner's tenants holds it.
+	if err := at.EndSession(context.Background(), tenant); err != nil {
+		t.Fatal(err)
+	}
+	owner := tc.srvs[0]
+	if err := saveStandbyFrame(owner.files, owner.opts.StandbyDir, tc.urls[p], tenant, frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := owner.loadSnapshotNoted(tenant); ok || err != nil || owner.reg.get(tenant) != nil {
+		t.Fatalf("the owner still has a snapshot (%v, err %v) or a session", ok, err)
+	}
+
+	info, err := at.Session(context.Background(), tenant)
+	if err != nil {
+		t.Fatalf("GET with only a standby copy: %v", err)
+	}
+	if info.Ticks != 24 || info.SentenceSpan != testModel(t).Config().Language.Span() {
+		t.Fatalf("GET reports %d ticks, span %d; want the copy's 24 ticks", info.Ticks, info.SentenceSpan)
+	}
+	if _, err := at.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 24, 25)); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := at.Session(context.Background(), tenant); err != nil || info.Ticks != 25 {
+		t.Fatalf("after one more tick the owner is at %d ticks (err %v), want 25", info.Ticks, err)
+	}
+}
+
 // TestStandbyNoCopyStays503: a tenant whose owner is down but whose standby
 // copy never arrived must NOT be fresh-started by the successor — it answers
 // retryable until the owner returns. Silent fresh starts would fork the

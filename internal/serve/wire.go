@@ -416,17 +416,24 @@ func tickScanner(r io.Reader) *bufio.Scanner {
 }
 
 // decodeTick parses one non-blank NDJSON tick line, which must be a flat
-// JSON object mapping sensor names to event strings. A plain line (see
-// decodePlainRow) lands in row and plain is true; any other line is decoded
-// by encoding/json into tick, so what is accepted, what is rejected and every
-// decoded byte are exactly encoding/json's (FuzzWireDecode holds the two
-// paths together).
-func decodeTick(line []byte, row *mdes.Row) (tick map[string]string, plain bool, err error) {
+// JSON object mapping sensor names to event strings, into row. A plain line
+// (see decodePlainRow) is read straight from its bytes; any other line is
+// decoded by encoding/json and its map set into row, so what is accepted,
+// what is rejected and every decoded byte are exactly encoding/json's
+// (FuzzWireDecode holds the two paths together).
+func decodeTick(line []byte, row *mdes.Row) error {
 	if decodePlainRow(line, row) {
-		return nil, true, nil
+		return nil
 	}
-	err = json.Unmarshal(line, &tick)
-	return tick, false, err
+	var tick map[string]string
+	if err := json.Unmarshal(line, &tick); err != nil {
+		return err
+	}
+	row.Reset()
+	for sensor, event := range tick {
+		row.Set([]byte(sensor), []byte(event))
+	}
+	return nil
 }
 
 // decodePlainRow is the reflection-free decoder for the wire shape the

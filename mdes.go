@@ -326,11 +326,13 @@ func (f *Framework) TrainWithOptions(ctx context.Context, train, dev *seqio.Data
 		dropped:   dropped,
 	}
 
-	// Build per-sensor languages and encode both splits.
+	// Build per-sensor languages and encode both splits; the training
+	// split is encrypted once, for its language, its sentences and screening.
+	trainChars := make(map[string][]byte, len(filtered.Sequences))
 	trainSents := make(map[string][][]int, len(filtered.Sequences))
 	devSents := make(map[string][][]int, len(filtered.Sequences))
 	for _, seq := range filtered.Sequences {
-		l, err := lang.Build(seq, f.cfg.Language)
+		l, chars, ts, err := lang.Learn(seq, f.cfg.Language)
 		if err != nil {
 			return nil, fmt.Errorf("mdes: sensor %q: %w", seq.Sensor, err)
 		}
@@ -338,15 +340,12 @@ func (f *Framework) TrainWithOptions(ctx context.Context, train, dev *seqio.Data
 		if !ok {
 			return nil, fmt.Errorf("%w: %q missing from dev", ErrMisaligned, seq.Sensor)
 		}
-		ts, err := l.SentencesFor(seq)
-		if err != nil {
-			return nil, fmt.Errorf("mdes: sensor %q train sentences: %w", seq.Sensor, err)
-		}
 		ds, err := l.SentencesFor(devSeq)
 		if err != nil {
 			return nil, fmt.Errorf("mdes: sensor %q dev sentences: %w", seq.Sensor, err)
 		}
 		m.languages[seq.Sensor] = l
+		trainChars[seq.Sensor] = chars
 		trainSents[seq.Sensor] = ts
 		devSents[seq.Sensor] = ds
 	}
@@ -361,10 +360,7 @@ func (f *Framework) TrainWithOptions(ctx context.Context, train, dev *seqio.Data
 	if f.cfg.Screen.Enabled() {
 		screenIn := make([]pairmine.Sensor, 0, len(filtered.Sequences))
 		for _, seq := range filtered.Sequences {
-			screenIn = append(screenIn, pairmine.Sensor{
-				Name:  seq.Sensor,
-				Chars: lang.Encrypt(seq.Events, m.languages[seq.Sensor].Alphabet),
-			})
+			screenIn = append(screenIn, pairmine.Sensor{Name: seq.Sensor, Chars: trainChars[seq.Sensor]})
 		}
 		res, err := pairmine.Screen(ctx, screenIn, f.cfg.Screen, f.cfg.Workers)
 		if err != nil {

@@ -405,10 +405,7 @@ func (m *Model) RestoreStream(snap StreamSnapshot) (*Stream, error) {
 	if snap.Ticks < 0 {
 		return nil, fmt.Errorf("mdes: restore stream: negative tick count %d", snap.Ticks)
 	}
-	wantLen := snap.Ticks
-	if wantLen > s.span {
-		wantLen = s.span
-	}
+	wantLen := min(snap.Ticks, s.span)
 	if len(snap.Windows) != len(s.lay.names) {
 		return nil, fmt.Errorf("mdes: restore stream: snapshot has %d sensors, model has %d", len(snap.Windows), len(s.lay.names))
 	}
@@ -422,14 +419,10 @@ func (m *Model) RestoreStream(snap StreamSnapshot) (*Stream, error) {
 		}
 		slot := s.win[(i+1)*s.span-wantLen : (i+1)*s.span]
 		for j, ev := range w {
-			slot[j] = rank(s.lay.langs[i].Alphabet, ev)
+			slot[j] = lang.Rank(s.lay.langs[i].Alphabet, ev)
 		}
 	}
-	wantEmitted := 0
-	if snap.Ticks >= s.span {
-		wantEmitted = (snap.Ticks-s.span)/s.stride + 1
-	}
-	if snap.Emitted != wantEmitted {
+	if wantEmitted := m.cfg.Language.NumSentences(snap.Ticks); snap.Emitted != wantEmitted {
 		return nil, fmt.Errorf("mdes: restore stream: %d points emitted after %d ticks, want %d", snap.Emitted, snap.Ticks, wantEmitted)
 	}
 	s.ticks, s.emitted = snap.Ticks, snap.Emitted

@@ -9,9 +9,7 @@ import (
 
 // sensorLayout is a model's per-sensor layout, built once and shared by every
 // stream and row of the model: sensor i is the i-th modelled sensor in sorted
-// order, and its events rank by a scan of its alphabet. Alphabets are tiny —
-// the paper's average 2.07 events, at most 7 — so the scan beats hashing the
-// event string.
+// order, and its events rank by lang.Rank over its alphabet.
 type sensorLayout struct {
 	names []string
 	index map[string]int
@@ -34,7 +32,7 @@ func (m *Model) layout() *sensorLayout {
 			lay.index[name] = i
 			lay.langs = append(lay.langs, l)
 			unk := string(lang.UnknownChar)
-			for rank(l.Alphabet, unk) != lang.UnknownChar {
+			for lang.Rank(l.Alphabet, unk) != lang.UnknownChar {
 				unk += string(lang.UnknownChar)
 			}
 			lay.unknown = append(lay.unknown, unk)
@@ -50,18 +48,6 @@ func (lay *sensorLayout) event(i int, c byte) string {
 		return lay.unknown[i]
 	}
 	return lay.langs[i].Alphabet[c-'a']
-}
-
-// rank returns the encrypted char of an event: 'a'+i for its last position i
-// in the alphabet (lang.Encrypt keeps the last of a repeated event too), or
-// lang.UnknownChar for an event outside it.
-func rank[E string | []byte](alphabet []string, event E) byte {
-	for i := len(alphabet) - 1; i >= 0; i-- {
-		if alphabet[i] == string(event) {
-			return byte('a' + i)
-		}
-	}
-	return lang.UnknownChar
 }
 
 // Row is one tick laid out by sensor. Set ranks each event into its
@@ -93,7 +79,7 @@ func (r *Row) Set(sensor, event []byte) {
 			return
 		}
 	}
-	r.setRank(i, rank(r.lay.langs[i].Alphabet, event))
+	r.setRank(i, lang.Rank(r.lay.langs[i].Alphabet, event))
 	r.next = i + 1
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mdes/internal/anomaly"
 	"mdes/internal/infer"
+	"mdes/internal/lang"
 )
 
 // Stream is an online detector: it consumes one tick of sensor readings at a
@@ -24,8 +25,8 @@ type Stream struct {
 	rels  []anomaly.Relationship
 	pairs []streamPair // per relationship, resolved once
 
-	span   int // ticks covered by one sentence
-	stride int // ticks between consecutive sentences
+	lc   lang.Config
+	span int // ticks covered by one sentence: lc.Span()
 
 	// win holds each modelled sensor's last span ticks as encrypted chars,
 	// sensor i (in sorted order) at win[i*span:(i+1)*span], oldest first.
@@ -62,20 +63,20 @@ func (m *Model) NewStream() *Stream {
 	det := m.Detector()
 	rels := det.Relationships()
 	lay := m.layout()
-	span := lc.WordLen + (lc.SentenceLen-1)*lc.WordStride
+	span := lc.Span()
 	s := &Stream{
-		model:  m,
-		lay:    lay,
-		det:    det,
-		rels:   rels,
-		pairs:  make([]streamPair, len(rels)),
-		span:   span,
-		stride: lc.SentenceStride * lc.WordStride,
-		win:    make([]byte, len(lay.names)*span),
-		tick:   m.NewRow(),
-		sent:   make([][]int, len(lay.names)),
-		jobs:   make([]ScoreJob, 0, len(rels)),
-		row:    make([]float64, len(rels)),
+		model: m,
+		lay:   lay,
+		det:   det,
+		rels:  rels,
+		pairs: make([]streamPair, len(rels)),
+		lc:    lc,
+		span:  span,
+		win:   make([]byte, len(lay.names)*span),
+		tick:  m.NewRow(),
+		sent:  make([][]int, len(lay.names)),
+		jobs:  make([]ScoreJob, 0, len(rels)),
+		row:   make([]float64, len(rels)),
 	}
 	for i := range s.sent {
 		s.sent[i] = make([]int, 0, lc.SentenceLen)
@@ -154,7 +155,7 @@ func (s *Stream) Push(tick map[string]string) (*Point, error) {
 	r.Reset()
 	for i, name := range s.lay.names {
 		if ev, ok := tick[name]; ok {
-			r.setRank(i, rank(s.lay.langs[i].Alphabet, ev))
+			r.setRank(i, lang.Rank(s.lay.langs[i].Alphabet, ev))
 		}
 	}
 	return s.PushRow(r)
@@ -188,12 +189,16 @@ func (s *Stream) PushRow(r *Row) (*Point, error) {
 	}
 	s.ticks++
 
-	// The first sentence completes at tick == span; subsequent ones every
-	// stride ticks.
-	if s.ticks < s.span || (s.ticks-s.span)%s.stride != 0 {
+	if !s.completed() {
 		return nil, nil
 	}
 	return s.emit()
+}
+
+// completed reports whether the last tick completed a sentence window: the
+// first ends at tick Span(), the next ones every Stride() ticks.
+func (s *Stream) completed() bool {
+	return s.ticks >= s.span && (s.ticks-s.span)%s.lc.Stride() == 0
 }
 
 // emit encodes the current window into one sentence per sensor, scores every
@@ -201,17 +206,8 @@ func (s *Stream) PushRow(r *Row) (*Point, error) {
 //
 //mdes:noalloc
 func (s *Stream) emit() (*Point, error) {
-	lc := s.model.cfg.Language
 	for i, l := range s.lay.langs {
-		// A full window yields exactly SentenceLen words — one sentence —
-		// so the word window encodes straight into token ids without
-		// materialising word strings (IDBytes keeps the lookup alloc-free).
-		chars := s.win[i*s.span : (i+1)*s.span]
-		ids := s.sent[i][:0]
-		for j := 0; j+lc.WordLen <= len(chars); j += lc.WordStride {
-			ids = append(ids, l.Vocab.IDBytes(chars[j:j+lc.WordLen]))
-		}
-		s.sent[i] = ids
+		s.sent[i] = l.Sentence(s.sent[i], s.win[i*s.span:(i+1)*s.span])
 	}
 	if s.quantized != s.model.quantized {
 		s.resolveEngines()
@@ -268,11 +264,9 @@ func (s *Stream) emit() (*Point, error) {
 // Push completed a sentence window but its emit failed; calling it at any
 // other time returns the next point index without consuming it.
 func (s *Stream) SkipEmit() int {
-	if s.ticks >= s.span && (s.ticks-s.span)%s.stride == 0 {
-		if due := (s.ticks-s.span)/s.stride + 1; s.emitted < due {
-			s.emitted++
-			return s.emitted - 1
-		}
+	if s.completed() && s.emitted < s.lc.NumSentences(s.ticks) {
+		s.emitted++
+		return s.emitted - 1
 	}
 	return s.emitted
 }
