@@ -282,7 +282,7 @@ func (r *exRep) copy(k int8) int8 {
 }
 
 // outgoing is the move replica i would ship to dest for tenant k —
-// shipTenants' re-check plus shipTenant's choice of state — and false when
+// shipTenants' re-check plus ship's choice of state — and false when
 // nothing ships; pulled marks an answer to dest's own hello. Announcements
 // pend its ticks, as heldTicks does, so a pend waits for exactly what ships.
 func (c *exStep) outgoing(i, dest, k int8, pulled bool) (exMsg, bool) {
@@ -302,7 +302,7 @@ func (c *exStep) outgoing(i, dest, k int8, pulled bool) (exMsg, bool) {
 	return m, m.ticks >= 0
 }
 
-// ship is shipTenant: freeze the state outgoing picks and send it.
+// ship is serve's ship: freeze the state outgoing picks and send it.
 func (c *exStep) ship(i, dest, k int8, pulled bool) {
 	if m, ok := c.outgoing(i, dest, k, pulled); ok {
 		r := &c.w.r[i]

@@ -138,13 +138,23 @@ type PlantArtifacts struct {
 }
 
 // BuildPlant generates the plant dataset, trains the pairwise models on a
-// representative subset, and runs detection over the test split.
+// representative subset, and runs detection over the test split. A
+// PlantSubset of at least the plant's sensor count keeps every sensor in
+// dataset order: the whole plant goes through language building and
+// screening (Scale.Screen), and only the screened candidates get NMT models.
 func BuildPlant(ctx context.Context, sc Scale) (*PlantArtifacts, error) {
 	ds, gt, err := plantgen.Generate(sc.Plant)
 	if err != nil {
 		return nil, err
 	}
-	subset := pickSubset(ds, gt, sc.PlantSubset)
+	var subset []string
+	if sc.PlantSubset >= len(ds.Sequences) {
+		for _, seq := range ds.Sequences {
+			subset = append(subset, seq.Sensor)
+		}
+	} else {
+		subset = pickSubset(ds, gt, sc.PlantSubset)
+	}
 	sub := &seqio.Dataset{}
 	for _, name := range subset {
 		seq, ok := ds.Find(name)

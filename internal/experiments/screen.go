@@ -52,56 +52,6 @@ func ScreenScale() Scale {
 	}
 }
 
-// BuildScreenedPlant is BuildPlant without the representative-subset
-// shortcut: the whole plant goes through language building and screening,
-// and only the screened candidates get NMT models. Detection then runs over
-// the full-plant test split.
-func BuildScreenedPlant(ctx context.Context, sc Scale) (*PlantArtifacts, error) {
-	ds, gt, err := plantgen.Generate(sc.Plant)
-	if err != nil {
-		return nil, err
-	}
-	trainTicks := sc.TrainDays * sc.Plant.MinutesPerDay
-	devTicks := sc.DevDays * sc.Plant.MinutesPerDay
-	train, dev, tst, err := ds.Split(trainTicks, devTicks)
-	if err != nil {
-		return nil, err
-	}
-
-	cfg := mdes.Config{
-		Language:        sc.PlantLang,
-		NMT:             sc.PlantNMT,
-		Screen:          sc.Screen,
-		ValidRange:      sc.ValidRange(),
-		PopularInDegree: sc.PopularInDegree,
-		Workers:         sc.Workers,
-		Seed:            sc.Seed,
-	}
-	fw, err := mdes.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	model, err := fw.Train(ctx, train, dev)
-	if err != nil {
-		return nil, err
-	}
-	points, err := model.Detect(ctx, tst)
-	if err != nil {
-		return nil, err
-	}
-	subset := make([]string, 0, len(ds.Sequences))
-	for _, seq := range ds.Sequences {
-		subset = append(subset, seq.Sensor)
-	}
-	return &PlantArtifacts{
-		Scale: sc, Config: sc.Plant, Dataset: ds, GT: gt,
-		Subset: subset, Train: train, Dev: dev, Tst: tst,
-		Model: model, Points: points,
-		SentencesPerDay: sc.PlantLang.NumSentences(sc.Plant.MinutesPerDay),
-		TestStartDay:    sc.TrainDays + sc.DevDays + 1,
-	}, nil
-}
-
 // Memoised screen-scale artifacts: the 500-sensor build is the most
 // expensive fixture in the suite, shared by the validation test and the
 // experiment report.
@@ -114,7 +64,7 @@ var (
 // ScreenPlant builds (once) and returns the screen-scale plant artifacts.
 func ScreenPlant() (*PlantArtifacts, error) {
 	screenPlantOnce.Do(func() {
-		screenPlant, screenPlantErr = BuildScreenedPlant(context.Background(), ScreenScale())
+		screenPlant, screenPlantErr = BuildPlant(context.Background(), ScreenScale())
 	})
 	return screenPlant, screenPlantErr
 }

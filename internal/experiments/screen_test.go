@@ -190,7 +190,7 @@ func BenchmarkScreenPairs200(b *testing.B) {
 func BenchmarkScreenedTrainPlant200(b *testing.B) {
 	sc := screenBenchScale()
 	for i := 0; i < b.N; i++ {
-		p, err := BuildScreenedPlant(context.Background(), sc)
+		p, err := BuildPlant(context.Background(), sc)
 		if err != nil {
 			b.Fatal(err)
 		}

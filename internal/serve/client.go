@@ -277,29 +277,25 @@ func drainBody(resp *http.Response) {
 	_ = resp.Body.Close() // response already handled; nothing to report
 }
 
-// PushTicks streams ticks to a tenant's session and returns the detection
-// points emitted for them. Backpressure (429, or 503 with a Retry-After)
-// surfaces as *BusyError and a blown redirect budget as *RedirectError; in
-// both cases the server consumed none of the batch, so callers can back off
-// and resend it. Ownership redirects are followed transparently within the
-// budget.
-func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[string]string) ([]WirePoint, error) {
-	payload := appendTicks(nil, ticks)
+// send issues one tenant-scoped request and returns the response (the caller
+// owns its body) and the replica that answered. It routes by ring, fails
+// over when a connection attempt fails outright, and follows ownership
+// redirects (307) within the budget; a request still redirected when the
+// budget runs out is *RedirectError.
+func (c *Client) send(ctx context.Context, method, tenant, path string, body []byte) (*http.Response, string, error) {
 	base, err := c.baseFor(tenant)
 	if err != nil {
-		return nil, err
-	}
-	path := streamPath(tenant) + "/ticks"
-	if c.Model != "" {
-		path += "?model=" + url.QueryEscape(c.Model)
+		return nil, "", err
 	}
 	target := base + path
 	for hop := 0; ; hop++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
+		if body != nil {
+			req.Header.Set("Content-Type", "application/x-ndjson")
+		}
 		resp, err := c.doNoRedirect(req)
 		if err != nil {
 			// Connection-level failure: nothing was consumed. Route around
@@ -317,50 +313,66 @@ func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[strin
 					continue
 				}
 			}
-			return nil, err
+			return nil, "", err
 		}
-
-		switch {
-		case isRedirect(resp.StatusCode):
-			loc := resp.Header.Get("Location")
-			hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), 0)
-			drainBody(resp)
-			next, err := baseOfLocation(loc)
-			if err != nil {
-				return nil, err
-			}
-			c.noteRedirect()
-			if hop >= c.maxRedirects() {
-				return nil, &RedirectError{Location: loc, RetryAfter: hint, Hops: hop + 1}
-			}
-			base, target = next, loc
-			continue
-
-		case resp.StatusCode == http.StatusTooManyRequests:
-			hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
-			drainBody(resp)
-			return nil, &BusyError{RetryAfter: hint}
-
-		case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
-			// Transient cluster states: draining, owner unreachable, or a
-			// tenant whose handoff is still in flight. No ticks consumed.
-			hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
-			drainBody(resp)
-			return nil, &BusyError{RetryAfter: hint}
-
-		case resp.StatusCode != http.StatusOK:
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			_ = resp.Body.Close() // error text already captured
-			return nil, fmt.Errorf("serve: %s: %s", resp.Status, bytes.TrimSpace(msg))
+		if !isRedirect(resp.StatusCode) {
+			return resp, base, nil
 		}
-
-		points, err := c.decodePoints(resp.Body)
-		_ = resp.Body.Close() // stream fully consumed (or err is the report)
-		if err == nil {
-			c.noteTicks(base, len(ticks))
+		loc := resp.Header.Get("Location")
+		hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), 0)
+		drainBody(resp)
+		next, err := baseOfLocation(loc)
+		if err != nil {
+			return nil, "", err
 		}
-		return points, err
+		c.noteRedirect()
+		if hop >= c.maxRedirects() {
+			return nil, "", &RedirectError{Location: loc, RetryAfter: hint, Hops: hop + 1}
+		}
+		base, target = next, loc
 	}
+}
+
+// PushTicks streams ticks to a tenant's session and returns the detection
+// points emitted for them. Backpressure (429, or 503 with a Retry-After)
+// surfaces as *BusyError and a blown redirect budget as *RedirectError; in
+// both cases the server consumed none of the batch, so callers can back off
+// and resend it. Ownership redirects are followed transparently within the
+// budget.
+func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[string]string) ([]WirePoint, error) {
+	path := streamPath(tenant) + "/ticks"
+	if c.Model != "" {
+		path += "?model=" + url.QueryEscape(c.Model)
+	}
+	resp, replica, err := c.send(ctx, http.MethodPost, tenant, path, appendTicks(nil, ticks))
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
+		hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
+		drainBody(resp)
+		return nil, &BusyError{RetryAfter: hint}
+
+	case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
+		// Transient cluster states: draining, owner unreachable, or a
+		// tenant whose handoff is still in flight. No ticks consumed.
+		hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
+		drainBody(resp)
+		return nil, &BusyError{RetryAfter: hint}
+
+	case resp.StatusCode != http.StatusOK:
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		_ = resp.Body.Close() // error text already captured
+		return nil, fmt.Errorf("serve: %s: %s", resp.Status, bytes.TrimSpace(msg))
+	}
+
+	points, err := c.decodePoints(resp.Body)
+	_ = resp.Body.Close() // stream fully consumed (or err is the report)
+	if err == nil {
+		c.noteTicks(replica, len(ticks))
+	}
+	return points, err
 }
 
 // maxPointLine bounds one NDJSON point line the client reads. A point line
@@ -434,48 +446,6 @@ func (c *Client) PushTicksRetry(ctx context.Context, tenant string, ticks []map[
 	return nil, lastErr
 }
 
-// doTenant performs a bodyless tenant-scoped request, routing by ring and
-// following ownership redirects (with connection failover) within the
-// redirect budget. The caller owns the returned response body.
-func (c *Client) doTenant(ctx context.Context, method, tenant, path string) (*http.Response, error) {
-	base, err := c.baseFor(tenant)
-	if err != nil {
-		return nil, err
-	}
-	target := base + path
-	for hop := 0; ; hop++ {
-		req, err := http.NewRequestWithContext(ctx, method, target, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.doNoRedirect(req)
-		if err != nil {
-			// Same failover rule as PushTicks: bounded by the down list,
-			// not the redirect budget.
-			if ctx.Err() == nil && len(c.Peers) > 0 {
-				c.markDown(base)
-				if alt, ok := c.fallback(tenant, base); ok {
-					base, target = alt, alt+path
-					continue
-				}
-			}
-			return nil, err
-		}
-		if isRedirect(resp.StatusCode) && hop < c.maxRedirects() {
-			loc := resp.Header.Get("Location")
-			drainBody(resp)
-			next, err := baseOfLocation(loc)
-			if err != nil {
-				return nil, err
-			}
-			c.noteRedirect()
-			base, target = next, loc
-			continue
-		}
-		return resp, nil
-	}
-}
-
 // streamPath is a tenant's resource path. The name is escaped into one path
 // segment: the server accepts any name, and one holding '/', '?', '#' or '%'
 // would otherwise address another route or another tenant.
@@ -486,7 +456,7 @@ func streamPath(tenant string) string {
 // Session fetches a tenant's session info (live or snapshotted).
 func (c *Client) Session(ctx context.Context, tenant string) (SessionInfo, error) {
 	var info SessionInfo
-	resp, err := c.doTenant(ctx, http.MethodGet, tenant, streamPath(tenant))
+	resp, _, err := c.send(ctx, http.MethodGet, tenant, streamPath(tenant), nil)
 	if err != nil {
 		return info, err
 	}
@@ -500,7 +470,7 @@ func (c *Client) Session(ctx context.Context, tenant string) (SessionInfo, error
 
 // EndSession deletes a tenant's session and snapshot.
 func (c *Client) EndSession(ctx context.Context, tenant string) error {
-	resp, err := c.doTenant(ctx, http.MethodDelete, tenant, streamPath(tenant))
+	resp, _, err := c.send(ctx, http.MethodDelete, tenant, streamPath(tenant), nil)
 	if err != nil {
 		return err
 	}

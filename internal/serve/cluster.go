@@ -108,10 +108,7 @@ func (s *Server) onPeerChange(peer string, _, to cluster.PeerState) {
 // replication re-seed. Every message is idempotent, so overlapping resyncs
 // converge on the same outcome.
 func (s *Server) resyncPeer(ctx context.Context, peer string) {
-	cn := s.cluster
-	if reply, err := cn.sender.SendUpdate(ctx, peer, cluster.PeerUpdate{Kind: "hello", From: cn.self}); err == nil {
-		s.table.Pend(reply.Tenants, reply.Ticks, time.Now())
-	}
+	s.hello(ctx, peer)
 	if ctx.Err() != nil {
 		return
 	}
@@ -204,14 +201,11 @@ func (s *Server) clusterJoin() {
 		if p == cn.self || cn.ctx.Err() != nil {
 			continue
 		}
-		reply, err := cn.sender.SendUpdate(cn.ctx, p, cluster.PeerUpdate{Kind: "hello", From: cn.self})
-		if err != nil {
-			// Peer down or mid-restart: the prober tracks it, and when it
-			// rejoins its own hello triggers the exchange from its side.
-			continue
+		// A peer down or mid-restart is skipped: the prober tracks it, and
+		// when it rejoins its own hello triggers the exchange from its side.
+		if s.hello(cn.ctx, p) {
+			reached = append(reached, p)
 		}
-		s.table.Pend(reply.Tenants, reply.Ticks, time.Now())
-		reached = append(reached, p)
 	}
 	if cn.ctx.Err() != nil {
 		return
@@ -220,6 +214,18 @@ func (s *Server) clusterJoin() {
 	for _, p := range reached {
 		s.shipHeld(cn.ctx, p)
 	}
+}
+
+// hello greets peer and pends what it holds for this replica; false when
+// the peer did not answer.
+func (s *Server) hello(ctx context.Context, peer string) bool {
+	cn := s.cluster
+	reply, err := cn.sender.SendUpdate(ctx, peer, cluster.PeerUpdate{Kind: "hello", From: cn.self})
+	if err != nil {
+		return false
+	}
+	s.table.Pend(reply.Tenants, reply.Ticks, time.Now())
+	return true
 }
 
 // clusterGate routes a tenant-scoped request with one Table.Route reading:
@@ -265,6 +271,18 @@ func (s *Server) answerRoute(w http.ResponseWriter, r *http.Request, tenant stri
 	http.Error(w, fmt.Sprintf("tenant %q: %s", tenant, rt.Why), http.StatusServiceUnavailable)
 }
 
+// ownedCount counts resident sessions whose ring owner is this replica
+// (metrics gauge).
+func (s *Server) ownedCount() int64 {
+	n := int64(0)
+	for _, sess := range s.reg.all() {
+		if s.table.Route(sess.tenant, time.Time{}, cluster.Request{}).Owner == s.cluster.self {
+			n++
+		}
+	}
+	return n
+}
+
 // localTenants lists, sorted and once each, the tenants with a session or
 // a snapshot here — and with copies, those with a standby copy too.
 func (s *Server) localTenants(copies bool) []string {
@@ -303,11 +321,6 @@ func (s *Server) shipTenants(peer string, tenants []string, pulled bool) {
 		}
 		_ = s.ship(cn.ctx, peer, t, pulled)
 	}
-}
-
-// shipTenant ships tenant's state to peer unasked (a drain).
-func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
-	return s.ship(ctx, peer, tenant, false)
 }
 
 // ship freezes one tenant's state — the resident session, frozen under its
@@ -651,7 +664,7 @@ func (s *Server) DrainToPeers(ctx context.Context) (moved int, err error) {
 			if err := ctx.Err(); err != nil {
 				return moved, err
 			}
-			if err := s.shipTenant(ctx, p, t); err != nil {
+			if err := s.ship(ctx, p, t, false); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}

@@ -559,6 +559,35 @@ func TestClientRedirectBudget(t *testing.T) {
 	}
 }
 
+// TestSessionRedirectBudget: Session and EndSession route through the same
+// loop as PushTicks, so a redirect loop ends in *RedirectError for them too,
+// not in an untyped error carrying the last 307.
+func TestSessionRedirectBudget(t *testing.T) {
+	var hs *httptest.Server
+	hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Location", hs.URL+r.URL.RequestURI())
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "moved", http.StatusTemporaryRedirect)
+	}))
+	defer hs.Close()
+
+	c := &Client{BaseURL: hs.URL, MaxRedirects: 2}
+	_, sessErr := c.Session(context.Background(), "t")
+	endErr := c.EndSession(context.Background(), "t")
+	for name, err := range map[string]error{"Session": sessErr, "EndSession": endErr} {
+		var re *RedirectError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: err = %v, want *RedirectError", name, err)
+		}
+		if re.Hops != 3 || re.RetryAfter != time.Second {
+			t.Fatalf("%s: RedirectError = %+v, want 3 hops, 1s hint", name, re)
+		}
+	}
+	if got := c.Stats().Redirects; got != 6 {
+		t.Fatalf("redirects counted = %d, want 6", got)
+	}
+}
+
 // TestClientFailoverOnConnectionError: a connect-refused replica is routed
 // around — the client marks it down and asks another peer, which redirects
 // or serves. No error surfaces for a single dead replica.

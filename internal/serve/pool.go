@@ -147,9 +147,6 @@ func (p *scorePool) scoreWithin(jobs []mdes.ScoreJob, row []float64, d time.Dura
 	}
 }
 
-// depth reports how many submitted jobs no worker has picked up yet.
-func (p *scorePool) depth() int { return len(p.tasks) }
-
 // close stops the workers after the queue drains. Callers must guarantee no
 // further score calls.
 func (p *scorePool) close() {

@@ -101,7 +101,9 @@ type Server struct {
 	pool *scorePool
 	reg  *registry
 	met  metrics
-	fs   faultfs.FS
+	// series is the /metrics table, built once by New (metrics.go).
+	series []series
+	fs     faultfs.FS
 	// files writes every snapshot and standby copy (slots.go).
 	files *slotFiles
 
@@ -225,6 +227,7 @@ func New(opts Options) (*Server, error) {
 		s.cluster.prober.Start()
 		go s.clusterJoin()
 	}
+	s.series = s.metricsTable()
 
 	go s.janitor()
 	return s, nil
@@ -643,22 +646,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.reg.len(), len(s.slots), s.pool.depth())
-	if s.cluster != nil {
-		owned := 0
-		for _, sess := range s.reg.all() {
-			if s.table.Route(sess.tenant, time.Time{}, cluster.Request{}).Owner == s.cluster.self {
-				owned++
-			}
-		}
-		alive, pending := s.table.Stats()
-		s.met.writeCluster(w, alive, pending, owned)
-		if q := s.repl; q != nil {
-			st := q.Stats()
-			s.met.writeStandby(w, st.Enqueued, st.Coalesced, st.Dropped, st.Shipped, st.Errors,
-				s.adoptedCount(), s.standbyHeldCount(), q.Depth())
-		}
-	}
+	writeSeries(w, s.series)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

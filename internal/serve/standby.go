@@ -192,8 +192,8 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 }
 
 // adoptedCount counts resident adopted sessions (metrics gauge).
-func (s *Server) adoptedCount() int {
-	n := 0
+func (s *Server) adoptedCount() int64 {
+	n := int64(0)
 	for _, sess := range s.reg.all() {
 		sess.mu.Lock()
 		if sess.adopted && !sess.gone {
@@ -205,12 +205,9 @@ func (s *Server) adoptedCount() int {
 }
 
 // standbyHeldCount counts standby copies across all owners (metrics gauge).
-func (s *Server) standbyHeldCount() int {
-	if s.opts.StandbyDir == "" {
-		return 0
-	}
+func (s *Server) standbyHeldCount() int64 {
 	names, _ := standbyTenantsFor(s.fs, s.opts.StandbyDir, "")
-	return len(names)
+	return int64(len(names))
 }
 
 // loadSnapshotNoted is loadSnapshot plus torn-snapshot observability: a

@@ -590,8 +590,8 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 
 	// The third replica refuses the ship: no ship-home counted, its copy
 	// left in place (it is not this replica's to resolve).
-	if err := third.shipTenant(context.Background(), tc.urls[0], tenant); err != nil {
-		t.Fatalf("gated shipTenant: %v", err)
+	if err := third.ship(context.Background(), tc.urls[0], tenant, false); err != nil {
+		t.Fatalf("gated ship: %v", err)
 	}
 	if got := third.met.replShipsHome.Load(); got != 0 {
 		t.Fatalf("third replica shipped home %d copies, want 0", got)
@@ -604,8 +604,8 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 	// copy RETAINED — it is still the warm standby, and dropping it would
 	// leave the tenant unadoptable until the owner's next persist.
 	sb := tc.srvs[sbIdx]
-	if err := sb.shipTenant(context.Background(), tc.urls[0], tenant); err != nil {
-		t.Fatalf("successor shipTenant: %v", err)
+	if err := sb.ship(context.Background(), tc.urls[0], tenant, false); err != nil {
+		t.Fatalf("successor ship: %v", err)
 	}
 	if got := sb.met.replShipsHome.Load(); got != 1 {
 		t.Fatalf("successor ships home = %d, want 1", got)
