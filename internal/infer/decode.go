@@ -110,16 +110,22 @@ func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 // translateGroup fills hyps[i] for every i in group (all sources the same
 // nonzero length), consulting the translation cache around one batched
 // decode of the distinct misses, and sets cached[i] where the cache or an
-// earlier copy in the group answered. Cached hypotheses are cache-owned;
-// decoded ones live in the workspace until reset (at F64, on the heap).
-// Either way they are read-only for the caller.
+// earlier copy in the group answered. Cached hypotheses are decoded into
+// workspace buffers, decoded ones live in the workspace (at F64, on the
+// heap); either way they last until reset and are read-only for the caller.
 func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int, cached []int) {
 	miss := w.intsBuf(len(group))[:0]
 	reps := w.intsBuf(2 * len(group))[:0] // (repeat, first copy) pairs
+	// buf is the next hit's buffer: a miss leaves it for the next probe.
+	var buf []int
 scan:
 	for _, i := range group {
-		if hyp, ok := m.cache.Lookup(srcs[i]); ok {
+		if buf == nil {
+			buf = w.intsBuf(m.cfg.MaxDecodeLen)
+		}
+		if hyp, ok := m.cache.Lookup(srcs[i], buf); ok {
 			hyps[i], cached[i] = hyp, 1
+			buf = nil
 			continue
 		}
 		for _, j := range miss {

@@ -295,10 +295,13 @@ func (m *Model) Precision() Precision { return m.prec }
 func (m *Model) Config() nmt.Config { return m.cfg }
 
 // MemoryBytes reports the resident size of the weights the engine decodes
-// with: at F64 the training weights; frozen, the frozen weights, input tables
-// included (and the embeddings and layer-0 Wx they replaced excluded) — the
-// number behind the ~4× model-memory reduction BenchmarkModelMemory reports.
-// A table is built only where it does not grow this.
+// with: at F64 the float64 weights, 8·ParamCount, which is all a served
+// nmt.Model holds besides its cache (its gradients and Adam moments are gone
+// once training ends; TestMemoryBytesIsResidentWeights weighs it on the
+// heap); frozen, the frozen weights, input tables included (and the
+// embeddings and layer-0 Wx they replaced excluded) — the number behind the
+// ~4× model-memory reduction BenchmarkModelMemory reports. A table is built
+// only where it does not grow this.
 func (m *Model) MemoryBytes() int {
 	if m.f64 != nil {
 		return 8 * m.f64.ParamCount()

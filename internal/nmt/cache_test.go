@@ -62,7 +62,7 @@ func TestScoreCorpusCachedMatchesUncached(t *testing.T) {
 // steps would silently freeze the model's translations.
 func TestTranslationCacheInvalidatedByTraining(t *testing.T) {
 	m, src, tgt := cacheTestModel(t)
-	m.translateShared(src[16])
+	m.translateShared(nil, src[16])
 	if m.cache.Len() == 0 {
 		t.Fatal("expected a cache entry after translateShared")
 	}
@@ -81,20 +81,31 @@ func TestTranslationCacheInvalidatedByTraining(t *testing.T) {
 func TestTranslationCacheLifecycle(t *testing.T) {
 	m, _, _ := cacheTestModel(t)
 	probe := []int{4, 5, 6}
-	first, _ := m.translateShared(probe)
+	first, _ := m.translateShared(nil, probe)
 	if n := m.cache.Len(); n != 1 {
 		t.Fatalf("a miss must store its translation: %d entries", n)
 	}
-	if again, hit := m.translateShared(probe); !hit || !eqInts(again, first) || m.cache.Len() != 1 {
+	if again, hit := m.translateShared(nil, probe); !hit || !eqInts(again, first) || m.cache.Len() != 1 {
 		t.Fatalf("a hit must return the stored translation and add nothing: %v vs %v, %d entries", again, first, m.cache.Len())
+	}
+	// A hit lands in the caller's buffer, and the caller may write over it:
+	// the cache hands out none of its own bytes.
+	buf := make([]int, 0, 32)
+	mine, hit := m.translateShared(buf, probe)
+	if !hit || len(mine) == 0 || &mine[0] != &buf[:1][0] {
+		t.Fatalf("a hit must decode into the caller's buffer: hit %v, %v", hit, mine)
+	}
+	clear(mine)
+	if again, _ := m.translateShared(nil, probe); !eqInts(again, first) {
+		t.Fatalf("writing over a hit reached the cache: %v vs %v", again, first)
 	}
 	// Length-5 sources never collide with the length-3 probe or each other.
 	distinct := func(i int) []int { return []int{i % 8, i / 8 % 8, i / 64 % 8, i / 512 % 8, i / 4096 % 8} }
 	i := 0
 	for ; m.cache.Len() < transCacheCap; i++ {
-		m.translateShared(distinct(i))
+		m.translateShared(nil, distinct(i))
 	}
-	m.translateShared(distinct(i))
+	m.translateShared(nil, distinct(i))
 	if n := m.cache.Len(); n != 1 {
 		t.Fatalf("a miss on a full cache must drop the whole map first: %d entries", n)
 	}
@@ -103,22 +114,28 @@ func TestTranslationCacheLifecycle(t *testing.T) {
 	if n := m.cache.Len(); n != 0 {
 		t.Fatalf("switching the cache off must drop its entries: %d left", n)
 	}
-	if off, hit := m.translateShared(probe); hit || !eqInts(off, first) || m.cache.Len() != 0 {
+	if off, hit := m.translateShared(nil, probe); hit || !eqInts(off, first) || m.cache.Len() != 0 {
 		t.Fatalf("with the cache off translateShared must decode the same and store nothing: %v vs %v, %d entries", off, first, m.cache.Len())
 	}
 }
 
-// TestCacheProbesDoNotAllocate pins the hit path's cost: translation probes
-// build their keys on the stack, and a cached translation is read in place,
-// not copied.
+// TestCacheProbesDoNotAllocate pins the hit path's cost: probes build their
+// keys and hashes on the stack, a cached translation is decoded into the
+// caller's buffer, and a store over an existing entry writes in place.
 func TestCacheProbesDoNotAllocate(t *testing.T) {
 	m, src, tgt := cacheTestModel(t)
 	s, ref := src[16], tgt[16]
-	m.translateShared(s)
+	hyp, _ := m.translateShared(nil, s)
+	m.cache.StoreScore(s, ref, 0.5)
+	buf := make([]int, 0, m.cfg.MaxDecodeLen)
 	for name, fn := range map[string]func(){
-		"translation hit":            func() { m.cache.Lookup(s) },
-		"translation miss":           func() { m.cache.Lookup(ref) },
-		"translateShared, cache hit": func() { m.translateShared(s) },
+		"translation hit":            func() { m.cache.Lookup(s, buf) },
+		"translation miss":           func() { m.cache.Lookup(ref, buf) },
+		"translateShared, cache hit": func() { m.translateShared(buf, s) },
+		"score hit":                  func() { m.cache.Score(s, ref) },
+		"score miss":                 func() { m.cache.Score(ref, s) },
+		"store over an entry":        func() { m.cache.Store(s, hyp) },
+		"score store over an entry":  func() { m.cache.StoreScore(s, ref, 0.5) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s allocates %v/op, want 0", name, allocs)
@@ -142,7 +159,7 @@ func TestConcurrentTranslate(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for k := 0; k < 50; k++ {
 				i := rng.Intn(8)
-				got, _ := m.translateShared(src[16+i])
+				got, _ := m.translateShared(nil, src[16+i])
 				if !eqInts(got, want[i]) {
 					t.Errorf("goroutine %d: translateShared diverged: %v vs %v", g, got, want[i])
 					return

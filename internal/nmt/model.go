@@ -147,6 +147,19 @@ func (m *Model) Config() Config { return m.cfg }
 // ParamCount returns the number of trainable scalars.
 func (m *Model) ParamCount() int { return m.params.Count() }
 
+// HoldsTrainState reports whether the model holds gradients or Adam
+// moments: true only while it trains (TrainPairContext frees them once
+// training ends; NewModel and LoadModel never allocate them).
+func (m *Model) HoldsTrainState() bool { return m.params.HoldsTrainState() }
+
+// freeTrainState drops the gradients and Adam moments, leaving a model that
+// holds only its weights. A later Train starts a fresh optimiser, as on a
+// loaded model.
+func (m *Model) freeTrainState() {
+	m.params.FreeTrainState()
+	m.opt = nn.NewAdam(m.cfg.LearningRate)
+}
+
 // State is a serialisable snapshot of a trained model.
 type State struct {
 	Config  Config               `json:"config"`
@@ -159,7 +172,8 @@ func (m *Model) State() State {
 }
 
 // LoadModel reconstructs a model from a snapshot. The rebuilt model decodes
-// identically to the original; optimiser state is not preserved.
+// identically to the original and holds only its weights; optimiser state is
+// not preserved, and training it allocates fresh gradients and moments.
 func LoadModel(st State) (*Model, error) {
 	m, err := NewModel(st.Config, 0)
 	if err != nil {
@@ -233,6 +247,7 @@ func (m *Model) TrainExampleContext(ctx context.Context, src, tgt []int) (loss f
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
+	m.params.AllocGrad()
 	ws := getWS()
 	defer putWS(ws)
 	enc := m.encode(src, true, ws)
@@ -371,13 +386,14 @@ func (m *Model) TrainContext(ctx context.Context, src, tgt [][]int) (TrainResult
 
 // translateShared is the cached greedy decode ScoreCorpus scores the dev set
 // with, so a pair's dev translations are still cached when it starts serving
-// (infer.FromModel shares this cache). A hit returns the cache-owned slice
-// itself (cached=true), never to be modified; a miss returns the fresh decode.
-func (m *Model) translateShared(src []int) (hyp []int, cached bool) {
+// (infer.FromModel shares this cache). A hit is decoded into dst's storage
+// (cached=true); a miss returns the fresh decode. Either way the caller owns
+// the result: the cache keeps its own packed copy.
+func (m *Model) translateShared(dst, src []int) (hyp []int, cached bool) {
 	if len(src) == 0 {
-		return nil, false
+		return dst[:0], false
 	}
-	if hyp, ok := m.cache.Lookup(src); ok {
+	if hyp, ok := m.cache.Lookup(src, dst); ok {
 		return hyp, true
 	}
 	out := m.Decode(src)

@@ -42,7 +42,8 @@ func TrainPair(cfg Config, data PairData, seed int64) PairResult {
 
 // TrainPairContext is TrainPair with cancellation: the context is threaded
 // into the per-step training loop, so cancelling takes effect mid-pair. A
-// cancelled result carries an error wrapping ctx.Err().
+// cancelled result carries an error wrapping ctx.Err() and no model, even
+// when the cancellation lands during dev scoring.
 func TrainPairContext(ctx context.Context, cfg Config, data PairData, seed int64) PairResult {
 	//mdes:allow(detrand) Runtime mirrors the paper's Fig 4(a) wall-clock measurement; it never feeds a score
 	start := time.Now()
@@ -54,17 +55,20 @@ func TrainPairContext(ctx context.Context, cfg Config, data PairData, seed int64
 		res.Err = fmt.Errorf("pair %s->%s: %w", data.Src, data.Tgt, err)
 		return res
 	}
-	if _, err := model.TrainContext(ctx, data.TrainSrc, data.TrainTgt); err != nil {
+	_, err = model.TrainContext(ctx, data.TrainSrc, data.TrainTgt)
+	// Nothing trains the model after this: free its gradients and moments
+	// (three of every four float64s it held) before it scores and serves.
+	model.freeTrainState()
+	if err != nil {
 		res.Err = fmt.Errorf("pair %s->%s: train: %w", data.Src, data.Tgt, err)
 		return res
 	}
-	res.Model = model
 	score, err := ScoreCorpus(ctx, model, data.DevSrc, data.DevTgt)
 	if err != nil {
 		res.Err = fmt.Errorf("pair %s->%s: score: %w", data.Src, data.Tgt, err)
 		return res
 	}
-	res.BLEU = score
+	res.Model, res.BLEU = model, score
 	//mdes:allow(detrand) Runtime is reporting only, see above
 	res.Runtime = time.Since(start)
 	return res
@@ -73,18 +77,37 @@ func TrainPairContext(ctx context.Context, cfg Config, data PairData, seed int64
 // ScoreCorpus greedily translates every source sentence and returns corpus
 // BLEU against the aligned references. Translation dominates the cost, so
 // the context is consulted once per sentence; a cancelled run returns
-// ctx.Err().
+// ctx.Err(). The masked references and the hypotheses share one slab per
+// call.
 func ScoreCorpus(ctx context.Context, m *Model, src, refs [][]int) (float64, error) {
-	hyps := make([][]int, len(src))
-	maskedRefs := make([][]int, len(refs))
+	seqs := make([][]int, len(refs)+len(src))
+	maskedRefs, hyps := seqs[:len(refs)], seqs[len(refs):]
+	// The slab holds every reference, masked in place, then room for
+	// hypotheses as long as their sources, about what a translation runs to. A cache hit decodes
+	// straight into the free tail, so appending it moves nothing; if the slab
+	// has to grow, the sequences already cut from the old array stay valid,
+	// as nothing writes there again.
+	size := 0
+	for _, r := range refs {
+		size += len(r)
+	}
+	for _, s := range src {
+		size += len(s)
+	}
+	slab := make([]int, 0, size)
+	for i, r := range refs {
+		start := len(slab)
+		slab = slab[:start+len(maskRefUnknowns(slab[start:], r))]
+		maskedRefs[i] = slab[start:len(slab):len(slab)]
+	}
 	for i, s := range src {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		hyps[i], _ = m.translateShared(s)
-	}
-	for i, r := range refs {
-		maskedRefs[i] = maskRefUnknowns(nil, r)
+		start := len(slab)
+		hyp, _ := m.translateShared(slab[start:], s)
+		slab = append(slab, hyp...)
+		hyps[i] = slab[start:len(slab):len(slab)]
 	}
 	return bleu.CorpusIDs(maskedRefs, hyps, bleu.MaxOrder), nil
 }

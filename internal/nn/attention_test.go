@@ -24,6 +24,8 @@ func TestHoistedProjectionBitIdentical(t *testing.T) {
 	var pHoist, pStep Params
 	hoist := NewLuongAttention(&pHoist, "a", hidden, rand.New(rand.NewSource(23)))
 	step := NewLuongAttention(&pStep, "a", hidden, rand.New(rand.NewSource(23)))
+	pHoist.AllocGrad()
+	pStep.AllocGrad()
 
 	rng := rand.New(rand.NewSource(29))
 	enc := make([][]float64, srcLen)

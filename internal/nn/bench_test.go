@@ -16,6 +16,7 @@ func benchCell(b *testing.B, hidden int) (*LSTMCell, []float64, []float64, []flo
 	rng := rand.New(rand.NewSource(1))
 	var p Params
 	cell := NewLSTMCell(&p, "c", hidden, hidden, rng)
+	p.AllocGrad()
 	x := randVec(rng, hidden)
 	h := randVec(rng, hidden)
 	c := randVec(rng, hidden)

@@ -65,6 +65,7 @@ func TestAdamDecreasesQuadratic(t *testing.T) {
 func TestClipGrad(t *testing.T) {
 	var p Params
 	w := p.New("w", 1, 2)
+	p.AllocGrad()
 	w.Grad.Data[0] = 3
 	w.Grad.Data[1] = 4
 	norm := p.ClipGrad(1)
@@ -99,6 +100,7 @@ func TestEmbeddingLookupBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var p Params
 	e := NewEmbedding(&p, "emb", 5, 3, rng)
+	p.AllocGrad()
 	v := e.Lookup(2)
 	if len(v) != 3 {
 		t.Fatalf("Lookup dim = %d", len(v))
@@ -144,6 +146,7 @@ func TestLinearInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var p Params
 	l := NewLinear(&p, "lin", 3, 2, rng)
+	p.AllocGrad()
 	x := randVec(rng, 3)
 	target := randVec(rng, 2)
 
@@ -287,6 +290,7 @@ func TestAttentionInputGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var p Params
 	attn := NewLuongAttention(&p, "attn", 3, rng)
+	p.AllocGrad()
 	enc := [][]float64{randVec(rng, 3), randVec(rng, 3)}
 	h := randVec(rng, 3)
 	probe := randVec(rng, 3)

@@ -13,12 +13,16 @@ import (
 )
 
 // Param is a trainable matrix together with its gradient and Adam moments.
+// Only W lives for the parameter's whole life: Grad and the moments are
+// training state, allocated zeroed on first use (ZeroGrad, AllocGrad,
+// Adam.Step) and released by FreeTrainState, so a model that only decodes
+// holds one float64 per weight, not four.
 type Param struct {
 	Name string
 	W    *mat.Matrix
-	Grad *mat.Matrix
+	Grad *mat.Matrix // nil until the parameter trains
 
-	m, v *mat.Matrix // first/second Adam moment estimates
+	m, v *mat.Matrix // first/second Adam moment estimates; nil until the first Step
 }
 
 // Params owns every trainable parameter of a model so that optimisation,
@@ -27,15 +31,10 @@ type Params struct {
 	list []*Param
 }
 
-// New allocates a rows×cols parameter, registers it, and returns it.
+// New allocates a rows×cols parameter's weights, registers it, and returns
+// it. It has no gradient or moments until it trains.
 func (p *Params) New(name string, rows, cols int) *Param {
-	prm := &Param{
-		Name: name,
-		W:    mat.New(rows, cols),
-		Grad: mat.New(rows, cols),
-		m:    mat.New(rows, cols),
-		v:    mat.New(rows, cols),
-	}
+	prm := &Param{Name: name, W: mat.New(rows, cols)}
 	p.list = append(p.list, prm)
 	return prm
 }
@@ -52,11 +51,43 @@ func (p *Params) Count() int {
 	return n
 }
 
-// ZeroGrad clears every gradient.
+// ZeroGrad clears every gradient, allocating it on first use.
 func (p *Params) ZeroGrad() {
+	p.AllocGrad()
 	for _, prm := range p.list {
 		prm.Grad.Zero()
 	}
+}
+
+// AllocGrad gives every parameter without a gradient a zeroed one and leaves
+// existing gradients as they are, so a backward pass can accumulate into
+// them.
+func (p *Params) AllocGrad() {
+	for _, prm := range p.list {
+		if prm.Grad == nil {
+			prm.Grad = mat.New(prm.W.Rows, prm.W.Cols)
+		}
+	}
+}
+
+// FreeTrainState releases every gradient and Adam moment, leaving only the
+// weights. Training again allocates them afresh, zeroed, so an optimiser
+// stepping these parameters after the call must start over too (NewAdam).
+func (p *Params) FreeTrainState() {
+	for _, prm := range p.list {
+		prm.Grad, prm.m, prm.v = nil, nil, nil
+	}
+}
+
+// HoldsTrainState reports whether any parameter holds a gradient or Adam
+// moments.
+func (p *Params) HoldsTrainState() bool {
+	for _, prm := range p.list {
+		if prm.Grad != nil || prm.m != nil || prm.v != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // GradNorm returns the global L2 norm across all gradients.
@@ -107,12 +138,18 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update to every parameter using its current gradient.
+// Step applies one Adam update to every parameter using its current gradient
+// (which must exist: ZeroGrad or AllocGrad first). Moments are allocated
+// zeroed on the first step that needs them.
 func (a *Adam) Step(p *Params) {
 	a.step++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	for _, prm := range p.list {
+		if prm.m == nil {
+			prm.m = mat.New(prm.W.Rows, prm.W.Cols)
+			prm.v = mat.New(prm.W.Rows, prm.W.Cols)
+		}
 		w, g, m, v := prm.W.Data, prm.Grad.Data, prm.m.Data, prm.v.Data
 		for i := range w {
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]

@@ -98,6 +98,7 @@ func newBenchCell(t testing.TB, in, hidden int) (*LSTMCell, []float64, []float64
 	var p Params
 	rng := rand.New(rand.NewSource(1))
 	cell := NewLSTMCell(&p, "cell", in, hidden, rng)
+	p.AllocGrad()
 	x := make([]float64, in)
 	h := make([]float64, hidden)
 	c := make([]float64, hidden)

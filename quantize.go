@@ -57,8 +57,10 @@ func (m *Model) ScorePrecision() Precision { return m.prec }
 
 // PairModelBytes reports the resident weight memory of all pair models at the
 // active scoring precision — the per-tenant cost of keeping this model
-// servable: what infer.Model.MemoryBytes counts. Float64 counts the training
-// weights. Quantized precisions count the frozen weights, with a stack's
+// servable: what infer.Model.MemoryBytes counts. Float64 counts the float64
+// weights, all a trained or loaded pair model keeps besides its translation
+// cache: no gradients or optimiser moments survive training. Quantized
+// precisions count the frozen weights, with a stack's
 // input table in place of the embedding and layer-0 Wx it replaced; the
 // float64 weights stay resident beside them (Quantize and Save read them)
 // and are not counted.
