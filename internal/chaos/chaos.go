@@ -105,31 +105,26 @@ var (
 )
 
 func fixture() error {
-	fixOnce.Do(func() {
-		full := soakDataset(11, 220)
-		train, dev, _, err := full.Split(150, 70)
-		if err != nil {
-			fixErr = err
-			return
-		}
-		fw, err := mdes.New(soakConfig())
-		if err != nil {
-			fixErr = err
-			return
-		}
-		model, err := fw.Train(context.Background(), train, dev)
-		if err != nil {
-			fixErr = err
-			return
-		}
-		sum, err := modelChecksum(model)
-		if err != nil {
-			fixErr = err
-			return
-		}
-		fixTrain, fixDev, fixFw, fixModel, fixSum = train, dev, fw, model, sum
-	})
+	fixOnce.Do(func() { fixErr = buildFixture() })
 	return fixErr
+}
+
+func buildFixture() error {
+	train, dev, _, err := soakDataset(11, 220).Split(150, 70)
+	if err != nil {
+		return err
+	}
+	fw, err := mdes.New(soakConfig())
+	if err != nil {
+		return err
+	}
+	model, err := fw.Train(context.Background(), train, dev)
+	if err != nil {
+		return err
+	}
+	sum, err := modelChecksum(model)
+	fixTrain, fixDev, fixFw, fixModel, fixSum = train, dev, fw, model, sum
+	return err
 }
 
 // modelChecksum is the FNV-64a of the model's serialised form — weights,

@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"context"
+	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -105,5 +107,30 @@ func TestServeCrashRestoreSoak(t *testing.T) {
 	}
 	if rep.Restored == 0 {
 		t.Fatal("no tenant ever restored from a snapshot; the soak exercised nothing")
+	}
+}
+
+// TestSoakScriptsReplayTheirSchedules draws the cluster soaks' fault scripts
+// without starting a server and pins the counters each CI seed's soak
+// reports: a change to a script generator that moves a schedule — a draw
+// added, dropped or reordered — fails here first.
+func TestSoakScriptsReplayTheirSchedules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed int64
+		gen  func(*rand.Rand) script
+		want ClusterSoakReport
+	}{
+		{"cluster", 4, clusterScript, ClusterSoakReport{Iterations: 25, HardKills: 12, Drains: 13}},
+		{"disk-loss", 5, diskLossScript, ClusterSoakReport{Iterations: 25, HardKills: 25, Promotions: 25}},
+		{"partition", 6, partitionScript, ClusterSoakReport{Iterations: 25, Partitions: 39, OneWay: 17, Flaps: 14, Promotions: 39}},
+	} {
+		got := ClusterSoakReport{Iterations: 25}
+		for _, sc := range drawScripts(tc.seed, 25, tc.gen) {
+			sc.tally(&got)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s seed %d: scripts tally %+v, want %+v", tc.name, tc.seed, got, tc.want)
+		}
 	}
 }

@@ -61,24 +61,47 @@ func tenantTicks(tenant string) []map[string]string {
 	return out
 }
 
-// referenceBoundaries replays a tenant's ticks on a standalone stream and
-// captures the stream snapshot at every request boundary (the only states
-// the server may legally persist), plus the points each tick emits.
-func referenceBoundaries(model *mdes.Model, ticks []map[string]string) (map[int]mdes.StreamSnapshot, []*mdes.Point, error) {
-	st := model.NewStream()
-	bounds := map[int]mdes.StreamSnapshot{0: st.Snapshot()}
-	points := make([]*mdes.Point, 0, len(ticks))
-	for i, tick := range ticks {
-		p, err := st.Push(tick)
-		if err != nil {
-			return nil, nil, err
+// refs is what the soaks audit against, per tenant: its tick sequence, the
+// reference stream's snapshot at every request boundary (the only states a
+// server may persist), and the point each tick emits on a crash-free
+// standalone stream of the fixture model.
+type refs struct {
+	ticks  map[string][]map[string]string
+	bounds map[string]map[int]mdes.StreamSnapshot
+	points map[string][]*mdes.Point
+}
+
+func references(tenants []string) (refs, error) {
+	r := refs{ticks: map[string][]map[string]string{}, bounds: map[string]map[int]mdes.StreamSnapshot{}, points: map[string][]*mdes.Point{}}
+	for _, tenant := range tenants {
+		ticks := tenantTicks(tenant)
+		st := fixModel.NewStream()
+		bounds := map[int]mdes.StreamSnapshot{0: st.Snapshot()}
+		points := make([]*mdes.Point, 0, len(ticks))
+		for i, tick := range ticks {
+			p, err := st.Push(tick)
+			if err != nil {
+				return r, fmt.Errorf("chaos: reference stream for %q: %w", tenant, err)
+			}
+			points = append(points, p)
+			if (i+1)%serveBatch == 0 || i == len(ticks)-1 {
+				bounds[st.Ticks()] = st.Snapshot()
+			}
 		}
-		points = append(points, p)
-		if (i+1)%serveBatch == 0 || i == len(ticks)-1 {
-			bounds[st.Ticks()] = st.Snapshot()
+		r.ticks[tenant], r.bounds[tenant], r.points[tenant] = ticks, bounds, points
+	}
+	return r, nil
+}
+
+// wire is what a server answers for tenant's ticks from tick from on.
+func (r refs) wire(tenant string, from int) []serve.WirePoint {
+	var want []serve.WirePoint
+	for _, p := range r.points[tenant][from:] {
+		if p != nil {
+			want = append(want, serve.PointWire(*p))
 		}
 	}
-	return bounds, points, nil
+	return want
 }
 
 // ServeSoak runs iters crash/restart cycles of the multi-tenant server over
@@ -101,25 +124,16 @@ func ServeSoakWith(ctx context.Context, seed int64, iters int, build func(serve.
 	if err := fixture(); err != nil {
 		return rep, err
 	}
-	model := fixModel
-	const dir = "snaps"
-
-	ticks := make(map[string][]map[string]string, len(serveTenants))
-	bounds := make(map[string]map[int]mdes.StreamSnapshot, len(serveTenants))
-	points := make(map[string][]*mdes.Point, len(serveTenants))
-	for _, tenant := range serveTenants {
-		ticks[tenant] = tenantTicks(tenant)
-		b, p, err := referenceBoundaries(model, ticks[tenant])
-		if err != nil {
-			return rep, fmt.Errorf("chaos: reference stream for %q: %w", tenant, err)
-		}
-		bounds[tenant] = b
-		points[tenant] = p
+	ref, err := references(serveTenants)
+	if err != nil {
+		return rep, err
 	}
+	ticks, bounds := ref.ticks, ref.bounds
+	const dir = "snaps"
 
 	newServer := func(ifs *faultfs.InjectFS) (*serve.Server, *httptest.Server, error) {
 		srv, err := build(serve.Options{
-			Models:       map[string]*mdes.Model{"m": model},
+			Models:       map[string]*mdes.Model{"m": fixModel},
 			SnapshotDir:  dir,
 			FS:           ifs,
 			ScoreWorkers: 2,
@@ -236,13 +250,7 @@ func ServeSoakWith(ctx context.Context, seed int64, iters int, build func(serve.
 				hs2.Close()
 				return rep, fmt.Errorf("chaos: iteration %d: resume %q: %w", it, tenant, err)
 			}
-			var want []serve.WirePoint
-			for _, p := range points[tenant][from:] {
-				if p != nil {
-					want = append(want, serve.PointWire(*p))
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
+			if want := ref.wire(tenant, from); !reflect.DeepEqual(got, want) {
 				hs2.Close()
 				return rep, fmt.Errorf("chaos: iteration %d: tenant %q resumed points diverge: got %+v, want %+v", it, tenant, got, want)
 			}

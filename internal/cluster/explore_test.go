@@ -311,10 +311,23 @@ func (c *exStep) ship(i, dest, k int8, pulled bool) {
 	}
 }
 
-// resync is resyncPeer run by i toward p, and the hello p answers.
-func (c *exStep) resync(i, p int8) {
-	c.hello(i, p)
-	c.shipHeld(i, p)
+// join is clusterJoin run by i: greet every peer i sees Alive (each
+// answering), then ship each one reached what i holds for it and re-offer
+// i's resident sessions. A restart runs it with pulling hellos; a peer seen
+// back from Down, by a probe or by its greeting, runs it with rejoins, which
+// pull no copies. It runs in one step, so no tick lands at i before every
+// peer has been greeted — the rejoin's Table.Rejoin hold.
+func (c *exStep) join(i int8, pulled bool) {
+	var reached []int8
+	for p := int8(0); p < exReplicas; p++ {
+		if p != i && c.table(i).Get(c.x.peers[p]) == Alive && c.hello(i, p, pulled) {
+			reached = append(reached, p)
+		}
+	}
+	c.table(i).Join()
+	for _, p := range reached {
+		c.shipHeld(i, p)
+	}
 	for k := range c.x.tenants {
 		if s := c.w.r[i].sess[k]; s >= 0 {
 			c.offer(i, int8(k), s)
@@ -332,21 +345,23 @@ func (c *exStep) shipHeld(i, p int8) {
 	}
 }
 
-// hello is handleClusterUpdate's hello from i at p, and i pending the reply.
-func (c *exStep) hello(i, p int8) {
+// hello is handleClusterUpdate's hello (pulled) or rejoin from i at p, and
+// i pending the reply; false when p is down.
+func (c *exStep) hello(i, p int8, pulled bool) bool {
 	if !c.w.r[p].up {
-		return
+		return false
 	}
 	if c.table(p).Hello(c.x.peers[i]) && !(c.table(p).Ready() == Draining) {
-		c.resync(p, i)
+		c.join(p, false)
 	}
-	held := c.heldFor(p, i, true)
-	c.pend(i, p, held, true)
+	held := c.heldFor(p, i, pulled)
+	c.pend(i, p, held, pulled)
 	if !(c.table(p).Ready() == Draining) {
 		for _, k := range held {
-			c.ship(p, i, k, true)
+			c.ship(p, i, k, pulled)
 		}
 	}
+	return true
 }
 
 // pend is an announcement from j to i: the tenants j ships to i, at the
@@ -512,17 +527,7 @@ func (c *exStep) restart(i int8, wipe bool) {
 		}
 	}
 	c.tabs[i] = nil
-	for p := int8(0); p < exReplicas; p++ {
-		if p != i {
-			c.hello(i, p)
-		}
-	}
-	c.table(i).Join()
-	for p := int8(0); p < exReplicas; p++ {
-		if p != i && c.w.r[p].up {
-			c.shipHeld(i, p)
-		}
-	}
+	c.join(i, true)
 }
 
 // drain is DrainToPeers run to the end: leave, announce the plan, ship
@@ -585,7 +590,7 @@ func (c *exStep) probe(i, p int8) bool {
 			return false
 		}
 		if t.Ready() != Draining {
-			c.resync(i, p)
+			c.join(i, false)
 		}
 		return true
 	}

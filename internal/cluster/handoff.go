@@ -84,6 +84,9 @@ func DecodeHandoff(data []byte) (Handoff, error) {
 //     Alive and replies with the tenants it holds that belong on the
 //     sender, so the sender can block them as pending until the receiver
 //     ships them over.
+//   - Kind "rejoin": the sender saw a peer back from Down and is greeting
+//     every peer again. As "hello", except that the sender kept its disk,
+//     so only the standby copies Table.Shipper ships unasked go along.
 //   - Kind "leave": the sender is draining. The receiver marks it Gone and
 //     records Tenants — the sessions the sender is about to ship to this
 //     receiver — as pending, so a tick that races ahead of its handoff

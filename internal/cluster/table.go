@@ -50,6 +50,7 @@ type Table struct {
 	states                    map[string]PeerState
 	pending                   map[string]pend
 	joined, draining, stopped bool
+	rejoins                   int // Rejoin holds not yet done
 }
 
 // pend holds a tenant behind an inbound handoff: until when, and the ticks
@@ -120,7 +121,7 @@ func (t *Table) Transition(peer string, from, to PeerState) bool {
 }
 
 // Hello records a peer's hello — it is Alive, whatever it was — and reports
-// whether it was Down: a recovery observation, which fires the same resync
+// whether it was Down: a recovery observation, which fires the same rejoin
 // as a probe seeing it back.
 func (t *Table) Hello(peer string) (wasDown bool) {
 	old, moved := t.move(peer, Alive)
@@ -129,6 +130,21 @@ func (t *Table) Hello(peer string) (wasDown bool) {
 
 // Join marks the join exchange done: tenant requests stop answering 503.
 func (t *Table) Join() { t.lifecycle(&t.joined) }
+
+// Rejoin holds ticks and deletes back while the join exchange re-runs after
+// a peer is seen back from Down, until done is called: nothing is written
+// before every peer has been greeted and what each holds pended. Reads
+// still pass, and the replica stays ready.
+func (t *Table) Rejoin() (done func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rejoins++
+	return func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.rejoins--
+	}
+}
 
 // BeginDrain stops admitting ticks and moves.
 func (t *Table) BeginDrain() { t.lifecycle(&t.draining) }
@@ -246,11 +262,11 @@ const Unread = -2
 
 // Route decides a tenant request, in this order: a tick at a shut-down
 // replica; not joined; a tenant owned elsewhere that this replica may not
-// adopt redirects (or is refused while its owner is Down); a pend holds
-// ticks and deletes until its handoff lands — checked before adoption, so
-// a standby never promotes the copy it holds while fresher state is on its
-// way; a drain refuses ticks last, so a draining replica still redirects
-// misrouted tenants.
+// adopt redirects (or is refused while its owner is Down); a rejoin holds
+// ticks and deletes; a pend holds them until its handoff lands — checked
+// before adoption, so a standby never promotes the copy it holds while
+// fresher state is on its way; a drain refuses ticks last, so a draining
+// replica still redirects misrouted tenants.
 func (t *Table) Route(tenant string, now time.Time, q Request) Route {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -276,6 +292,9 @@ func (t *Table) Route(tenant string, now time.Time, q Request) Route {
 	}
 	if q.Op == Read {
 		return r
+	}
+	if t.rejoins > 0 {
+		return Route{Verdict: Refuse, Why: Joining, Owner: r.Owner}
 	}
 	if p, ok := t.pending[tenant]; ok && q.Have != Unread {
 		if !now.After(p.until) && q.Have < p.ticks {

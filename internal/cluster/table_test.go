@@ -252,8 +252,8 @@ func succession(t *testing.T, peers []string, tenant string) (o, p, s int) {
 }
 
 // TestTableRouteRows walks Route's rows in their order: stopped, joining,
-// redirect, owner down, adopt, pend before adoption, drain last. Reads pass
-// pends; deletes wait out pends, not drains.
+// redirect, owner down, adopt, rejoin, pend before adoption, drain last.
+// Reads pass rejoins and pends; deletes wait out pends, not drains.
 func TestTableRouteRows(t *testing.T) {
 	now := time.Now()
 	w := Request{Op: Tick, Have: -1}
@@ -266,6 +266,14 @@ func TestTableRouteRows(t *testing.T) {
 	if r := tab.Route("t", now, w); r.Verdict != Adopt {
 		t.Fatalf("owner down, self first successor: %+v, want adopt", r)
 	}
+	done := tab.Rejoin()
+	if r := tab.Route("t", now, w); r.Why != Joining || tab.Ready() != NoReason {
+		t.Fatalf("rejoining: %+v, ready %v; want ticks refused, still ready", r, tab.Ready())
+	}
+	if r := tab.Route("t", now, Request{}); r.Verdict != Adopt {
+		t.Fatalf("a read while rejoining: %+v, want adopt", r)
+	}
+	done()
 	tab.Pend([]string{"t"}, []int{48}, now)
 	if r := tab.Route("t", now, w); r.Verdict != Refuse || r.Why != Pending {
 		t.Fatalf("pended adopt: %+v, want refused pending (pend before adoption)", r)

@@ -126,10 +126,16 @@ func (m *Model) SetTranslationCaching(on bool) { m.cache.SetCaching(on) }
 
 // NewModel builds a model with freshly initialised weights drawn from seed.
 func NewModel(cfg Config, seed int64) (*Model, error) {
+	return build(cfg, rand.New(rand.NewSource(seed)))
+}
+
+// build lays out the model's layers with initial weights drawn from rng,
+// which then drives training; a nil rng leaves the weights zero for Restore
+// to fill, and draws nothing.
+func build(cfg Config, rng *rand.Rand) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	m := &Model{cfg: cfg, rng: rng}
 	m.srcEmb = nn.NewEmbedding(&m.params, "src_emb", cfg.SrcVocab, cfg.Embed, rng)
 	m.tgtEmb = nn.NewEmbedding(&m.params, "tgt_emb", cfg.TgtVocab, cfg.Embed, rng)
@@ -172,10 +178,11 @@ func (m *Model) State() State {
 }
 
 // LoadModel reconstructs a model from a snapshot. The rebuilt model decodes
-// identically to the original and holds only its weights; optimiser state is
-// not preserved, and training it allocates fresh gradients and moments.
+// identically to the original and holds only its weights — no random source
+// and no initial draw. Optimiser state is not preserved: training it
+// allocates fresh gradients and moments, and its random source (source).
 func LoadModel(st State) (*Model, error) {
-	m, err := NewModel(st.Config, 0)
+	m, err := build(st.Config, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -183,6 +190,15 @@ func LoadModel(st State) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// source is the training rng, which a loaded model creates when it first
+// trains.
+func (m *Model) source() *rand.Rand {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(0))
+	}
+	return m.rng
 }
 
 // encodeResult caches the encoder pass for backprop or decoding. Its slices
@@ -199,7 +215,7 @@ func (m *Model) encode(src []int, train bool, ws *nn.Workspace) encodeResult {
 	st := m.enc.ZeroStateWS(ws)
 	var rng *rand.Rand
 	if train {
-		rng = m.rng
+		rng = m.source()
 	}
 	top := m.enc.Layers() - 1
 	for i, tok := range src {
@@ -272,7 +288,7 @@ func (m *Model) TrainExampleContext(ctx context.Context, src, tgt []int) (loss f
 	logits := ws.Vec(m.cfg.TgtVocab)
 	decTop := m.dec.Layers() - 1
 	for t, tok := range inputs {
-		st, decCaches[t] = m.dec.StepWS(ws, st, m.tgtEmb.Lookup(tok), m.rng)
+		st, decCaches[t] = m.dec.StepWS(ws, st, m.tgtEmb.Lookup(tok), m.source())
 		attnSteps[t] = m.attn.ForwardWS(ws, enc.top, enc.proj, st.H[decTop])
 		m.out.Forward(logits, attnSteps[t].HTilde)
 		p := ws.Vec(m.cfg.TgtVocab)
@@ -354,7 +370,7 @@ func (m *Model) TrainContext(ctx context.Context, src, tgt [][]int) (TrainResult
 		var lossSum float64
 		var tokens int
 		for b := 0; b < m.cfg.BatchSize; b++ {
-			i := m.rng.Intn(len(src))
+			i := m.source().Intn(len(src))
 			if len(src[i]) == 0 || len(tgt[i]) == 0 {
 				continue
 			}

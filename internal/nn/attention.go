@@ -24,7 +24,9 @@ func NewLuongAttention(p *Params, name string, hidden int, rng *rand.Rand) *Luon
 		Wa:     p.New(name+".Wa", hidden, hidden),
 		Hidden: hidden,
 	}
-	a.Wa.W.XavierFill(rng)
+	if rng != nil {
+		a.Wa.W.XavierFill(rng)
+	}
 	return a
 }
 

@@ -13,10 +13,13 @@ type Embedding struct {
 	Dim int
 }
 
-// NewEmbedding registers a vocab×dim embedding table initialised uniformly.
+// NewEmbedding registers a vocab×dim embedding table initialised uniformly
+// from rng; a nil rng leaves it zero, for a restore to fill.
 func NewEmbedding(p *Params, name string, vocab, dim int, rng *rand.Rand) *Embedding {
 	e := &Embedding{W: p.New(name, vocab, dim), Dim: dim}
-	e.W.W.UniformFill(rng, 0.1)
+	if rng != nil {
+		e.W.W.UniformFill(rng, 0.1)
+	}
 	return e
 }
 
@@ -36,15 +39,17 @@ type Linear struct {
 	In, Out int
 }
 
-// NewLinear registers an out×in linear layer with Xavier weights and zero
-// bias.
+// NewLinear registers an out×in linear layer with Xavier weights drawn from
+// rng (zero when rng is nil) and zero bias.
 func NewLinear(p *Params, name string, in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
 		W:  p.New(name+".W", out, in),
 		B:  p.New(name+".b", 1, out),
 		In: in, Out: out,
 	}
-	l.W.W.XavierFill(rng)
+	if rng != nil {
+		l.W.W.XavierFill(rng)
+	}
 	return l
 }
 

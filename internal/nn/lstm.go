@@ -15,8 +15,9 @@ type LSTMCell struct {
 	In, Hidden int
 }
 
-// NewLSTMCell registers one LSTM layer's parameters. The forget-gate bias is
-// initialised to 1 so early training does not erase cell state.
+// NewLSTMCell registers one LSTM layer's parameters, with Xavier weights
+// drawn from rng (zero when rng is nil). The forget-gate bias is initialised
+// to 1 so early training does not erase cell state.
 func NewLSTMCell(p *Params, name string, in, hidden int, rng *rand.Rand) *LSTMCell {
 	c := &LSTMCell{
 		Wx: p.New(name+".Wx", 4*hidden, in),
@@ -24,8 +25,10 @@ func NewLSTMCell(p *Params, name string, in, hidden int, rng *rand.Rand) *LSTMCe
 		B:  p.New(name+".b", 1, 4*hidden),
 		In: in, Hidden: hidden,
 	}
-	c.Wx.W.XavierFill(rng)
-	c.Wh.W.XavierFill(rng)
+	if rng != nil {
+		c.Wx.W.XavierFill(rng)
+		c.Wh.W.XavierFill(rng)
+	}
 	for j := hidden; j < 2*hidden; j++ {
 		c.B.W.Data[j] = 1
 	}

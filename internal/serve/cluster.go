@@ -75,7 +75,7 @@ func (s *Server) setupCluster(opts Options) error {
 		Interval: opts.ProbeInterval,
 		// A revived peer may be missing state that moved while it was
 		// away (tenants adopted by standbys, or everything, after a disk
-		// loss); the resync exchange pends and ships it home.
+		// loss); the rejoin exchange pends and ships it home.
 		OnChange: s.onPeerChange,
 	}
 	s.cluster = cn
@@ -93,36 +93,18 @@ func (s *Server) stopCluster() {
 	}
 }
 
-// onPeerChange resyncs with a peer back from Down, in the background: it
-// may have stale state or none, and OnChange must not block the probe loop.
-func (s *Server) onPeerChange(peer string, _, to cluster.PeerState) {
+// onPeerChange re-runs the join when a peer is seen back from Down, by a
+// probe or by its hello. It greets every peer, not only the one that came
+// back: this replica's view may have missed another peer's verdict on it
+// (its probes of that peer never failed twice), and that peer may still be
+// adopting tenants this replica owns. Ticks and deletes wait (Table.Rejoin)
+// until every peer has been greeted; the rest runs in the background, as
+// OnChange must not block the probe loop.
+func (s *Server) onPeerChange(_ string, _, to cluster.PeerState) {
 	if to != cluster.Alive || s.table.Ready() == cluster.Draining {
 		return
 	}
-	cn := s.cluster
-	go s.resyncPeer(cn.ctx, peer)
-}
-
-// resyncPeer runs the two-sided recovery exchange with a revived peer:
-// hello (pend what it holds for us), shipHeld (what we hold for it), and a
-// replication re-seed. Every message is idempotent, so overlapping resyncs
-// converge on the same outcome.
-func (s *Server) resyncPeer(ctx context.Context, peer string) {
-	s.hello(ctx, peer)
-	if ctx.Err() != nil {
-		return
-	}
-	s.shipHeld(ctx, peer)
-	// Persists made while the view of the peer was stale never reached it;
-	// re-offer every resident session even when nothing ships home (after a
-	// two-way partition heals the victim holds nothing of the peer's, yet
-	// its standby copies went stale). The queue coalesces per tenant, and
-	// receivers ignore frames at or below the ticks they hold.
-	for _, sess := range s.reg.all() {
-		sess.mu.Lock()
-		s.replicateLocked(sess.tenant, snapshotOfLocked(sess))
-		sess.mu.Unlock()
-	}
+	go s.clusterJoin("rejoin", s.table.Rejoin())
 }
 
 // shipHeld announces to peer, as inbound, what is held here for it, then
@@ -189,38 +171,48 @@ func (s *Server) probePeer(ctx context.Context, peer string) error {
 	return nil
 }
 
-// clusterJoin says hello to every peer and pends what each holds for this
-// replica; tenant requests answer 503 until it is done. Then it ships each
-// peer it reached what is held here for it: state stranded by a failed
-// drain or a view change while this replica was down, or a standby copy
-// whose owner restarted without it.
-func (s *Server) clusterJoin() {
+// clusterJoin greets every peer it sees Alive with kind (PeerUpdate) and
+// pends what each holds for this replica, then calls joined (Table.Join at
+// start, the done of a Table.Rejoin after a recovery), which lets ticks
+// through. A peer down or mid-restart is skipped: when it is seen back, the
+// join runs again. Then
+// it ships each peer it reached what is held here for it — state stranded
+// by a failed drain or a view change while a replica was away, or a
+// standby copy whose owner restarted without it — and re-offers every
+// resident session for replication: persists made under a stale view never
+// reached the standby it names now (after a two-way partition heals, the
+// victim holds nothing of its peers' yet its copies went stale). Every
+// message is idempotent, so overlapping joins converge on one outcome.
+func (s *Server) clusterJoin(kind string, joined func()) {
 	cn := s.cluster
 	var reached []string
 	for _, p := range cn.ring.Peers() {
-		if p == cn.self || cn.ctx.Err() != nil {
+		if p == cn.self || cn.ctx.Err() != nil || s.table.Get(p) != cluster.Alive {
 			continue
 		}
-		// A peer down or mid-restart is skipped: the prober tracks it, and
-		// when it rejoins its own hello triggers the exchange from its side.
-		if s.hello(cn.ctx, p) {
+		if s.hello(cn.ctx, p, kind) {
 			reached = append(reached, p)
 		}
 	}
 	if cn.ctx.Err() != nil {
 		return
 	}
-	s.table.Join()
+	joined()
 	for _, p := range reached {
 		s.shipHeld(cn.ctx, p)
 	}
+	for _, sess := range s.reg.all() {
+		sess.mu.Lock()
+		s.replicateLocked(sess.tenant, snapshotOfLocked(sess))
+		sess.mu.Unlock()
+	}
 }
 
-// hello greets peer and pends what it holds for this replica; false when
-// the peer did not answer.
-func (s *Server) hello(ctx context.Context, peer string) bool {
+// hello greets peer with kind ("hello" or "rejoin") and pends what it holds
+// for this replica; false when the peer did not answer.
+func (s *Server) hello(ctx context.Context, peer, kind string) bool {
 	cn := s.cluster
-	reply, err := cn.sender.SendUpdate(ctx, peer, cluster.PeerUpdate{Kind: "hello", From: cn.self})
+	reply, err := cn.sender.SendUpdate(ctx, peer, cluster.PeerUpdate{Kind: kind, From: cn.self})
 	if err != nil {
 		return false
 	}
@@ -598,17 +590,18 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch u.Kind {
-	case "hello":
-		// A hello from a Down peer is a recovery observation: it fires the
-		// same resync as a probe would, which the prober's next success
+	case "hello", "rejoin":
+		// A greeting from a Down peer is a recovery observation: it fires
+		// the same rejoin as a probe would, which the prober's next success
 		// (Alive != Down) no longer can.
 		if s.table.Hello(u.From) {
 			s.onPeerChange(u.From, cluster.Down, cluster.Alive)
 		}
-		held, ticks := s.tenantsHeldFor(u.From, true)
+		pulled := u.Kind == "hello"
+		held, ticks := s.tenantsHeldFor(u.From, pulled)
 		writeJSON(w, cluster.PeerUpdateReply{Tenants: held, Ticks: ticks})
 		if len(held) > 0 && s.table.Ready() != cluster.Draining {
-			go s.shipTenants(u.From, held, true)
+			go s.shipTenants(u.From, held, pulled)
 		}
 	case "leave":
 		s.table.Set(u.From, cluster.Gone)

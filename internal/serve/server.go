@@ -225,7 +225,7 @@ func New(opts Options) (*Server, error) {
 			s.repl.Start(cn.ring.Peers(), cn.self)
 		}
 		s.cluster.prober.Start()
-		go s.clusterJoin()
+		go s.clusterJoin("hello", s.table.Join)
 	}
 	s.series = s.metricsTable()
 

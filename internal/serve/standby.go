@@ -143,23 +143,31 @@ func (s *Server) keepCopy(h cluster.Handoff, frame []byte) (bool, error) {
 
 // tryAdopt promotes tenant for its Down owner once Table.Route has answered
 // Adopt. True means "proceed: a resident session exists and is marked
-// adopted". Held state must exist: a tenant whose copy was dropped is never
-// fresh-started — it stays 503 until its owner returns, same as a tenant
-// with no standby at all.
+// adopted". It serves the freshest state held here — a resident session,
+// its own snapshot of an earlier adoption, or a standby copy: a session left
+// resident by an earlier adoption is retired when the owner has since
+// served on and replicated a fresher copy here. Held state must exist: a
+// tenant whose copy was dropped is never fresh-started — it stays 503 until
+// its owner returns, same as a tenant with no standby at all.
 func (s *Server) tryAdopt(tenant, owner string) bool {
+	snap, ok, _, err := s.stored(tenant, true) // a copy, or an earlier adoption's snapshot
+	ok = ok && err == nil
 	if sess := s.reg.get(tenant); sess != nil {
-		// Already resident: (re)mark it. A gone one lost a race with an
-		// eviction; install below.
+		// Already resident and as fresh as anything stored: (re)mark it. A
+		// gone one lost a race with an eviction; install below.
 		sess.mu.Lock()
-		if !sess.gone {
+		if !sess.gone && (!ok || sess.stream.Ticks() >= snap.Stream.Ticks) {
 			sess.adopted = true
 			sess.mu.Unlock()
 			return true
 		}
+		if !sess.gone {
+			sess.gone = true
+			s.reg.remove(sess)
+		}
 		sess.mu.Unlock()
 	}
-	snap, ok, _, err := s.stored(tenant, true) // a copy, or an earlier adoption's snapshot
-	if err != nil || !ok {
+	if !ok {
 		return false
 	}
 	sess, err := s.restoreSession(tenant, snap)

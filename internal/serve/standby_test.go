@@ -17,6 +17,7 @@ import (
 
 	"mdes/internal/cluster"
 	"mdes/internal/faultfs"
+	"mdes/internal/seqio"
 )
 
 // standbyCluster builds an n-replica cluster with warm-standby replication
@@ -638,7 +639,7 @@ func TestResyncReseedsReplicationWithNothingToShip(t *testing.T) {
 	before := owner.repl.Stats()
 	// The owner holds nothing owned by replica 1 or 2; the resync must still
 	// sweep its resident sessions back into the queue.
-	owner.resyncPeer(context.Background(), tc.urls[1])
+	owner.onPeerChange(tc.urls[1], cluster.Down, cluster.Alive)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		after := owner.repl.Stats()
@@ -809,5 +810,120 @@ func TestTornSnapshotCounted(t *testing.T) {
 	}
 	if got := srv3.met.snapshotTorn.Load(); got != 1 {
 		t.Fatalf("snapshotTorn = %d, want 1", got)
+	}
+}
+
+// quietCluster is a standby cluster whose probers never probe: tests set
+// each replica's view with Table.Set and fire recoveries by hand, so every
+// step of a race runs in the order the test writes.
+func quietCluster(t *testing.T) (tc *testCluster, push func(i int, tenant string, ds *seqio.Dataset, lo, hi int), at func(i int) *Client) {
+	t.Helper()
+	tc = newTestCluster(t, 3, func(i int, o *Options) {
+		o.StandbyDir = t.TempDir()
+		o.ProbeInterval = time.Hour
+	})
+	at = func(i int) *Client {
+		return &Client{BaseURL: tc.urls[i], Retry: RetryPolicy{MaxAttempts: 400, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}}
+	}
+	push = func(i int, tenant string, ds *seqio.Dataset, lo, hi int) {
+		t.Helper()
+		if _, err := at(i).PushTicksRetry(context.Background(), tenant, ticksOf(ds, lo, hi)); err != nil {
+			t.Fatalf("push [%d,%d) to replica %d: %v", lo, hi, i, err)
+		}
+	}
+	return tc, push, at
+}
+
+// waitServedAt polls replica i until it serves tenant itself, un-adopted, at
+// exactly want ticks.
+func waitServedAt(t *testing.T, at *Client, tenant string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		info, err := at.Session(context.Background(), tenant)
+		if err == nil && !info.Adopted && info.Ticks == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never served %q at %d ticks (last %+v, %v)", at.BaseURL, tenant, want, info, err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestReadoptionTakesFresherCopy: standby S adopts tenant T while owner O
+// is Down in its view, and its adopted session stays resident after O is
+// back. O takes T home (from the third replica's copy), serves on, and
+// replicates a fresher copy to S. When S adopts T again it must serve that
+// copy, not re-mark its stale session: the second outage's ticks would
+// otherwise land on the first outage's state.
+func TestReadoptionTakesFresherCopy(t *testing.T) {
+	tc, push, at := quietCluster(t)
+	tenant := tc.tenantOwnedBy(0, "readopt")
+	s := tc.standbyIdx(tenant)
+	r := 3 - s // the replicas are {0, s, r}
+	ds := coupledDataset(rand.New(rand.NewSource(61)), 24)
+
+	push(0, tenant, ds, 0, 6)
+	waitStandbyCopy(t, tc, s, tc.urls[0], tenant, 6)
+	tc.srvs[s].table.Set(tc.urls[0], cluster.Down)
+	push(s, tenant, ds, 6, 12) // S adopts its 6-tick copy and forwards 12 to R
+	waitStandbyCopy(t, tc, r, tc.urls[0], tenant, 12)
+	tc.srvs[s].table.Set(tc.urls[0], cluster.Alive)
+	// O's hello to R pulls R's copy home.
+	resp, err := http.Post(tc.urls[r]+cluster.UpdatePath, "application/json", strings.NewReader(fmt.Sprintf(`{"kind":"hello","from":%q}`, tc.urls[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	waitServedAt(t, at(0), tenant, 12)
+	push(0, tenant, ds, 12, 18)
+	waitStandbyCopy(t, tc, s, tc.urls[0], tenant, 18)
+
+	tc.srvs[s].table.Set(tc.urls[0], cluster.Down)
+	push(s, tenant, ds, 18, 24)
+	info, err := at(s).Session(context.Background(), tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Adopted || info.Ticks != 24 {
+		t.Fatalf("standby serves %+v after the second outage's batch, want adopted at 24 ticks (it re-adopted its stale session)", info)
+	}
+}
+
+// TestRejoinGreetsEveryPeer: owner O's view misses standby S's verdict on
+// it. S and the third replica R see O Down, and S adopts tenant T; O sees
+// R Down but S Alive. When O sees R back it takes T home from R's copy —
+// and must greet S too, or S keeps adopting T beside O: a client still
+// routing around O reaches S, and two replicas write T's stream. The rejoin
+// tells S that O is back (S redirects) and pends on O what S holds.
+func TestRejoinGreetsEveryPeer(t *testing.T) {
+	tc, push, at := quietCluster(t)
+	tenant := tc.tenantOwnedBy(0, "rejoin")
+	s := tc.standbyIdx(tenant)
+	r := 3 - s
+	ds := coupledDataset(rand.New(rand.NewSource(67)), 24)
+
+	push(0, tenant, ds, 0, 6)
+	waitStandbyCopy(t, tc, s, tc.urls[0], tenant, 6)
+	tc.srvs[s].table.Set(tc.urls[0], cluster.Down)
+	tc.srvs[r].table.Set(tc.urls[0], cluster.Down)
+	tc.srvs[0].table.Set(tc.urls[r], cluster.Down)
+	push(s, tenant, ds, 6, 12)
+	waitStandbyCopy(t, tc, r, tc.urls[0], tenant, 12)
+
+	// O's prober sees R back.
+	tc.srvs[0].table.Set(tc.urls[r], cluster.Alive)
+	tc.srvs[0].onPeerChange(tc.urls[r], cluster.Down, cluster.Alive)
+	waitServedAt(t, at(0), tenant, 12)
+	push(s, tenant, ds, 12, 18)
+	push(0, tenant, ds, 18, 24)
+	info, err := at(0).Session(context.Background(), tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Adopted || info.Ticks != 24 {
+		t.Fatalf("owner serves %+v after 24 ticks were sent, want un-adopted at 24 (S adopted beside it)", info)
 	}
 }

@@ -378,6 +378,7 @@ func FuzzPeerUpdate(f *testing.F) {
 	tc.swaps[1].set(http.NotFoundHandler())
 	for _, u := range []string{
 		fmt.Sprintf(`{"kind":"hello","from":%q}`, peer),
+		fmt.Sprintf(`{"kind":"rejoin","from":%q}`, peer),
 		fmt.Sprintf(`{"kind":"leave","from":%q,"tenants":["a","b"],"ticks":[3,4]}`, peer),
 		fmt.Sprintf(`{"kind":"inbound","from":%q,"tenants":["a"],"ticks":[7]}`, peer),
 		fmt.Sprintf(`{"kind":"gossip","from":%q}`, peer),
@@ -403,7 +404,7 @@ func FuzzPeerUpdate(f *testing.F) {
 		switch err := json.NewDecoder(bytes.NewReader(body)).Decode(&u); {
 		case err != nil:
 			want = http.StatusServiceUnavailable
-		case !slices.Contains(tc.urls, u.From), u.Kind != "hello" && u.Kind != "leave" && u.Kind != "inbound":
+		case !slices.Contains(tc.urls, u.From), !slices.Contains([]string{"hello", "rejoin", "leave", "inbound"}, u.Kind):
 			want = http.StatusBadRequest
 		}
 		if rec.Code != want {
