@@ -268,21 +268,3 @@ func (f *Forest) Predict(x []float64) bool { return f.PredictProba(x) >= 0.5 }
 func (f *Forest) FeatureImportances() []float64 {
 	return append([]float64(nil), f.importances...)
 }
-
-// TopFeatures returns the k most important feature indices, descending.
-func (f *Forest) TopFeatures(k int) []int {
-	idx := make([]int, f.features)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if f.importances[idx[a]] != f.importances[idx[b]] {
-			return f.importances[idx[a]] > f.importances[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}

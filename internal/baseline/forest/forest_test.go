@@ -133,13 +133,6 @@ func TestFeatureImportances(t *testing.T) {
 	if imp[0] <= imp[1] {
 		t.Fatalf("informative feature not ranked first: %v", imp)
 	}
-	top := f.TopFeatures(1)
-	if len(top) != 1 || top[0] != 0 {
-		t.Fatalf("TopFeatures = %v", top)
-	}
-	if got := f.TopFeatures(99); len(got) != 2 {
-		t.Fatalf("TopFeatures clamp = %v", got)
-	}
 }
 
 func TestPredictProbaRange(t *testing.T) {

@@ -1,11 +1,13 @@
 package bleu
 
+import "mdes/internal/mat"
+
 // Scorer computes BLEU over integer token sequences without maps or strings:
 // n-gram matches are counted on bitsets of reference positions, in scratch
-// that survives between calls (grown, never shrunk), so steady-state scoring
-// allocates nothing. This is the counter behind Scorer.SentenceIDs — the
-// sentence BLEU both scoring engines run per decoded sentence — and behind
-// CorpusIDs, training's dev-set score.
+// that survives between calls (mat.Resize grows it, never shrinks it), so
+// steady-state scoring allocates nothing. This is the counter behind
+// Scorer.SentenceIDs — the sentence BLEU both scoring engines run per decoded
+// sentence — and behind CorpusIDs, training's dev-set score.
 //
 // A Scorer is not safe for concurrent use; pool one per worker.
 type Scorer struct {
@@ -47,10 +49,7 @@ func (s *Scorer) SentenceIDs(ref, hyp []int, maxN int, smoothing Smoothing) floa
 func (s *Scorer) accumulate(ref, hyp []int, maxN int, matches, totals *[MaxOrder]float64) {
 	words := (len(ref) + 63) / 64
 	rows := len(hyp) * words
-	if need := 2*rows + words; cap(s.buf) < need {
-		//mdes:allow(noalloc) grow-once scratch: amortised to zero at steady state
-		s.buf = make([]uint64, need)
-	}
+	s.buf = mat.Resize(s.buf, 2*rows+words)
 	eq, cur, used := s.buf[:rows], s.buf[rows:2*rows], s.buf[2*rows:2*rows+words]
 	clear(eq)
 	for i, tok := range hyp {

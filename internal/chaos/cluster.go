@@ -50,9 +50,9 @@ const (
 type op int
 
 const (
-	kill         op = iota // its address answers 503 (deadHandler) and the process stops
-	killReset              // its address resets connections (connResetHandler) and the process stops
-	restart                // the process boots again on its own disk
+	kill         op = iota // its address answers 503 (deadHandler), its disk crashes, the process stops
+	killReset              // its address resets connections (connResetHandler), its disk crashes, the process stops
+	restart                // the disk recovers from the crash and the process boots again on it
 	restartWiped           // the process boots again on an empty disk
 	drain                  // it drains its tenants to its peers, and stays up answering misroutes
 	cutTwoWay              // it and the rest (the client included) cannot reach each other
@@ -505,17 +505,22 @@ func (h *harness) apply(ctx context.Context, st step, v int, owned []string, see
 	switch st.op {
 	case kill, killReset:
 		// No warning, no drain: the address goes dark at a request boundary
-		// (the last acked batch is the last durable state).
+		// and the disk freezes with it, so only what was durable when the
+		// last batch was acked survives (Shutdown's saves fail on the
+		// crashed disk; it only reclaims goroutines).
 		if st.op == kill {
 			r.handler.Store(replicaBox{deadHandler})
 		} else {
 			r.handler.Store(replicaBox{connResetHandler})
 		}
-		_ = r.srv.Shutdown(ctx) // reclaim goroutines; disk already holds boundary state
+		r.fs.Crash()
+		_ = r.srv.Shutdown(ctx)
 	case restart, restartWiped:
 		if st.op == restartWiped {
 			// Total disk loss: snapshots, standby store, everything.
 			r.fs = faultfs.NewInject(seed*9_000_041+int64(it), faultfs.Faults{})
+		} else {
+			r.fs.Recover() // the reboot: unsynced bytes and entries are lost
 		}
 		return h.start(v)
 	case drain:

@@ -106,30 +106,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// InDegree returns the number of incoming edges of a node.
-func (g *Graph) InDegree(name string) int {
-	ti, ok := g.index[name]
-	if !ok {
-		return 0
-	}
-	var n int
-	for _, m := range g.adj {
-		if _, ok := m[ti]; ok {
-			n++
-		}
-	}
-	return n
-}
-
-// OutDegree returns the number of outgoing edges of a node.
-func (g *Graph) OutDegree(name string) int {
-	si, ok := g.index[name]
-	if !ok {
-		return 0
-	}
-	return len(g.adj[si])
-}
-
 // InDegrees returns every node's in-degree keyed by name.
 func (g *Graph) InDegrees() map[string]int {
 	out := make(map[string]int, len(g.nodes))
@@ -246,51 +222,6 @@ func (g *Graph) WithoutNodes(names []string) *Graph {
 func (g *Graph) LocalSubgraph(r Range, minInDegree int) *Graph {
 	sub := g.Subgraph(r)
 	return sub.WithoutNodes(sub.PopularSensors(minInDegree))
-}
-
-// ConnectedComponents returns the weakly connected components, each sorted by
-// name, largest first (ties by first name).
-func (g *Graph) ConnectedComponents() [][]string {
-	parent := make([]int, len(g.nodes))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for si, m := range g.adj {
-		for ti := range m {
-			union(si, ti)
-		}
-	}
-	groups := make(map[int][]string)
-	for i, n := range g.nodes {
-		r := find(i)
-		groups[r] = append(groups[r], n)
-	}
-	out := make([][]string, 0, len(groups))
-	for _, members := range groups {
-		sort.Strings(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return out[i][0] < out[j][0]
-	})
-	return out
 }
 
 // Undirected collapses the graph into symmetric weights: w(i,j) is the mean

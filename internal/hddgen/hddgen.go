@@ -292,15 +292,6 @@ func poissonish(rng *rand.Rand, mean float64) float64 {
 	return n
 }
 
-// Labels returns per-drive failure labels aligned with Drives order.
-func (f *Fleet) Labels() []bool {
-	out := make([]bool, len(f.Drives))
-	for i, d := range f.Drives {
-		out[i] = d.Failed
-	}
-	return out
-}
-
 // Sample is one drive-day observation for the baseline models.
 type Sample struct {
 	DriveID string

@@ -205,20 +205,3 @@ func TestTabularSamples(t *testing.T) {
 		t.Fatalf("positives = %d, want %d", positives, len(fleet.FailedDrives()))
 	}
 }
-
-func TestLabels(t *testing.T) {
-	fleet, err := Generate(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := fleet.Labels()
-	var n int
-	for _, l := range labels {
-		if l {
-			n++
-		}
-	}
-	if n != len(fleet.FailedDrives()) {
-		t.Fatalf("labels count %d != failed %d", n, len(fleet.FailedDrives()))
-	}
-}

@@ -22,15 +22,15 @@ func (m *Model) ScoreBatch(srcs, refs [][]int, out []float64) {
 	if len(srcs) == 0 {
 		return
 	}
-	w := m.getWS()
-	defer m.putWS(w)
+	w := getWS()
+	defer putWS(w)
 	m.scoreBatch(w, srcs, refs, out)
 }
 
 // ScoreSentence scores one sentence (a batch of one).
 func (m *Model) ScoreSentence(src, ref []int) float64 {
-	w := m.getWS()
-	defer m.putWS(w)
+	w := getWS()
+	defer putWS(w)
 	w.src1[0], w.ref1[0] = src, ref
 	m.scoreBatch(w, w.src1[:], w.ref1[:], w.out1[:])
 	return w.out1[0]
@@ -43,13 +43,12 @@ func (m *Model) Translate(src []int) []int {
 	if len(src) == 0 {
 		return nil
 	}
-	w := m.getWS()
-	defer m.putWS(w)
+	w := getWS()
+	defer putWS(w)
 	w.src1[0] = src
-	w.hyps = resizeOuterInts(w.hyps, 1)
-	group := w.intsBuf(1)
-	m.translateGroup(w, w.src1[:], group, w.hyps, w.intsBuf(1))
-	return append([]int(nil), w.hyps[0]...)
+	hyps := w.seqs.Take(1)
+	m.translateGroup(w, w.src1[:], w.ints.Take(1), hyps, w.ints.Take(1))
+	return append([]int(nil), hyps[0]...)
 }
 
 // CachedScore returns the memoised f(i,j) of src against the observed target
@@ -65,7 +64,7 @@ func (m *Model) CachedScore(src, ref []int) (float64, bool) { return m.cache.Sco
 //mdes:noalloc
 func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 	n := len(srcs)
-	idx := w.intsBuf(n)[:0]
+	idx := w.ints.Take(n)[:0]
 	for i := range srcs {
 		if score, ok := m.cache.Score(srcs[i], refs[i]); ok {
 			out[i] = score
@@ -84,9 +83,8 @@ func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 			idx[j-1], idx[j] = idx[j], idx[j-1]
 		}
 	}
-	w.hyps = resizeOuterInts(w.hyps, n)
-	hyps := w.hyps
-	cached := w.intsBuf(n)
+	hyps := w.seqs.Take(n)
+	cached := w.ints.Take(n)
 	for lo := 0; lo < len(idx); {
 		hi := lo + 1
 		l := len(srcs[idx[lo]])
@@ -114,14 +112,14 @@ func (m *Model) scoreBatch(w *ws, srcs, refs [][]int, out []float64) {
 // workspace buffers, decoded ones live in the workspace (at F64, on the
 // heap); either way they last until reset and are read-only for the caller.
 func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int, cached []int) {
-	miss := w.intsBuf(len(group))[:0]
-	reps := w.intsBuf(2 * len(group))[:0] // (repeat, first copy) pairs
+	miss := w.ints.Take(len(group))[:0]
+	reps := w.ints.Take(2 * len(group))[:0] // (repeat, first copy) pairs
 	// buf is the next hit's buffer: a miss leaves it for the next probe.
 	var buf []int
 scan:
 	for _, i := range group {
 		if buf == nil {
-			buf = w.intsBuf(m.cfg.MaxDecodeLen)
+			buf = w.ints.Take(m.cfg.MaxDecodeLen)
 		}
 		if hyp, ok := m.cache.Lookup(srcs[i], buf); ok {
 			hyps[i], cached[i] = hyp, 1
@@ -173,7 +171,7 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	// Encoder: top-layer hidden per (sentence, source position), laid out so
 	// sentence b's positions are the contiguous rows [b*sN, (b+1)*sN).
 	encTop := w.matrix(bN*sN, h)
-	ids := w.intsBuf(bN)
+	ids := w.ints.Take(bN)
 	for s := 0; s < sN; s++ {
 		for b, i := range group {
 			ids[b] = srcs[i][s]
@@ -197,10 +195,10 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	htl := w.matrix(bN, h)
 	logits := w.matrix(bN, m.cfg.TgtVocab)
 
-	tok := w.intsBuf(bN)
-	done := w.intsBuf(bN)
-	lens := w.intsBuf(bN)
-	outTok := w.intsBuf(bN * maxLen)
+	tok := w.ints.Take(bN)
+	done := w.ints.Take(bN)
+	lens := w.ints.Take(bN)
+	outTok := w.ints.Take(bN * maxLen)
 	for b := range tok {
 		tok[b] = nmt.BosID
 	}

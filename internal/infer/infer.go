@@ -21,7 +21,6 @@ package infer
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mdes/internal/mat"
 	"mdes/internal/nmt"
@@ -160,8 +159,6 @@ type Model struct {
 	wcB      []float32
 	outW     weight // V×h output projection
 	outB     []float32
-
-	wsPool sync.Pool
 
 	// cache memoises greedy decodes per source sentence and scores per
 	// sentence pair: the engine's own when frozen, the training model's at F64.
@@ -317,18 +314,6 @@ func (m *Model) MemoryBytes() int {
 // also drops everything cached.
 func (m *Model) SetTranslationCaching(on bool) { m.cache.SetCaching(on) }
 
-func (m *Model) getWS() *ws {
-	if v := m.wsPool.Get(); v != nil {
-		return v.(*ws)
-	}
-	return newWS()
-}
-
-func (m *Model) putWS(w *ws) {
-	w.reset()
-	m.wsPool.Put(w)
-}
-
 // mulInto computes dst = x·wᵀ (add=false) or dst += x·wᵀ (add=true) for a
 // B×in activation matrix against a frozen out×in weight, dispatching on the
 // weight's precision. The int8 path quantizes each activation row on the fly.
@@ -344,7 +329,8 @@ func (m *Model) mulInto(w *ws, dst, x *mat.Matrix32, wt *weight, add bool) {
 		return
 	}
 	b, n := x.Rows, x.Cols
-	qbuf, qscales := w.quantScratch(b, n)
+	w.qbuf, w.qscales = mat.Resize(w.qbuf, b*n), mat.Resize(w.qscales, b)
+	qbuf, qscales := w.qbuf, w.qscales
 	for i := 0; i < b; i++ {
 		qscales[i] = mat.QuantizeVec8(qbuf[i*n:(i+1)*n], x.Row(i))
 	}

@@ -162,6 +162,49 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSharedPoolServesEveryShape pins the one-pool policy: two engines of
+// different shape (layers, widths, vocabularies) scored alternately draw
+// their workspaces from the one process-wide pool, and once a workspace has
+// grown to the larger shape neither allocates.
+func TestSharedPoolServesEveryShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops workspaces under the race detector")
+	}
+	small := testConfig()
+	wide := testConfig()
+	wide.SrcVocab, wide.TgtVocab = 20, 24
+	wide.Embed, wide.Hidden, wide.Layers, wide.MaxDecodeLen = 12, 16, 3, 14
+	rng := rand.New(rand.NewSource(9))
+	type job struct {
+		m          *Model
+		srcs, refs [][]int
+		out        []float64
+	}
+	var jobs []job
+	for i, cfg := range []nmt.Config{small, wide} {
+		nm, err := nmt.NewModel(cfg, int64(20+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := FromState(nm.State(), []Precision{F32, Int8}[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetTranslationCaching(false)
+		srcs := randSentences(rng, 12, 9, cfg.SrcVocab)
+		jobs = append(jobs, job{m, srcs, randSentences(rng, 12, 9, cfg.TgtVocab), make([]float64, len(srcs))})
+	}
+	run := func() {
+		for _, j := range jobs {
+			j.m.ScoreBatch(j.srcs, j.refs, j.out)
+		}
+	}
+	run() // grow a pooled workspace to both shapes
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("alternating two engines allocates %v/op, want 0", allocs)
+	}
+}
+
 // TestTranslationCacheLifecycle walks every engine's nmt.TransCache through
 // infer's batched translate path: a miss, a hit, the full drop at its
 // 4096-entry cap and the off switch; and the score memo beside it, which
@@ -358,14 +401,14 @@ func TestWarmProbesDoNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { _, hit = m.CachedScore(src, ref) }); allocs != 0 || !hit {
 			t.Errorf("%v: CachedScore allocates %v/op (hit %v), want 0 and a hit", prec, allocs, hit)
 		}
-		w := m.getWS()
+		w := getWS()
 		w.src1[0] = src
-		w.hyps = resizeOuterInts(w.hyps, 1)
+		hyps := w.seqs.Take(1)
 		group, cached := []int{0}, []int{0}
-		if allocs := testing.AllocsPerRun(100, func() { m.translateGroup(w, w.src1[:], group, w.hyps, cached) }); allocs != 0 || cached[0] == 0 {
+		if allocs := testing.AllocsPerRun(100, func() { m.translateGroup(w, w.src1[:], group, hyps, cached) }); allocs != 0 || cached[0] == 0 {
 			t.Errorf("%v: translateGroup on a cached source allocates %v/op (cached %v), want 0 and a cache hit", prec, allocs, cached[0])
 		}
-		m.putWS(w)
+		putWS(w)
 	}
 }
 

@@ -360,15 +360,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
 // Softmax writes softmax(x) into dst (may alias x). It is numerically stable
 // against large logits.
 func Softmax(dst, x []float64) {
@@ -394,24 +385,6 @@ func Softmax(dst, x []float64) {
 	for i := range dst {
 		dst[i] *= inv
 	}
-}
-
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
-func LogSumExp(x []float64) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	maxV := x[0]
-	for _, v := range x[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for _, v := range x {
-		sum += math.Exp(v - maxV)
-	}
-	return maxV + math.Log(sum)
 }
 
 // ArgMax returns the index of the largest element (first on ties); -1 for an

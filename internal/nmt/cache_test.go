@@ -211,16 +211,16 @@ func TestTrainAndTranslateAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { m.Decode(src[0]) }); allocs > 2 {
 		t.Errorf("Decode allocates %v times per sentence on a warm workspace, want <= 2", allocs)
 	}
-	if _, _, err := m.TrainExample(src[0], tgt[0]); err != nil {
+	if _, _, err := m.TrainExampleContext(context.Background(), src[0], tgt[0]); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := m.TrainExample(src[0], tgt[0]); err != nil {
+		if _, _, err := m.TrainExampleContext(context.Background(), src[0], tgt[0]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 2 {
-		t.Errorf("TrainExample allocates %v times per example on a warm workspace, want <= 2", allocs)
+		t.Errorf("TrainExampleContext allocates %v times per example on a warm workspace, want <= 2", allocs)
 	}
 }
 

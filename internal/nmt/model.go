@@ -244,17 +244,12 @@ func (m *Model) clampTgt(tok int) int {
 // ErrEmptySequence is returned when a training pair has an empty side.
 var ErrEmptySequence = errors.New("nmt: empty source or target sequence")
 
-// TrainExample performs forward+backward on one (src, tgt) pair, accumulating
-// gradients, and returns the summed token cross-entropy and token count. The
-// caller batches examples and applies the optimiser step.
-func (m *Model) TrainExample(src, tgt []int) (loss float64, tokens int, err error) {
-	return m.TrainExampleContext(context.Background(), src, tgt)
-}
-
-// TrainExampleContext is TrainExample with cancellation: the context is
-// checked before the forward and before the backward pass, so a cancelled
-// training run stops within an example rather than only between optimiser
-// steps. The checks never consume model RNG, so a run under a background
+// TrainExampleContext performs forward+backward on one (src, tgt) pair,
+// accumulating gradients, and returns the summed token cross-entropy and
+// token count; the caller batches examples and applies the optimiser step.
+// The context is checked before the forward and before the backward pass,
+// so a cancelled training run stops within an example rather than only
+// between optimiser steps. The checks never consume model RNG, so a run under a background
 // context is bit-identical to one under an ignored live context.
 func (m *Model) TrainExampleContext(ctx context.Context, src, tgt []int) (loss float64, tokens int, err error) {
 	if len(src) == 0 || len(tgt) == 0 {

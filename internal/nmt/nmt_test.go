@@ -159,7 +159,7 @@ func TestTrainRejectsBadCorpora(t *testing.T) {
 	if _, err := model.Train(nil, nil); err == nil {
 		t.Fatal("empty corpus must error")
 	}
-	if _, _, err := model.TrainExample(nil, []int{3}); err == nil {
+	if _, _, err := model.TrainExampleContext(context.Background(), nil, []int{3}); err == nil {
 		t.Fatal("empty source must error")
 	}
 	if _, err := model.Perplexity([][]int{{}}, [][]int{{}}); err == nil {
@@ -214,7 +214,7 @@ func TestSeq2SeqGradCheckSampled(t *testing.T) {
 		return l
 	}
 	m.params.ZeroGrad()
-	if _, _, err := m.TrainExample(src, tgt); err != nil {
+	if _, _, err := m.TrainExampleContext(context.Background(), src, tgt); err != nil {
 		t.Fatal(err)
 	}
 

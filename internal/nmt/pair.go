@@ -3,11 +3,11 @@ package nmt
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"mdes/internal/bleu"
+	"mdes/internal/fanout"
 )
 
 // PairData is the aligned corpus for one directional sensor pair (i → j):
@@ -202,49 +202,24 @@ func TrainPairsOpts(ctx context.Context, cfg Config, pairs []PairData, workers i
 		pending = append(pending, i)
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	var emit sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if err := ctx.Err(); err != nil {
-					results[idx] = PairResult{
-						Src: pairs[idx].Src, Tgt: pairs[idx].Tgt, Err: err,
-					}
-					continue
-				}
-				r := TrainPairContext(ctx, cfg, pairs[idx], baseSeed+int64(idx))
-				results[idx] = r
-				if opts.OnResult != nil {
-					emit.Lock()
-					opts.OnResult(idx, r)
-					emit.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for n, i := range pending {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// Mark everything not yet handed out as cancelled.
-			for _, j := range pending[n:] {
-				results[j] = PairResult{Src: pairs[j].Src, Tgt: pairs[j].Tgt, Err: ctx.Err()}
-			}
-			break feed
+	started := fanout.Each(ctx, len(pending), workers, func(n int) {
+		idx := pending[n]
+		if err := ctx.Err(); err != nil {
+			results[idx] = PairResult{Src: pairs[idx].Src, Tgt: pairs[idx].Tgt, Err: err}
+			return
 		}
+		r := TrainPairContext(ctx, cfg, pairs[idx], baseSeed+int64(idx))
+		results[idx] = r
+		if opts.OnResult != nil {
+			emit.Lock()
+			opts.OnResult(idx, r)
+			emit.Unlock()
+		}
+	})
+	// Mark everything never handed out as cancelled.
+	for _, j := range pending[started:] {
+		results[j] = PairResult{Src: pairs[j].Src, Tgt: pairs[j].Tgt, Err: ctx.Err()}
 	}
-	close(jobs)
-	wg.Wait()
 	return results
 }

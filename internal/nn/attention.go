@@ -65,7 +65,7 @@ func (a *LuongAttention) ForwardWS(ws *Workspace, enc, waEnc [][]float64, h []fl
 	checkLen("attention h", len(h), a.Hidden)
 	n := len(enc)
 	checkLen("attention waEnc", len(waEnc), n)
-	st := ws.attnStep()
+	st := ws.attns.New()
 	st.Enc, st.H, st.WaEnc = enc, h, waEnc
 	st.Weights = ws.Vec(n)
 	st.Ctx = ws.Vec(a.Hidden)

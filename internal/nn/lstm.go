@@ -58,7 +58,7 @@ func (l *LSTMCell) StepWS(ws *Workspace, x, hPrev, cPrev []float64) *LSTMStep {
 	l.Wh.W.MulVecAdd(gates, hPrev)
 	mat.Axpy(1, l.B.W.Data, gates)
 
-	st := ws.lstmStep()
+	st := ws.steps.New()
 	state := ws.Vec(3 * h)
 	st.X, st.HPrev, st.CPrev = x, hPrev, cPrev
 	st.I, st.F, st.G, st.O = gates[0:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:4*h]

@@ -161,9 +161,6 @@ func (a *Adam) Step(p *Params) {
 	}
 }
 
-// StepCount returns how many optimiser steps have been applied.
-func (a *Adam) StepCount() int { return a.step }
-
 // Snapshot copies every parameter's weights keyed by name, for persistence.
 func (p *Params) Snapshot() map[string][]float64 {
 	out := make(map[string][]float64, len(p.list))

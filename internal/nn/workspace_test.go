@@ -51,16 +51,16 @@ func TestWorkspaceIntsZeroed(t *testing.T) {
 func TestWorkspaceVecsSurviveGrowth(t *testing.T) {
 	ws := NewWorkspace()
 	marker := []float64{1}
-	first := ws.Vecs(minArena - 1)
+	first := ws.Vecs(3)
 	first[0] = marker
-	second := ws.Vecs(minArena) // does not fit beside first: the arena grows
+	second := ws.Vecs(1000) // does not fit beside first: the arena grows
 	second[0] = marker
-	if &first[0][0] != &marker[0] || len(first) != minArena-1 || cap(second) != minArena {
+	if &first[0][0] != &marker[0] || len(first) != 3 || cap(second) != 1000 {
 		t.Fatal("growth disturbed a slice handed out earlier")
 	}
 	ws.Reset()
 	allocs := testing.AllocsPerRun(10, func() {
-		a, b := ws.Vecs(minArena-1), ws.Vecs(minArena)
+		a, b := ws.Vecs(3), ws.Vecs(1000)
 		if a[0] != nil || b[0] != nil {
 			t.Fatal("Vecs after Reset returned stale entries")
 		}
@@ -79,7 +79,7 @@ func TestWorkspaceResetCoalesces(t *testing.T) {
 	ws := NewWorkspace()
 	pattern := func() {
 		for i := 0; i < 8; i++ {
-			ws.Vec(minSlab / 2) // forces several growth steps on a cold arena
+			ws.Vec(2048) // forces several growth steps on a cold arena
 		}
 	}
 	pattern()

@@ -27,9 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
+
+	"mdes/internal/fanout"
 )
 
 // Defaults applied by Config.withDefaults for zero fields.
@@ -204,37 +204,12 @@ func Screen(ctx context.Context, sensors []Sensor, cfg Config, workers int) (*Re
 
 	// Parallel sweep: one task per source sensor, each filling its own row
 	// of pair scores, so assembly order never affects the result.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(streams) {
-		workers = len(streams)
-	}
 	rows := make([][]PairScore, len(streams))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				rows[i] = scoreRow(ctx, streams, i)
-			}
-		}()
-	}
-feed:
-	for i := range streams {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	fanout.Each(ctx, len(streams), workers, func(i int) {
+		if ctx.Err() == nil {
+			rows[i] = scoreRow(ctx, streams, i)
 		}
-	}
-	close(jobs)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

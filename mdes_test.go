@@ -131,10 +131,9 @@ func TestTrainBuildsGraphAndFilters(t *testing.T) {
 	if len(model.PairRuntimes()) != 6 {
 		t.Fatalf("runtimes = %d", len(model.PairRuntimes()))
 	}
-	// Vocabulary sizes exist for modelled sensors only.
-	vs := model.VocabularySizes()
-	if len(vs) != 3 || vs["a"] == 0 {
-		t.Fatalf("vocab sizes = %v", vs)
+	// Languages exist for modelled sensors only.
+	if len(model.languages) != 3 || model.languages["a"].VocabularySize() == 0 {
+		t.Fatalf("languages = %v", model.languages)
 	}
 }
 

@@ -6,13 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"mdes/internal/anomaly"
 	"mdes/internal/community"
+	"mdes/internal/fanout"
 	"mdes/internal/graph"
 	"mdes/internal/lang"
 	"mdes/internal/nmt"
@@ -38,15 +37,6 @@ func (m *Model) Sensors() []string { return m.graph.Nodes() }
 // PairRuntimes reports per-pair training+scoring wall-clock times (Fig 4(a)).
 func (m *Model) PairRuntimes() []PairRuntime {
 	return append([]PairRuntime(nil), m.runtimes...)
-}
-
-// VocabularySizes reports each sensor's vocabulary size (Fig 3(b)).
-func (m *Model) VocabularySizes() map[string]int {
-	out := make(map[string]int, len(m.languages))
-	for name, l := range m.languages {
-		out[name] = l.VocabularySize()
-	}
-	return out
 }
 
 // GlobalSubgraph returns the global subgraph for a BLEU band (§III-B1).
@@ -120,68 +110,37 @@ func (m *Model) testScores(ctx context.Context, test *seqio.Dataset, det *anomal
 		scores[t] = make([]float64, len(rels))
 	}
 
-	workers := m.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(rels) {
-		workers = len(rels)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	errs := make([]error, len(rels))
+	started := fanout.Each(ctx, len(rels), m.cfg.Workers, func(k int) {
+		rel := rels[k]
+		im := m.engines[[2]string{rel.Src, rel.Tgt}]
+		if im == nil {
+			errs[k] = fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt)
+			return
 		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]float64, ctxCheckStride)
-			for k := range jobs {
-				if ctx.Err() != nil {
-					setErr(ctx.Err())
-					continue
-				}
-				rel := rels[k]
-				im := m.engines[[2]string{rel.Src, rel.Tgt}]
-				if im == nil {
-					setErr(fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt))
-					continue
-				}
-				// One ScoreBatch per chunk of timestamps: one relationship can
-				// cover thousands, and checking the context between chunks
-				// keeps Detect cancellation prompt.
-				src, tgt := sents[rel.Src], sents[rel.Tgt]
-				for t0 := 0; t0 < steps; t0 += ctxCheckStride {
-					if ctx.Err() != nil {
-						setErr(ctx.Err())
-						break
-					}
-					hi := min(t0+ctxCheckStride, steps)
-					im.ScoreBatch(src[t0:hi], tgt[t0:hi], buf[:hi-t0])
-					for i, v := range buf[:hi-t0] {
-						scores[t0+i][k] = v
-					}
-				}
+		// One ScoreBatch per chunk of timestamps: one relationship can cover
+		// thousands, and checking the context between chunks keeps Detect
+		// cancellation prompt.
+		src, tgt := sents[rel.Src], sents[rel.Tgt]
+		buf := make([]float64, min(ctxCheckStride, steps))
+		for t0 := 0; t0 < steps; t0 += ctxCheckStride {
+			if errs[k] = ctx.Err(); errs[k] != nil {
+				return
 			}
-		}()
+			hi := min(t0+ctxCheckStride, steps)
+			im.ScoreBatch(src[t0:hi], tgt[t0:hi], buf[:hi-t0])
+			for i, v := range buf[:hi-t0] {
+				scores[t0+i][k] = v
+			}
+		}
+	})
+	if started < len(rels) {
+		return nil, ctx.Err()
 	}
-	for k := range rels {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return scores, nil
 }
