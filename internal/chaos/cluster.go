@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -598,17 +597,14 @@ func (h *harness) surveyTenant(ctx context.Context, owner, tenant string) string
 // copyTicks reads, from outside the server, the ticks of the standby copy of
 // tenant filed under owner in ifs: -1 for none, or none intact.
 func copyTicks(ifs *faultfs.InjectFS, owner, tenant string) (int, error) {
-	data, err := serve.ReadSnapshotFrame(ifs, fmt.Sprintf("%s/%x-%x.standby", standbyDir, []byte(owner), []byte(tenant)))
-	if errors.Is(err, fs.ErrNotExist) {
+	h, found, err := readRecord(ifs, standbyDir, owner, tenant)
+	switch {
+	case !found || errors.Is(err, cluster.ErrBadFrame):
 		return -1, nil
-	}
-	if err != nil {
+	case err != nil:
 		return -1, err
 	}
-	if h, err := cluster.DecodeHandoff(data); err == nil {
-		return h.Ticks, nil
-	}
-	return -1, nil
+	return h.Ticks, nil
 }
 
 // waitStandbyTicks polls a replica's standby store until it holds a copy of

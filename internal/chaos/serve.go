@@ -11,7 +11,7 @@ import (
 	"reflect"
 
 	"mdes"
-	"mdes/internal/checkpoint"
+	"mdes/internal/cluster"
 	"mdes/internal/faultfs"
 	"mdes/internal/serve"
 )
@@ -24,14 +24,6 @@ const (
 	serveTicks = 36 // ticks pushed per tenant per iteration
 	serveBatch = 6  // ticks per request; snapshots land on these boundaries
 )
-
-// snapMirror decodes the serve layer's snapshot record (the wire format is
-// part of the durability contract; the soak checks it from the outside).
-type snapMirror struct {
-	Tenant string              `json:"tenant"`
-	Model  string              `json:"model"`
-	Stream mdes.StreamSnapshot `json:"stream"`
-}
 
 // ServeSoakReport summarises one ServeSoak run.
 type ServeSoakReport struct {
@@ -272,34 +264,31 @@ func ServeSoakWith(ctx context.Context, seed int64, iters int, build func(serve.
 // filesystem and validates it against the reference boundaries, returning
 // the tick count the tenant will resume from (0 = fresh start).
 func restoredTicks(ifs *faultfs.InjectFS, dir, tenant string, bounds map[int]mdes.StreamSnapshot) (int, error) {
-	path := snapshotFile(dir, tenant)
-	data, err := serve.ReadSnapshotFrame(ifs, path)
-	if errors.Is(err, fs.ErrNotExist) {
+	h, found, err := readRecord(ifs, dir, "", tenant)
+	switch {
+	case !found:
 		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("tenant %q: read snapshot: %w", tenant, err)
-	}
-	payloads, _, _ := checkpoint.Frames(data)
-	if len(payloads) == 0 {
+	case errors.Is(err, cluster.ErrBadFrame):
 		// A replaced file's content is synced before the rename, and an
 		// in-place save only ever tears the slot not holding the newest
 		// record, so an installed snapshot must never read torn — if it
 		// does, the save path has a hole.
-		return 0, fmt.Errorf("tenant %q: installed snapshot is torn (%d bytes, no intact frame)", tenant, len(data))
+		return 0, fmt.Errorf("tenant %q: installed snapshot is torn (no intact record)", tenant)
+	case err != nil:
+		return 0, fmt.Errorf("tenant %q: read snapshot: %w", tenant, err)
 	}
-	var snap snapMirror
-	if err := json.Unmarshal(payloads[len(payloads)-1], &snap); err != nil {
+	var snap struct{ Stream mdes.StreamSnapshot } // the payload's "stream"
+	if err := json.Unmarshal(h.Payload, &snap); err != nil {
 		return 0, fmt.Errorf("tenant %q: snapshot decode: %w", tenant, err)
 	}
-	want, ok := bounds[snap.Stream.Ticks]
+	want, ok := bounds[h.Ticks]
 	if !ok {
-		return 0, fmt.Errorf("tenant %q: snapshot at tick %d, not a request boundary", tenant, snap.Stream.Ticks)
+		return 0, fmt.Errorf("tenant %q: snapshot at tick %d, not a request boundary", tenant, h.Ticks)
 	}
 	if !reflect.DeepEqual(snap.Stream, want) {
-		return 0, fmt.Errorf("tenant %q: snapshot at tick %d diverges from reference", tenant, snap.Stream.Ticks)
+		return 0, fmt.Errorf("tenant %q: snapshot at tick %d diverges from reference", tenant, h.Ticks)
 	}
-	return snap.Stream.Ticks, nil
+	return h.Ticks, nil
 }
 
 // auditTenant asserts a tenant's durable snapshot is exactly the reference
@@ -315,8 +304,22 @@ func auditTenant(ifs *faultfs.InjectFS, dir, tenant string, bounds map[int]mdes.
 	return nil
 }
 
-// snapshotFile mirrors the serve layer's tenant → path mapping (hex-encoded
-// tenant + ".snap"); the soak reads snapshots from outside the server.
-func snapshotFile(dir, tenant string) string {
-	return fmt.Sprintf("%s/%x.snap", dir, []byte(tenant))
+// readRecord reads, from outside the server, dir's session record for
+// (owner, tenant): a snapshot when owner is "", else a standby copy. Both
+// are one cluster.Handoff frame in a slot file named by hex-encoded owner
+// and tenant, a format the soaks hold the serve layer to. found is false
+// for no file; a file with no intact record is cluster.ErrBadFrame.
+func readRecord(ifs *faultfs.InjectFS, dir, owner, tenant string) (h cluster.Handoff, found bool, err error) {
+	path := fmt.Sprintf("%s/%x.snap", dir, []byte(tenant))
+	if owner != "" {
+		path = fmt.Sprintf("%s/%x-%x.standby", dir, []byte(owner), []byte(tenant))
+	}
+	data, err := serve.ReadSnapshotFrame(ifs, path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return h, false, nil
+	}
+	if err == nil {
+		h, err = cluster.DecodeHandoff(data)
+	}
+	return h, true, err
 }

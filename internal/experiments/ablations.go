@@ -213,21 +213,21 @@ func AblationPropagation(p *PlantArtifacts) Report {
 }
 
 // coupledPair returns a strongly-coupled (same ground-truth cluster) sensor
-// pair from the modelled subset.
+// pair from the modelled subset: from the highest-numbered such cluster, so
+// every run retrains the same pair.
 func (p *PlantArtifacts) coupledPair() (src, tgt string, ok bool) {
-	byCluster := map[int][]string{}
+	byCluster, best := map[int][]string{}, -1
 	for _, name := range p.Model.Sensors() {
-		c := p.GT.ClusterOf[name]
-		if c >= 0 {
-			byCluster[c] = append(byCluster[c], name)
+		if c := p.GT.ClusterOf[name]; c >= 0 {
+			if byCluster[c] = append(byCluster[c], name); len(byCluster[c]) >= 2 {
+				best = max(best, c)
+			}
 		}
 	}
-	for _, members := range byCluster {
-		if len(members) >= 2 {
-			return members[0], members[1], true
-		}
+	if best < 0 {
+		return "", "", false
 	}
-	return "", "", false
+	return byCluster[best][0], byCluster[best][1], true
 }
 
 // trainPairWith retrains a single directional pair with an alternative

@@ -36,6 +36,37 @@ func TestAblationWordLengthVocabGrows(t *testing.T) {
 	}
 }
 
+// TestCoupledPairIsFixed: abl-word retrains the pair coupledPair picks, so
+// the pick must not depend on map iteration order, or the quick report's
+// vocabulary figures change from run to run.
+func TestCoupledPairIsFixed(t *testing.T) {
+	p, err := QuickPlant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, tgt, ok := p.coupledPair()
+	if !ok {
+		t.Fatal("no coupled pair in the quick plant")
+	}
+	for i := 0; i < 64; i++ {
+		if s, g, _ := p.coupledPair(); s != src || g != tgt {
+			t.Fatalf("call %d picked %s->%s, the first %s->%s", i, s, g, src, tgt)
+		}
+	}
+	c := p.GT.ClusterOf[src]
+	if p.GT.ClusterOf[tgt] != c {
+		t.Fatalf("%s and %s are in clusters %d and %d", src, tgt, c, p.GT.ClusterOf[tgt])
+	}
+	n := map[int]int{}
+	for _, name := range p.Model.Sensors() {
+		if k := p.GT.ClusterOf[name]; k > c {
+			if n[k]++; n[k] >= 2 {
+				t.Fatalf("cluster %d has two modelled sensors but the pick is from cluster %d", k, c)
+			}
+		}
+	}
+}
+
 func TestAblationSentenceStride(t *testing.T) {
 	p, err := QuickPlant()
 	if err != nil {

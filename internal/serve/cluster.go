@@ -59,6 +59,7 @@ func (s *Server) setupCluster(opts Options) error {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.table = cluster.NewTable(ring, opts.Advertise, opts.PendingTTL, opts.StandbyDir != "")
+	s.store.self, s.store.owners = opts.Advertise, ring.Peers()
 	cn := &clusterNode{
 		self:   opts.Advertise,
 		ring:   ring,
@@ -146,8 +147,8 @@ func (s *Server) heldTicks(tenant, peer string, pulled bool) int {
 		}
 	}
 	_, _, copies := s.table.Shipper(tenant, peer, pulled)
-	if snap, ok, _, err := s.stored(tenant, copies); ok && err == nil {
-		return snap.Stream.Ticks
+	if h, ok, _, err := s.stored(tenant, copies); ok && err == nil {
+		return h.Ticks
 	}
 	return -1
 }
@@ -203,7 +204,9 @@ func (s *Server) clusterJoin(kind string, joined func()) {
 	}
 	for _, sess := range s.reg.all() {
 		sess.mu.Lock()
-		s.replicateLocked(sess.tenant, snapshotOfLocked(sess))
+		if h, err := s.store.record(snapshotOfLocked(sess)); err == nil {
+			s.replicateLocked(h)
+		}
 		sess.mu.Unlock()
 	}
 }
@@ -282,20 +285,7 @@ func (s *Server) localTenants(copies bool) []string {
 	for _, sess := range s.reg.all() {
 		out = append(out, sess.tenant)
 	}
-	if s.opts.SnapshotDir != "" {
-		names, err := listTenants(s.fs, s.opts.SnapshotDir, "", ".snap")
-		if err != nil {
-			s.met.snapshotLoadErrors.Add(1)
-		}
-		out = append(out, names...)
-	}
-	if copies && s.opts.StandbyDir != "" {
-		names, err := standbyTenantsFor(s.fs, s.opts.StandbyDir, "")
-		if err != nil {
-			s.met.replStoreErrors.Add(1)
-		}
-		out = append(out, names...)
-	}
+	out = append(out, s.store.tenants(true, copies)...)
 	sort.Strings(out)
 	return slices.Compact(out)
 }
@@ -316,18 +306,19 @@ func (s *Server) shipTenants(peer string, tenants []string, pulled bool) {
 }
 
 // ship freezes one tenant's state — the resident session, frozen under its
-// mutex at a request boundary, else the stored state — and ships it to
+// mutex at a request boundary, else the stored record — and ships it to
 // peer, after every lock is released. An ack deletes the local snapshot; a
 // failure persists the frozen state back.
 func (s *Server) ship(ctx context.Context, peer, tenant string, pulled bool) error {
 	cn := s.cluster
-	var snap sessionSnapshot
+	var h cluster.Handoff
+	var err error
 	have, frozen, wasAdopted, fromCopy := false, false, false, false
 	if sess := s.reg.get(tenant); sess != nil {
 		sess.mu.Lock()
 		if !sess.gone {
 			sess.gone = true
-			snap = snapshotOfLocked(sess)
+			h, err = s.store.record(snapshotOfLocked(sess))
 			have, frozen = true, true
 			wasAdopted = sess.adopted
 			s.reg.remove(sess)
@@ -336,25 +327,22 @@ func (s *Server) ship(ctx context.Context, peer, tenant string, pulled bool) err
 	}
 	owner, shipper, copies := s.table.Shipper(tenant, peer, pulled)
 	if !have {
-		var err error
-		if snap, have, fromCopy, err = s.stored(tenant, copies); err != nil {
+		if h, have, fromCopy, err = s.stored(tenant, copies); err != nil {
 			return err
 		}
 	}
-	if !have {
-		return nil // nothing to ship (e.g. deleted concurrently)
-	}
-	h, err := handoffOf(tenant, snap, cn.self, false)
 	if err != nil {
 		s.met.clusterHandoffErrors.Add(1)
 		return err
 	}
+	if !have {
+		return nil // nothing to ship (e.g. deleted concurrently)
+	}
+	h.From, h.Copy = cn.self, false
 	if err := cn.sender.Send(ctx, peer, h); err != nil {
 		s.met.clusterHandoffErrors.Add(1)
 		if frozen && s.opts.SnapshotDir != "" {
-			if err2 := saveSnapshot(s.files, s.opts.SnapshotDir, tenant, snap); err2 != nil {
-				s.met.snapshotErrors.Add(1)
-			}
+			_ = s.store.write("", h, nil) // counted
 		}
 		return err
 	}
@@ -362,9 +350,7 @@ func (s *Server) ship(ctx context.Context, peer, tenant string, pulled bool) err
 	if wasAdopted || fromCopy {
 		s.met.replShipsHome.Add(1)
 	}
-	if s.opts.SnapshotDir != "" {
-		_ = deleteSnapshot(s.files, s.opts.SnapshotDir, tenant)
-	}
+	_ = s.store.drop(tenant, "")
 	// The live successor keeps what it shipped as its warm copy: a no-copy
 	// window until the next persist would strand the tenant if a partition
 	// landed in it. Any other holder's copy is superseded and dropped.
@@ -377,69 +363,9 @@ func (s *Server) ship(ctx context.Context, peer, tenant string, pulled bool) err
 			_, _ = s.keepCopy(hc, frame) // counted; the ship itself succeeded
 		}
 	case !shipper:
-		if err := deleteStandby(s.files, s.opts.StandbyDir, owner, tenant); err != nil {
-			s.met.replStoreErrors.Add(1)
-		}
+		_ = s.store.drop(tenant, owner) // counted
 	}
 	return nil
-}
-
-// stored is the freshest state of tenant on this replica's disks: its
-// snapshot or, with copies, a fresher standby copy held for any owner
-// (fromCopy) — so a replica never restores, adopts or ships older state
-// than it holds. An unreadable copy is counted and passed over.
-func (s *Server) stored(tenant string, copies bool) (snap sessionSnapshot, ok, fromCopy bool, err error) {
-	if s.opts.SnapshotDir != "" {
-		if snap, ok, err = s.loadSnapshotNoted(tenant); err != nil {
-			s.met.snapshotLoadErrors.Add(1)
-			return snap, false, false, err
-		}
-	}
-	if !copies || s.cluster == nil || s.opts.StandbyDir == "" {
-		return snap, ok, false, nil
-	}
-	for _, owner := range s.cluster.ring.Peers() {
-		h, found, err := loadStandby(s.fs, s.opts.StandbyDir, owner, tenant)
-		if err == nil && found && (!ok || h.Ticks > snap.Stream.Ticks) {
-			var c sessionSnapshot
-			if c, err = handoffSnapshot(h); err == nil {
-				snap, ok, fromCopy = c, true, true
-			}
-		}
-		if err != nil {
-			s.met.replStoreErrors.Add(1)
-		}
-	}
-	return snap, ok, fromCopy, nil
-}
-
-// handoffSnapshot decodes the session a handoff frame carries and checks it
-// against the envelope — the one reading of a cluster.Handoff every consumer
-// (transfer receipt, standby promotion, standby ship-home) goes through. The
-// envelope's Tenant/Ticks/Model duplicate the payload so more-ticks-wins can
-// be decided without decoding it. They must agree: a disagreement means the
-// sender framed one session's metadata around another session's payload, and
-// acting on either reading could lose ticks silently.
-func handoffSnapshot(h cluster.Handoff) (sessionSnapshot, error) {
-	var snap sessionSnapshot
-	if err := json.Unmarshal(h.Payload, &snap); err != nil {
-		return sessionSnapshot{}, fmt.Errorf("decode handoff payload: %v", err)
-	}
-	if snap.Tenant != h.Tenant || snap.Stream.Ticks != h.Ticks || snap.Model != h.Model {
-		return sessionSnapshot{}, fmt.Errorf("handoff envelope/payload mismatch: envelope says %q at %d ticks on model %q, payload %q at %d ticks on model %q",
-			h.Tenant, h.Ticks, h.Model, snap.Tenant, snap.Stream.Ticks, snap.Model)
-	}
-	return snap, nil
-}
-
-// handoffOf frames tenant's snapshot as a transfer from `from`, a standby
-// copy when copy is set: the inverse of handoffSnapshot.
-func handoffOf(tenant string, snap sessionSnapshot, from string, copy bool) (cluster.Handoff, error) {
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return cluster.Handoff{}, fmt.Errorf("serve: encode handoff for %q: %w", tenant, err)
-	}
-	return cluster.Handoff{Tenant: tenant, Model: snap.Model, Ticks: snap.Stream.Ticks, From: from, Copy: copy, Payload: payload}, nil
 }
 
 // handleTransfer is POST /v1/cluster/transfer: one tenant's CRC-framed
@@ -532,21 +458,21 @@ func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
 		existing.gone = true
 		existing.mu.Unlock()
 		delete(s.reg.sessions, snap.Tenant)
-	} else if s.opts.SnapshotDir != "" {
+	} else {
+		// The envelope's Ticks decide: the record on disk is not decoded.
 		//mdes:allow(lockcall) install must be atomic with the registry check; one snapshot read on the migration path only, never per-tick
-		old, ok, _, err := loadSnapshot(s.fs, s.opts.SnapshotDir, snap.Tenant)
+		old, ok, _, err := s.store.read("", snap.Tenant)
 		if err != nil {
 			// The evicted session on disk may be fresher than this frame;
 			// installing over what cannot be read could lose its ticks.
 			s.reg.mu.Unlock()
-			s.met.snapshotLoadErrors.Add(1)
 			s.retryAfterHeader(w)
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		if ok && old.Stream.Ticks >= snap.Stream.Ticks {
+		if ok && old.Ticks >= snap.Stream.Ticks {
 			s.reg.mu.Unlock()
-			s.table.Landed(snap.Tenant, old.Stream.Ticks)
+			s.table.Landed(snap.Tenant, old.Ticks)
 			w.WriteHeader(http.StatusOK)
 			return
 		}

@@ -506,7 +506,7 @@ func waitState(t *testing.T, mem *cluster.Table, peer string, want cluster.PeerS
 
 func snapshotOnDisk(t *testing.T, tc *testCluster, i int, tenant string) sessionSnapshot {
 	t.Helper()
-	snap, ok, _, err := loadSnapshot(tc.srvs[i].fs, tc.dirs[i], tenant)
+	snap, ok, _, err := readSnapshot(tc.srvs[i].store, tenant)
 	if err != nil || !ok {
 		t.Fatalf("snapshot for %q on replica %d: ok=%v err=%v", tenant, i, ok, err)
 	}

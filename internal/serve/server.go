@@ -103,9 +103,9 @@ type Server struct {
 	met  metrics
 	// series is the /metrics table, built once by New (metrics.go).
 	series []series
-	fs     faultfs.FS
-	// files writes every snapshot and standby copy (slots.go).
-	files *slotFiles
+	// store reads and writes every session record: snapshots and standby
+	// copies (store.go).
+	store *store
 
 	// scorer is installed on every session stream. With a ScoreDeadline it
 	// bounds each batch; tests may swap it before the first session exists.
@@ -178,12 +178,12 @@ func New(opts Options) (*Server, error) {
 		opts:        opts,
 		mux:         http.NewServeMux(),
 		reg:         newRegistry(),
-		fs:          opts.FS,
-		files:       newSlotFiles(opts.FS),
+		store:       &store{files: newSlotFiles(opts.FS), snapDir: opts.SnapshotDir, standbyDir: opts.StandbyDir},
 		slots:       make(chan struct{}, opts.MaxInflight),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
+	s.store.met = &s.met
 	s.met.scoreLatency = newHistogram(scoreBuckets)
 	s.met.replLag = newHistogram(replLagBuckets)
 	s.pool = newScorePool(opts.ScoreWorkers, &s.met)
@@ -272,24 +272,29 @@ func (s *Server) evict(v *session) {
 	s.met.sessionsEvicted.Add(1)
 }
 
-// persistLocked writes the session's snapshot if durability is on and ticks
-// arrived since the last write. Caller holds v.mu.
-func (s *Server) persistLocked(v *session) {
+// persistLocked writes the session's own record if durability is on and
+// ticks arrived since the last write, then offers the same record to the
+// tenant's warm standby: one marshal of the session per persist. Caller
+// holds v.mu.
+func (s *Server) persistLocked(v *session) error {
 	if s.opts.SnapshotDir == "" || !v.dirty {
-		return
+		return nil
 	}
-	snap := snapshotOfLocked(v)
-	if err := saveSnapshot(s.files, s.opts.SnapshotDir, v.tenant, snap); err != nil {
+	h, err := s.store.record(snapshotOfLocked(v))
+	if err != nil {
 		s.met.snapshotErrors.Add(1)
-		return
+		return err
+	}
+	if err := s.store.write("", h, nil); err != nil {
+		return err
 	}
 	v.dirty = false
 	s.met.snapshotWrites.Add(1)
-	// Offer the fresh snapshot to the tenant's warm standby. Offer is a
-	// bounded map update — no IO, no blocking — so replication stays off the
-	// tick path even while holding v.mu; the ship happens asynchronously on
-	// the queue's drainer goroutines.
-	s.replicateLocked(v.tenant, snap)
+	// Offer is a bounded map update — no IO, no blocking — so replication
+	// stays off the tick path even while holding v.mu; the ship happens
+	// asynchronously on the queue's drainer goroutines.
+	s.replicateLocked(h)
+	return nil
 }
 
 // acquire returns the tenant's session with its mutex held, creating or
@@ -337,26 +342,24 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 	// Snapshot lookup happens under the registry lock; it is one small file
 	// read on the session-creation path only, never on the tick hot path.
 	var sess *session
-	if s.opts.SnapshotDir != "" {
-		//mdes:allow(lockcall) creation must be atomic: the registry lock is what stops two requests racing to restore the same tenant; this path never runs per-tick
-		snap, ok, _, err := s.stored(tenant, true)
-		if err != nil {
+	//mdes:allow(lockcall) creation must be atomic: the registry lock is what stops two requests racing to restore the same tenant; this path never runs per-tick
+	snap, ok, err := s.storedSnapshot(tenant)
+	if err != nil {
+		s.reg.mu.Unlock()
+		return nil, http.StatusInternalServerError, err
+	}
+	if ok {
+		if wantModel != "" && wantModel != snap.Model {
 			s.reg.mu.Unlock()
-			return nil, http.StatusInternalServerError, err
+			return nil, http.StatusConflict,
+				fmt.Errorf("tenant %q has a snapshot for model %q, not %q", tenant, snap.Model, wantModel)
 		}
-		if ok {
-			if wantModel != "" && wantModel != snap.Model {
-				s.reg.mu.Unlock()
-				return nil, http.StatusConflict,
-					fmt.Errorf("tenant %q has a snapshot for model %q, not %q", tenant, snap.Model, wantModel)
+		if sess, err = s.restoreSession(tenant, snap); err != nil {
+			s.reg.mu.Unlock()
+			if errors.Is(err, errUnknownModel) {
+				return nil, http.StatusNotFound, fmt.Errorf("tenant %q snapshot references %w", tenant, err)
 			}
-			if sess, err = s.restoreSession(tenant, snap); err != nil {
-				s.reg.mu.Unlock()
-				if errors.Is(err, errUnknownModel) {
-					return nil, http.StatusNotFound, fmt.Errorf("tenant %q snapshot references %w", tenant, err)
-				}
-				return nil, http.StatusInternalServerError, err
-			}
+			return nil, http.StatusInternalServerError, err
 		}
 	}
 	restored := sess != nil
@@ -574,26 +577,24 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, info)
 		return
 	}
-	if s.opts.SnapshotDir != "" {
-		snap, ok, _, err := s.stored(tenant, true)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+	snap, ok, err := s.storedSnapshot(tenant)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if ok {
+		info := SessionInfo{
+			Tenant:   tenant,
+			Model:    snap.Model,
+			Ticks:    snap.Stream.Ticks,
+			Emitted:  snap.Stream.Emitted,
+			Degraded: snap.Degraded,
 		}
-		if ok {
-			info := SessionInfo{
-				Tenant:   tenant,
-				Model:    snap.Model,
-				Ticks:    snap.Stream.Ticks,
-				Emitted:  snap.Stream.Emitted,
-				Degraded: snap.Degraded,
-			}
-			if model, found := s.opts.Models[snap.Model]; found {
-				info.SentenceSpan = model.Config().Language.Span()
-			}
-			writeJSON(w, info)
-			return
+		if model, found := s.opts.Models[snap.Model]; found {
+			info.SentenceSpan = model.Config().Language.Span()
 		}
+		writeJSON(w, info)
+		return
 	}
 	http.Error(w, fmt.Sprintf("no session for tenant %q", tenant), http.StatusNotFound)
 }
@@ -612,20 +613,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Unlock()
 		s.reg.remove(sess)
 	}
-	if s.opts.SnapshotDir != "" {
-		if err := deleteSnapshot(s.files, s.opts.SnapshotDir, tenant); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	if s.repl != nil {
-		for _, owner := range s.cluster.ring.Peers() {
-			if err := deleteStandby(s.files, s.opts.StandbyDir, owner, tenant); err != nil {
-				s.met.replStoreErrors.Add(1)
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
+	if err := s.store.drop(tenant); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -709,18 +699,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			break
 		}
 		sess.mu.Lock()
-		if s.opts.SnapshotDir != "" && sess.dirty {
-			snap := snapshotOfLocked(sess)
-			//mdes:allow(lockcall) drain-time only: the server has stopped accepting ticks, and the session lock guarantees the snapshot is the final state
-			if err := saveSnapshot(s.files, s.opts.SnapshotDir, sess.tenant, snap); err != nil {
-				s.met.snapshotErrors.Add(1)
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				sess.dirty = false
-				s.met.snapshotWrites.Add(1)
-			}
+		//mdes:allow(lockcall) drain-time only: the server has stopped accepting ticks, and the session lock guarantees the record is the final state
+		if err := s.persistLocked(sess); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		sess.mu.Unlock()
 	}

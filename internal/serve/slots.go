@@ -21,8 +21,9 @@ import (
 //
 //	checkpoint frame of [4B magic][4B LE slot size][8B LE sequence][frame]
 //
-// where frame is the CRC frame such a file held before slots existed — an
-// encoded session snapshot, or a replicated handoff frame — byte for byte.
+// where frame is one session record's CRC frame (a handoff frame, store.go;
+// an older snapshot's may be a bare session snapshot), byte for byte the
+// frame such a file held alone before slots existed.
 // The rest of a slot is zeros (a zero length field ends a checkpoint frame
 // scan). A slot file never changes size after it is created.
 //

@@ -18,9 +18,11 @@ import (
 	"mdes/internal/faultfs"
 )
 
-// TestLegacySnapshotLoadsAndConverts: files written before slot files
-// existed — one bare frame — still load, and the next save (always a
-// replacement, being the first after a start) converts them.
+// TestLegacySnapshotLoadsAndConverts: snapshots written before every record
+// was a handoff frame — one bare session-snapshot frame, alone in the file
+// (before slot files) or in a slot record — still restore bit for bit, and
+// the next save (always a replacement, being the first after a start)
+// converts them to a slot file holding the handoff record.
 func TestLegacySnapshotLoadsAndConverts(t *testing.T) {
 	old, next := snapAt(42), snapAt(48)
 	payload, err := json.Marshal(old)
@@ -32,6 +34,9 @@ func TestLegacySnapshotLoadsAndConverts(t *testing.T) {
 		expectLoad(t, legacy[:cut], nil, "truncated legacy snapshot")
 	}
 	expectLoad(t, legacy, &old, "legacy snapshot")
+	slotted := make([]byte, 2*slotAlign)
+	copy(slotted, slotRecord(1, slotAlign, legacy))
+	expectLoad(t, slotted, &old, "legacy slot file")
 
 	ifs := faultfs.NewInject(1, faultfs.Faults{})
 	put := func(path string, data []byte) {
@@ -47,48 +52,59 @@ func TestLegacySnapshotLoadsAndConverts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	converted := func(path string) {
+	// converted checks path is a slot file now and returns the record in it.
+	converted := func(path string) cluster.Handoff {
 		t.Helper()
 		data, err := ifs.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := newestSlot(data); !ok || len(data) != 2*slotAlign {
+		frame, _, ok := newestSlot(data)
+		if !ok || len(data) != 2*slotAlign {
 			t.Fatalf("%s not converted to a slot file: %d bytes", path, len(data))
 		}
-	}
-	files := newSlotFiles(ifs)
-
-	put(snapshotPath("snaps", "plant"), legacy)
-	if got, ok, torn, err := loadSnapshot(ifs, "snaps", "plant"); err != nil || !ok || torn || !reflect.DeepEqual(got, old) {
-		t.Fatalf("legacy snapshot on disk: ok=%v torn=%v err=%v", ok, torn, err)
-	}
-	if err := saveSnapshot(files, "snaps", "plant", next); err != nil {
-		t.Fatal(err)
-	}
-	converted(snapshotPath("snaps", "plant"))
-	if got, ok, _, err := loadSnapshot(ifs, "snaps", "plant"); err != nil || !ok || !reflect.DeepEqual(got, next) {
-		t.Fatalf("converted snapshot: ok=%v err=%v ticks=%d", ok, err, got.Stream.Ticks)
+		h, err := cluster.DecodeHandoff(frame)
+		if err != nil {
+			t.Fatalf("%s holds no handoff record: %v", path, err)
+		}
+		return h
 	}
 
+	for _, file := range [][]byte{legacy, slotted} {
+		st := testStore(ifs) // a start: the first save replaces the file
+		_, path := st.path("", "plant")
+		put(path, file)
+		if got, ok, torn, err := readSnapshot(st, "plant"); err != nil || !ok || torn || !reflect.DeepEqual(got, old) {
+			t.Fatalf("legacy snapshot on disk: ok=%v torn=%v err=%v", ok, torn, err)
+		}
+		if err := putSnapshot(st, next); err != nil {
+			t.Fatal(err)
+		}
+		if h := converted(path); h.Payload == nil || h.Ticks != 48 || h.Copy || h.From != "" {
+			t.Fatalf("converted snapshot is not an own handoff record: %+v", h)
+		}
+		if got, ok, _, err := readSnapshot(st, "plant"); err != nil || !ok || !reflect.DeepEqual(got, next) {
+			t.Fatalf("converted snapshot: ok=%v err=%v ticks=%d", ok, err, got.Stream.Ticks)
+		}
+	}
+
+	st := testStore(ifs)
 	h := cluster.Handoff{Tenant: "plant", Model: "default", Ticks: 42, From: "http://owner:1", Payload: []byte(`{"x":1}`)}
 	frame, err := cluster.EncodeHandoff(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	put(standbyPath("standby", h.From, h.Tenant), frame)
-	if got, ok, err := loadStandby(ifs, "standby", h.From, h.Tenant); err != nil || !ok || !reflect.DeepEqual(got, h) {
+	_, path := st.path(h.From, h.Tenant)
+	put(path, frame)
+	if got, ok, _, err := st.read(h.From, h.Tenant); err != nil || !ok || !reflect.DeepEqual(got, h) {
 		t.Fatalf("legacy standby copy: ok=%v err=%v got=%+v", ok, err, got)
 	}
 	h.Ticks = 48
-	if frame, err = cluster.EncodeHandoff(h); err != nil {
+	if err := st.write(h.From, h, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveStandbyFrame(files, "standby", h.From, h.Tenant, frame); err != nil {
-		t.Fatal(err)
-	}
-	converted(standbyPath("standby", h.From, h.Tenant))
-	if got, ok, err := loadStandby(ifs, "standby", h.From, h.Tenant); err != nil || !ok || !reflect.DeepEqual(got, h) {
+	converted(path)
+	if got, ok, _, err := st.read(h.From, h.Tenant); err != nil || !ok || !reflect.DeepEqual(got, h) {
 		t.Fatalf("converted standby copy: ok=%v err=%v got=%+v", ok, err, got)
 	}
 }
@@ -97,7 +113,7 @@ func TestLegacySnapshotLoadsAndConverts(t *testing.T) {
 // a miss. A load error fails the test.
 func loadTicks(t *testing.T, fsys faultfs.FS) int {
 	t.Helper()
-	got, ok, _, err := loadSnapshot(fsys, "snaps", "plant")
+	got, ok, _, err := readSnapshot(testStore(fsys), "plant")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -116,17 +132,17 @@ func TestSlotSaveCrashSweep(t *testing.T) {
 		for seed := int64(1); seed <= 16; seed++ {
 			for k := int64(1); ; k++ {
 				ifs := faultfs.NewInject(seed, faultfs.Faults{})
-				files := newSlotFiles(ifs)
+				st := testStore(ifs)
 				for _, ticks := range []int{6, 12} {
-					if err := saveSnapshot(files, "snaps", "plant", snapAt(ticks)); err != nil {
+					if err := putSnapshot(st, snapAt(ticks)); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if restart {
-					files = newSlotFiles(ifs)
+					st = testStore(ifs)
 				}
 				ifs.CrashAfter(k)
-				err := saveSnapshot(files, "snaps", "plant", snapAt(18))
+				err := putSnapshot(st, snapAt(18))
 				crashed := ifs.Crashed()
 				ifs.Recover()
 				got := loadTicks(t, ifs)
@@ -155,9 +171,9 @@ func TestSlotFailedSyncKeepsASlot(t *testing.T) {
 		for seed := int64(1); seed <= 32; seed++ {
 			for k := int64(1); ; k++ {
 				ifs := faultfs.NewInject(seed, faultfs.Faults{})
-				files := newSlotFiles(ifs)
-				files.trustFailedWrites = trust
-				save := func(ticks int) error { return saveSnapshot(files, "snaps", "plant", snapAt(ticks)) }
+				st := testStore(ifs)
+				st.files.trustFailedWrites = trust
+				save := func(ticks int) error { return putSnapshot(st, snapAt(ticks)) }
 				if err := save(6); err != nil {
 					t.Fatal(err)
 				}
@@ -198,7 +214,7 @@ func TestSlotFailedSyncKeepsASlot(t *testing.T) {
 // records written to it.
 func TestSlotFilesConcurrentSaves(t *testing.T) {
 	ifs := faultfs.NewInject(1, faultfs.Faults{})
-	files := newSlotFiles(ifs)
+	st := testStore(ifs)
 	tenants := []string{"plant", "other"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -206,7 +222,9 @@ func TestSlotFilesConcurrentSaves(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 1; i <= 20; i++ {
-				if err := saveSnapshot(files, "snaps", tenants[g%2], snapAt(100*g+i)); err != nil {
+				snap := snapAt(100*g + i)
+				snap.Tenant = tenants[g%2]
+				if err := putSnapshot(st, snap); err != nil {
 					t.Error(err)
 					return
 				}
@@ -215,7 +233,7 @@ func TestSlotFilesConcurrentSaves(t *testing.T) {
 	}
 	wg.Wait()
 	for _, tenant := range tenants {
-		got, ok, torn, err := loadSnapshot(ifs, "snaps", tenant)
+		got, ok, torn, err := readSnapshot(st, tenant)
 		if err != nil || !ok || torn || got.Stream.Ticks%100 == 0 || got.Stream.Ticks%100 > 20 {
 			t.Fatalf("%s after concurrent saves: ok=%v torn=%v err=%v ticks=%d", tenant, ok, torn, err, got.Stream.Ticks)
 		}
@@ -294,8 +312,7 @@ func TestNewRemovesLeftoverTempFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	files := newSlotFiles(ifs)
-	if err := saveSnapshot(files, "snaps", "plant", snapAt(6)); err != nil {
+	if err := putSnapshot(testStore(ifs), snapAt(6)); err != nil {
 		t.Fatal(err)
 	}
 	newTestServer(t, Options{SnapshotDir: "snaps", StandbyDir: "standby", FS: ifs})
@@ -317,21 +334,28 @@ func TestNewRemovesLeftoverTempFiles(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotFile throws arbitrary bytes at the slot-file reader: it never
-// panics, and a record it returns is CRC-intact — its frame sits inside an
-// intact checkpoint frame with the slot header and sequence it reported.
-// Each input is read as a file twice: as is, and as slot0 padded out to the
-// page boundary with slot1 behind it, so small inputs reach the second slot
-// (a page-sized input would spend the fuzzer's time minimising padding).
+// FuzzSnapshotFile throws arbitrary bytes at the slot-file reader and the
+// store's record reader on top of it, read as an own record and as a copy:
+// nothing panics, a slot record returned is CRC-intact — its frame sits
+// inside an intact checkpoint frame with the slot header and sequence it
+// reported — and an own record read is a handoff with a payload, the
+// format written before handoff records included. Each input is
+// read as a file twice: as is, and as slot0 padded out to the page boundary
+// with slot1 behind it, so small inputs reach the second slot (a page-sized
+// input would spend the fuzzer's time minimising padding).
 func FuzzSnapshotFile(f *testing.F) {
-	frame := checkpoint.AppendFrame(nil, []byte(`{"tenant":"plant","model":"default","stream":{"ticks":6}}`))
-	rec1, rec2 := slotRecord(1, slotAlign, frame), slotRecord(2, slotAlign, frame)
+	snap := []byte(`{"tenant":"plant","model":"default","stream":{"ticks":6}}`)
+	legacy := checkpoint.AppendFrame(nil, snap) // a bare snapshot frame
+	own := checkpoint.AppendFrame(nil, []byte(`{"tenant":"plant","model":"default","ticks":6,"from":"","payload":`+string(snap)+`}`))
+	copied := checkpoint.AppendFrame(nil, []byte(`{"tenant":"plant","model":"default","ticks":6,"from":"o","copy":true,"payload":`+string(snap)+`}`))
+	rec1, rec2 := slotRecord(1, slotAlign, legacy), slotRecord(2, slotAlign, own)
 	f.Add([]byte{}, []byte{})
-	f.Add(frame, []byte{}) // a legacy file
-	f.Add(rec1, []byte{})
+	f.Add(legacy, []byte{}) // a file written before slot files
+	f.Add(rec1, []byte{})   // a slot file holding a bare snapshot
 	f.Add(rec1, rec2)
 	f.Add(rec1, rec2[:20]) // torn newest slot
 	f.Add(rec2[:20], rec1) // torn first slot
+	f.Add(slotRecord(1, slotAlign, copied), []byte{})
 	f.Add(make([]byte, 64), make([]byte, 64))
 
 	f.Fuzz(func(t *testing.T, slot0, slot1 []byte) {
@@ -358,9 +382,16 @@ func checkSlotFile(t *testing.T, data []byte) {
 			t.Fatalf("reported sequence %d, record says %d", seq, s)
 		}
 	}
-	// The loaders on top never panic either.
-	_, _, _, _ = loadSnapshot(bytesFS{data: data}, "snaps", "plant")
-	_, _, _ = loadStandby(bytesFS{data: data}, "standby", "owner", "plant")
+	st := testStore(bytesFS{data: data})
+	for _, owner := range []string{"", "owner"} {
+		h, ok, torn, err := st.read(owner, "plant")
+		if ok && (torn || err != nil || h.Tenant == "" || (owner == "" && h.Payload == nil)) {
+			t.Fatalf("read as owner %q: ok with torn=%v err=%v record %+v", owner, torn, err, h)
+		}
+		if ok {
+			_, _ = handoffSnapshot(h) // never panics either
+		}
+	}
 }
 
 // BenchmarkSnapshotSave times one save of a bench-sized (~1.8 KB) snapshot

@@ -6,6 +6,7 @@ import (
 
 	"mdes"
 	"mdes/internal/checkpoint"
+	"mdes/internal/cluster"
 	"mdes/internal/faultfs"
 )
 
@@ -31,20 +32,60 @@ func snapAt(ticks int) sessionSnapshot {
 	}
 }
 
+// dirStore is a standalone replica's store over fsys's directories.
+func dirStore(fsys faultfs.FS, snapDir, standbyDir string) *store {
+	return &store{files: newSlotFiles(fsys), snapDir: snapDir, standbyDir: standbyDir, met: new(metrics)}
+}
+
+// testStore keeps own records in "snaps" and copies in "standby".
+func testStore(fsys faultfs.FS) *store { return dirStore(fsys, "snaps", "standby") }
+
+// readCopy reads st's copy of tenant held for owner.
+func readCopy(st *store, owner, tenant string) (cluster.Handoff, bool, error) {
+	h, ok, _, err := st.read(owner, tenant)
+	return h, ok, err
+}
+
+// putCopy files frame, an encoded handoff, as st's copy of tenant held for
+// owner, the way a received copy is filed.
+func putCopy(st *store, owner, tenant string, frame []byte) error {
+	return st.write(owner, cluster.Handoff{Tenant: tenant}, frame)
+}
+
+// putSnapshot writes snap as st's own record, the way a persist does.
+func putSnapshot(st *store, snap sessionSnapshot) error {
+	h, err := st.record(snap)
+	if err != nil {
+		return err
+	}
+	return st.write("", h, nil)
+}
+
+// readSnapshot reads st's own record of tenant and decodes its session, the
+// way a restore does.
+func readSnapshot(st *store, tenant string) (snap sessionSnapshot, ok, torn bool, err error) {
+	h, ok, torn, err := st.read("", tenant)
+	if ok {
+		snap, err = handoffSnapshot(h)
+	}
+	return snap, ok && err == nil, torn, err
+}
+
 // refSlotFile saves two snapshots through one writer — the first replaces
 // (creates) the file, the second goes in place — and returns them with the
 // file's bytes: slot 0 holds prev, slot 1 newest.
 func refSlotFile(t *testing.T) (prev, newest sessionSnapshot, data []byte) {
 	t.Helper()
 	ifs := faultfs.NewInject(1, faultfs.Faults{})
-	files := newSlotFiles(ifs)
+	st := testStore(ifs)
 	prev, newest = snapAt(42), snapAt(48)
 	for _, s := range []sessionSnapshot{prev, newest} {
-		if err := saveSnapshot(files, "snaps", "plant", s); err != nil {
+		if err := putSnapshot(st, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	data, err := ifs.ReadFile(snapshotPath("snaps", "plant"))
+	_, path := st.path("", "plant")
+	data, err := ifs.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +110,7 @@ func recordEnd(t *testing.T, slot []byte) int {
 // not torn. Never an error, never a mutated snapshot.
 func expectLoad(t *testing.T, data []byte, want *sessionSnapshot, label string) {
 	t.Helper()
-	got, ok, torn, err := loadSnapshot(bytesFS{data: data}, "snaps", "plant")
+	got, ok, torn, err := readSnapshot(testStore(bytesFS{data: data}), "plant")
 	switch {
 	case err != nil:
 		t.Fatalf("%s: load error: %v", label, err)

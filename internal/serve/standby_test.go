@@ -50,7 +50,7 @@ func waitStandbyCopy(t *testing.T, tc *testCluster, i int, owner, tenant string,
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		h, ok, err := loadStandby(tc.srvs[i].fs, tc.srvs[i].opts.StandbyDir, owner, tenant)
+		h, ok, err := readCopy(tc.srvs[i].store, owner, tenant)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +71,14 @@ func TestStandbyStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := newSlotFiles(faultfs.OS)
-	if err := saveStandbyFrame(files, dir, h.From, h.Tenant, frame); err != nil {
+	st := dirStore(faultfs.OS, "", dir)
+	if err := putCopy(st, h.From, h.Tenant, frame); err != nil {
 		t.Fatal(err)
 	}
 
-	got, ok, err := loadStandby(faultfs.OS, dir, h.From, h.Tenant)
+	got, ok, err := readCopy(st, h.From, h.Tenant)
 	if err != nil || !ok {
-		t.Fatalf("loadStandby: ok=%v err=%v", ok, err)
+		t.Fatalf("read: ok=%v err=%v", ok, err)
 	}
 	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("round-trip mismatch: got %+v want %+v", got, h)
@@ -89,36 +89,34 @@ func TestStandbyStoreRoundTrip(t *testing.T) {
 	h2.From = "http://other:1"
 	h2.Ticks = 7
 	frame2, _ := cluster.EncodeHandoff(h2)
-	if err := saveStandbyFrame(files, dir, h2.From, h2.Tenant, frame2); err != nil {
+	if err := putCopy(st, h2.From, h2.Tenant, frame2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := loadStandby(faultfs.OS, dir, h.From, h.Tenant); got.Ticks != 42 {
+	if got, _, _ := readCopy(st, h.From, h.Tenant); got.Ticks != 42 {
 		t.Fatalf("owner A's copy clobbered by owner B's: ticks=%d", got.Ticks)
 	}
 
-	tenants, err := standbyTenantsFor(faultfs.OS, dir, h.From)
-	if err != nil || !reflect.DeepEqual(tenants, []string{"plant-a"}) {
-		t.Fatalf("standbyTenantsFor = %v, %v", tenants, err)
+	if tenants := st.tenants(false, true); !reflect.DeepEqual(tenants, []string{"plant-a", "plant-a"}) {
+		t.Fatalf("tenants = %v, want one entry per owner's copy", tenants)
 	}
 
 	// Torn copy: truncate the frame mid-body; load must report a clean miss.
-	path := standbyPath(dir, h.From, h.Tenant)
+	_, path := st.path(h.From, h.Tenant)
 	if err := os.WriteFile(path, frame[:len(frame)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := loadStandby(faultfs.OS, dir, h.From, h.Tenant); ok || err != nil {
+	if _, ok, err := readCopy(st, h.From, h.Tenant); ok || err != nil {
 		t.Fatalf("torn standby copy: ok=%v err=%v, want clean miss", ok, err)
 	}
 
-	if err := deleteStandby(files, dir, h.From, h.Tenant); err != nil {
+	if err := st.drop(h.Tenant, h.From); err != nil {
 		t.Fatal(err)
 	}
-	if err := deleteStandby(files, dir, h.From, h.Tenant); err != nil {
+	if err := st.drop(h.Tenant, h.From); err != nil {
 		t.Fatalf("double delete: %v", err)
 	}
-	tenants, _ = standbyTenantsFor(faultfs.OS, dir, h.From)
-	if len(tenants) != 0 {
-		t.Fatalf("tenants after delete = %v", tenants)
+	if tenants := st.tenants(false, true); !reflect.DeepEqual(tenants, []string{"plant-a"}) {
+		t.Fatalf("tenants after delete = %v, want only the other owner's copy", tenants)
 	}
 }
 
@@ -156,7 +154,7 @@ func TestReplicationShipsToSuccessor(t *testing.T) {
 		if i == sbIdx {
 			continue
 		}
-		if _, ok, _ := loadStandby(tc.srvs[i].fs, tc.srvs[i].opts.StandbyDir, tc.urls[ownerIdx], tenant); ok {
+		if _, ok, _ := readCopy(tc.srvs[i].store, tc.urls[ownerIdx], tenant); ok {
 			t.Fatalf("replica %d holds a standby copy; only %d should", i, sbIdx)
 		}
 	}
@@ -202,14 +200,14 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 	if resp := ship(5, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale ship: %s", resp.Status)
 	}
-	h, ok, err := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem")
+	h, ok, err := readCopy(tc.srvs[1].store, owner, "idem")
 	if err != nil || !ok || h.Ticks != 10 {
 		t.Fatalf("held copy after stale ship: ok=%v ticks=%d err=%v, want 10", ok, h.Ticks, err)
 	}
 	if resp := ship(20, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresher ship: %s", resp.Status)
 	}
-	if h, _, _ := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem"); h.Ticks != 20 {
+	if h, _, _ := readCopy(tc.srvs[1].store, owner, "idem"); h.Ticks != 20 {
 		t.Fatalf("fresher ship not applied: ticks=%d", h.Ticks)
 	}
 
@@ -219,7 +217,7 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("torn ship: %s (Retry-After %q), want 503 with a hint", resp.Status, resp.Header.Get("Retry-After"))
 	}
-	if h, _, _ := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem"); h.Ticks != 20 {
+	if h, _, _ := readCopy(tc.srvs[1].store, owner, "idem"); h.Ticks != 20 {
 		t.Fatalf("torn ship mutated the held copy: ticks=%d", h.Ticks)
 	}
 
@@ -229,7 +227,7 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 	if resp := post(1000, 10, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("envelope/payload mismatch: %s, want 400", resp.Status)
 	}
-	if h, _, _ := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem"); h.Ticks != 20 {
+	if h, _, _ := readCopy(tc.srvs[1].store, owner, "idem"); h.Ticks != 20 {
 		t.Fatalf("mismatched ship displaced the held copy: ticks=%d", h.Ticks)
 	}
 }
@@ -493,10 +491,10 @@ func TestSessionReadsStandbyCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := tc.srvs[0]
-	if err := saveStandbyFrame(owner.files, owner.opts.StandbyDir, tc.urls[p], tenant, frame); err != nil {
+	if err := putCopy(owner.store, tc.urls[p], tenant, frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := owner.loadSnapshotNoted(tenant); ok || err != nil || owner.reg.get(tenant) != nil {
+	if _, ok, _, err := owner.store.read("", tenant); ok || err != nil || owner.reg.get(tenant) != nil {
 		t.Fatalf("the owner still has a snapshot (%v, err %v) or a session", ok, err)
 	}
 
@@ -581,7 +579,7 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := tc.srvs[thirdIdx]
-	if err := saveStandbyFrame(third.files, third.opts.StandbyDir, tc.urls[0], tenant, frame); err != nil {
+	if err := putCopy(third.store, tc.urls[0], tenant, frame); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 12, 24)); err != nil {
@@ -597,7 +595,7 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 	if got := third.met.replShipsHome.Load(); got != 0 {
 		t.Fatalf("third replica shipped home %d copies, want 0", got)
 	}
-	if _, ok, _ := loadStandby(third.fs, third.opts.StandbyDir, tc.urls[0], tenant); !ok {
+	if _, ok, _ := readCopy(third.store, tc.urls[0], tenant); !ok {
 		t.Fatal("gated ship deleted the third replica's copy")
 	}
 
@@ -611,7 +609,7 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 	if got := sb.met.replShipsHome.Load(); got != 1 {
 		t.Fatalf("successor ships home = %d, want 1", got)
 	}
-	kept, ok, err := loadStandby(sb.fs, sb.opts.StandbyDir, tc.urls[0], tenant)
+	kept, ok, err := readCopy(sb.store, tc.urls[0], tenant)
 	if err != nil || !ok {
 		t.Fatalf("successor's warm copy dropped by the acked ship (ok=%v err=%v)", ok, err)
 	}
@@ -776,7 +774,7 @@ func TestTornSnapshotCounted(t *testing.T) {
 		}
 	}
 	srv.Shutdown(ctx)
-	path := snapshotPath(dir, tenant)
+	_, path := srv.store.path("", tenant)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

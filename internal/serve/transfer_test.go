@@ -40,10 +40,11 @@ func snapshotAfter(t testing.TB, m *mdes.Model, tenant string, ds *seqio.Dataset
 // from, or (copy) a standby copy filed under owner from.
 func transferFrame(t testing.TB, snap sessionSnapshot, from string, copy bool) []byte {
 	t.Helper()
-	h, err := handoffOf(snap.Tenant, snap, from, copy)
+	h, err := (&store{self: from}).record(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.Copy = copy
 	frame, err := cluster.EncodeHandoff(h)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestTransferCopyAndMoveStayApart(t *testing.T) {
 	if rx.reg.get(copied) != nil {
 		t.Fatal("a copy installed a session")
 	}
-	if h, ok, err := loadStandby(rx.fs, rx.opts.StandbyDir, tc.urls[0], copied); err != nil || !ok || h.Ticks != 20 {
+	if h, ok, err := readCopy(rx.store, tc.urls[0], copied); err != nil || !ok || h.Ticks != 20 {
 		t.Fatalf("copy not stored: ok=%v ticks=%d err=%v", ok, h.Ticks, err)
 	}
 	if got := rx.met.clusterHandoffsReceived.Load(); got != 0 {
@@ -98,7 +99,7 @@ func TestTransferCopyAndMoveStayApart(t *testing.T) {
 		t.Fatalf("a move changed the standby store: %d copies, had %d", got, held)
 	}
 	for _, owner := range tc.urls {
-		if _, ok, _ := loadStandby(rx.fs, rx.opts.StandbyDir, owner, moved); ok {
+		if _, ok, _ := readCopy(rx.store, owner, moved); ok {
 			t.Fatalf("a move wrote a standby copy under %s", owner)
 		}
 	}
@@ -130,7 +131,7 @@ func TestShutDownReplicaRefusesTransfers(t *testing.T) {
 	if rx.reg.get(tenant) != nil {
 		t.Fatal("a shut-down replica installed a moved session")
 	}
-	if _, ok, _, _ := loadSnapshot(rx.fs, tc.dirs[1], tenant); ok {
+	if _, ok, _, _ := rx.store.read("", tenant); ok {
 		t.Fatal("a shut-down replica wrote a moved snapshot")
 	}
 }
@@ -150,10 +151,10 @@ func TestLegacyStandbyCopyPromotes(t *testing.T) {
 	}
 	old := fmt.Sprintf(`{"tenant":%q,"model":"default","ticks":12,"from":%q,"payload":%s}`, tenant, tc.urls[0], payload)
 	sb := tc.srvs[1]
-	if err := saveStandbyFrame(sb.files, sb.opts.StandbyDir, tc.urls[0], tenant, checkpoint.AppendFrame(nil, []byte(old))); err != nil {
+	if err := putCopy(sb.store, tc.urls[0], tenant, checkpoint.AppendFrame(nil, []byte(old))); err != nil {
 		t.Fatal(err)
 	}
-	if h, ok, err := loadStandby(sb.fs, sb.opts.StandbyDir, tc.urls[0], tenant); err != nil || !ok || h.Ticks != 12 || h.Copy {
+	if h, ok, err := readCopy(sb.store, tc.urls[0], tenant); err != nil || !ok || h.Ticks != 12 || h.Copy {
 		t.Fatalf("legacy copy load: %+v ok=%v err=%v", h, ok, err)
 	}
 
@@ -203,11 +204,13 @@ func TestTransferMoveOverUnreadableSnapshot(t *testing.T) {
 	m := testModel(t)
 	const tenant = "sector"
 	tc := newTestCluster(t, 1, func(_ int, o *Options) {
-		o.FS = unreadableFS{FS: faultfs.OS, path: snapshotPath(o.SnapshotDir, tenant)}
+		_, path := dirStore(faultfs.OS, o.SnapshotDir, "").path("", tenant)
+		o.FS = unreadableFS{FS: faultfs.OS, path: path}
 	})
 	rx := tc.srvs[0]
 	ds := coupledDataset(rand.New(rand.NewSource(47)), 40)
-	if err := saveSnapshot(newSlotFiles(faultfs.OS), tc.dirs[0], tenant, snapshotAfter(t, m, tenant, ds, 40)); err != nil {
+	onDisk := dirStore(faultfs.OS, tc.dirs[0], "")
+	if err := putSnapshot(onDisk, snapshotAfter(t, m, tenant, ds, 40)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,7 +221,7 @@ func TestTransferMoveOverUnreadableSnapshot(t *testing.T) {
 	if rx.reg.get(tenant) != nil {
 		t.Fatal("move installed over an unreadable snapshot")
 	}
-	snap, ok, _, err := loadSnapshot(faultfs.OS, tc.dirs[0], tenant)
+	snap, ok, _, err := readSnapshot(onDisk, tenant)
 	if err != nil || !ok || snap.Stream.Ticks != 40 {
 		t.Fatalf("snapshot after the refused move: ok=%v ticks=%d err=%v, want the 40-tick original", ok, snap.Stream.Ticks, err)
 	}
