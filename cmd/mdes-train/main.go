@@ -142,11 +142,14 @@ func run(args []string, stdout io.Writer) error {
 	defer stop()
 
 	var lastLine time.Time
+	clock := newProgressClock(time.Now())
 	opts := mdes.TrainOptions{
 		Checkpoint: *ckpt,
 		Resume:     *resume,
 		Progress: func(p mdes.TrainProgress) {
+			now := time.Now()
 			if p.Src == "" && (p.Resumed > 0 || p.TornTail) {
+				clock.resumed(now, p.Done)
 				msg := fmt.Sprintf("resumed %d/%d pairs from checkpoint", p.Resumed, p.Total)
 				if p.TornTail {
 					msg += " (dropped a torn record from a crash mid-append)"
@@ -154,13 +157,14 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintln(stdout, msg)
 				return
 			}
-			if time.Since(lastLine) < *progressEvery && p.Done < p.Total {
+			if now.Sub(lastLine) < *progressEvery && p.Done < p.Total {
 				return
 			}
-			lastLine = time.Now()
+			lastLine = now
+			elapsed, eta := clock.times(now, p.Done, p.Total)
 			fmt.Fprintf(stdout, "pairs %d/%d  bleu min/med/max %.1f/%.1f/%.1f  elapsed %s  eta %s\n",
 				p.Done, p.Total, p.BLEUs.Min, p.BLEUs.Median, p.BLEUs.Max,
-				p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
+				elapsed.Round(time.Second), eta.Round(time.Second))
 		},
 	}
 	model, err := fw.TrainWithOptions(ctx, train, dev, opts)
@@ -190,4 +194,31 @@ func run(args []string, stdout io.Writer) error {
 			s.Range.String(), s.PctRelationships, s.NumSensors)
 	}
 	return nil
+}
+
+// progressClock times a training run for its progress lines. The ETA
+// extrapolates the rate of the pairs trained since its anchor: the start,
+// or the resume report once one arrives, so the time spent replaying the
+// journal and restoring its pairs stays out of the rate.
+type progressClock struct {
+	start, anchor time.Time
+	base          int // pairs done at the anchor
+}
+
+func newProgressClock(now time.Time) *progressClock {
+	return &progressClock{start: now, anchor: now}
+}
+
+// resumed re-anchors the rate at the resume report, which counts done pairs
+// restored from the journal.
+func (c *progressClock) resumed(now time.Time, done int) { c.anchor, c.base = now, done }
+
+// times is the wall time since the start and the ETA at a report of done of
+// total pairs; the ETA is zero until a pair trains after the anchor, and
+// once all are done.
+func (c *progressClock) times(now time.Time, done, total int) (elapsed, eta time.Duration) {
+	if trained := done - c.base; trained > 0 && done < total {
+		eta = now.Sub(c.anchor) / time.Duration(trained) * time.Duration(total-done)
+	}
+	return now.Sub(c.start), eta
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mdes"
 	"mdes/internal/seqio"
@@ -247,5 +248,40 @@ func TestTrainScreenFlagValidation(t *testing.T) {
 	}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "threshold") {
 		t.Fatalf("err = %v, want screening threshold validation error", err)
+	}
+}
+
+// TestProgressClockResumeETAAnchor is the resume-skew regression: a journal
+// replay that takes minutes must not inflate the per-pair estimate. With 5
+// pairs restored over 10 minutes and one pair live-trained in 50ms after
+// the resume report, the remaining 4 pairs project from the resume anchor
+// (sub-second ETA), not from the 10-minute-old start.
+func TestProgressClockResumeETAAnchor(t *testing.T) {
+	start := time.Now()
+	c := newProgressClock(start)
+	resumed := start.Add(10 * time.Minute) // replay and restore time
+	c.resumed(resumed, 5)
+	elapsed, eta := c.times(resumed.Add(50*time.Millisecond), 6, 10)
+	if eta != 200*time.Millisecond {
+		t.Fatalf("ETA = %v, want 4 pairs at 50ms from the resume anchor", eta)
+	}
+	if elapsed < 10*time.Minute {
+		t.Fatalf("elapsed = %v; wall-clock elapsed must still include replay time", elapsed)
+	}
+}
+
+// TestProgressClockETAWithoutResume: with no resume report, the rate runs
+// from the start, and no ETA shows before the first pair or after the last.
+func TestProgressClockETAWithoutResume(t *testing.T) {
+	start := time.Now()
+	c := newProgressClock(start)
+	if _, eta := c.times(start.Add(time.Second), 0, 4); eta != 0 {
+		t.Fatalf("ETA = %v before any pair trained, want 0", eta)
+	}
+	if _, eta := c.times(start.Add(3*time.Second), 2, 4); eta != 3*time.Second {
+		t.Fatalf("ETA = %v, want 3s: 2 pairs left at 1.5s each", eta)
+	}
+	if _, eta := c.times(start.Add(6*time.Second), 4, 4); eta != 0 {
+		t.Fatalf("ETA = %v with every pair done, want 0", eta)
 	}
 }

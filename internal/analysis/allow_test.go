@@ -153,6 +153,43 @@ func f() *int {
 	}
 }
 
+// TestStaleAllows: a waiver that suppressed a finding is used; one whose
+// statement drew no finding is stale, reported at its directive.
+func TestStaleAllows(t *testing.T) {
+	src := `package p
+
+func f() *int {
+	//mdes:allow(noalloc) covers a finding
+	x := new(int)
+	_ = x
+	//mdes:allow(noalloc) covers nothing any more
+	y := 0
+	return &y
+}
+`
+	pass, fset, file := passFor(t, "stale", src)
+	pass.Reportf(posOnLine(fset, file, 5), "allocation")
+	stale := pass.StaleAllows()
+	if len(stale) != 1 || fset.Position(stale[0]).Line != 7 {
+		t.Fatalf("stale waivers at %v, want exactly the one on line 7", stale)
+	}
+	if n := len(pass.Diagnostics()); n != 0 {
+		t.Fatalf("the used waiver did not suppress its finding (%d reported)", n)
+	}
+
+	// A pass that reports nothing leaves both stale; another analyzer's
+	// waivers are none of its business.
+	pass, _, _ = passFor(t, "stale_all", src)
+	if stale := pass.StaleAllows(); len(stale) != 2 {
+		t.Fatalf("%d stale waivers with no findings, want 2", len(stale))
+	}
+	pass, _, _ = passFor(t, "stale_other", src)
+	pass.Analyzer = &Analyzer{Name: "detrand"}
+	if stale := pass.StaleAllows(); len(stale) != 0 {
+		t.Fatalf("detrand pass reports noalloc waivers stale: %v", stale)
+	}
+}
+
 func TestScanWaivers(t *testing.T) {
 	known := map[string]bool{"noalloc": true, "detrand": true}
 	write := func(t *testing.T, dir, name, src string) {

@@ -19,7 +19,9 @@
 // including nested blocks — e.g. placing it on an `if ws == nil {` line
 // waives the heap-fallback branch of a workspace hot path. The reason text is
 // mandatory by convention: a waiver documents why the invariant legitimately
-// does not apply, it is not an off switch.
+// does not apply, it is not an off switch. A waiver that suppresses no
+// finding of its analyzer is stale (Pass.StaleAllows), and the vet driver
+// reports it: code that moved out from under a waiver must take it along.
 package analysis
 
 import (
@@ -57,14 +59,18 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	diags   []Diagnostic
-	allowed []lineSpan // suppressed spans for this analyzer, lazily built
+	allowed []lineSpan  // suppressed spans for this analyzer, lazily built
+	waivers []token.Pos // this analyzer's directives, built with allowed
+	used    map[token.Pos]bool
 	built   bool
 }
 
-// lineSpan is an inclusive suppressed line range within one file.
+// lineSpan is an inclusive suppressed line range within one file, and the
+// directive that waives it.
 type lineSpan struct {
 	file     string
 	from, to int
+	waiver   token.Pos
 }
 
 // Reportf records a diagnostic unless a //mdes:allow(<analyzer>) waiver
@@ -138,31 +144,44 @@ func ParseAllows(text string) []AllowDirective {
 	return out
 }
 
-// suppressed reports whether pos is covered by a waiver for this analyzer.
+// suppressed reports whether pos is covered by a waiver for this analyzer,
+// marking every waiver that covers it used.
 func (p *Pass) suppressed(pos token.Pos) bool {
-	if !p.built {
-		p.buildAllowed()
-		p.built = true
-	}
-	if len(p.allowed) == 0 {
-		return false
-	}
+	p.buildAllowed()
 	position := p.Fset.Position(pos)
+	hit := false
 	for _, s := range p.allowed {
 		if s.file == position.Filename && position.Line >= s.from && position.Line <= s.to {
-			return true
+			p.used[s.waiver], hit = true, true
 		}
 	}
-	return false
+	return hit
 }
 
-// buildAllowed scans comments for //mdes:allow(<name>) markers and resolves
-// each to the outermost statement or declaration starting on the marker's
-// line (or the next line, for a marker on a line of its own).
+// StaleAllows returns, in source order, the positions of this analyzer's
+// waivers that have suppressed no finding. Call it after the analyzer ran.
+func (p *Pass) StaleAllows() []token.Pos {
+	p.buildAllowed()
+	var out []token.Pos
+	for _, w := range p.waivers {
+		if !p.used[w] {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// buildAllowed scans comments for //mdes:allow(<name>) markers, once, and
+// resolves each to the outermost statement or declaration starting on the
+// marker's line (or the next line, for a marker on a line of its own).
 func (p *Pass) buildAllowed() {
+	if p.built {
+		return
+	}
+	p.built, p.used = true, map[token.Pos]bool{}
 	want := p.Analyzer.Name
 	for _, f := range p.Files {
-		var lines []int // candidate attachment lines
+		at := map[int]token.Pos{} // candidate attachment line → its directive
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				for _, d := range ParseAllows(c.Text) {
@@ -170,12 +189,13 @@ func (p *Pass) buildAllowed() {
 						continue
 					}
 					l := p.Fset.Position(c.Pos()).Line
-					lines = append(lines, l, l+1)
+					p.waivers = append(p.waivers, c.Pos())
+					at[l], at[l+1] = c.Pos(), c.Pos()
 					break
 				}
 			}
 		}
-		if len(lines) == 0 {
+		if len(at) == 0 {
 			continue
 		}
 		fname := p.Fset.Position(f.Pos()).Filename
@@ -193,25 +213,23 @@ func (p *Pass) buildAllowed() {
 			if claimed[start] {
 				return true // outermost node on this line already claimed it
 			}
-			for _, l := range lines {
-				if l == start {
-					claimed[start] = true
-					p.allowed = append(p.allowed, lineSpan{
-						file: fname,
-						from: start,
-						to:   p.Fset.Position(n.End()).Line,
-					})
-					break
-				}
+			if w, ok := at[start]; ok {
+				claimed[start] = true
+				p.allowed = append(p.allowed, lineSpan{
+					file:   fname,
+					from:   start,
+					to:     p.Fset.Position(n.End()).Line,
+					waiver: w,
+				})
 			}
 			return true
 		})
 		// A marker that attaches to no statement (e.g. at top level between
 		// declarations) still suppresses its own two candidate lines, so a
 		// waiver on a var declaration line works too.
-		for _, l := range lines {
+		for l, w := range at {
 			if !claimed[l] {
-				p.allowed = append(p.allowed, lineSpan{file: fname, from: l, to: l})
+				p.allowed = append(p.allowed, lineSpan{file: fname, from: l, to: l, waiver: w})
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"os"
 	"sync"
+
+	"mdes/internal/faultfs"
 )
 
 type session struct {
@@ -10,6 +12,7 @@ type session struct {
 	state int
 	out   chan int
 	hook  func(int)
+	fs    faultfs.FS
 }
 
 // writeState is a same-package helper that performs file I/O; the fixpoint
@@ -57,6 +60,14 @@ func lineCount() int {
 	return 1
 }
 
+// A store read through the faultfs.FS interface is file I/O whatever FS
+// sits behind it.
+func (s *session) badStore() {
+	s.mu.Lock()
+	_, _ = s.fs.ReadFile("snap") // want `call to faultfs.ReadFile while s.mu is held \(file/network I/O\)`
+	s.mu.Unlock()
+}
+
 // --- non-flagging shapes -------------------------------------------------
 
 func (s *session) good() {
@@ -84,6 +95,14 @@ func (s *session) waived() {
 	defer s.mu.Unlock()
 	//mdes:allow(lockcall) creation must be atomic: the snapshot read is part of the critical section
 	_ = writeState(s.state)
+}
+
+// The store call after the unlock is not under the lock.
+func (s *session) goodStore() {
+	s.mu.Lock()
+	s.state++
+	s.mu.Unlock()
+	_ = s.fs.Remove("snap")
 }
 
 // Lock-free functions are never flagged.

@@ -7,7 +7,8 @@
 // A type is a snapshot root when, in its declaring package, the analyzer sees
 // it json.Marshal'ed in a function that also calls checkpoint.AppendFrame
 // (encode flow), json.Unmarshal'ed in a function that also calls
-// checkpoint.Frames (decode flow), returned by a method named Snapshot, or
+// checkpoint.Frames or checkpoint.NextFrame (decode flow), returned by a
+// method named Snapshot, or
 // accepted by a function whose name starts with Restore/restore.
 //
 // On each root (and, recursively, every struct type reachable through its
@@ -196,7 +197,7 @@ func (c *checker) classifyFunc(fd *ast.FuncDecl) {
 		switch {
 		case analysis.PkgPathMatches(fn.Pkg().Path(), checkpointPkgs) && fn.Name() == "AppendFrame":
 			hasAppend = true
-		case analysis.PkgPathMatches(fn.Pkg().Path(), checkpointPkgs) && fn.Name() == "Frames":
+		case analysis.PkgPathMatches(fn.Pkg().Path(), checkpointPkgs) && (fn.Name() == "Frames" || fn.Name() == "NextFrame"):
 			hasFrames = true
 		case fn.Pkg().Path() == "encoding/json" && (fn.Name() == "Marshal" || fn.Name() == "MarshalIndent") && len(call.Args) >= 1:
 			if n := c.namedStructInPkg(c.pass.TypeOf(call.Args[0])); n != nil {

@@ -8,6 +8,10 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+func NextFrame(data []byte) ([]byte, int, bool) {
+	return data, len(data), true
+}
+
 func Frames(data []byte) ([][]byte, int, error) {
 	return nil, len(data), nil
 }

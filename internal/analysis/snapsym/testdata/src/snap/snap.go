@@ -45,3 +45,16 @@ func consume(r record) (string, int, int) {
 }
 
 func debugDump(r record) string { return r.Debug + r.Alias }
+
+// legacy is decoded from one frame read with NextFrame: a decode flow too.
+type legacy struct {
+	Tenant string `json:"tenant"`
+	hidden int    // want `unexported field legacy\.hidden in snapshot type legacy: encoding/json drops it silently`
+}
+
+func loadLegacy(data []byte) (legacy, error) {
+	payload, _, _ := checkpoint.NextFrame(data)
+	var l legacy
+	err := json.Unmarshal(payload, &l)
+	return l, err
+}

@@ -249,6 +249,12 @@ func runConfig(cfgFile string, analyzers []*Analyzer) (int, error) {
 		for _, d := range pass.Diagnostics() {
 			emit(a.Name, d.Pos, d.Message)
 		}
+		// A waiver that suppresses nothing outlived its finding: the code
+		// moved, or the analyzer learned better. Left in place it would
+		// silently cover whatever lands on its line next.
+		for _, pos := range pass.StaleAllows() {
+			emit("mdes-vet", pos, fmt.Sprintf("//mdes:allow(%s) suppresses no %s finding; delete it", a.Name, a.Name))
+		}
 	}
 	// A waiver naming an analyzer that does not exist suppresses nothing and
 	// usually means a typo silently disabled a real waiver — that is itself a

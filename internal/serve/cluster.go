@@ -140,9 +140,12 @@ func (s *Server) tenantsHeldFor(peer string, pulled bool) (names []string, ticks
 func (s *Server) heldTicks(tenant, peer string, pulled bool) int {
 	if sess := s.reg.get(tenant); sess != nil {
 		sess.mu.Lock()
-		n, gone := sess.stream.Ticks(), sess.gone
+		n := -1
+		if !sess.gone {
+			n = sess.stream.Ticks()
+		}
 		sess.mu.Unlock()
-		if !gone {
+		if n >= 0 {
 			return n
 		}
 	}
@@ -204,8 +207,10 @@ func (s *Server) clusterJoin(kind string, joined func()) {
 	}
 	for _, sess := range s.reg.all() {
 		sess.mu.Lock()
-		if h, err := s.store.record(snapshotOfLocked(sess)); err == nil {
-			s.replicateLocked(h)
+		if !sess.gone {
+			if h, err := s.store.record(snapshotOfLocked(sess)); err == nil {
+				s.replicateLocked(h)
+			}
 		}
 		sess.mu.Unlock()
 	}
@@ -305,34 +310,27 @@ func (s *Server) shipTenants(peer string, tenants []string, pulled bool) {
 	}
 }
 
-// ship freezes one tenant's state — the resident session, frozen under its
-// mutex at a request boundary, else the stored record — and ships it to
-// peer, after every lock is released. An ack deletes the local snapshot; a
-// failure persists the frozen state back.
+// ship freezes one tenant's state under its claim — the resident session,
+// at a request boundary, else the stored record — retires the session and
+// ships the state to peer, after every lock is released. An ack deletes the
+// local snapshot; a failure persists the frozen state back.
 func (s *Server) ship(ctx context.Context, peer, tenant string, pulled bool) error {
 	cn := s.cluster
+	sess, fresh := s.reg.claim(tenant, true)
+	owner, shipper, copies := s.table.Shipper(tenant, peer, pulled)
 	var h cluster.Handoff
 	var err error
-	have, frozen, wasAdopted, fromCopy := false, false, false, false
-	if sess := s.reg.get(tenant); sess != nil {
-		sess.mu.Lock()
-		if !sess.gone {
-			sess.gone = true
-			h, err = s.store.record(snapshotOfLocked(sess))
-			have, frozen = true, true
-			wasAdopted = sess.adopted
-			s.reg.remove(sess)
-		}
-		sess.mu.Unlock()
+	have, frozen, wasAdopted, fromCopy := !fresh, !fresh, sess.adopted, false
+	if frozen {
+		h, err = s.store.record(snapshotOfLocked(sess))
+	} else {
+		h, have, fromCopy, err = s.stored(tenant, copies)
 	}
-	owner, shipper, copies := s.table.Shipper(tenant, peer, pulled)
-	if !have {
-		if h, have, fromCopy, err = s.stored(tenant, copies); err != nil {
-			return err
-		}
-	}
+	s.reg.retire(sess)
 	if err != nil {
-		s.met.clusterHandoffErrors.Add(1)
+		if frozen {
+			s.met.clusterHandoffErrors.Add(1)
+		}
 		return err
 	}
 	if !have {
@@ -428,68 +426,49 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	s.installMove(w, snap)
 }
 
-// installMove is handleTransfer's move branch: restore the migrated tenant
-// (before any lock) and install it unless local state already covers it.
+// installMove is handleTransfer's move branch: claim the tenant without
+// waiting (busy answers 503), and load the migrated state in place unless
+// local state already covers it — the resident session's ticks or, for a
+// tenant not resident, its own record's, read under the tenant lock.
 func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
-	sess, err := s.restoreSession(snap.Tenant, snap)
-	if err != nil {
+	sess, fresh := s.reg.claim(snap.Tenant, false)
+	if sess == nil {
+		s.retryAfterHeader(w)
+		http.Error(w, fmt.Sprintf("tenant %q busy", snap.Tenant), http.StatusServiceUnavailable)
+		return
+	}
+	have := -1
+	if !fresh {
+		have = sess.stream.Ticks()
+	} else if old, ok, _, err := s.store.read("", snap.Tenant); err != nil {
+		// The evicted session on disk may be fresher than this frame;
+		// installing over what cannot be read could lose its ticks.
+		s.reg.retire(sess)
+		s.retryAfterHeader(w)
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	} else if ok {
+		have = old.Ticks // the envelope's Ticks decide: the record is not decoded
+	}
+	if have >= snap.Stream.Ticks {
+		// Duplicate or stale: local state already covers it.
+		s.reg.abandon(sess, fresh)
+		s.table.Landed(snap.Tenant, have)
+		w.WriteHeader(http.StatusOK)
+		return
+	}
+	if err := s.load(sess, snap); err != nil {
+		s.reg.abandon(sess, fresh)
 		s.met.clusterHandoffErrors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sess.dirty = true
-
-	s.reg.mu.Lock()
-	if existing := s.reg.sessions[snap.Tenant]; existing != nil {
-		if !existing.mu.TryLock() {
-			s.reg.mu.Unlock()
-			s.retryAfterHeader(w)
-			http.Error(w, fmt.Sprintf("tenant %q busy", snap.Tenant), http.StatusServiceUnavailable)
-			return
-		}
-		if have := existing.stream.Ticks(); have >= snap.Stream.Ticks {
-			// Duplicate or stale: local state already covers it.
-			existing.mu.Unlock()
-			s.reg.mu.Unlock()
-			s.table.Landed(snap.Tenant, have)
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		existing.gone = true
-		existing.mu.Unlock()
-		delete(s.reg.sessions, snap.Tenant)
-	} else {
-		// The envelope's Ticks decide: the record on disk is not decoded.
-		//mdes:allow(lockcall) install must be atomic with the registry check; one snapshot read on the migration path only, never per-tick
-		old, ok, _, err := s.store.read("", snap.Tenant)
-		if err != nil {
-			// The evicted session on disk may be fresher than this frame;
-			// installing over what cannot be read could lose its ticks.
-			s.reg.mu.Unlock()
-			s.retryAfterHeader(w)
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		if ok && old.Ticks >= snap.Stream.Ticks {
-			s.reg.mu.Unlock()
-			s.table.Landed(snap.Tenant, old.Ticks)
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-	}
-	s.reg.sessions[snap.Tenant] = sess
-	s.reg.mu.Unlock()
-
 	// Persist before acking: the ack authorises the sender to delete its
 	// copy, so the durable one must exist here first. A write failure is
 	// tolerated the same way ordinary snapshot failures are (counter +
 	// in-memory state), and the sender's retry dedupes as a no-op.
-	if s.opts.SnapshotDir != "" {
-		sess.mu.Lock()
-		//mdes:allow(lockcall) persist-before-ack on the migration path only, never per-tick; the session lock pins the exact state being acknowledged
-		s.persistLocked(sess)
-		sess.mu.Unlock()
-	}
+	sess.dirty = true
+	s.release(sess)
 	s.table.Landed(snap.Tenant, snap.Stream.Ticks)
 	s.met.clusterHandoffsReceived.Add(1)
 	w.WriteHeader(http.StatusOK)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -257,19 +258,24 @@ func (s *Server) janitor() {
 		case <-s.janitorStop:
 			return
 		case now := <-t.C:
-			for _, v := range s.reg.takeIdle(now.Add(-s.opts.SessionTTL)) {
-				s.evict(v)
-			}
+			s.evict(s.reg.takeIdle(now.Add(-s.opts.SessionTTL)))
 		}
 	}
 }
 
-// evict snapshots and releases a claimed victim (locked, marked gone, already
-// out of the registry).
-func (s *Server) evict(v *session) {
-	s.persistLocked(v)
-	v.mu.Unlock()
-	s.met.sessionsEvicted.Add(1)
+// evict writes each locked victim's record, then retires it: a session
+// leaves the registry only once its state is durable, so a request that
+// claims it meanwhile waits and then restores what was written. A victim
+// whose write fails (counted) stays resident, and the next round retries it.
+func (s *Server) evict(victims []*session) {
+	for _, v := range victims {
+		if s.persistLocked(v) != nil {
+			v.mu.Unlock()
+			continue
+		}
+		s.reg.retire(v)
+		s.met.sessionsEvicted.Add(1)
+	}
 }
 
 // persistLocked writes the session's own record if durability is on and
@@ -297,103 +303,61 @@ func (s *Server) persistLocked(v *session) error {
 	return nil
 }
 
-// acquire returns the tenant's session with its mutex held, creating or
-// restoring it first if needed. The non-nil error carries an HTTP status.
+// acquire returns the tenant's session with its mutex held, starting it
+// first if it is not resident. The non-nil error carries an HTTP status.
 func (s *Server) acquire(tenant, wantModel string) (*session, int, error) {
 	if tenant == "" {
 		return nil, http.StatusBadRequest, errors.New("empty tenant")
 	}
-	for {
-		sess := s.reg.get(tenant)
-		if sess == nil {
-			created, status, err := s.createSession(tenant, wantModel)
-			if err != nil {
-				return nil, status, err
-			}
-			sess = created
-		}
-		if wantModel != "" && sess.model != wantModel {
-			return nil, http.StatusConflict,
-				fmt.Errorf("tenant %q is bound to model %q, not %q", tenant, sess.model, wantModel)
-		}
-		sess.mu.Lock()
-		if sess.gone {
-			// Evicted between lookup and lock; its snapshot is durable, so
-			// retrying restores it.
-			sess.mu.Unlock()
-			continue
-		}
-		s.reg.touch(sess)
-		return sess, 0, nil
+	sess, fresh := s.reg.claim(tenant, true)
+	status, err := 0, error(nil)
+	if fresh {
+		status, err = s.start(sess, wantModel)
+	} else if wantModel != "" && sess.model != wantModel {
+		status, err = http.StatusConflict, fmt.Errorf("tenant %q is bound to model %q, not %q", tenant, sess.model, wantModel)
 	}
+	if err != nil {
+		s.reg.abandon(sess, fresh)
+		return nil, status, err
+	}
+	if fresh && s.opts.MaxSessions > 0 {
+		s.evict(s.reg.takeLRU(s.opts.MaxSessions, tenant))
+	}
+	s.reg.touch(sess)
+	return sess, 0, nil
 }
 
-// createSession inserts a new session for the tenant — restored from its
-// snapshot when one exists, fresh otherwise — evicting LRU sessions if the
-// cap is exceeded. Returns the existing session instead if another request
-// created it first.
-func (s *Server) createSession(tenant, wantModel string) (*session, int, error) {
-	s.reg.mu.Lock()
-	if existing := s.reg.sessions[tenant]; existing != nil {
-		s.reg.mu.Unlock()
-		return existing, 0, nil
-	}
-
-	// Snapshot lookup happens under the registry lock; it is one small file
-	// read on the session-creation path only, never on the tick hot path.
-	var sess *session
-	//mdes:allow(lockcall) creation must be atomic: the registry lock is what stops two requests racing to restore the same tenant; this path never runs per-tick
-	snap, ok, err := s.storedSnapshot(tenant)
+// start fills a fresh session from the tenant's stored record — its
+// snapshot, or a fresher standby copy held here — or, with none, starts its
+// stream on wantModel (the default model when empty). The read runs under
+// the tenant's lock only: a request for the tenant waits for it, any other
+// tenant does not.
+func (s *Server) start(sess *session, wantModel string) (int, error) {
+	snap, ok, err := s.storedSnapshot(sess.tenant)
 	if err != nil {
-		s.reg.mu.Unlock()
-		return nil, http.StatusInternalServerError, err
+		return http.StatusInternalServerError, err
 	}
 	if ok {
 		if wantModel != "" && wantModel != snap.Model {
-			s.reg.mu.Unlock()
-			return nil, http.StatusConflict,
-				fmt.Errorf("tenant %q has a snapshot for model %q, not %q", tenant, snap.Model, wantModel)
+			return http.StatusConflict, fmt.Errorf("tenant %q has a snapshot for model %q, not %q", sess.tenant, snap.Model, wantModel)
 		}
-		if sess, err = s.restoreSession(tenant, snap); err != nil {
-			s.reg.mu.Unlock()
-			if errors.Is(err, errUnknownModel) {
-				return nil, http.StatusNotFound, fmt.Errorf("tenant %q snapshot references %w", tenant, err)
-			}
-			return nil, http.StatusInternalServerError, err
+		if err := s.load(sess, snap); errors.Is(err, errUnknownModel) {
+			return http.StatusNotFound, fmt.Errorf("tenant %q snapshot references %w", sess.tenant, err)
+		} else if err != nil {
+			return http.StatusInternalServerError, err
 		}
-	}
-	restored := sess != nil
-	if !restored {
-		modelName := wantModel
-		if modelName == "" {
-			modelName = s.opts.DefaultModel
-		}
-		model, found := s.opts.Models[modelName]
-		if !found {
-			s.reg.mu.Unlock()
-			return nil, http.StatusNotFound, fmt.Errorf("unknown model %q", modelName)
-		}
-		stream := model.NewStream()
-		stream.SetScorer(s.scorer)
-		sess = &session{tenant: tenant, model: modelName, stream: stream, row: model.NewRow(), lastUsed: time.Now()}
-	}
-	s.reg.sessions[tenant] = sess
-
-	var victims []*session
-	if s.opts.MaxSessions > 0 && len(s.reg.sessions) > s.opts.MaxSessions {
-		victims = s.reg.takeLRULocked(len(s.reg.sessions)-s.opts.MaxSessions, tenant)
-	}
-	s.reg.mu.Unlock()
-
-	for _, v := range victims {
-		s.evict(v)
-	}
-	if restored {
 		s.met.sessionsRestored.Add(1)
-	} else {
-		s.met.sessionsStarted.Add(1)
+		return 0, nil
 	}
-	return sess, 0, nil
+	name := cmp.Or(wantModel, s.opts.DefaultModel)
+	model, found := s.opts.Models[name]
+	if !found {
+		return http.StatusNotFound, fmt.Errorf("unknown model %q", name)
+	}
+	sess.model, sess.stream, sess.row = name, model.NewStream(), model.NewRow()
+	sess.stream.SetScorer(s.scorer)
+	s.met.sessionsStarted.Add(1)
+	return 0, nil
 }
 
 // release persists a dirty session and drops its mutex.
@@ -572,10 +536,15 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 	if sess := s.reg.get(tenant); sess != nil {
 		sess.mu.Lock()
-		info := sess.infoLocked()
+		info, live := SessionInfo{}, !sess.gone
+		if live {
+			info = sess.infoLocked()
+		}
 		sess.mu.Unlock()
-		writeJSON(w, info)
-		return
+		if live {
+			writeJSON(w, info)
+			return
+		}
 	}
 	snap, ok, err := s.storedSnapshot(tenant)
 	if err != nil {
@@ -599,21 +568,20 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, fmt.Sprintf("no session for tenant %q", tenant), http.StatusNotFound)
 }
 
-// handleDelete is DELETE /v1/streams/{tenant}: ends the session and removes
-// its snapshot and the standby copies held here for any owner (sessions
-// restore from those too) — the tenant's next tick starts a fresh window.
+// handleDelete is DELETE /v1/streams/{tenant}: removes the tenant's snapshot
+// and the standby copies held here for any owner (sessions restore from
+// those too), then ends the session — the tenant's next tick starts a fresh
+// window. The tenant stays claimed through the removals, so a tick racing
+// the delete either lands before it (and is deleted) or after it.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	if _, ok := s.clusterGate(w, r, tenant, cluster.Delete); !ok {
 		return
 	}
-	if sess := s.reg.get(tenant); sess != nil {
-		sess.mu.Lock()
-		sess.gone = true
-		sess.mu.Unlock()
-		s.reg.remove(sess)
-	}
-	if err := s.store.drop(tenant); err != nil {
+	sess, _ := s.reg.claim(tenant, true)
+	err := s.store.drop(tenant)
+	s.reg.retire(sess)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -699,9 +667,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			break
 		}
 		sess.mu.Lock()
-		//mdes:allow(lockcall) drain-time only: the server has stopped accepting ticks, and the session lock guarantees the record is the final state
-		if err := s.persistLocked(sess); err != nil && firstErr == nil {
-			firstErr = err
+		if !sess.gone {
+			//mdes:allow(lockcall) drain-time only: the server has stopped accepting ticks, and the session lock guarantees the record is the final state
+			if err := s.persistLocked(sess); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 		sess.mu.Unlock()
 	}

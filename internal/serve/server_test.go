@@ -735,7 +735,8 @@ func BenchmarkIdleSessionBytes(b *testing.B) {
 				runtime.GC()
 				runtime.ReadMemStats(&before)
 				for k := range held {
-					if held[k], err = srv.restoreSession("t", snap); err != nil {
+					held[k] = &session{tenant: "t"}
+					if err = srv.load(held[k], snap); err != nil {
 						b.Fatal(err)
 					}
 				}

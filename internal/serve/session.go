@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,7 +21,7 @@ type session struct {
 	row    *mdes.Row // the tick being decoded (under mu)
 
 	mu    sync.Mutex
-	gone  bool // set under mu when evicted or deleted; lock holders must retry
+	gone  bool // set under mu by retire; whoever locks a registered session checks it first
 	dirty bool // ticks consumed since the last snapshot (under mu)
 	// lastScore is the most recent successfully scored point, repeated as
 	// the answer for degraded ticks (under mu).
@@ -56,35 +57,31 @@ func (s *session) infoLocked() SessionInfo {
 // serve.
 var errUnknownModel = errors.New("unknown model")
 
-// restoreSession is the one way a snapshot becomes a session: the stream
-// restored on this server's scorer, carrying the degraded-mode state it was
-// saved with. It touches no registry; each caller (restart restore, move
-// install, standby promotion) applies its own registry rules and marks the
-// session dirty or adopted as those rules require.
-func (s *Server) restoreSession(tenant string, snap sessionSnapshot) (*session, error) {
+// load fills a claimed session from snap, in place: the stream restored on
+// this server's scorer, its model and tick row, and the degraded-mode state
+// it was saved with. It is the one way a record becomes session state
+// (restart restore, move install, standby promotion); each caller marks the
+// session dirty or adopted as its own rules require. On error the session
+// is untouched.
+func (s *Server) load(sess *session, snap sessionSnapshot) error {
 	model, ok := s.opts.Models[snap.Model]
 	if !ok {
-		return nil, fmt.Errorf("%w %q", errUnknownModel, snap.Model)
+		return fmt.Errorf("%w %q", errUnknownModel, snap.Model)
 	}
 	stream, err := model.RestoreStream(snap.Stream)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	stream.SetScorer(s.scorer)
-	return &session{
-		tenant:    tenant,
-		model:     snap.Model,
-		stream:    stream,
-		row:       model.NewRow(),
-		lastScore: snap.LastScore,
-		degraded:  snap.Degraded,
-		lastUsed:  time.Now(),
-	}, nil
+	sess.model, sess.stream, sess.row = snap.Model, stream, model.NewRow()
+	sess.lastScore, sess.degraded, sess.adopted = snap.LastScore, snap.Degraded, false
+	return nil
 }
 
-// registry owns the tenant → session map. It only guards membership and
-// recency; tick processing happens under each session's own mutex, never
-// under the registry's.
+// registry owns the tenant → session map. Its lock guards only membership
+// and recency: every session transition — start, restore, install, adopt,
+// ship, delete, evict — runs under the tenant's own session lock, and store
+// IO never runs under the registry's.
 type registry struct {
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -92,6 +89,55 @@ type registry struct {
 
 func newRegistry() *registry {
 	return &registry{sessions: make(map[string]*session)}
+}
+
+// claim returns tenant's session with its mutex held: the resident one, or
+// a new empty session registered in its place (fresh), which the caller
+// must fill or retire before unlocking. Without wait, a resident session
+// that is busy answers nil. A claim is the one way into the map.
+func (r *registry) claim(tenant string, wait bool) (sess *session, fresh bool) {
+	for {
+		r.mu.Lock()
+		sess = r.sessions[tenant]
+		if sess == nil {
+			sess = &session{tenant: tenant, lastUsed: time.Now()}
+			sess.mu.TryLock() // new, so it cannot fail; Lock here would order registry.mu before session.mu
+			r.sessions[tenant] = sess
+			r.mu.Unlock()
+			return sess, true
+		}
+		r.mu.Unlock()
+		if wait {
+			sess.mu.Lock()
+		} else if !sess.mu.TryLock() {
+			return nil, false
+		}
+		if !sess.gone {
+			return sess, false
+		}
+		sess.mu.Unlock() // retired while we waited; the map has moved on
+	}
+}
+
+// retire takes a claimed session out of the map for good and drops its
+// mutex: anyone waiting on it sees gone and claims again. The other way out
+// of the map.
+func (r *registry) retire(sess *session) {
+	sess.gone = true
+	r.mu.Lock()
+	delete(r.sessions, sess.tenant)
+	r.mu.Unlock()
+	sess.mu.Unlock()
+}
+
+// abandon ends a claim that failed: a fresh session, still empty, is
+// retired; a resident one is unlocked as it was.
+func (r *registry) abandon(sess *session, fresh bool) {
+	if fresh {
+		r.retire(sess)
+	} else {
+		sess.mu.Unlock()
+	}
 }
 
 func (r *registry) get(tenant string) *session {
@@ -113,15 +159,6 @@ func (r *registry) touch(s *session) {
 	r.mu.Unlock()
 }
 
-// remove drops a session from the map if it is still the registered one.
-func (r *registry) remove(s *session) {
-	r.mu.Lock()
-	if r.sessions[s.tenant] == s {
-		delete(r.sessions, s.tenant)
-	}
-	r.mu.Unlock()
-}
-
 // all snapshots the current membership.
 func (r *registry) all() []*session {
 	r.mu.Lock()
@@ -133,52 +170,39 @@ func (r *registry) all() []*session {
 	return out
 }
 
-// takeIdle claims every session idle since before the deadline: each victim
-// is locked (skipping sessions mid-request), marked gone, and removed from
-// the map. The caller snapshots and unlocks them.
+// takeIdle locks every session idle since before the deadline, skipping
+// sessions mid-request. The victims stay registered until evict retires
+// them.
 func (r *registry) takeIdle(deadline time.Time) []*session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var victims []*session
-	for tenant, s := range r.sessions {
-		if s.lastUsed.After(deadline) {
-			continue
+	for _, s := range r.sessions {
+		if !s.lastUsed.After(deadline) && s.mu.TryLock() {
+			victims = append(victims, s)
 		}
-		if !s.mu.TryLock() {
-			continue // mid-request; it is not idle after all
-		}
-		s.gone = true
-		delete(r.sessions, tenant)
-		victims = append(victims, s)
 	}
 	return victims
 }
 
-// takeLRULocked claims up to n least-recently-used sessions (other than
-// keep), locked and marked gone like takeIdle. Used when a new session would
-// push the registry over its cap; the caller already holds r.mu.
-func (r *registry) takeLRULocked(n int, keep string) []*session {
+// takeLRU locks the least-recently-used sessions (other than keep) that
+// hold the registry over capacity, oldest first, stopping at a busy one:
+// over-cap by one beats stalling admission on a session that is serving.
+// Like takeIdle's, the victims stay registered until evict retires them.
+func (r *registry) takeLRU(capacity int, keep string) []*session {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var victims []*session
-	for len(victims) < n {
+	for len(victims) < len(r.sessions)-capacity {
 		var oldest *session
 		for tenant, s := range r.sessions {
-			if tenant == keep {
-				continue
-			}
-			if oldest == nil || s.lastUsed.Before(oldest.lastUsed) {
+			if tenant != keep && !slices.Contains(victims, s) && (oldest == nil || s.lastUsed.Before(oldest.lastUsed)) {
 				oldest = s
 			}
 		}
-		if oldest == nil {
+		if oldest == nil || !oldest.mu.TryLock() {
 			break
 		}
-		if !oldest.mu.TryLock() {
-			// Busy; over-cap by one beats stalling admission on a session
-			// that is actively serving.
-			break
-		}
-		oldest.gone = true
-		delete(r.sessions, oldest.tenant)
 		victims = append(victims, oldest)
 	}
 	return victims

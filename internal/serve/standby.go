@@ -80,59 +80,36 @@ func (s *Server) keepCopy(h cluster.Handoff, frame []byte) (bool, error) {
 
 // tryAdopt promotes tenant for its Down owner once Table.Route has answered
 // Adopt. True means "proceed: a resident session exists and is marked
-// adopted". It serves the freshest state held here — a resident session,
-// its own snapshot of an earlier adoption, or a standby copy: a session left
-// resident by an earlier adoption is retired when the owner has since
-// served on and replicated a fresher copy here. Held state must exist: a
-// tenant whose copy was dropped is never fresh-started — it stays 503 until
-// its owner returns, same as a tenant with no standby at all.
+// adopted". Under the tenant's claim it serves the freshest state held here
+// — the resident session, its own snapshot of an earlier adoption, or a
+// standby copy: a session left resident by an earlier adoption is reloaded
+// when the owner has since served on and replicated a fresher copy here.
+// Held state must exist: a tenant whose copy was dropped is never
+// fresh-started — it stays 503 until its owner returns, same as a tenant
+// with no standby at all.
 func (s *Server) tryAdopt(tenant, owner string) bool {
+	sess, fresh := s.reg.claim(tenant, true)
 	snap, ok, err := s.storedSnapshot(tenant) // a copy, or an earlier adoption's snapshot
-	ok = ok && err == nil
-	if sess := s.reg.get(tenant); sess != nil {
-		// Already resident and as fresh as anything stored: (re)mark it. A
-		// gone one lost a race with an eviction; install below.
-		sess.mu.Lock()
-		if !sess.gone && (!ok || sess.stream.Ticks() >= snap.Stream.Ticks) {
-			sess.adopted = true
-			sess.mu.Unlock()
-			return true
+	promote := ok && err == nil && (fresh || snap.Stream.Ticks > sess.stream.Ticks())
+	if promote {
+		if err := s.load(sess, snap); err != nil {
+			if !errors.Is(err, errUnknownModel) {
+				s.met.replStoreErrors.Add(1)
+			}
+			s.reg.abandon(sess, fresh)
+			return false
 		}
-		if !sess.gone {
-			sess.gone = true
-			s.reg.remove(sess)
-		}
-		sess.mu.Unlock()
-	}
-	if !ok {
+		sess.dirty = true // the first release persists it here
+	} else if fresh {
+		s.reg.retire(sess)
 		return false
 	}
-	sess, err := s.restoreSession(tenant, snap)
-	if err != nil {
-		if !errors.Is(err, errUnknownModel) {
-			s.met.replStoreErrors.Add(1)
-		}
-		return false
+	sess.adopted = true
+	sess.mu.Unlock()
+	if promote {
+		s.met.replPromotions.Add(1)
+		log.Printf("serve: promoted tenant %q from standby copy of %s at %d ticks", tenant, owner, snap.Stream.Ticks)
 	}
-	sess.adopted, sess.dirty = true, true // the first release persists it here
-
-	s.reg.mu.Lock()
-	if existing := s.reg.sessions[tenant]; existing != nil {
-		// Another request won the install race; serve through its session.
-		s.reg.mu.Unlock()
-		existing.mu.Lock()
-		won := !existing.gone
-		if won {
-			existing.adopted = true
-		}
-		existing.mu.Unlock()
-		return won
-	}
-	s.reg.sessions[tenant] = sess
-	s.reg.mu.Unlock()
-
-	s.met.replPromotions.Add(1)
-	log.Printf("serve: promoted tenant %q from standby copy of %s at %d ticks", tenant, owner, snap.Stream.Ticks)
 	return true
 }
 

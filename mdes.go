@@ -210,11 +210,9 @@ type TrainProgress struct {
 	Src, Tgt string
 	BLEU     float64
 	// BLEUs is the rolling distribution over every finished pair so far.
+	// Wall-clock elapsed time and ETA are the caller's to measure: the
+	// training library reads no clock for its reports.
 	BLEUs BLEUStats
-	// Elapsed is wall-clock time since Train started; ETA extrapolates the
-	// remaining time from the pairs trained this run (zero until the first
-	// pair finishes).
-	Elapsed, ETA time.Duration
 }
 
 // TrainOptions controls checkpointing, resumption, and progress reporting of
@@ -243,14 +241,6 @@ type TrainOptions struct {
 // locking is needed.
 type trainTracker struct {
 	total, done, resumed int
-	start                time.Time
-	// live anchors the ETA extrapolation: it is stamped after journal
-	// replay and pair restoration finish, so the per-pair rate reflects
-	// only live training. Extrapolating from start would fold thousands of
-	// restored pairs' replay time into the first post-resume ETAs,
-	// overestimating wildly. Zero (direct snapshot construction in tests)
-	// falls back to start.
-	live time.Time
 	// bleus is kept sorted by addBLEU and bleuSum is maintained incrementally,
 	// so each snapshot computes its stats in O(1) instead of copying and
 	// re-sorting every finished pair's score on every progress report
@@ -273,8 +263,6 @@ func (tk *trainTracker) snapshot(src, tgt string, bleu float64) TrainProgress {
 	p := TrainProgress{
 		Done: tk.done, Total: tk.total, Resumed: tk.resumed,
 		Src: src, Tgt: tgt, BLEU: bleu,
-		//mdes:allow(detrand) Elapsed is progress reporting for humans; it never feeds a score
-		Elapsed: time.Since(tk.start),
 	}
 	if n := len(tk.bleus); n > 0 {
 		median := tk.bleus[n/2]
@@ -282,14 +270,6 @@ func (tk *trainTracker) snapshot(src, tgt string, bleu float64) TrainProgress {
 			median = (tk.bleus[n/2-1] + tk.bleus[n/2]) / 2
 		}
 		p.BLEUs = BLEUStats{Min: tk.bleus[0], Median: median, Mean: tk.bleuSum / float64(n), Max: tk.bleus[n-1]}
-	}
-	if trained := tk.done - tk.resumed; trained > 0 && tk.done < tk.total {
-		anchor := tk.live
-		if anchor.IsZero() {
-			anchor = tk.start
-		}
-		//mdes:allow(detrand) ETA is progress reporting for humans; it never feeds a score
-		p.ETA = time.Since(anchor) / time.Duration(trained) * time.Duration(tk.total-tk.done)
 	}
 	return p
 }
@@ -417,8 +397,7 @@ func (f *Framework) TrainWithOptions(ctx context.Context, train, dev *seqio.Data
 		return nil, errors.New("mdes: Resume requires a Checkpoint path")
 	}
 
-	//mdes:allow(detrand) wall-clock anchors the ETA in progress reports; it never feeds a score
-	tracker := &trainTracker{total: len(pairs), start: time.Now()}
+	tracker := &trainTracker{total: len(pairs)}
 
 	// Restore journaled pairs whose configuration still matches this run;
 	// anything that drifted (different vocabulary, architecture, windows)
@@ -445,11 +424,9 @@ func (f *Framework) TrainWithOptions(ctx context.Context, train, dev *seqio.Data
 		tracker.resumed++
 		tracker.addBLEU(rec.BLEU)
 	}
-	// Anchor ETA extrapolation here: restoration (journal replay, weight
-	// deserialisation for potentially thousands of pairs) is over, live
-	// training is about to start.
-	//mdes:allow(detrand) wall-clock anchors the ETA in progress reports; it never feeds a score
-	tracker.live = time.Now()
+	// Restoration (journal replay, weight deserialisation for potentially
+	// thousands of pairs) is over and live training is about to start: a
+	// caller timing the run anchors its rate at this report.
 	if opts.Progress != nil && (tracker.resumed > 0 || (journal != nil && journal.Torn())) {
 		p := tracker.snapshot("", "", 0)
 		p.TornTail = journal != nil && journal.Torn()

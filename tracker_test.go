@@ -4,14 +4,13 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 )
 
 // TestTrainTrackerIncrementalStats checks the sorted-insert tracker against a
 // naive re-sort at every step, including duplicate scores and both parities.
 func TestTrainTrackerIncrementalStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	tk := &trainTracker{total: 100, start: time.Now()}
+	tk := &trainTracker{total: 100}
 	var naive []float64
 	for i := 0; i < 100; i++ {
 		b := float64(rng.Intn(20)) / 20 // coarse grid forces duplicates
@@ -46,49 +45,8 @@ func TestTrainTrackerIncrementalStats(t *testing.T) {
 	}
 }
 
-// TestTrainTrackerResumeETAAnchor is the resume-skew regression: a journal
-// replay that takes minutes used to inflate the per-pair estimate because
-// ETA extrapolated from `start`. With 5 pairs restored instantly and one
-// pair live-trained in ~50ms, the remaining 4 pairs must project from the
-// live-training anchor (sub-second ETA), not from the 10-minute-old start.
-func TestTrainTrackerResumeETAAnchor(t *testing.T) {
-	now := time.Now()
-	tk := &trainTracker{
-		total:   10,
-		start:   now.Add(-10 * time.Minute), // includes replay/restore time
-		live:    now.Add(-50 * time.Millisecond),
-		resumed: 5,
-		done:    6, // 5 restored + 1 live-trained
-	}
-	tk.addBLEU(85)
-	p := tk.snapshot("a", "b", 85)
-	if p.ETA <= 0 {
-		t.Fatalf("ETA = %v, want positive", p.ETA)
-	}
-	// 4 pairs left at ~50ms each: anything near a second is fine, minutes
-	// means the estimate still leans on the stale start time.
-	if p.ETA > 10*time.Second {
-		t.Fatalf("ETA = %v, want sub-10s extrapolation from live anchor", p.ETA)
-	}
-	if p.Elapsed < 9*time.Minute {
-		t.Fatalf("Elapsed = %v; wall-clock elapsed must still include replay time", p.Elapsed)
-	}
-}
-
-// TestTrainTrackerETAWithoutLiveAnchor keeps the non-resume path on the old
-// behavior: with no live anchor set, extrapolate from start.
-func TestTrainTrackerETAWithoutLiveAnchor(t *testing.T) {
-	now := time.Now()
-	tk := &trainTracker{total: 4, start: now.Add(-3 * time.Second), done: 2}
-	tk.addBLEU(85)
-	p := tk.snapshot("a", "b", 85)
-	if p.ETA < 2*time.Second || p.ETA > 10*time.Second {
-		t.Fatalf("ETA = %v, want ~3s from start fallback", p.ETA)
-	}
-}
-
 func TestTrainTrackerEmptySnapshot(t *testing.T) {
-	tk := &trainTracker{total: 3, start: time.Now()}
+	tk := &trainTracker{total: 3}
 	p := tk.snapshot("", "", 0)
 	if p.BLEUs != (BLEUStats{}) {
 		t.Fatalf("empty tracker produced non-zero stats: %+v", p.BLEUs)
