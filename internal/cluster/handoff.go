@@ -109,18 +109,14 @@ type PeerUpdateReply struct {
 }
 
 // Sender ships transfers and updates to peers, retrying transient failures
-// with exponential backoff. A 503 with Retry-After (the receiver is busy or
-// itself waiting on a pending migration) honours the hint. Senders hold no
-// locks — the serve layer freezes sessions first, then ships.
+// on one fixed schedule (Sender.retry). A 503 with Retry-After (the receiver
+// is busy or itself waiting on a pending migration) honours the hint.
+// Senders hold no locks — the serve layer freezes sessions first, then
+// ships.
 type Sender struct {
 	HTTPClient *http.Client
-	// MaxAttempts per Send/SendUpdate (default 5).
-	MaxAttempts int
-	// BaseDelay is the first retry delay, doubling per attempt (default
-	// 50ms, capped at 2s).
-	BaseDelay time.Duration
-	// Sleep replaces time sleeping in tests.
-	Sleep func(time.Duration)
+	// Sleep replaces the backoff wait in tests (RetryPolicy.Sleep).
+	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (s *Sender) client() *http.Client {
@@ -130,43 +126,10 @@ func (s *Sender) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (s *Sender) attempts() int {
-	if s.MaxAttempts > 0 {
-		return s.MaxAttempts
-	}
-	return 5
-}
-
-func (s *Sender) sleep(ctx context.Context, d time.Duration) error {
-	if s.Sleep != nil {
-		s.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// backoff returns the delay before retry attempt (0-based), honouring a
-// Retry-After hint when it is longer.
-func (s *Sender) backoff(attempt int, hint time.Duration) time.Duration {
-	base := s.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	d := base << attempt
-	if max := 2 * time.Second; d > max {
-		d = max
-	}
-	if hint > d {
-		d = hint
-	}
-	return d
+// policy is every Send's and SendUpdate's schedule: 5 attempts, 50ms
+// doubling to a 2s cap, unjittered.
+func (s *Sender) policy() RetryPolicy {
+	return RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Sleep: s.Sleep}
 }
 
 // Send ships one transfer to peer, retrying until it is acknowledged or
@@ -203,22 +166,17 @@ func (s *Sender) SendUpdate(ctx context.Context, peer string, u PeerUpdate) (Pee
 }
 
 // retry POSTs body until it is acknowledged, refused terminally, ctx ends,
-// or attempts run out, backing off between attempts. decode, if set, reads
-// an acknowledgement's body; its failure counts as a retryable attempt.
+// or the policy's attempts run out. decode, if set, reads an
+// acknowledgement's body; its failure counts as a retryable attempt.
 func (s *Sender) retry(ctx context.Context, url, contentType string, body []byte, decode func(io.Reader) error) error {
-	var lastErr error
-	for attempt := 0; attempt < s.attempts(); attempt++ {
-		if attempt > 0 {
-			if err := s.sleep(ctx, s.backoff(attempt-1, retryAfterOf(lastErr))); err != nil {
-				return err
-			}
+	post := func() error { return s.post(ctx, url, contentType, body, decode) }
+	return s.policy().Do(ctx, post, func(err error) (time.Duration, bool) {
+		var re *RetryableError
+		if errors.As(err, &re) {
+			return re.RetryAfter, ctx.Err() == nil
 		}
-		lastErr = s.post(ctx, url, contentType, body, decode)
-		if lastErr == nil || ctx.Err() != nil || isTerminal(lastErr) {
-			return lastErr
-		}
-	}
-	return lastErr
+		return 0, ctx.Err() == nil && !isTerminal(err)
+	})
 }
 
 // RetryableError is a non-2xx response worth retrying, carrying the
@@ -230,14 +188,6 @@ type RetryableError struct {
 
 func (e *RetryableError) Error() string {
 	return fmt.Sprintf("cluster: peer answered %d (retry-after %s)", e.Status, e.RetryAfter)
-}
-
-func retryAfterOf(err error) time.Duration {
-	var re *RetryableError
-	if errors.As(err, &re) {
-		return re.RetryAfter
-	}
-	return 0
 }
 
 // terminalError marks a response that retrying cannot fix (a 4xx other

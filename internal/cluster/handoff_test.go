@@ -74,8 +74,7 @@ func TestSenderRetriesUntilAck(t *testing.T) {
 	var slept []time.Duration
 	s := &Sender{
 		HTTPClient: srv.Client(),
-		BaseDelay:  time.Millisecond,
-		Sleep:      func(d time.Duration) { slept = append(slept, d) },
+		Sleep:      func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}
 	h := Handoff{Tenant: "t", Ticks: 5, Payload: json.RawMessage(`{}`)}
 	if err := s.Send(context.Background(), srv.URL, h); err != nil {
@@ -104,15 +103,14 @@ func TestSenderHonorsRetryAfterHint(t *testing.T) {
 	var slept []time.Duration
 	s := &Sender{
 		HTTPClient: srv.Client(),
-		BaseDelay:  time.Millisecond,
-		Sleep:      func(d time.Duration) { slept = append(slept, d) },
+		Sleep:      func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}
 	err := s.Send(context.Background(), srv.URL, Handoff{Tenant: "t", Payload: json.RawMessage(`{}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(slept) != 1 || slept[0] != 2*time.Second {
-		t.Fatalf("slept %v, want the server's 2s hint to win over the 1ms base", slept)
+		t.Fatalf("slept %v, want the server's 2s hint to win over the 50ms base", slept)
 	}
 }
 
@@ -124,7 +122,7 @@ func TestSenderTerminalOn4xx(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	s := &Sender{HTTPClient: srv.Client(), BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}}
+	s := &Sender{HTTPClient: srv.Client(), Sleep: func(context.Context, time.Duration) error { return nil }}
 	err := s.Send(context.Background(), srv.URL, Handoff{Tenant: "t", Payload: json.RawMessage(`{}`)})
 	if err == nil {
 		t.Fatal("4xx did not fail the send")

@@ -184,7 +184,7 @@ func hddDiscretizationCDF(h *HDDArtifacts) string {
 			continue
 		}
 		var pool []float64
-		for _, d := range h.Fleet.Drives[:minI(8, len(h.Fleet.Drives))] {
+		for _, d := range h.Fleet.Drives[:min(8, len(h.Fleet.Drives))] {
 			pool = append(pool, featureSeries(d, f)[:h.HS.TrainDays]...)
 		}
 		series = append(series, cdfSeries(f+" ("+h.Schemes[f].Name()+")", pool, 30))

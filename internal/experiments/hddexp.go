@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"mdes"
+	"mdes/internal/anomaly"
 	"mdes/internal/graph"
 	"mdes/internal/stats"
 )
@@ -28,7 +29,7 @@ func Fig10(h *HDDArtifacts) Report {
 			continue
 		}
 		var pool []float64
-		for _, d := range h.Fleet.Drives[:minI(8, len(h.Fleet.Drives))] {
+		for _, d := range h.Fleet.Drives[:min(8, len(h.Fleet.Drives))] {
 			pool = append(pool, featureSeries(d, f)[:h.HS.TrainDays]...)
 		}
 		fmt.Fprintf(&sb, "CDF of %s training values (scheme %s):\n", f, schemeOf[f])
@@ -75,7 +76,7 @@ func Table2(h *HDDArtifacts) Report {
 // Fig11 compares graph-based feature importance against the RF ranking.
 func Fig11(h *HDDArtifacts) Report {
 	top := h.TopGraphFeatures(h.ValidRange())
-	k := minI(5, len(top))
+	k := min(5, len(top))
 	graphTop := top[:k]
 
 	// RF ranking: collapse raw and differenced variants to the base name.
@@ -106,7 +107,7 @@ func Fig11(h *HDDArtifacts) Report {
 		fmt.Fprintf(&sb, "  %-10s in-degree %d\n", f, in[f])
 	}
 	sb.WriteString("(b) top-10 RF importances (raw+diff collapsed):\n")
-	for i, r := range ranked[:minI(10, len(ranked))] {
+	for i, r := range ranked[:min(10, len(ranked))] {
 		fmt.Fprintf(&sb, "  %2d. %-10s %.3f\n", i+1, r.name, r.v)
 	}
 
@@ -120,7 +121,7 @@ func Fig11(h *HDDArtifacts) Report {
 			graphHits++
 		}
 	}
-	for _, r := range ranked[:minI(10, len(ranked))] {
+	for _, r := range ranked[:min(10, len(ranked))] {
 		if predictive[r.name] {
 			rfHits++
 		}
@@ -152,19 +153,19 @@ func Fig12(h *HDDArtifacts) Report {
 	}
 	var sb strings.Builder
 	sb.WriteString("(a) detected failed drives (sharp increase before failure):\n")
-	for _, o := range detected[:minI(3, len(detected))] {
+	for _, o := range detected[:min(3, len(detected))] {
 		fmt.Fprintf(&sb, "%s (jump at t=%d):\n%s", o.ID, o.JumpAt,
 			stats.ASCIISeries(o.Scores, 30, map[int]string{o.JumpAt: "jump"}))
 	}
 	sb.WriteString("(b) undetected failed drives (flat trajectories):\n")
-	for _, o := range missed[:minI(3, len(missed))] {
+	for _, o := range missed[:min(3, len(missed))] {
 		fmt.Fprintf(&sb, "%s:\n%s", o.ID, stats.ASCIISeries(o.Scores, 30, nil))
 	}
 
 	// Detected drives must jump; missed ones must be comparatively flat.
 	flatMissed := 0
 	for _, o := range missed {
-		if _, jumped := sharp(o.Scores, h.HS.Jump); !jumped {
+		if _, jumped := anomaly.SharpIncrease(o.Scores, h.HS.Jump); !jumped {
 			flatMissed++
 		}
 	}
@@ -185,7 +186,7 @@ func Table3(h *HDDArtifacts) Report {
 	in := sub.InDegrees()
 	out := sub.OutDegrees()
 	top := h.TopGraphFeatures(h.ValidRange())
-	k := minI(5, len(top))
+	k := min(5, len(top))
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %9s %10s  %s\n", "Feature", "in-deg", "out-deg", "Description")
@@ -219,22 +220,4 @@ func yn(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// sharp re-applies the sharp-increase rule (kept local to avoid importing
-// anomaly here twice).
-func sharp(scores []float64, jump float64) (int, bool) {
-	for t := 1; t < len(scores); t++ {
-		if scores[t]-scores[t-1] >= jump {
-			return t, true
-		}
-	}
-	return 0, false
 }

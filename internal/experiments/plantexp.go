@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mdes"
+	"mdes/internal/anomaly"
 	"mdes/internal/graph"
 	"mdes/internal/lang"
 	"mdes/internal/seqio"
@@ -259,9 +260,9 @@ func Fig8(p *PlantArtifacts) Report {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "(a) valid band %s\n", p.Scale.ValidRange().String())
-	sb.WriteString(stats.ASCIISeries(pointScores(valid), 40, marks))
+	sb.WriteString(stats.ASCIISeries(anomaly.Scores(valid), 40, marks))
 	sb.WriteString("(b) band [90, 100]\n")
-	sb.WriteString(stats.ASCIISeries(pointScores(topDet), 40, marks))
+	sb.WriteString(stats.ASCIISeries(anomaly.Scores(topDet), 40, marks))
 
 	sepValid := p.separation(valid)
 	sepTop := p.separation(topDet)
@@ -418,14 +419,6 @@ func runLength(events []string, maxRuns int) string {
 		sb.WriteString("…")
 	}
 	return strings.TrimSpace(sb.String())
-}
-
-func pointScores(points []mdes.Point) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = p.Score
-	}
-	return out
 }
 
 func containsInt(list []int, v int) bool {

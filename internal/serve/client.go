@@ -37,9 +37,6 @@ type Client struct {
 	// failovers) per request. 0 selects 3. Exhausting the budget on
 	// redirects returns *RedirectError.
 	MaxRedirects int
-	// DownTTL is how long a replica that refused a connection is routed
-	// around before being tried again. 0 selects 2s.
-	DownTTL time.Duration
 	// Model optionally pins sessions to a named model (?model=).
 	Model string
 	// HTTPClient defaults to http.DefaultClient. Redirects are handled by
@@ -47,7 +44,7 @@ type Client struct {
 	// HTTP client's own redirect policy is bypassed.
 	HTTPClient *http.Client
 	// Retry configures PushTicksRetry's backoff. The zero value uses the
-	// defaults documented on RetryPolicy.
+	// defaults documented on RetryPolicy; a nil Jitter selects math/rand.
 	Retry RetryPolicy
 
 	ringOnce sync.Once
@@ -60,54 +57,13 @@ type Client struct {
 	ticksSent map[string]int64 // replica -> ticks acknowledged
 }
 
-// RetryPolicy shapes PushTicksRetry's backoff on 429 responses: jittered
-// exponential delays, never shorter than the server's Retry-After hint,
-// with a hard attempt cap.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first.
-	// <= 0 selects 4.
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff. <= 0 selects 100ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. <= 0 selects 5s.
-	MaxDelay time.Duration
-	// Jitter returns a draw in [0, 1); the wait for an attempt with backoff
-	// d is d/2 + jitter·d/2, so concurrent clients de-synchronise instead
-	// of stampeding on the same schedule. Nil selects math/rand.
-	Jitter func() float64
-	// Sleep waits out one backoff; nil selects a timer that honors ctx
-	// cancellation. Tests inject a recorder here so retry schedules are
-	// asserted without real sleeping.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
+// RetryPolicy shapes PushTicksRetry's backoff on backpressure: the one
+// retry loop, shared with the cluster's Sender.
+type RetryPolicy = cluster.RetryPolicy
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Second
-	}
-	if p.Jitter == nil {
-		p.Jitter = rand.Float64
-	}
-	if p.Sleep == nil {
-		p.Sleep = func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		}
-	}
-	return p
-}
+// downTTL is how long a replica that refused a connection is routed around
+// before being tried again.
+const downTTL = 2 * time.Second
 
 // BusyError reports a backpressure response — 429, or a 503 that carried a
 // Retry-After hint (draining peer, owner unreachable, or a tenant
@@ -161,13 +117,6 @@ func (c *Client) maxRedirects() int {
 	return 3
 }
 
-func (c *Client) downTTL() time.Duration {
-	if c.DownTTL > 0 {
-		return c.DownTTL
-	}
-	return 2 * time.Second
-}
-
 // clusterRing lazily builds the routing ring from Peers.
 func (c *Client) clusterRing() (*cluster.Ring, error) {
 	c.ringOnce.Do(func() { c.ring, c.ringErr = cluster.NewRing(c.Peers, 0) })
@@ -195,7 +144,7 @@ func (c *Client) baseFor(tenant string) (string, error) {
 	return owner, nil
 }
 
-// markDown routes around a replica for DownTTL after a connection failure.
+// markDown routes around a replica for downTTL after a connection failure.
 func (c *Client) markDown(replica string) {
 	if len(c.Peers) == 0 || replica == "" {
 		return
@@ -204,7 +153,7 @@ func (c *Client) markDown(replica string) {
 	if c.down == nil {
 		c.down = make(map[string]time.Time)
 	}
-	c.down[replica] = time.Now().Add(c.downTTL())
+	c.down[replica] = time.Now().Add(downTTL)
 	c.mu.Unlock()
 }
 
@@ -349,14 +298,11 @@ func (c *Client) PushTicks(ctx context.Context, tenant string, ticks []map[strin
 		return nil, err
 	}
 	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
-		hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
-		drainBody(resp)
-		return nil, &BusyError{RetryAfter: hint}
-
-	case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
-		// Transient cluster states: draining, owner unreachable, or a
-		// tenant whose handoff is still in flight. No ticks consumed.
+	case resp.StatusCode == http.StatusTooManyRequests,
+		resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
+		// A full tick queue, or a transient cluster state: draining, owner
+		// unreachable, or a tenant whose handoff is still in flight. No
+		// ticks consumed.
 		hint := cluster.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Second)
 		drainBody(resp)
 		return nil, &BusyError{RetryAfter: hint}
@@ -411,39 +357,31 @@ func (c *Client) decodePoints(r io.Reader) ([]WirePoint, error) {
 // stream. When the attempt cap is exhausted the last busy/redirect error is
 // returned, so callers can still distinguish "busy" from "broken".
 func (c *Client) PushTicksRetry(ctx context.Context, tenant string, ticks []map[string]string) ([]WirePoint, error) {
-	pol := c.Retry.withDefaults()
-	delay := pol.BaseDelay
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		points, err := c.PushTicks(ctx, tenant, ticks)
-		var hint time.Duration
-		var busy *BusyError
-		var redir *RedirectError
-		switch {
-		case errors.As(err, &busy):
-			hint = busy.RetryAfter
-		case errors.As(err, &redir):
-			hint = redir.RetryAfter
-		default:
-			return points, err
-		}
-		lastErr = err
-		if attempt == pol.MaxAttempts-1 {
-			break
-		}
-		wait := delay/2 + time.Duration(pol.Jitter()*float64(delay/2))
-		if hint > wait {
-			wait = hint
-		}
-		if err := pol.Sleep(ctx, wait); err != nil {
-			return nil, err
-		}
-		delay *= 2
-		if delay > pol.MaxDelay {
-			delay = pol.MaxDelay
-		}
+	pol := c.Retry
+	if pol.Jitter == nil {
+		pol.Jitter = rand.Float64
 	}
-	return nil, lastErr
+	var points []WirePoint
+	err := pol.Do(ctx, func() (err error) {
+		points, err = c.PushTicks(ctx, tenant, ticks)
+		return err
+	}, backpressure)
+	return points, err
+}
+
+// backpressure is PushTicksRetry's classifier: *BusyError and
+// *RedirectError, whose batch the server consumed none of, are retried with
+// their Retry-After hint; anything else is not.
+func backpressure(err error) (time.Duration, bool) {
+	var busy *BusyError
+	var redir *RedirectError
+	switch {
+	case errors.As(err, &busy):
+		return busy.RetryAfter, true
+	case errors.As(err, &redir):
+		return redir.RetryAfter, true
+	}
+	return 0, false
 }
 
 // streamPath is a tenant's resource path. The name is escaped into one path

@@ -136,24 +136,19 @@ func (s *Server) tenantsHeldFor(peer string, pulled bool) (names []string, ticks
 }
 
 // heldTicks is how many ticks the state of tenant that ship would send to
-// peer has: the resident session's, else the stored state's; -1 for none.
+// peer has (held); -1 for none.
 func (s *Server) heldTicks(tenant, peer string, pulled bool) int {
+	live := -1
 	if sess := s.reg.get(tenant); sess != nil {
 		sess.mu.Lock()
-		n := -1
 		if !sess.gone {
-			n = sess.stream.Ticks()
+			live = sess.stream.Ticks()
 		}
 		sess.mu.Unlock()
-		if n >= 0 {
-			return n
-		}
 	}
 	_, _, copies := s.table.Shipper(tenant, peer, pulled)
-	if h, ok, _, err := s.stored(tenant, copies); ok && err == nil {
-		return h.Ticks
-	}
-	return -1
+	n, _ := s.held(tenant, live, copies)
+	return n
 }
 
 // probePeer is the Prober's health check: one GET of the peer's /healthz.
@@ -239,17 +234,18 @@ func (s *Server) clusterGate(w http.ResponseWriter, r *http.Request, tenant stri
 	if rt.Expired {
 		s.met.clusterPendingExpired.Add(1)
 	}
-	switch rt.Verdict {
-	case cluster.Serve:
-		return rt, true
-	case cluster.Adopt:
-		if s.tryAdopt(tenant, rt.Owner) {
-			return rt, true
-		}
-		rt = cluster.Route{Verdict: cluster.Refuse, Why: cluster.OwnerDown, Owner: rt.Owner}
+	if rt.Verdict == cluster.Serve || rt.Verdict == cluster.Adopt {
+		return rt, true // an adoption is promoted by acquire, under the tenant's claim
 	}
 	s.answerRoute(w, r, tenant, rt)
 	return rt, false
+}
+
+// refuseUnheld answers a request let through to adopt tenant when nothing
+// of it is held here: 503 owner down, as a replica without a standby store
+// answers. Its state is on its owner, and a fresh start here would fork it.
+func (s *Server) refuseUnheld(w http.ResponseWriter, r *http.Request, tenant, owner string) {
+	s.answerRoute(w, r, tenant, cluster.Route{Verdict: cluster.Refuse, Why: cluster.OwnerDown, Owner: owner})
 }
 
 // answerRoute writes the response for a route that does not proceed: 307
@@ -428,8 +424,8 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 
 // installMove is handleTransfer's move branch: claim the tenant without
 // waiting (busy answers 503), and load the migrated state in place unless
-// local state already covers it — the resident session's ticks or, for a
-// tenant not resident, its own record's, read under the tenant lock.
+// local state already covers it (held, its own record only, read under the
+// tenant lock).
 func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
 	sess, fresh := s.reg.claim(snap.Tenant, false)
 	if sess == nil {
@@ -437,18 +433,18 @@ func (s *Server) installMove(w http.ResponseWriter, snap sessionSnapshot) {
 		http.Error(w, fmt.Sprintf("tenant %q busy", snap.Tenant), http.StatusServiceUnavailable)
 		return
 	}
-	have := -1
+	live := -1
 	if !fresh {
-		have = sess.stream.Ticks()
-	} else if old, ok, _, err := s.store.read("", snap.Tenant); err != nil {
+		live = sess.stream.Ticks()
+	}
+	have, err := s.held(snap.Tenant, live, false)
+	if err != nil {
 		// The evicted session on disk may be fresher than this frame;
 		// installing over what cannot be read could lose its ticks.
-		s.reg.retire(sess)
+		s.reg.abandon(sess, fresh)
 		s.retryAfterHeader(w)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
-	} else if ok {
-		have = old.Ticks // the envelope's Ticks decide: the record is not decoded
 	}
 	if have >= snap.Stream.Ticks {
 		// Duplicate or stale: local state already covers it.

@@ -304,16 +304,19 @@ func (s *Server) persistLocked(v *session) error {
 }
 
 // acquire returns the tenant's session with its mutex held, starting it
-// first if it is not resident. The non-nil error carries an HTTP status.
-func (s *Server) acquire(tenant, wantModel string) (*session, int, error) {
+// first if it is not resident. adoptFor is the tenant's Down owner when the
+// gate answered Adopt: the claim then promotes held state (start). The
+// non-nil error carries an HTTP status.
+func (s *Server) acquire(tenant, wantModel, adoptFor string) (*session, int, error) {
 	if tenant == "" {
 		return nil, http.StatusBadRequest, errors.New("empty tenant")
 	}
 	sess, fresh := s.reg.claim(tenant, true)
 	status, err := 0, error(nil)
-	if fresh {
-		status, err = s.start(sess, wantModel)
-	} else if wantModel != "" && sess.model != wantModel {
+	if fresh || adoptFor != "" {
+		status, err = s.start(sess, fresh, wantModel, adoptFor)
+	}
+	if err == nil && !fresh && wantModel != "" && sess.model != wantModel {
 		status, err = http.StatusConflict, fmt.Errorf("tenant %q is bound to model %q, not %q", tenant, sess.model, wantModel)
 	}
 	if err != nil {
@@ -327,36 +330,58 @@ func (s *Server) acquire(tenant, wantModel string) (*session, int, error) {
 	return sess, 0, nil
 }
 
-// start fills a fresh session from the tenant's stored record — its
-// snapshot, or a fresher standby copy held here — or, with none, starts its
-// stream on wantModel (the default model when empty). The read runs under
-// the tenant's lock only: a request for the tenant waits for it, any other
-// tenant does not.
-func (s *Server) start(sess *session, wantModel string) (int, error) {
-	snap, ok, err := s.storedSnapshot(sess.tenant)
-	if err != nil {
+// errNotHeld refuses an adoption with nothing held here to promote: the
+// tenant waits for its owner, never fresh-started beside it.
+var errNotHeld = errors.New("nothing held to adopt")
+
+// start fills the claimed session from the tenant's freshest stored record
+// (storedSnapshot: its snapshot, or a fresher standby copy held here) when
+// that is fresher than what the session holds, or, fresh with none, starts
+// its stream on wantModel (the default model when empty). An adoption
+// (adoptFor) starts from held state only: a fresh session with no record is
+// errNotHeld, and a resident one is reloaded from a fresher copy its owner
+// replicated here since. The read runs under the tenant's lock only: a
+// request for the tenant waits for it, any other tenant does not.
+func (s *Server) start(sess *session, fresh bool, wantModel, adoptFor string) (int, error) {
+	have := -1
+	if !fresh {
+		have = sess.stream.Ticks()
+	}
+	snap, ok, err := s.storedSnapshot(sess.tenant, have)
+	switch {
+	case ok:
+	case !fresh:
+		return 0, nil // nothing fresher than the resident session
+	case err != nil:
+		return http.StatusInternalServerError, err
+	case adoptFor != "":
+		return http.StatusServiceUnavailable, errNotHeld
+	default:
+		name := cmp.Or(wantModel, s.opts.DefaultModel)
+		model, found := s.opts.Models[name]
+		if !found {
+			return http.StatusNotFound, fmt.Errorf("unknown model %q", name)
+		}
+		sess.model, sess.stream, sess.row = name, model.NewStream(), model.NewRow()
+		sess.stream.SetScorer(s.scorer)
+		s.met.sessionsStarted.Add(1)
+		return 0, nil
+	}
+	if wantModel != "" && wantModel != snap.Model {
+		return http.StatusConflict, fmt.Errorf("tenant %q has a snapshot for model %q, not %q", sess.tenant, snap.Model, wantModel)
+	}
+	if err := s.load(sess, snap); errors.Is(err, errUnknownModel) {
+		return http.StatusNotFound, fmt.Errorf("tenant %q snapshot references %w", sess.tenant, err)
+	} else if err != nil {
 		return http.StatusInternalServerError, err
 	}
-	if ok {
-		if wantModel != "" && wantModel != snap.Model {
-			return http.StatusConflict, fmt.Errorf("tenant %q has a snapshot for model %q, not %q", sess.tenant, snap.Model, wantModel)
-		}
-		if err := s.load(sess, snap); errors.Is(err, errUnknownModel) {
-			return http.StatusNotFound, fmt.Errorf("tenant %q snapshot references %w", sess.tenant, err)
-		} else if err != nil {
-			return http.StatusInternalServerError, err
-		}
+	if adoptFor == "" {
 		s.met.sessionsRestored.Add(1)
 		return 0, nil
 	}
-	name := cmp.Or(wantModel, s.opts.DefaultModel)
-	model, found := s.opts.Models[name]
-	if !found {
-		return http.StatusNotFound, fmt.Errorf("unknown model %q", name)
-	}
-	sess.model, sess.stream, sess.row = name, model.NewStream(), model.NewRow()
-	sess.stream.SetScorer(s.scorer)
-	s.met.sessionsStarted.Add(1)
+	sess.dirty = true // the first release persists it here
+	s.met.replPromotions.Add(1)
+	log.Printf("serve: promoted tenant %q for %s at %d ticks", sess.tenant, adoptFor, snap.Stream.Ticks)
 	return 0, nil
 }
 
@@ -393,7 +418,15 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.slots }()
 
-	sess, status, err := s.acquire(tenant, r.URL.Query().Get("model"))
+	adoptFor := ""
+	if rt.Verdict == cluster.Adopt {
+		adoptFor = rt.Owner
+	}
+	sess, status, err := s.acquire(tenant, r.URL.Query().Get("model"), adoptFor)
+	if errors.Is(err, errNotHeld) {
+		s.refuseUnheld(w, r, tenant, rt.Owner)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -529,9 +562,12 @@ func (s *Server) classifyDegraded(err error) bool {
 // handleSession is GET /v1/streams/{tenant}: the live session's counters, or
 // for a tenant with no resident session the counters of the state its next
 // tick would restore (its snapshot, or a fresher standby copy held here).
+// A read never promotes: at an adopter with nothing held it answers 503
+// like a tick.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	if _, ok := s.clusterGate(w, r, tenant, cluster.Read); !ok {
+	rt, ok := s.clusterGate(w, r, tenant, cluster.Read)
+	if !ok {
 		return
 	}
 	if sess := s.reg.get(tenant); sess != nil {
@@ -546,7 +582,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	snap, ok, err := s.storedSnapshot(tenant)
+	snap, ok, err := s.storedSnapshot(tenant, -1)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -565,6 +601,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, info)
 		return
 	}
+	if rt.Verdict == cluster.Adopt {
+		s.refuseUnheld(w, r, tenant, rt.Owner)
+		return
+	}
 	http.Error(w, fmt.Sprintf("no session for tenant %q", tenant), http.StatusNotFound)
 }
 
@@ -572,13 +612,23 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // and the standby copies held here for any owner (sessions restore from
 // those too), then ends the session — the tenant's next tick starts a fresh
 // window. The tenant stays claimed through the removals, so a tick racing
-// the delete either lands before it (and is deleted) or after it.
+// the delete either lands before it (and is deleted) or after it. Like a
+// read, a delete never promotes, and at an adopter with nothing held it
+// answers 503.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
-	if _, ok := s.clusterGate(w, r, tenant, cluster.Delete); !ok {
+	rt, ok := s.clusterGate(w, r, tenant, cluster.Delete)
+	if !ok {
 		return
 	}
-	sess, _ := s.reg.claim(tenant, true)
+	sess, fresh := s.reg.claim(tenant, true)
+	if fresh && rt.Verdict == cluster.Adopt {
+		if _, ok, _, _ := s.stored(tenant, true); !ok {
+			s.reg.retire(sess)
+			s.refuseUnheld(w, r, tenant, rt.Owner)
+			return
+		}
+	}
 	err := s.store.drop(tenant)
 	s.reg.retire(sess)
 	if err != nil {

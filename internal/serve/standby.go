@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"errors"
-	"log"
 	"net/http"
 
 	"mdes/internal/cluster"
@@ -11,9 +9,9 @@ import (
 // Warm-standby replication: after every durable local snapshot save, the
 // owner asynchronously ships the snapshot to Table.Replica, which keeps it
 // in a standby store keyed by (owner, tenant). The copy is insurance, never
-// served while the owner is reachable: when the owner is Down, its standby
-// (Table.Route's Adopt) promotes it instead of answering 503. DESIGN.md §8
-// states the invariants.
+// served while the owner is reachable: when the owner is Down, a tick at its
+// standby (Table.Route's Adopt) promotes it in acquire instead of answering
+// 503. DESIGN.md §8 states the invariants.
 
 // replicateLocked offers h, the record just persisted, to Table.Replica
 // as a copy filed under the owner it names: the same payload, no second
@@ -76,41 +74,6 @@ func (s *Server) keepCopy(h cluster.Handoff, frame []byte) (bool, error) {
 		err = s.store.write(h.From, h, frame)
 	}
 	return err == nil, err
-}
-
-// tryAdopt promotes tenant for its Down owner once Table.Route has answered
-// Adopt. True means "proceed: a resident session exists and is marked
-// adopted". Under the tenant's claim it serves the freshest state held here
-// — the resident session, its own snapshot of an earlier adoption, or a
-// standby copy: a session left resident by an earlier adoption is reloaded
-// when the owner has since served on and replicated a fresher copy here.
-// Held state must exist: a tenant whose copy was dropped is never
-// fresh-started — it stays 503 until its owner returns, same as a tenant
-// with no standby at all.
-func (s *Server) tryAdopt(tenant, owner string) bool {
-	sess, fresh := s.reg.claim(tenant, true)
-	snap, ok, err := s.storedSnapshot(tenant) // a copy, or an earlier adoption's snapshot
-	promote := ok && err == nil && (fresh || snap.Stream.Ticks > sess.stream.Ticks())
-	if promote {
-		if err := s.load(sess, snap); err != nil {
-			if !errors.Is(err, errUnknownModel) {
-				s.met.replStoreErrors.Add(1)
-			}
-			s.reg.abandon(sess, fresh)
-			return false
-		}
-		sess.dirty = true // the first release persists it here
-	} else if fresh {
-		s.reg.retire(sess)
-		return false
-	}
-	sess.adopted = true
-	sess.mu.Unlock()
-	if promote {
-		s.met.replPromotions.Add(1)
-		log.Printf("serve: promoted tenant %q from standby copy of %s at %d ticks", tenant, owner, snap.Stream.Ticks)
-	}
-	return true
 }
 
 // adoptedCount counts resident adopted sessions (metrics gauge).

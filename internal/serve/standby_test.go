@@ -890,6 +890,88 @@ func TestReadoptionTakesFresherCopy(t *testing.T) {
 	}
 }
 
+// TestAdoptedTicksDecodeOnlyWhatTheyLoad: each tick request at a standby
+// adopting a tenant compares the records it holds by their envelopes, and
+// decodes one only to load it. Here the adopted session's own record is
+// replaced by an intact frame at fewer ticks whose payload does not match
+// its envelope: the next adopted request is served from the resident
+// session, and that record is never decoded, so no load error is counted.
+func TestAdoptedTicksDecodeOnlyWhatTheyLoad(t *testing.T) {
+	tc, push, _ := quietCluster(t)
+	tenant := tc.tenantOwnedBy(0, "nodecode")
+	s := tc.standbyIdx(tenant)
+	sb := tc.srvs[s]
+	ds := coupledDataset(rand.New(rand.NewSource(71)), 18)
+
+	push(0, tenant, ds, 0, 6)
+	waitStandbyCopy(t, tc, s, tc.urls[0], tenant, 6)
+	sb.table.Set(tc.urls[0], cluster.Down)
+	push(s, tenant, ds, 6, 12) // adopts the 6-tick copy, persists 12 as its own record
+	sess := sb.reg.get(tenant)
+	if sess == nil {
+		t.Fatal("no adopted session resident on the standby")
+	}
+	sess.mu.Lock()
+	h, err := sb.store.record(snapshotOfLocked(sess))
+	sess.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Ticks-- // 11: fresher than the 6-tick copy, staler than the session
+	if err := sb.store.write("", h, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	before := sb.met.snapshotLoadErrors.Load()
+	push(s, tenant, ds, 12, 18)
+	if got := sb.met.snapshotLoadErrors.Load(); got != before {
+		t.Fatalf("snapshot load errors %d -> %d: an adopted tick decoded a record it did not load", before, got)
+	}
+	if got := sb.met.replPromotions.Load(); got != 1 {
+		t.Fatalf("promotions = %d, want 1", got)
+	}
+}
+
+// TestReadsAndDeletesDoNotPromote: a standby holding only a copy of a
+// tenant whose owner is Down reports that copy to a GET and drops it on a
+// DELETE, and neither promotes it: only a tick request starts a session.
+func TestReadsAndDeletesDoNotPromote(t *testing.T) {
+	tc, push, at := quietCluster(t)
+	ds := coupledDataset(rand.New(rand.NewSource(73)), 6)
+	for _, op := range []string{"get", "delete"} {
+		t.Run(op, func(t *testing.T) {
+			tenant := tc.tenantOwnedBy(0, "nopromo-"+op)
+			s := tc.standbyIdx(tenant)
+			sb := tc.srvs[s]
+			sb.table.Set(tc.urls[0], cluster.Alive)
+			push(0, tenant, ds, 0, 6)
+			waitStandbyCopy(t, tc, s, tc.urls[0], tenant, 6)
+			sb.table.Set(tc.urls[0], cluster.Down)
+			promotions := sb.met.replPromotions.Load()
+
+			if op == "get" {
+				info, err := at(s).Session(context.Background(), tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Ticks != 6 || info.Adopted {
+					t.Fatalf("GET at the standby = %+v, want the copy's 6 ticks, not adopted", info)
+				}
+			} else {
+				if err := at(s).EndSession(context.Background(), tenant); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, err := readCopy(sb.store, tc.urls[0], tenant); ok || err != nil {
+					t.Fatalf("the copy outlived the DELETE (ok %v, err %v)", ok, err)
+				}
+			}
+			if got := sb.met.replPromotions.Load(); got != promotions || sb.reg.get(tenant) != nil {
+				t.Fatalf("the %s promoted the copy: promotions %d -> %d, resident = %v", op, promotions, got, sb.reg.get(tenant) != nil)
+			}
+		})
+	}
+}
+
 // TestRejoinGreetsEveryPeer: owner O's view misses standby S's verdict on
 // it. S and the third replica R see O Down, and S adopts tenant T; O sees
 // R Down but S Alive. When O sees R back it takes T home from R's copy —

@@ -259,12 +259,29 @@ func (s *Server) stored(tenant string, copies bool) (h cluster.Handoff, ok, from
 	return h, ok, fromCopy, nil
 }
 
-// storedSnapshot is the session stored finds, copies included, decoded: the
-// state a restore, an adoption or a session read installs or reports. A
-// payload that does not match its envelope is counted and is an error.
-func (s *Server) storedSnapshot(tenant string) (sessionSnapshot, bool, error) {
+// held is how fresh the state of tenant held here is, decoding nothing:
+// live, its resident session's ticks, when one is resident (live >= 0),
+// else the envelope ticks of the freshest stored record (stored; copies
+// adds the standby copies held for any owner). -1 means nothing is held.
+func (s *Server) held(tenant string, live int, copies bool) (int, error) {
+	if live >= 0 {
+		return live, nil
+	}
+	h, ok, _, err := s.stored(tenant, copies)
+	if !ok {
+		return -1, err
+	}
+	return h.Ticks, nil
+}
+
+// storedSnapshot is the record stored finds, copies included, decoded when
+// its envelope shows more ticks than have (-1 takes any): the state a
+// restore or an adoption loads, or a session read reports. Only that record
+// is decoded. A payload that does not match its envelope is counted and is
+// an error.
+func (s *Server) storedSnapshot(tenant string, have int) (sessionSnapshot, bool, error) {
 	h, ok, fromCopy, err := s.stored(tenant, true)
-	if !ok || err != nil {
+	if !ok || err != nil || h.Ticks <= have {
 		return sessionSnapshot{}, false, err
 	}
 	snap, err := handoffSnapshot(h)

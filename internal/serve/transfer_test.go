@@ -247,7 +247,7 @@ func TestTransferOversizedBody(t *testing.T) {
 	}
 
 	slept := 0
-	sender := &cluster.Sender{Sleep: func(time.Duration) { slept++ }}
+	sender := &cluster.Sender{Sleep: func(context.Context, time.Duration) error { slept++; return nil }}
 	big := sessionSnapshot{Tenant: "big", Model: "default", Stream: mdes.StreamSnapshot{Windows: map[string][]string{"a": make([]string, maxHandoffBody)}}}
 	payload, err := json.Marshal(big)
 	if err != nil {
