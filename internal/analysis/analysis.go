@@ -52,9 +52,16 @@ type Diagnostic struct {
 
 // A Pass holds one type-checked package being analyzed by one analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	// Files is every file of the package, test files included: waivers
+	// are read from all of them.
+	Files []*ast.File
+	// Source is the package's non-test files and Funcs their function
+	// declarations with bodies, in source order. The suite guards
+	// production invariants, so analyzers read these and skip test code.
+	Source    []*ast.File
+	Funcs     []*Func
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
@@ -88,10 +95,56 @@ func (p *Pass) Diagnostics() []Diagnostic {
 	return p.diags
 }
 
-// InTestFile reports whether pos falls in a _test.go file. Most analyzers in
-// the suite guard production invariants and skip test code.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+// A Func is one function declaration with a body.
+type Func struct {
+	Decl *ast.FuncDecl
+	Obj  *types.Func
+}
+
+// Bodies returns the declaration's body, then the body of each function
+// literal in it, in source order: each runs on its own stack, with its own
+// defers.
+func (f *Func) Bodies() []*ast.BlockStmt {
+	bodies := []*ast.BlockStmt{f.Decl.Body}
+	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			bodies = append(bodies, lit.Body)
+		}
+		return true
+	})
+	return bodies
+}
+
+// Summarize closes one kind of fact over the package's static calls: a
+// function has a fact when its own body shows it, or when it calls a
+// function of this package that has it. scan walks one function, passing
+// each fact its body shows to fact and each call the analyzer looks
+// through to call; which calls carry facts is the analyzer's rule.
+func Summarize[K comparable](p *Pass, scan func(fn *Func, fact func(K), call func(*ast.CallExpr))) map[*types.Func]map[K]bool {
+	facts := map[*types.Func]map[K]bool{}
+	calls := map[*types.Func][]*types.Func{}
+	for _, fn := range p.Funcs {
+		own := map[K]bool{}
+		scan(fn, func(k K) { own[k] = true }, func(call *ast.CallExpr) {
+			if callee := CalleeFunc(p.TypesInfo, call); callee != nil && callee.Pkg() == p.Pkg {
+				calls[fn.Obj] = append(calls[fn.Obj], callee)
+			}
+		})
+		facts[fn.Obj] = own
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range p.Funcs {
+			for _, callee := range calls[fn.Obj] {
+				for k := range facts[callee] {
+					if !facts[fn.Obj][k] {
+						facts[fn.Obj][k], changed = true, true
+					}
+				}
+			}
+		}
+	}
+	return facts
 }
 
 // TypeOf returns the type of e, or nil.

@@ -40,19 +40,9 @@ var Analyzer = &analysis.Analyzer{
 var prefixes = []string{"Train", "Score"}
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !matchesPrefix(fd.Name.Name) {
-				continue
-			}
-			checkFunc(pass, fd)
+	for _, fn := range pass.Funcs {
+		if matchesPrefix(fn.Decl.Name.Name) {
+			checkFunc(pass, fn.Decl)
 		}
 	}
 	return nil

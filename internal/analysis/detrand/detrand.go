@@ -54,10 +54,7 @@ func run(pass *analysis.Pass) error {
 	if !analysis.PkgPathMatches(pass.Pkg.Path(), Packages) {
 		return nil
 	}
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
+	for _, f := range pass.Source {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:

@@ -35,10 +35,7 @@ var Analyzer = &analysis.Analyzer{
 var methodNames = map[string]bool{"Close": true, "Flush": true, "Sync": true}
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
+	for _, f := range pass.Source {
 		ast.Inspect(f, func(n ast.Node) bool {
 			es, ok := n.(*ast.ExprStmt)
 			if !ok {

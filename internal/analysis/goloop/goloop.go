@@ -27,6 +27,7 @@ package goloop
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"mdes/internal/analysis"
@@ -39,28 +40,37 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	bounded := boundedClosure(pass)
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
+	bounded := analysis.Summarize(pass, func(fn *analysis.Func, fact func(bool), call func(*ast.CallExpr)) {
+		// A context parameter is evidence by itself: the callee can only
+		// have received it from the spawner.
+		params := fn.Obj.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if analysis.IsContextType(params.At(i).Type()) {
+				fact(true)
+			}
 		}
+		evidence(pass, fn.Decl.Body, fact, call)
+	})
+	for _, f := range pass.Source {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if gs, ok := n.(*ast.GoStmt); ok {
 				checkGo(pass, bounded, gs)
 			}
 			return true
 		})
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkTimers(pass, fd.Body)
-			}
+	}
+	// A defer in a function literal does not run when the enclosing
+	// function returns, and vice versa: each body is its own timer scope.
+	for _, fn := range pass.Funcs {
+		for _, body := range fn.Bodies() {
+			checkTimerScope(pass, body)
 		}
 	}
 	return nil
 }
 
 // checkGo reports the go statement unless lifecycle evidence is visible.
-func checkGo(pass *analysis.Pass, bounded map[*types.Func]bool, gs *ast.GoStmt) {
+func checkGo(pass *analysis.Pass, bounded map[*types.Func]map[bool]bool, gs *ast.GoStmt) {
 	call := gs.Call
 	// A context argument is evidence regardless of what the callee is.
 	for _, arg := range call.Args {
@@ -70,12 +80,16 @@ func checkGo(pass *analysis.Pass, bounded map[*types.Func]bool, gs *ast.GoStmt) 
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
-		if hasEvidence(pass, bounded, fun.Body) {
+		found := false
+		evidence(pass, fun.Body, func(bool) { found = true }, func(c *ast.CallExpr) {
+			found = found || bounded[analysis.CalleeFunc(pass.TypesInfo, c)][true]
+		})
+		if found {
 			return
 		}
 	default:
 		if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil {
-			if bounded[fn] {
+			if bounded[fn][true] {
 				return
 			}
 			// Method values on other packages' types (e.g. wg.Wait,
@@ -88,96 +102,37 @@ func checkGo(pass *analysis.Pass, bounded map[*types.Func]bool, gs *ast.GoStmt) 
 	pass.Reportf(gs.Pos(), "goroutine has no visible bounded lifecycle: tie it to a context, a sync.WaitGroup, or a channel the spawner controls")
 }
 
-// boundedClosure computes the same-package functions whose bodies contain
-// lifecycle evidence, directly or through same-package calls — a worklist
-// fixpoint like lockcall's ioClosure.
-func boundedClosure(pass *analysis.Pass) map[*types.Func]bool {
-	bodies := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				bodies[fn] = fd
-			}
-		}
-	}
-	bounded := map[*types.Func]bool{}
-	for changed := true; changed; {
-		changed = false
-		for fn, fd := range bodies {
-			if bounded[fn] {
-				continue
-			}
-			// A context parameter is evidence by itself: the callee can only
-			// have received it from the spawner.
-			sig := fn.Type().(*types.Signature)
-			hasCtx := false
-			for i := 0; i < sig.Params().Len(); i++ {
-				if analysis.IsContextType(sig.Params().At(i).Type()) {
-					hasCtx = true
-					break
-				}
-			}
-			if hasCtx || hasEvidence(pass, bounded, fd.Body) {
-				bounded[fn] = true
-				changed = true
-			}
-		}
-	}
-	return bounded
-}
-
-// hasEvidence reports whether the body (including nested function literals)
-// contains direct lifecycle evidence or a call to a same-package function
-// already known to be bounded.
-func hasEvidence(pass *analysis.Pass, bounded map[*types.Func]bool, body ast.Node) bool {
-	found := false
+// evidence walks body, nested function literals included, passing direct
+// lifecycle evidence to fact and every call to call, which decides whether
+// the callee's own evidence counts.
+func evidence(pass *analysis.Pass, body ast.Node, fact func(bool), call func(*ast.CallExpr)) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
 		switch n := n.(type) {
 		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" {
-				found = true
+			if n.Op == token.ARROW {
+				fact(true)
 			}
 		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
+			fact(true)
 		case *ast.RangeStmt:
 			if t := pass.TypeOf(n.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
+					fact(true)
 				}
 			}
 		case *ast.CallExpr:
-			if analysis.IsBuiltinCall(pass.TypesInfo, n, "close") {
-				found = true
-				return false
+			if analysis.IsBuiltinCall(pass.TypesInfo, n, "close") || isLifecycleCall(pass, n) {
+				fact(true)
 			}
 			for _, arg := range n.Args {
 				if t := pass.TypeOf(arg); t != nil && analysis.IsContextType(t) {
-					found = true
-					return false
+					fact(true)
 				}
 			}
-			if isLifecycleCall(pass, n) {
-				found = true
-				return false
-			}
-			if fn := analysis.CalleeFunc(pass.TypesInfo, n); fn != nil && bounded[fn] {
-				found = true
-				return false
-			}
+			call(n)
 		}
-		return !found
+		return true
 	})
-	return found
 }
 
 // isLifecycleCall reports whether call is a method call that by itself proves
@@ -201,23 +156,6 @@ func isLifecycleCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// checkTimers enforces the deferred-Stop rule for every function-shaped body
-// in the file: the FuncDecl body and each FuncLit body are independent
-// scopes (a defer inside a nested literal does not run when the outer
-// function returns, and vice versa).
-func checkTimers(pass *analysis.Pass, body *ast.BlockStmt) {
-	scopes := []*ast.BlockStmt{body}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			scopes = append(scopes, lit.Body)
-		}
-		return true
-	})
-	for _, scope := range scopes {
-		checkTimerScope(pass, scope)
-	}
 }
 
 // inspectScope walks the nodes that belong to scope itself, not to nested

@@ -23,13 +23,27 @@ type Package struct {
 
 // NewPass pairs a loaded package with an analyzer, ready to Run.
 func (p *Package) NewPass(a *Analyzer) *Pass {
-	return &Pass{
+	pass := &Pass{
 		Analyzer:  a,
 		Fset:      p.Fset,
 		Files:     p.Files,
 		Pkg:       p.Pkg,
 		TypesInfo: p.Info,
 	}
+	for _, f := range p.Files {
+		if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		pass.Source = append(pass.Source, f)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+					pass.Funcs = append(pass.Funcs, &Func{Decl: fd, Obj: obj})
+				}
+			}
+		}
+	}
+	return pass
 }
 
 // newInfo allocates a fully-populated types.Info.

@@ -3,13 +3,14 @@ package lockcall
 import (
 	"testing"
 
+	"mdes/internal/analysis"
 	"mdes/internal/analysis/analyzertest"
 )
 
 func TestLockcall(t *testing.T) {
-	saved := Packages
-	Packages = append(append([]string{}, Packages...), "serve", "cluster")
-	defer func() { Packages = saved }()
+	saved := analysis.LockPackages
+	analysis.LockPackages = append(append([]string{}, analysis.LockPackages...), "serve", "cluster")
+	defer func() { analysis.LockPackages = saved }()
 
 	analyzertest.Run(t, "testdata/src", Analyzer, "serve", "cluster", "elsewhere")
 }

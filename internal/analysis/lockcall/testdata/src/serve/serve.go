@@ -110,3 +110,40 @@ func (s *session) free() {
 	_ = writeState(s.state)
 	s.out <- 1
 }
+
+// Select communications, case expressions and a type switch's guard are
+// evaluated under the lock too.
+func (s *session) badSelect() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case s.out <- s.state: // want `channel send while s.mu is held`
+	}
+}
+
+func (s *session) badCase() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch s.state {
+	case lineCount(): // want `call to lineCount while s.mu is held`
+		s.state = 0
+	}
+}
+
+func (s *session) badTypeSwitch() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch v := any(writeState(1)).(type) { // want `call to writeState while s.mu is held`
+	case error:
+		_ = v
+	}
+}
+
+// A function literal's body is walked on its own, with its own locks.
+func (s *session) badClosure() func() {
+	return func() {
+		s.mu.Lock()
+		s.out <- s.state // want `channel send while s.mu is held`
+		s.mu.Unlock()
+	}
+}

@@ -3,13 +3,14 @@ package lockorder
 import (
 	"testing"
 
+	"mdes/internal/analysis"
 	"mdes/internal/analysis/analyzertest"
 )
 
 func TestLockorder(t *testing.T) {
-	saved := Packages
-	Packages = append(append([]string{}, Packages...), "serve", "clean")
-	defer func() { Packages = saved }()
+	saved := analysis.LockPackages
+	analysis.LockPackages = append(append([]string{}, analysis.LockPackages...), "serve", "clean")
+	defer func() { analysis.LockPackages = saved }()
 
 	analyzertest.Run(t, "testdata/src", Analyzer, "serve", "clean")
 }

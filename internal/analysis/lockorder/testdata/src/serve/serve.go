@@ -68,3 +68,20 @@ func (s *session) goroutineCycle(r *registry) {
 		defer r.mu.Unlock()
 	}()
 }
+
+// caseCycle: a switch case expression is evaluated under the lock, so the
+// call in it closes the cycle against forward's edge.
+func (s *session) caseCycle(r *registry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch s.ticks {
+	case r.count(): // want `call to count acquires registry\.mu while session\.mu is held forms a lock-order cycle: session\.mu -> registry\.mu -> session\.mu`
+		s.ticks = 0
+	}
+}
+
+func (r *registry) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.sessions)
+}

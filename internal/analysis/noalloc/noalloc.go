@@ -36,19 +36,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !analysis.HasDoc(fd.Doc, "mdes:noalloc") {
-				continue
-			}
-			checkFunc(pass, fd)
+	for _, fn := range pass.Funcs {
+		if analysis.HasDoc(fn.Decl.Doc, "mdes:noalloc") {
+			checkFunc(pass, fn.Decl)
 		}
 	}
 	return nil

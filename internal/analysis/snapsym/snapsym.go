@@ -70,11 +70,11 @@ func run(pass *analysis.Pass) error {
 		fldPos:  map[*types.Var]token.Pos{},
 		visited: map[*types.Named]bool{},
 	}
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
+	for _, f := range pass.Source {
 		c.collectFile(f)
+	}
+	for _, fn := range pass.Funcs {
+		c.classifyFunc(fn.Decl)
 	}
 	if len(c.roots) == 0 {
 		return nil
@@ -93,28 +93,23 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// collectFile gathers snapshot roots, field positions, and field reads from
-// one file.
+// collectFile gathers field positions and field reads from one file.
 func (c *checker) collectFile(f *ast.File) {
 	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				c.recordFieldPositions(st)
-			}
-		case *ast.FuncDecl:
-			if d.Body == nil {
+		d, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range d.Specs {
+			ts, ok := spec.(*ast.TypeSpec)
+			if !ok {
 				continue
 			}
-			c.classifyFunc(d)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			c.recordFieldPositions(st)
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {

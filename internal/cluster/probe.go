@@ -15,14 +15,14 @@ type ProbeFunc func(ctx context.Context, peer string) error
 
 // Prober periodically health-checks every peer except self and keeps the
 // reachability half of the ownership Table, by compare-and-set: Alive →
-// Down after FailThreshold consecutive failures (ownership is retained —
+// Down after failThreshold consecutive failures (ownership is retained —
 // see PeerState); Down → Alive on one success; Leaving → Gone on failure.
 // Gone is sticky under probing: a drained peer's revival is announced by
 // its hello, never inferred from a port answering mid-drain. A failing
 // peer's probes back off exponentially to MaxInterval, and every wait is
-// jittered ±20% by a per-peer seeded rng, so N replicas never converge on
-// one cadence and storm a recovering peer, and the schedule stays
-// deterministic under test.
+// jittered ±20% by an rng seeded from (Self, peer), so N replicas never
+// converge on one cadence and storm a recovering peer, and the schedule
+// stays deterministic under test.
 type Prober struct {
 	Peers    []string
 	Self     string
@@ -31,30 +31,21 @@ type Prober struct {
 	Interval time.Duration // base probe period (default 2s)
 	// MaxInterval caps the per-peer backoff (default 30s).
 	MaxInterval time.Duration
-	// ProbeTimeout bounds one probe's context independently of the (possibly
-	// backed-off) wait interval: a peer 30s into its backoff should still
-	// fail a dead dial in about a second, not keep a connection attempt
-	// pinned for the whole 30s. 0 selects min(Interval, 1s).
-	ProbeTimeout time.Duration
-	// Seed derives each peer's jitter stream (mixed with the peer's own
-	// hash, so two loops never share a schedule). Zero is a valid seed.
-	Seed int64
-	// FailThreshold is how many consecutive failures demote Alive→Gone
-	// (default 2 — one blip should not trigger a rebalance).
-	FailThreshold int
 	// OnChange, if set, is called after a state transition, outside all
 	// locks: the serve layer hooks the rebalance sweep here (Gone→Alive
 	// means the revived peer's tenants must be shipped back to it).
 	OnChange func(peer string, from, to PeerState)
-	// Sleep replaces the inter-probe wait in tests: it receives the
-	// jittered delay and returns once the wait would have elapsed. Nil
-	// selects a real timer. Stop still interrupts the loop between waits.
-	Sleep func(d time.Duration)
+	// Sleep waits out one jittered delay; nil selects a timer that honors
+	// ctx cancellation, as RetryPolicy's does. Tests inject a stepped
+	// clock here.
+	Sleep func(ctx context.Context, d time.Duration) error
 
-	stop chan struct{}
 	done sync.WaitGroup
-	once sync.Once
 }
+
+// failThreshold is how many consecutive failures demote Alive→Down: one
+// blip should not trigger a rebalance.
+const failThreshold = 2
 
 func (p *Prober) interval() time.Duration {
 	if p.Interval > 0 {
@@ -70,99 +61,65 @@ func (p *Prober) maxInterval() time.Duration {
 	return 30 * time.Second
 }
 
-// probeTimeout returns the per-probe context budget: explicit when set,
-// otherwise the base interval capped at one second.
+// probeTimeout bounds one probe's context independently of the (possibly
+// backed-off) wait: a peer 30s into its backoff still fails a dead dial in
+// about a second. It is the base interval capped at one second.
 func (p *Prober) probeTimeout() time.Duration {
-	if p.ProbeTimeout > 0 {
-		return p.ProbeTimeout
-	}
-	if iv := p.interval(); iv < time.Second {
-		return iv
-	}
-	return time.Second
+	return min(p.interval(), time.Second)
 }
 
-func (p *Prober) failThreshold() int {
-	if p.FailThreshold > 0 {
-		return p.FailThreshold
-	}
-	return 2
-}
-
-// Start launches one probe loop per remote peer. Call Stop to halt them.
-func (p *Prober) Start() {
-	p.stop = make(chan struct{})
+// Start launches one probe loop per remote peer; they run until ctx is
+// cancelled. Wait blocks until they have returned.
+func (p *Prober) Start(ctx context.Context) {
 	for _, peer := range p.Peers {
 		if peer == p.Self {
 			continue
 		}
 		p.done.Add(1)
-		go p.loop(peer)
+		go p.loop(ctx, peer)
 	}
 }
 
-// Stop halts the probe loops and waits for them to exit. Safe to call more
-// than once; a Prober that was never Started is a no-op.
-func (p *Prober) Stop() {
-	if p.stop == nil {
-		return
-	}
-	p.once.Do(func() { close(p.stop) })
-	p.done.Wait()
-}
+// Wait blocks until every probe loop has returned after its context was
+// cancelled; a Prober that was never started returns at once.
+func (p *Prober) Wait() { p.done.Wait() }
 
 // jittered spreads a wait across ±20% of its nominal value.
 func jittered(rng *rand.Rand, d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.8 + 0.4*rng.Float64()))
 }
 
-// wait blocks for the jittered delay or until Stop; false means stop.
-func (p *Prober) wait(d time.Duration) bool {
-	if p.Sleep != nil {
-		p.Sleep(d)
-		select {
-		case <-p.stop:
-			return false
-		default:
-			return true
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-p.stop:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// loop probes one peer forever. Healthy peers are probed every ~Interval
-// (jittered); each consecutive failure doubles the wait up to MaxInterval,
-// and a success resets it. The probe context is bounded by probeTimeout, not
-// by the wait — a backed-off peer still fails fast.
-func (p *Prober) loop(peer string) {
+// loop probes one peer until ctx ends. Healthy peers are probed every
+// ~Interval (jittered); each consecutive failure doubles the wait up to
+// MaxInterval, and a success resets it. The probe context is bounded by
+// probeTimeout, not by the wait — a backed-off peer still fails fast.
+func (p *Prober) loop(ctx context.Context, peer string) {
 	defer p.done.Done()
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(hashKey(peer))))
+	sleep := p.Sleep
+	if sleep == nil {
+		sleep = sleepCtx
+	}
+	rng := rand.New(rand.NewSource(int64(hashKey(p.Self + " " + peer))))
 	fails := 0
 	wait := p.interval()
 	for {
-		if !p.wait(jittered(rng, wait)) {
+		if sleep(ctx, jittered(rng, wait)) != nil {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout())
-		err := p.Probe(ctx, peer)
+		probeCtx, cancel := context.WithTimeout(ctx, p.probeTimeout())
+		err := p.Probe(probeCtx, peer)
 		cancel()
+		if ctx.Err() != nil {
+			return // a probe cut short by shutdown says nothing of the peer
+		}
 		if err == nil {
 			fails = 0
 			wait = p.interval()
 			p.transition(peer, Down, Alive)
 		} else {
 			fails++
-			if wait *= 2; wait > p.maxInterval() {
-				wait = p.maxInterval()
-			}
-			if fails >= p.failThreshold() {
+			wait = min(2*wait, p.maxInterval())
+			if fails >= failThreshold {
 				p.transition(peer, Alive, Down)
 				p.transition(peer, Leaving, Gone)
 			}

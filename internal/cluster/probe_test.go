@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,23 +13,24 @@ import (
 // admits probe rounds one at a time, so every assertion below is about an
 // exact number of probes, not about timers racing a wall clock.
 type stepClock struct {
-	mu     sync.Mutex
-	waits  []time.Duration
-	admit  chan struct{}
-	closed chan struct{}
+	mu    sync.Mutex
+	waits []time.Duration
+	admit chan struct{}
 }
 
 func newStepClock() *stepClock {
-	return &stepClock{admit: make(chan struct{}, 64), closed: make(chan struct{})}
+	return &stepClock{admit: make(chan struct{}, 64)}
 }
 
-func (c *stepClock) sleep(d time.Duration) {
+func (c *stepClock) sleep(ctx context.Context, d time.Duration) error {
 	c.mu.Lock()
 	c.waits = append(c.waits, d)
 	c.mu.Unlock()
 	select {
 	case <-c.admit:
-	case <-c.closed:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -40,10 +41,35 @@ func (c *stepClock) step(n int) {
 	}
 }
 
-func (c *stepClock) recorded() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.waits...)
+// recorded waits until n waits have been requested and returns the first n.
+func (c *stepClock) recorded(t *testing.T, n int) []time.Duration {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		c.mu.Lock()
+		waits := append([]time.Duration(nil), c.waits...)
+		c.mu.Unlock()
+		if len(waits) >= n {
+			return waits[:n]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recorded %d waits, want %d: %v", len(waits), n, waits)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// runProber starts p's loops and returns a stop that cancels them and
+// waits for them to return; the test's cleanup stops them too.
+func runProber(t *testing.T, p *Prober) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	p.Start(ctx)
+	stop = func() {
+		cancel()
+		p.Wait()
+	}
+	t.Cleanup(stop)
+	return stop
 }
 
 // stepProber wires a prober against a single remote peer with the stepped
@@ -55,22 +81,16 @@ func stepProber(t *testing.T, flip *failFlip) (*Prober, *Table, *stepClock, chan
 	clock := newStepClock()
 	changes := make(chan [2]PeerState, 64)
 	p := &Prober{
-		Peers:         peers,
-		Self:          peers[0],
-		Table:         mem,
-		Probe:         flip.probe,
-		Interval:      100 * time.Millisecond,
-		MaxInterval:   800 * time.Millisecond,
-		FailThreshold: 2,
-		Seed:          42,
-		Sleep:         clock.sleep,
-		OnChange:      func(_ string, from, to PeerState) { changes <- [2]PeerState{from, to} },
+		Peers:       peers,
+		Self:        peers[0],
+		Table:       mem,
+		Probe:       flip.probe,
+		Interval:    100 * time.Millisecond,
+		MaxInterval: 800 * time.Millisecond,
+		Sleep:       clock.sleep,
+		OnChange:    func(_ string, from, to PeerState) { changes <- [2]PeerState{from, to} },
 	}
-	p.Start()
-	t.Cleanup(func() {
-		close(clock.closed)
-		p.Stop()
-	})
+	runProber(t, p)
 	return p, mem, clock, changes
 }
 
@@ -85,7 +105,7 @@ func waitState(t *testing.T, mem *Table, peer string, want PeerState) {
 	}
 }
 
-// TestProberDownToAliveOnSingleSuccess: demotion needs FailThreshold strikes;
+// TestProberDownToAliveOnSingleSuccess: demotion needs failThreshold strikes;
 // recovery needs exactly one.
 func TestProberDownToAliveOnSingleSuccess(t *testing.T) {
 	peer := testPeers(2)[1]
@@ -149,15 +169,7 @@ func TestProberBackoffGrowsAndResets(t *testing.T) {
 	waitState(t, mem, peer, Alive)
 	clock.step(1) // force the post-success wait to be recorded
 
-	deadline := time.Now().Add(2 * time.Second)
-	var waits []time.Duration
-	for len(waits) < 7 {
-		if time.Now().After(deadline) {
-			t.Fatalf("recorded %d waits, want 7: %v", len(waits), waits)
-		}
-		waits = clock.recorded()
-		time.Sleep(time.Millisecond)
-	}
+	waits := clock.recorded(t, 7)
 	nominal := []time.Duration{
 		100 * time.Millisecond, // initial
 		200 * time.Millisecond, // after fail 1
@@ -176,24 +188,35 @@ func TestProberBackoffGrowsAndResets(t *testing.T) {
 	}
 }
 
-// TestProberJitterIsSeededAndSpread: the jitter stream is deterministic for a
-// given (seed, peer) and actually varies — same seed twice gives the same
-// schedule, and the schedule is not a constant.
+// TestProberJitterIsSeededAndSpread: each loop's jitter is seeded by
+// (Self, peer). Two replicas probing one peer draw different schedules, so
+// they do not converge on one cadence; one replica draws the same schedule
+// on every run, and the schedule is not a constant.
 func TestProberJitterIsSeededAndSpread(t *testing.T) {
-	sample := func() []time.Duration {
-		rng := rand.New(rand.NewSource(int64(7) ^ int64(hashKey("http://peer:1"))))
-		out := make([]time.Duration, 8)
-		for i := range out {
-			out[i] = jittered(rng, time.Second)
-		}
-		return out
+	peers := testPeers(3)
+	schedule := func(self string) []time.Duration {
+		clock := newStepClock()
+		stop := runProber(t, &Prober{
+			Peers:    []string{self, peers[2]},
+			Self:     self,
+			Table:    newTestTable(t, peers),
+			Probe:    func(context.Context, string) error { return nil },
+			Interval: time.Second,
+			Sleep:    clock.sleep,
+		})
+		defer stop()
+		clock.step(7)
+		return clock.recorded(t, 8)
 	}
-	a, b := sample(), sample()
+	a, again, b := schedule(peers[0]), schedule(peers[0]), schedule(peers[1])
+	if !slices.Equal(a, again) {
+		t.Fatalf("one replica drew two schedules: %v and %v", a, again)
+	}
+	if slices.Equal(a, b) {
+		t.Fatalf("replicas %s and %s drew the same schedule for one peer: %v", peers[0], peers[1], a)
+	}
 	distinct := false
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("jitter not deterministic: run1[%d]=%s run2[%d]=%s", i, a[i], i, b[i])
-		}
 		if a[i] < 800*time.Millisecond || a[i] > 1200*time.Millisecond {
 			t.Fatalf("jittered wait %s outside ±20%% of 1s", a[i])
 		}
@@ -218,10 +241,6 @@ func TestProberTimeoutDecoupledFromBackoff(t *testing.T) {
 	if got := p.probeTimeout(); got != 200*time.Millisecond {
 		t.Fatalf("probe timeout = %s, want the sub-second interval", got)
 	}
-	p = &Prober{Interval: 10 * time.Second, ProbeTimeout: 3 * time.Second}
-	if got := p.probeTimeout(); got != 3*time.Second {
-		t.Fatalf("probe timeout = %s, want the explicit 3s", got)
-	}
 
 	// And the context handed to the probe actually carries that deadline.
 	got := make(chan time.Duration, 1)
@@ -242,11 +261,7 @@ func TestProberTimeoutDecoupledFromBackoff(t *testing.T) {
 			return errors.New("probe: down")
 		},
 	}
-	pr.Start()
-	defer func() {
-		close(clock.closed)
-		pr.Stop()
-	}()
+	runProber(t, pr)
 	clock.step(1)
 	select {
 	case d := <-got:

@@ -106,13 +106,12 @@ func TestProberDemotesToDownAndRecovers(t *testing.T) {
 	type change struct{ from, to PeerState }
 	changes := make(chan change, 16)
 	p := &Prober{
-		Peers:         peers,
-		Self:          self,
-		Table:         mem,
-		Probe:         flip.probe,
-		Interval:      2 * time.Millisecond,
-		MaxInterval:   10 * time.Millisecond,
-		FailThreshold: 2,
+		Peers:       peers,
+		Self:        self,
+		Table:       mem,
+		Probe:       flip.probe,
+		Interval:    2 * time.Millisecond,
+		MaxInterval: 10 * time.Millisecond,
 		OnChange: func(peer string, from, to PeerState) {
 			if peer != other {
 				t.Errorf("transition for unexpected peer %s", peer)
@@ -120,8 +119,7 @@ func TestProberDemotesToDownAndRecovers(t *testing.T) {
 			changes <- change{from, to}
 		},
 	}
-	p.Start()
-	defer p.Stop()
+	runProber(t, p)
 
 	waitChange := func(want change) {
 		t.Helper()
@@ -167,9 +165,9 @@ func TestProberDoesNotReviveGonePeer(t *testing.T) {
 			t.Errorf("unexpected transition %v -> %v for %s", from, to, peer)
 		},
 	}
-	p.Start()
+	stop := runProber(t, p)
 	time.Sleep(20 * time.Millisecond)
-	p.Stop()
+	stop()
 	if got := mem.Get(peers[1]); got != Gone {
 		t.Fatalf("gone peer state = %v, want Gone", got)
 	}
@@ -183,17 +181,15 @@ func TestProberCompletesLeaving(t *testing.T) {
 	mem.Set(peers[1], Leaving)
 	changes := make(chan PeerState, 4)
 	p := &Prober{
-		Peers:         peers,
-		Self:          peers[0],
-		Table:         mem,
-		Probe:         func(context.Context, string) error { return errors.New("refused") },
-		Interval:      time.Millisecond,
-		MaxInterval:   5 * time.Millisecond,
-		FailThreshold: 2,
-		OnChange:      func(_ string, _, to PeerState) { changes <- to },
+		Peers:       peers,
+		Self:        peers[0],
+		Table:       mem,
+		Probe:       func(context.Context, string) error { return errors.New("refused") },
+		Interval:    time.Millisecond,
+		MaxInterval: 5 * time.Millisecond,
+		OnChange:    func(_ string, _, to PeerState) { changes <- to },
 	}
-	p.Start()
-	defer p.Stop()
+	runProber(t, p)
 	select {
 	case to := <-changes:
 		if to != Gone {
@@ -220,9 +216,9 @@ func TestProberDoesNotReviveLeavingPeer(t *testing.T) {
 			t.Errorf("unexpected transition %v -> %v for %s", from, to, peer)
 		},
 	}
-	p.Start()
+	stop := runProber(t, p)
 	time.Sleep(20 * time.Millisecond)
-	p.Stop()
+	stop()
 	if got := mem.Get(peers[1]); got != Leaving {
 		t.Fatalf("leaving peer state = %v, want Leaving", got)
 	}

@@ -26,8 +26,8 @@ type clusterNode struct {
 	prober *cluster.Prober
 	httpc  *http.Client
 
-	// ctx bounds all background cluster IO (join hellos, rebalance ships);
-	// Shutdown cancels it.
+	// ctx bounds all background cluster IO (probe loops, join hellos,
+	// rebalance ships); Shutdown cancels it.
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -87,7 +87,7 @@ func (s *Server) setupCluster(opts Options) error {
 func (s *Server) stopCluster() {
 	if cn := s.cluster; cn != nil {
 		cn.cancel()
-		cn.prober.Stop()
+		cn.prober.Wait()
 	}
 	if q := s.repl; q != nil {
 		q.Stop()

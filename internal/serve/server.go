@@ -225,7 +225,7 @@ func New(opts Options) (*Server, error) {
 			}
 			s.repl.Start(cn.ring.Peers(), cn.self)
 		}
-		s.cluster.prober.Start()
+		s.cluster.prober.Start(s.cluster.ctx)
 		go s.clusterJoin("hello", s.table.Join)
 	}
 	s.series = s.metricsTable()
