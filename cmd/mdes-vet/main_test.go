@@ -218,6 +218,32 @@ func Hot() map[string]int {
 	}
 }
 
+// TestVetJSONNeedsPattern checks that -json without a file does not swallow
+// the package pattern: `mdes-vet -json ./...` must fail rather than vet only
+// the module root, where this module has no violation.
+func TestVetJSONNeedsPattern(t *testing.T) {
+	bin := buildVet(t)
+	dir := writeModule(t, map[string]string{
+		"root.go": "package sandbox\n",
+		"sub/bad.go": `package sub
+
+//mdes:noalloc
+func Hot() map[string]int {
+	return map[string]int{}
+}
+`,
+	})
+	cmd := exec.Command(bin, "-json", "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("mdes-vet -json ./... succeeded on a module with a violation in a subpackage:\n%s", out)
+	}
+	if !strings.Contains(string(out), "usage:") {
+		t.Errorf("mdes-vet -json ./... did not print the usage; got:\n%s", out)
+	}
+}
+
 // TestWaiverBudget exercises the -waivers subcommand: a matching budget
 // passes, drift fails with a diff, and -update-waivers regenerates the file.
 func TestWaiverBudget(t *testing.T) {

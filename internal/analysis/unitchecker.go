@@ -113,6 +113,12 @@ func Main(name string, analyzers ...*Analyzer) {
 		}
 		return
 	}
+	// Without a pattern go vet checks only ".", so a pattern taken as a flag
+	// value (`-json ./...`) must not pass as a vet of the tree.
+	if fs.NArg() == 0 {
+		usage(name, analyzers)
+		os.Exit(2)
+	}
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: cannot locate own executable: %v\n", name, err)
@@ -160,7 +166,7 @@ func waiverBudget(root, budgetFile string, update bool, known map[string]bool) e
 func usage(name string, analyzers []*Analyzer) {
 	fmt.Fprintf(os.Stderr, "%s: static analyzers for the mdes repository\n\n", name)
 	fmt.Fprintf(os.Stderr, "usage:\n")
-	fmt.Fprintf(os.Stderr, "  %s ./...                     # standalone (drives go vet)\n", name)
+	fmt.Fprintf(os.Stderr, "  %s [-json file] ./...        # standalone (drives go vet)\n", name)
 	fmt.Fprintf(os.Stderr, "  go vet -vettool=%s ./...     # as a vet tool\n\n", name)
 	fmt.Fprintf(os.Stderr, "analyzers:\n")
 	for _, a := range analyzers {

@@ -18,7 +18,7 @@ func TestWriteFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	written, err := WriteFigures(dir, p, h)
+	written, err := WriteFigures(dir, append(PlantReports(p), HDDReports(h)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWriteFiguresPartialInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	written, err := WriteFigures(dir, nil, h)
+	written, err := WriteFigures(dir, HDDReports(h))
 	if err != nil {
 		t.Fatal(err)
 	}

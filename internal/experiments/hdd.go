@@ -50,8 +50,6 @@ type HDDScale struct {
 	// Jump is the sharp-increase threshold on the anomaly score that
 	// declares a detected failure (paper: "over 0.5 increment").
 	Jump float64
-	// BaselineTrainFrac is the drive share used to train the RF baseline.
-	BaselineTrainFrac float64
 }
 
 func quickHDD() HDDScale {
@@ -74,8 +72,7 @@ func quickHDD() HDDScale {
 		},
 		TrainDays: 36, DevDays: 10,
 		ValidLo: 55, ValidHi: 75,
-		Jump:              0.4,
-		BaselineTrainFrac: 0.8,
+		Jump: 0.4,
 	}
 }
 
@@ -102,8 +99,7 @@ func fullHDD() HDDScale {
 		},
 		TrainDays: 70, DevDays: 20,
 		ValidLo: 55, ValidHi: 80,
-		Jump:              0.5,
-		BaselineTrainFrac: 0.8,
+		Jump: 0.5,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"mdes/internal/anomaly"
 	"mdes/internal/graph"
 	"mdes/internal/stats"
+	"mdes/internal/svgplot"
 )
 
 // toGraphRange converts the re-exported alias (identical underlying type).
@@ -24,6 +25,7 @@ func Fig10(h *HDDArtifacts) Report {
 		fmt.Fprintf(&sb, "%-10s -> %-8s (%d levels)\n", f, s.Name(), len(s.Levels()))
 	}
 	// Render the two paper examples as CDFs of the analysed series.
+	var series []svgplot.Series
 	for _, f := range []string{"smart_187", "smart_194"} {
 		if _, ok := h.Schemes[f]; !ok {
 			continue
@@ -34,6 +36,7 @@ func Fig10(h *HDDArtifacts) Report {
 		}
 		fmt.Fprintf(&sb, "CDF of %s training values (scheme %s):\n", f, schemeOf[f])
 		sb.WriteString(stats.ASCIICDF(stats.NewECDF(pool).Points(5), 30))
+		series = append(series, cdfSeries(f+" ("+schemeOf[f]+")", pool, 30))
 	}
 	pass := schemeOf["smart_187"] == "binary" && schemeOf["smart_194"] == "quantile"
 	return Report{
@@ -44,6 +47,8 @@ func Fig10(h *HDDArtifacts) Report {
 			schemeOf["smart_187"], schemeOf["smart_194"], len(h.HS.Features)),
 		Pass: pass,
 		Body: sb.String(),
+		Figures: []Figure{cdfFigure("fig10_discretization_cdfs.svg",
+			"Fig 10: feature CDFs and their discretisation schemes", "value", series...)},
 	}
 }
 
@@ -140,15 +145,23 @@ func Fig11(h *HDDArtifacts) Report {
 // Fig12 renders anomaly-score trajectories for detected and undetected
 // failed drives.
 func Fig12(h *HDDArtifacts) Report {
+	// The SVG plots the first three drives of each kind in Outcomes order.
 	var detected, missed []DriveOutcome
+	var series []svgplot.Series
 	for _, o := range h.Outcomes {
 		if !o.Failed {
 			continue
 		}
 		if o.Detected {
 			detected = append(detected, o)
+			if len(detected) <= 3 {
+				series = append(series, indexSeries(o.ID+" (detected)", o.Scores))
+			}
 		} else {
 			missed = append(missed, o)
+			if len(missed) <= 3 {
+				series = append(series, indexSeries(o.ID+" (missed)", o.Scores))
+			}
 		}
 	}
 	var sb strings.Builder
@@ -177,6 +190,8 @@ func Fig12(h *HDDArtifacts) Report {
 			len(detected), len(missed), 100*h.RecallOurs),
 		Pass: len(detected) > 0,
 		Body: sb.String(),
+		Figures: []Figure{{Name: "fig12_disk_trajectories.svg", Content: svgplot.Line(
+			"Fig 12: anomaly-score trajectories before disk failure", "test timestamp", "a_t", series, nil, 800, 400)}},
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"mdes/internal/lang"
 	"mdes/internal/seqio"
 	"mdes/internal/stats"
+	"mdes/internal/svgplot"
 )
 
 // Fig2 renders representative discrete event sequences — a periodic sensor
@@ -105,6 +106,12 @@ func Fig3(p *PlantArtifacts) Report {
 			meanCard, 100*binFrac, maxCard, stats.Mean(vocabs), stats.Percentile(vocabs, 50)),
 		Pass: pass,
 		Body: sb.String(),
+		Figures: []Figure{
+			cdfFigure("fig3a_cardinality_cdf.svg", "Fig 3(a): CDF of sensor cardinality", "cardinality",
+				cdfSeries("sensors", cards, 20)),
+			cdfFigure("fig3b_vocabulary_cdf.svg", "Fig 3(b): CDF of vocabulary size", "vocabulary size",
+				cdfSeries("sensors", vocabs, 30)),
+		},
 	}
 }
 
@@ -123,12 +130,19 @@ func Fig4(p *PlantArtifacts) Report {
 		}
 	}
 	frac60 := float64(above60) / float64(len(scores))
+	hist := stats.NewHistogram(scores, 0, 100, 10)
+	labels := make([]string, len(hist.Counts))
+	counts := make([]float64, len(hist.Counts))
+	for i, c := range hist.Counts {
+		labels[i] = hist.BinLabel(i)
+		counts[i] = float64(c)
+	}
 
 	var sb strings.Builder
 	sb.WriteString("(a) CDF of per-pair model runtime (seconds)\n")
 	sb.WriteString(stats.ASCIICDF(stats.NewECDF(runtimes).Points(6), 40))
 	sb.WriteString("(b) Histogram of training BLEU scores\n")
-	sb.WriteString(stats.NewHistogram(scores, 0, 100, 10).ASCIIBars(40))
+	sb.WriteString(hist.ASCIIBars(40))
 
 	return Report{
 		ID:    "fig4",
@@ -141,6 +155,12 @@ func Fig4(p *PlantArtifacts) Report {
 		// clusters, so the bar is that a solid plurality still clears 60.
 		Pass: frac60 > 0.4,
 		Body: sb.String(),
+		Figures: []Figure{
+			cdfFigure("fig4a_runtime_cdf.svg", "Fig 4(a): CDF of pair-model runtime", "seconds",
+				cdfSeries("pair models", runtimes, 30)),
+			{Name: "fig4b_bleu_histogram.svg", Content: svgplot.Bars("Fig 4(b): histogram of training BLEU scores",
+				"relationships", labels, counts, 640, 360)},
+		},
 	}
 }
 
@@ -195,6 +215,8 @@ func Fig5(p *PlantArtifacts) Report {
 			stats.NewECDF(ins).Max(), inSpread, stats.NewECDF(outs).Max(), outSpread),
 		Pass: inSpread >= outSpread,
 		Body: sb.String(),
+		Figures: []Figure{cdfFigure("fig5_degree_cdfs.svg", "Fig 5: degree CDFs across band subgraphs", "degree",
+			cdfSeries("in-degree", ins, 20), cdfSeries("out-degree", outs, 20))},
 	}
 }
 
@@ -212,6 +234,8 @@ func Fig6(p *PlantArtifacts) Report {
 			sub.NumNodes(), sub.NumEdges(), len(popular), p.Scale.PopularInDegree),
 		Pass: sub.NumEdges() > 0,
 		Body: dot,
+		// The file keeps the scale-free graph name the checked-in figure has.
+		Figures: []Figure{{Name: "fig6_global_subgraph.dot", Content: sub.DOT("global", popular)}},
 	}
 }
 
@@ -249,20 +273,33 @@ func Fig8(p *PlantArtifacts) Report {
 	// Re-evaluate with the strongest band to reproduce Fig 8(b).
 	topDet := p.TopBandPoints()
 
+	// The text marks every point of an anomaly or precursor day; the SVG
+	// draws one vertical line at each such day's first point.
 	marks := map[int]string{}
+	var dayLines []svgplot.VLine
 	for i := range valid {
 		d := p.DayOfPoint(i)
 		if containsInt(p.GT.AnomalyDays, d) {
 			marks[i] = fmt.Sprintf("anomaly day %d", d)
 		} else if containsInt(p.GT.PrecursorDays, d) {
 			marks[i] = fmt.Sprintf("precursor day %d", d)
+		} else {
+			continue
+		}
+		if i == 0 || p.DayOfPoint(i-1) != d {
+			dayLines = append(dayLines, svgplot.VLine{X: float64(i), Label: marks[i]})
 		}
 	}
+	validScores, topScores := anomaly.Scores(valid), anomaly.Scores(topDet)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "(a) valid band %s\n", p.Scale.ValidRange().String())
-	sb.WriteString(stats.ASCIISeries(anomaly.Scores(valid), 40, marks))
+	sb.WriteString(stats.ASCIISeries(validScores, 40, marks))
 	sb.WriteString("(b) band [90, 100]\n")
-	sb.WriteString(stats.ASCIISeries(anomaly.Scores(topDet), 40, marks))
+	sb.WriteString(stats.ASCIISeries(topScores, 40, marks))
+	series := []svgplot.Series{indexSeries(p.Scale.ValidRange().String(), validScores)}
+	if len(topScores) > 0 {
+		series = append(series, indexSeries("[90, 100]", topScores))
+	}
 
 	sepValid := p.separation(valid)
 	sepTop := p.separation(topDet)
@@ -274,6 +311,8 @@ func Fig8(p *PlantArtifacts) Report {
 			sepValid, sepTop),
 		Pass: sepValid > 0.1 && sepValid > sepTop,
 		Body: sb.String(),
+		Figures: []Figure{{Name: "fig8_anomaly_timeline.svg", Content: svgplot.Line(
+			"Fig 8: anomaly scores over the test split", "sentence timestamp", "a_t", series, dayLines, 800, 400)}},
 	}
 }
 

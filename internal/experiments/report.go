@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
@@ -20,6 +19,9 @@ type Report struct {
 	Pass bool
 	// Body is the full ASCII rendering (the "figure").
 	Body string
+	// Figures are the plot files drawn from the same samples as Body
+	// (written by WriteFigures); nil for tables and ablations.
+	Figures []Figure
 }
 
 // String renders the report for terminal output.
@@ -72,18 +74,4 @@ func PlantReports(p *PlantArtifacts) []Report {
 // HDDReports runs every Backblaze-case-study experiment.
 func HDDReports(h *HDDArtifacts) []Report {
 	return []Report{Fig10(h), Table2(h), Fig11(h), Fig12(h), Table3(h)}
-}
-
-// All builds both artifact sets at the given scale and runs every
-// experiment in paper order.
-func All(ctx context.Context, sc Scale) ([]Report, error) {
-	plant, err := BuildPlant(ctx, sc)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: plant artifacts: %w", err)
-	}
-	hdd, err := BuildHDD(ctx, sc)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: hdd artifacts: %w", err)
-	}
-	return append(PlantReports(plant), HDDReports(hdd)...), nil
 }
